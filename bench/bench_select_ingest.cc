@@ -191,6 +191,25 @@ uint64_t PoolChecksum(const std::vector<NodeId>& pool,
   return h;
 }
 
+/// Encodes stream sets [from, to) — offsets[i] is where set i starts in
+/// `pool` — into one compressed shard and ingests it into `c`: the
+/// sort + compress + postings work a generation shard does, then the
+/// shard-order merge ParallelGenerate ends with.
+void IngestSlice(RRCollection* c, const std::vector<NodeId>& pool,
+                 const std::vector<std::pair<uint32_t, uint64_t>>& sets,
+                 const std::vector<uint64_t>& offsets, size_t from,
+                 size_t to) {
+  ShardEncoder encoder;
+  std::vector<NodeId> members;
+  for (size_t i = from; i < to; ++i) {
+    members.assign(pool.begin() + offsets[i], pool.begin() + offsets[i + 1]);
+    encoder.Add(&members, sets[i].second);
+  }
+  std::vector<CompressedRRShard> shards;
+  shards.push_back(encoder.Finish(c->num_nodes()));
+  c->AddCompressedShards(std::move(shards));
+}
+
 /// The pre-compression storage replica: flat uint32 member pool + uint64
 /// set offsets + uint64 per-set costs + CSR inverted index with uint64
 /// node offsets + the epoch-stamped coverage scratch — byte for byte the
@@ -370,13 +389,17 @@ int Run(const Config& cfg) {
                pool.size(), static_cast<unsigned long long>(pool_checksum));
 
   // --- Ingestion: replay the stream into a fresh collection via the
-  // engine's batch path (sort + compress + hybrid index build). The batch
-  // is copied outside the timed region (AddBatch consumes its shards), so
-  // the timing covers exactly what ParallelGenerate pays per batch.
+  // engine's shard path (sort + compress + shard postings + hybrid index
+  // merge), so the timing covers what a generation shard and
+  // ParallelGenerate's ingest pay per batch.
   // Collections are configured exactly as the engines configure theirs
   // (no per-set cost column): peak_rr_bytes below is the quantity
   // RunOpimC / OnlineMaximizer meter against a RunControl memory budget.
   const RRStoreOptions kEngineStore{.retain_set_costs = false};
+  std::vector<uint64_t> set_offsets(sets.size() + 1, 0);
+  for (size_t i = 0; i < sets.size(); ++i) {
+    set_offsets[i + 1] = set_offsets[i] + sets[i].first;
+  }
 
   uint64_t ingest_sink = 0;
   double ingest_us = 0.0;
@@ -384,12 +407,9 @@ int Run(const Config& cfg) {
     std::vector<double> samples;
     samples.reserve(static_cast<size_t>(cfg.reps));
     for (int r = 0; r < cfg.reps; ++r) {
-      std::vector<RRBatch> shards(1);
-      shards[0].pool = pool;
-      shards[0].sets = sets;
       RRCollection fresh(cfg.n, kEngineStore);
       Stopwatch watch;
-      fresh.AddBatch(std::move(shards));
+      IngestSlice(&fresh, pool, sets, set_offsets, 0, sets.size());
       ingest_sink += fresh.CoveringCount(0);
       samples.push_back(watch.ElapsedSeconds());
     }
@@ -398,12 +418,7 @@ int Run(const Config& cfg) {
 
   // One persistent collection for the selection/bounds timings.
   RRCollection rr(cfg.n, kEngineStore);
-  {
-    std::vector<RRBatch> shards(1);
-    shards[0].pool = pool;
-    shards[0].sets = sets;
-    rr.AddBatch(std::move(shards));
-  }
+  IngestSlice(&rr, pool, sets, set_offsets, 0, sets.size());
 
   uint64_t select_sink = 0;
   const double greedy_us = TimeMedianUs(cfg.reps, [&] {
@@ -534,10 +549,6 @@ int Run(const Config& cfg) {
       doubling_targets.push_back(target);
     }
   }
-  std::vector<uint64_t> set_offsets(sets.size() + 1, 0);
-  for (size_t i = 0; i < sets.size(); ++i) {
-    set_offsets[i + 1] = set_offsets[i] + sets[i].first;
-  }
   uint64_t doubling_sink = 0;
   auto run_doubling = [&](bool incremental, std::vector<NodeId>* final_seeds) {
     RRCollection c(cfg.n, kEngineStore);
@@ -547,11 +558,7 @@ int Run(const Config& cfg) {
     double select_seconds = 0.0;
     size_t done = 0;
     for (size_t target : doubling_targets) {
-      std::vector<RRBatch> shards(1);
-      shards[0].pool.assign(pool.begin() + set_offsets[done],
-                            pool.begin() + set_offsets[target]);
-      shards[0].sets.assign(sets.begin() + done, sets.begin() + target);
-      c.AddBatch(std::move(shards));
+      IngestSlice(&c, pool, sets, set_offsets, done, target);
       done = target;
       Stopwatch watch;
       GreedyResult r = SelectGreedyCelf(c, cfg.k, /*with_trace=*/true, opts);

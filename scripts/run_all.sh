@@ -37,7 +37,7 @@ cmake -B build-fi -G Ninja -DOPIM_FAULT_INJECT=ON \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-fi
 ctest --test-dir build-fi --output-on-failure \
-  -R 'FaultInjection|Guardrails|RunControl|StopReason|SignalGuard|ThreadPool|Snapshot' 2>&1 \
+  -R 'FaultInjection|Guardrails|RunControl|StopReason|SignalGuard|ThreadPool|Snapshot|TwoPoolEngine' 2>&1 \
   | tee "$OUT/test_output_faultinject.txt"
 
 # Sanitized build (ASan + UBSan) over the memory-heavy engine subset:
@@ -52,20 +52,21 @@ cmake -B build-asan -G Ninja -DOPIM_SANITIZE=ON -DOPIM_FAULT_INJECT=ON \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|ParallelGenerate|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|SimdDifferential|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume' 2>&1 \
+  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|ParallelGenerate|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|SimdDifferential|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine' 2>&1 \
   | tee "$OUT/test_output_sanitized.txt"
 
 # TSan build over the concurrency-heavy subset: the thread pool, parallel
-# RR generation, the pipelined doubling loop's speculative staging
-# (OpimCPipeline), the lock-free trace recorder, and the progress
-# heartbeat all publish across threads with hand-placed acquire/release
+# RR generation, the two-pool engine's staged and speculative batches
+# (TwoPoolEngine, AdvanceParallel, OpimCPipeline), the lock-free trace
+# recorder, and the progress heartbeat all publish across threads with
+# hand-placed acquire/release
 # pairs, so a missing fence must fail loudly here. TSan and ASan cannot share a build
 # (mutually exclusive runtimes), hence the separate tree.
 cmake -B build-tsan -G Ninja -DOPIM_SANITIZE=thread \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-tsan
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ThreadPool|ParallelGenerate|AdvanceParallel|OpimCPipeline|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState' 2>&1 \
+  -R 'ThreadPool|ParallelGenerate|AdvanceParallel|OpimCPipeline|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState|TwoPoolEngine' 2>&1 \
   | tee "$OUT/test_output_tsan.txt"
 
 # OPIM_SIMD=OFF build: the portable scalar coverage kernels alone must

@@ -29,7 +29,7 @@ void BorgsOnline::MaybeSnapshot() {
   if (rr_.total_edges_examined() < next_power_) return;
   // γ crossed at least one power of two; snapshot at the largest one <= γ.
   while (next_power_ * 2 <= rr_.total_edges_examined()) next_power_ *= 2;
-  GreedyResult greedy = SelectGreedy(rr_, k_);
+  GreedyResult greedy = SelectGreedyCelf(rr_, k_);
   last_snapshot_.seeds = std::move(greedy.seeds);
   last_snapshot_.gamma = next_power_;
   last_snapshot_.alpha = BorgsApproxGuarantee(next_power_, graph_.num_nodes(),

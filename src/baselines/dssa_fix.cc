@@ -81,7 +81,7 @@ ImResult RunDssaFix(const Graph& g, DiffusionModel model, uint32_t k,
     for (auto& [nodes, cost] : raw_r2) r2.AddSet(nodes, cost);
 
     if (stats != nullptr) stats->iterations = i;
-    greedy = SelectGreedy(r1, k);
+    greedy = SelectGreedyCelf(r1, k);
 
     if (static_cast<double>(greedy.coverage) >= cov_threshold) {
       const double sigma1 = static_cast<double>(greedy.coverage) * n /

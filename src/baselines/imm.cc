@@ -62,7 +62,7 @@ ImResult RunImm(const Graph& g, DiffusionModel model, uint32_t k, double eps,
     if (theta_i > rr.num_sets()) {
       sampler->Generate(&rr, theta_i - rr.num_sets(), rng);
     }
-    GreedyResult greedy = SelectGreedy(rr, k);
+    GreedyResult greedy = SelectGreedyCelf(rr, k);
     const double est = static_cast<double>(greedy.coverage) * n /
                        static_cast<double>(rr.num_sets());
     if (est >= (1.0 + eps_prime) * x) {
@@ -87,7 +87,7 @@ ImResult RunImm(const Graph& g, DiffusionModel model, uint32_t k, double eps,
   }
 
   // Phase 2: node selection on the full collection.
-  GreedyResult greedy = SelectGreedy(rr, k);
+  GreedyResult greedy = SelectGreedyCelf(rr, k);
 
   if (stats != nullptr) {
     stats->lower_bound = lb;

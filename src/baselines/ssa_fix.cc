@@ -83,7 +83,7 @@ ImResult RunSsaFix(const Graph& g, DiffusionModel model, uint32_t k,
       sampler->Generate(&r1, theta1 - r1.num_sets(), rng);
     }
     if (stats != nullptr) stats->iterations = i;
-    greedy = SelectGreedy(r1, k);
+    greedy = SelectGreedyCelf(r1, k);
     const double sigma1 = static_cast<double>(greedy.coverage) * n /
                           static_cast<double>(r1.num_sets());
 

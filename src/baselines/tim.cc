@@ -85,7 +85,7 @@ ImResult RunTim(const Graph& g, DiffusionModel model, uint32_t k, double eps,
       sampler->Generate(&judge, theta_ref, rng);
       generated += 2 * theta_ref;
       generated_size += pick.total_size() + judge.total_size();
-      GreedyResult greedy = SelectGreedy(pick, k);
+      GreedyResult greedy = SelectGreedyCelf(pick, k);
       const double est = judge.EstimateSpread(greedy.seeds);
       kpt = std::max(kpt, est / (1.0 + eps_prime));
     }
@@ -107,7 +107,7 @@ ImResult RunTim(const Graph& g, DiffusionModel model, uint32_t k, double eps,
   sampler->Generate(&rr, theta, rng);
   generated += theta;
   generated_size += rr.total_size();
-  GreedyResult greedy = SelectGreedy(rr, k);
+  GreedyResult greedy = SelectGreedyCelf(rr, k);
 
   if (stats != nullptr) stats->capped = was_capped;
 

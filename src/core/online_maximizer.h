@@ -19,16 +19,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "bounds/bounds.h"
+#include "core/two_pool_engine.h"
 #include "diffusion/cascade.h"
 #include "graph/graph.h"
 #include "rrset/rr_collection.h"
-#include "rrset/rr_sampler.h"
-#include "select/greedy.h"
-#include "select/selection_state.h"
 #include "support/random.h"
 #include "support/run_control.h"
 
@@ -131,44 +129,32 @@ class OnlineMaximizer {
 
   /// Total RR sets generated so far (|R1| + |R2|).
   uint64_t num_rr_sets() const {
-    return static_cast<uint64_t>(r1_.num_sets()) + r2_.num_sets();
+    return static_cast<uint64_t>(engine_.r1().num_sets()) +
+           engine_.r2().num_sets();
   }
 
   /// Total traversal cost γ paid so far (drives the Borgs baseline too).
   uint64_t edges_examined() const {
-    return r1_.total_edges_examined() + r2_.total_edges_examined();
+    return engine_.r1().total_edges_examined() +
+           engine_.r2().total_edges_examined();
   }
 
-  const RRCollection& r1() const { return r1_; }
-  const RRCollection& r2() const { return r2_; }
+  const RRCollection& r1() const { return engine_.r1(); }
+  const RRCollection& r2() const { return engine_.r2(); }
   uint32_t k() const { return k_; }
   double delta() const { return delta_; }
 
  private:
-  const Graph& graph_;
-  DiffusionModel model_;
   uint32_t k_;
   double delta_;
-  double scale_;  // n, or Σ w_v for the weighted objective
-  std::vector<double> node_weights_;  // empty = unit weights
-  /// Shared kernel state: built once, borrowed by the serial sampler and
-  /// by every AdvanceParallel shard.
-  SamplingView sampling_view_;
-  AliasSampler root_sampler_;  // weighted roots; empty => uniform
-  std::unique_ptr<RRSampler> sampler_;
+  /// Pools, sampling, selection and bounds (core/two_pool_engine.h), fed
+  /// by both the serial and the parallel RR stream.
+  TwoPoolEngine engine_;
   Rng rng_;
   /// Shared implementation of Query/QuerySequential at a given per-side
   /// failure budget.
   OnlineSnapshot QueryWithDelta(BoundKind kind, double delta_each) const;
 
-  RRCollection r1_;
-  RRCollection r2_;
-  /// Persistent selection state across queries: repeated Query() calls
-  /// over a growing R1 warm-start CELF from the pool's incrementally
-  /// maintained membership counts instead of recounting every posting
-  /// (select/selection_state.h). Mutable: queries are logically const —
-  /// the state is an execution cache with bit-identical output.
-  mutable SelectionState select_state_;
   RunControl* control_ = nullptr;  // non-owning guardrails; see setter
   bool next_to_r1_ = true;     // alternation cursor
   uint32_t sequential_queries_ = 0;

@@ -2,24 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
-#include "graph/sampling_view.h"
+#include "core/two_pool_engine.h"
 #include "obs/log.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "rrset/parallel_generate.h"
-#include "rrset/rr_sampler.h"
-#include "rrset/rr_collection.h"
 #include "rrset/snapshot.h"
-#include "select/greedy.h"
 #include "select/seed_trace.h"
-#include "select/selection_state.h"
-#include "support/alias_sampler.h"
 #include "support/math_util.h"
 #include "support/random.h"
 #include "support/stopwatch.h"
-#include "support/thread_pool.h"
 
 namespace opim {
 
@@ -63,27 +55,16 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
   OPIM_CHECK(eps > 0.0 && eps < 1.0);
   OPIM_CHECK(delta > 0.0 && delta < 1.0);
 
+  // One engine for the whole run: one worker pool and one sampling view
+  // serve every doubling of both pools, every index merge and every CELF
+  // pass (see core/two_pool_engine.h).
+  TwoPoolEngine engine(g, model, options.node_weights, options.num_threads);
+
   // Weighted objective: scale W = Σ w_v replaces n, and the trivial
   // optimum lower bound becomes the top-k weight sum (each seed at least
   // activates itself) instead of k. Unit weights recover Eqs. (16)/(17).
-  double scale = n;
-  double opt_lb = k;
-  const bool weighted = !options.node_weights.empty();
-  if (weighted) {
-    OPIM_CHECK_EQ(options.node_weights.size(), n);
-    scale = 0.0;
-    for (double w : options.node_weights) {
-      OPIM_CHECK_GE(w, 0.0);
-      scale += w;
-    }
-    OPIM_CHECK_MSG(scale > 0.0, "node weights must not all be zero");
-    std::vector<double> sorted = options.node_weights;
-    std::nth_element(sorted.begin(), sorted.begin() + (k - 1), sorted.end(),
-                     std::greater<double>());
-    opt_lb = 0.0;
-    for (uint32_t i = 0; i < k; ++i) opt_lb += sorted[i];
-    OPIM_CHECK_MSG(opt_lb > 0.0, "top-k node weights must be positive");
-  }
+  const double scale = engine.scale();
+  const double opt_lb = engine.MinSpread(k);
   const double ln6d = std::log(6.0 / delta);
   const double lm_inner = kOneMinusInvE * std::sqrt(ln6d) +
                           std::sqrt(kOneMinusInvE * (LogBinomial(n, k) + ln6d));
@@ -96,26 +77,13 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
   const double delta_iter = delta / (3.0 * i_max);  // δ1 = δ2 = δ/(3·i_max)
   const double target = 1.0 - 1.0 / std::exp(1.0) - eps;
 
-  const unsigned num_threads =
-      ThreadPool::ResolveThreadCount(options.num_threads);
+  const unsigned num_threads = engine.num_threads();
   OPIM_TM_COUNTER_ADD("opim.opimc.runs", 1);
   OPIM_LOG(kInfo) << "opim-c: n=" << n << " k=" << k << " eps=" << eps
                   << " delta=" << delta << " theta0=" << theta0
                   << " i_max=" << i_max << " threads=" << num_threads;
 
-  // One pool for the whole run: every generate call and every ingestion
-  // batch's index rebuild reuses the same workers instead of spawning and
-  // joining a fresh pool per doubling. Serial runs skip the pool entirely.
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
-
-  // One sampling view for the whole run: every doubling of both pools
-  // borrows the same precomputed kernel state (quantized thresholds /
-  // alias arena) instead of rebuilding it per generate call.
-  const SamplingView sampling_view(g, SamplingViewPartsFor(model), pool.get(),
-                                   {.seal_arena = options.view_arena});
-
-  // Generation goes through ParallelGenerate even in the serial case so
+  // Generation goes through engine batches even in the serial case so
   // the RR stream depends only on (seed, num_threads); each batch gets a
   // distinct derived seed. The speculative path below *peeks* the next two
   // batch seeds without consuming them, and bumps the counter only when a
@@ -130,26 +98,14 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
     uint64_t state = options.seed ^ (0x6f70634bULL + counter);
     return SplitMix64(state);
   };
-  auto generate = [&](RRCollection* rr, uint64_t count, RunControl* ctl) {
+  auto generate = [&](int pool, uint64_t count, RunControl* ctl) {
     OPIM_TR_SPAN1("generate", "opimc", "count", count);
     Stopwatch watch;
-    ParallelGenerate(g, model, rr, count, batch_seed(++batch_counter),
-                     num_threads, options.node_weights, pool.get(),
-                     &sampling_view, ctl);
+    engine.Sample(pool, count, batch_seed(++batch_counter), ctl);
     pending_generate_seconds += watch.ElapsedSeconds();
   };
-  // Weighted roots for the speculative samplers: built once per run
-  // (eager generate calls build their own inside ParallelGenerate).
-  AliasSampler spec_root;
-  if (weighted) spec_root.Build(options.node_weights);
-  const AliasSampler* const spec_root_ptr =
-      spec_root.empty() ? nullptr : &spec_root;
-  const bool pipelined = options.pipeline && pool != nullptr;
+  const bool pipelined = options.pipeline && engine.has_workers();
   RunControl* const control = options.control;
-  // Engine pools never answer SetCost (only aggregate γ), so they drop
-  // the 8 bytes/set cost column on top of the compressed member storage.
-  const RRStoreOptions store{.retain_set_costs = false};
-  RRCollection r1(n, store), r2(n, store);
 
   // Resume: adopt the snapshot's pools and loop position. The RR stream
   // is a pure function of (seed, num_threads, batch_counter), and CELF
@@ -177,81 +133,27 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
     OPIM_CHECK_MSG(snap.run.bound == static_cast<uint32_t>(options.bound) &&
                        snap.run.model == static_cast<uint32_t>(model),
                    "resume snapshot was written with a different bound/model");
-    OPIM_CHECK_EQ(snap.r1.num_nodes(), n);
-    OPIM_CHECK_EQ(snap.r2.num_nodes(), n);
-    r1 = std::move(snap.r1);
-    r2 = std::move(snap.r2);
+    engine.Restore(&snap);
     batch_counter = snap.run.batch_counter;
     start_iter = std::clamp<uint32_t>(snap.run.next_iteration, 1, i_max);
     resumed_from = start_iter;
     if (control != nullptr) control->RecordPeakBytes(snap.run.peak_rr_bytes);
     OPIM_TM_COUNTER_ADD("opim.snapshot.resumes", 1);
     OPIM_LOG(kInfo) << "opim-c: resumed from snapshot at iteration "
-                    << start_iter << " (theta1=" << r1.num_sets()
+                    << start_iter << " (theta1=" << engine.r1().num_sets()
                     << ", batch_counter=" << batch_counter << ")";
   }
-  if (!options.spill_dir.empty()) {
-    for (RRCollection* rr : {&r1, &r2}) {
-      const Status armed = rr->EnableSpill({.dir = options.spill_dir});
-      if (!armed.ok()) {
-        // Fully-resident is always a valid state: the run proceeds and a
-        // memory budget (if armed) stops it the classic way instead.
-        OPIM_LOG(kWarn) << "opim-c: spill tier unavailable: "
-                        << armed.ToString();
-        break;
-      }
-    }
-  }
-  // Out-of-core policy, checked at iteration boundaries where the exact
-  // footprint is known: once the pools cross half of an armed memory
-  // budget, write cold compressed chunks to the spill file until each
-  // pool keeps at most a quarter of its member bytes resident. The
-  // target scales with the pool — not the budget — so eviction bites
-  // even when the unspillable index dominates the footprint, and the
-  // sticky target keeps CELF's fault-ins from re-accumulating the whole
-  // pool. CELF's recount phase faults chunks back in on demand, so the
-  // seed stream is untouched. A spill I/O failure trips the control
-  // with the distinct kSpillFailure reason; the run then degrades
-  // exactly like a memory-budget stop.
-  auto maybe_spill = [&] {
-    if (control == nullptr || control->Stopped()) return;
-    const uint64_t budget = control->memory_budget_bytes();
-    if (budget == 0) return;
-    if (r1.MemoryUsage() + r2.MemoryUsage() <= budget / 2) return;
-    for (RRCollection* rr : {&r1, &r2}) {
-      if (!rr->spill_enabled()) continue;
-      const Result<uint64_t> spilled =
-          rr->SpillColdChunks(rr->CompressedMemberBytes() / 4);
-      if (!spilled.ok()) {
-        OPIM_LOG(kError) << "opim-c: spill failed: "
-                         << spilled.status().ToString();
-        control->TripSpillFailure();
-        return;
-      }
-    }
-  };
+  if (!options.spill_dir.empty()) engine.EnableSpill(options.spill_dir);
   if (options.resume == nullptr) {
-    generate(&r1, theta0, control);
-    generate(&r2, theta0, control);
-  } else {
-    // Resumed pools carry no index (the snapshot stores only the
-    // canonical chunk runs); rebuild it eagerly on the run pool so the
-    // first CELF pass starts from the same state a live run would have.
-    r1.EnsureIndex(pool.get());
-    r2.EnsureIndex(pool.get());
+    generate(0, theta0, control);
+    generate(1, theta0, control);
   }
 
   // Anytime floor: if a guardrail tripped before (or during) the θ0 fill
   // and left a pool empty, the bound machinery below has nothing to
-  // evaluate. One uncontrolled RR set per empty pool keeps every exit path
-  // on the normal Eq. (5)/(13) certificate — greedy pads to k seeds and
-  // both σ estimates stay finite. Untripped runs never enter this branch,
-  // so they remain byte-identical to control == nullptr.
-  if (control != nullptr && control->Stopped()) {
-    for (RRCollection* rr : {&r1, &r2}) {
-      if (rr->num_sets() == 0) generate(rr, 1, nullptr);
-    }
-  }
+  // evaluate; each floored set consumes the next batch seed.
+  engine.FloorEmptyPools(control,
+                         [&](int) { return batch_seed(++batch_counter); });
 
   OpimCResult result;
   result.i_max = i_max;
@@ -263,16 +165,17 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
                    "query_ks entries must satisfy 1 <= k' <= k");
   }
   // The Eq. (10) trace is needed for the improved/Leskovec bounds, and —
-  // prefix-complete — for any query answering.
-  const bool needs_trace = options.bound != BoundKind::kBasic || query_mode;
-
-  // Persistent cross-iteration selection state: CELF warm-starts every
-  // doubling (and a resumed run's first selection rebuilds it from the
-  // restored pools) with bit-identical output; see selection_state.h.
-  // The SeedTrace is re-armed per traced selection, so the one the
-  // exiting iteration recorded is the one queries are answered from.
-  SelectionState select_state;
+  // prefix-complete — for any query answering. The engine's persistent
+  // selection state warm-starts CELF every doubling (a resumed run's
+  // first selection rebuilds it from the restored pools) with
+  // bit-identical output; see selection_state.h. The SeedTrace is
+  // re-armed per traced selection, so the one the exiting iteration
+  // recorded is the one queries are answered from.
   SeedTrace seed_trace;
+  TwoPoolEngine::SelectOptions select;
+  select.with_trace = options.bound != BoundKind::kBasic || query_mode;
+  select.incremental = options.incremental_selection;
+  if (query_mode) select.seed_trace = &seed_trace;
 
   // Periodic checkpointing: `write_checkpoint(next, clean)` captures
   // the pools plus the exact loop position needed to re-enter iteration
@@ -307,8 +210,7 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
     rs.bound = static_cast<uint32_t>(options.bound);
     rs.model = static_cast<uint32_t>(model);
     rs.clean_boundary = clean ? 1 : 0;
-    const Result<uint64_t> written =
-        SaveSnapshot(rs, r1, r2, checkpoint_path);
+    const Result<uint64_t> written = engine.Save(rs, checkpoint_path);
     const double seconds = watch.ElapsedSeconds();
     if (!written.ok()) {
       // Best-effort by contract: a failing checkpoint device must not
@@ -327,7 +229,8 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
   };
 
   for (uint32_t i = start_iter; i <= i_max; ++i) {
-    OPIM_TR_SPAN2("iteration", "opimc", "iter", i, "theta1", r1.num_sets());
+    OPIM_TR_SPAN2("iteration", "opimc", "iter", i, "theta1",
+                  engine.r1().num_sets());
     OPIM_TM_COUNTER_ADD("opim.opimc.iterations", 1);
     // Top-of-iteration checkpoint: the pools hold complete doublings and
     // the batch counter is consistent, so this is the clean boundary the
@@ -342,7 +245,7 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
     }
     // Footprint peaks right after a doubling lands — shed cold chunks
     // before CELF touches the pools, not after.
-    maybe_spill();
+    engine.MaybeSpill(control);
     Stopwatch phase_watch;
 
     // Pipelined schedule: CELF parallelizes its initial marginal-gain pass
@@ -353,66 +256,34 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
     // staged batches use exactly the seeds the eager schedule would derive
     // (batch_counter + 1, + 2, consumed only on merge), so the RR stream
     // is byte-identical; only the final iteration's speculation is wasted.
-    // Declaration order matters: spec_group's destructor joins the group's
-    // tasks, so it must precede the stages it samples into on unwind.
-    std::unique_ptr<StagedGeneration> spec1, spec2;
-    std::unique_ptr<TaskGroup> spec_group;
-    CelfOptions celf_options;
-    celf_options.pool = pool.get();
-    if (options.incremental_selection) celf_options.state = &select_state;
-    if (query_mode) celf_options.seed_trace = &seed_trace;
+    select.after_initial_gains = nullptr;
     if (pipelined && i < i_max &&
         !(control != nullptr && control->Stopped())) {
-      celf_options.after_initial_gains = [&] {
-        // Guardrail metering: each stage polls with both frozen pools
-        // plus its own compressed staging bytes (published in RunShard) —
-        // the same running-estimate contract as eager generation.
-        const uint64_t spec_base =
-            control != nullptr ? r1.MemoryUsage() + r2.MemoryUsage() : 0;
-        const uint64_t c1 = r1.num_sets();
-        const uint64_t c2 = r2.num_sets();
-        spec1 = std::make_unique<StagedGeneration>(
-            sampling_view, model, c1, batch_seed(batch_counter + 1),
-            GenerateShardCount(c1, num_threads), spec_root_ptr, control,
-            spec_base, /*speculative=*/true);
-        spec2 = std::make_unique<StagedGeneration>(
-            sampling_view, model, c2, batch_seed(batch_counter + 2),
-            GenerateShardCount(c2, num_threads), spec_root_ptr, control,
-            spec_base, /*speculative=*/true);
-        // A TaskGroup (not the pool's global barrier) tracks the
-        // speculative tasks: their completion — and any exception they
-        // raise — stays out of foreground Wait()/ParallelFor calls that
-        // CoverBitset kernels or the index merge may issue meanwhile.
-        spec_group = std::make_unique<TaskGroup>(pool.get());
-        for (unsigned s = 0; s < spec1->shards(); ++s) {
-          spec_group->Submit([&stage = *spec1, s] { stage.RunShard(s); });
-        }
-        for (unsigned s = 0; s < spec2->shards(); ++s) {
-          spec_group->Submit([&stage = *spec2, s] { stage.RunShard(s); });
-        }
+      select.after_initial_gains = [&] {
+        engine.Stage(engine.r1().num_sets(), batch_seed(batch_counter + 1),
+                     engine.r2().num_sets(), batch_seed(batch_counter + 2),
+                     control, /*speculative=*/true);
       };
     }
-    GreedyResult greedy = SelectGreedyCelf(r1, k, needs_trace, celf_options);
+    GreedyResult greedy = engine.Select(k, select);
     const double greedy_seconds = phase_watch.ElapsedSeconds();
 
     phase_watch.Restart();
-    const uint64_t lambda2 = r2.CoverageOf(greedy.seeds);
+    const TwoPoolEngine::Certificate cert =
+        engine.Certify(greedy, options.bound, delta_iter, delta_iter);
 
     OpimCIteration iter;
-    iter.theta1 = r1.num_sets();
-    iter.sigma_lower =
-        SigmaLower(lambda2, r2.num_sets(), scale, delta_iter);
-    iter.sigma_upper =
-        SigmaUpper(options.bound, greedy, r1.num_sets(), scale, delta_iter);
-    iter.alpha = ApproxRatio(iter.sigma_lower, iter.sigma_upper);
+    iter.theta1 = engine.r1().num_sets();
+    iter.sigma_lower = cert.sigma_lower;
+    iter.sigma_upper = cert.sigma_upper;
+    iter.alpha = cert.alpha;
     iter.generate_seconds = pending_generate_seconds;
     pending_generate_seconds = 0.0;
     iter.greedy_seconds = greedy_seconds;
     iter.bounds_seconds = phase_watch.ElapsedSeconds();
-    iter.rr_bytes = r1.MemoryUsage() + r2.MemoryUsage() +
-                    sampling_view.MemoryFootprintBytes();
-    iter.rr_compressed_bytes =
-        r1.CompressedMemberBytes() + r2.CompressedMemberBytes();
+    iter.rr_bytes = engine.Footprint();
+    iter.rr_compressed_bytes = engine.r1().CompressedMemberBytes() +
+                               engine.r2().CompressedMemberBytes();
     OPIM_TM_HISTOGRAM_RECORD("opim.opimc.phase.generate_us",
                              iter.generate_seconds * 1e6);
     OPIM_TM_HISTOGRAM_RECORD("opim.opimc.phase.greedy_us",
@@ -435,20 +306,14 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
     const bool stopped = control != nullptr && control->Poll(iter.rr_bytes);
     const bool exiting = iter.alpha >= target || i == i_max || stopped;
 
-    const bool speculated = spec_group != nullptr;
+    const bool speculated = engine.staging();
     if (speculated) {
       if (exiting) {
         // The eager schedule would never have sampled these batches, so
         // their outcome — including a speculative worker exception — must
         // not affect the result: abort, join, swallow, count the waste.
         OPIM_TR_SPAN1("speculate_discard", "opimc", "iter", i);
-        spec1->Abort();
-        spec2->Abort();
-        try {
-          spec_group->Wait();
-        } catch (...) {
-        }
-        const uint64_t discarded = spec1->TotalSets() + spec2->TotalSets();
+        const uint64_t discarded = engine.Discard();
         result.speculative_sets_discarded += discarded;
         OPIM_TM_COUNTER_ADD("opim.rrset.speculative_sets_discarded",
                             discarded);
@@ -459,23 +324,12 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
         // degrade under a control, propagate without one.
         OPIM_TR_SPAN1("speculate_merge", "opimc", "iter", i);
         Stopwatch merge_watch;
-        try {
-          spec_group->Wait();
-        } catch (...) {
-          if (control == nullptr) throw;
-          control->TripWorkerFailure();
-        }
+        const uint64_t used = engine.Merge(control);
         batch_counter += 2;
-        const uint64_t used = spec1->TotalSets() + spec2->TotalSets();
         result.speculative_sets_used += used;
         OPIM_TM_COUNTER_ADD("opim.rrset.speculative_sets_used", used);
-        IngestStaged(spec1.get(), &r1, pool.get());
-        IngestStaged(spec2.get(), &r2, pool.get());
         pending_generate_seconds += merge_watch.ElapsedSeconds();
       }
-      spec_group.reset();
-      spec1.reset();
-      spec2.reset();
     }
 
     if (exiting) {
@@ -503,9 +357,7 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
         // reproduces iter.alpha exactly.
         OPIM_TR_SPAN1("query_answers", "opimc", "count",
                       options.query_ks.size());
-        seed_trace.SetBoundParams(r1.num_sets(), r2.num_sets(), scale,
-                                  delta_iter, delta_iter);
-        seed_trace.AttributeJudgeCoverage(r2);
+        engine.CertifyTrace(&seed_trace, delta_iter, delta_iter);
         result.queries.reserve(options.query_ks.size());
         for (uint32_t k_prime : options.query_ks) {
           const TraceQueryBounds qb =
@@ -528,11 +380,13 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
       // Eager doubling of both pools (Line 9 of Algorithm 2) — the only
       // path on serial runs, and the fallback when no speculation was
       // launched this iteration.
-      generate(&r1, r1.num_sets(), control);
-      generate(&r2, r2.num_sets(), control);
+      generate(0, engine.r1().num_sets(), control);
+      generate(1, engine.r2().num_sets(), control);
     }
   }
 
+  const RRCollection& r1 = engine.r1();
+  const RRCollection& r2 = engine.r2();
   result.num_rr_sets =
       static_cast<uint64_t>(r1.num_sets()) + r2.num_sets();
   result.total_rr_size = r1.total_size() + r2.total_size();
@@ -577,17 +431,6 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
         break;
     }
   }
-  OPIM_TM_STMT({
-    // Lifetime stats of the run-owned pool, reported once: tasks_run
-    // growing across doublings under a single pool is the observable
-    // signature of worker reuse (no per-call pool churn).
-    if (pool != nullptr) {
-      const ThreadPoolStats stats = pool->Stats();
-      OPIM_TM_COUNTER_ADD("opim.pool.tasks_run", stats.tasks_run);
-      OPIM_TM_COUNTER_ADD("opim.pool.queue_wait_us", stats.queue_wait_us);
-      OPIM_TM_COUNTER_ADD("opim.pool.idle_wait_us", stats.idle_wait_us);
-    }
-  });
   OPIM_LOG(kInfo) << "opim-c: done alpha=" << result.alpha
                   << " iterations=" << result.iterations
                   << " rr_sets=" << result.num_rr_sets;

@@ -62,10 +62,6 @@ struct OpimCOptions {
   /// distinct StopReason::kSpillFailure and degrades like a
   /// memory-budget stop. Ignored without a control or budget.
   std::string spill_dir;
-  /// Seal the SamplingView kernel state into one anonymous
-  /// madvise-hinted arena (SamplingViewOptions::seal_arena). Storage
-  /// move only: RR streams, seeds, and α are byte-identical.
-  bool view_arena = false;
   /// Optional run guardrails (deadline / memory budget / cancellation),
   /// non-owning; must outlive the call. When the control trips, the run
   /// exits at the next safe point, finishes the judge-pool bound

@@ -1,10 +1,7 @@
 #include "graph/sampling_view.h"
 
-#include <cstring>
 #include <functional>
-#include <utility>
 
-#include "support/mmap_arena.h"
 #include "support/thread_pool.h"
 
 namespace opim {
@@ -34,8 +31,7 @@ void ForEachNodeRange(uint32_t n, ThreadPool* pool,
 
 }  // namespace
 
-SamplingView::SamplingView(const Graph& g, Parts parts, ThreadPool* pool,
-                           const SamplingViewOptions& options)
+SamplingView::SamplingView(const Graph& g, Parts parts, ThreadPool* pool)
     : graph_(&g) {
   OPIM_CHECK_GT(g.num_nodes(), 0u);
   // The packed per-node records keep edge offsets and in-degrees in 32
@@ -45,62 +41,13 @@ SamplingView::SamplingView(const Graph& g, Parts parts, ThreadPool* pool,
   const auto bits = static_cast<uint8_t>(parts);
   if (bits & static_cast<uint8_t>(Parts::kIc)) BuildIc(pool);
   if (bits & static_cast<uint8_t>(Parts::kLt)) BuildLt(pool);
-  BindOwned();
-  if (options.seal_arena) SealArena();
-}
-
-void SamplingView::BindOwned() {
-  ic_meta_ = own_ic_meta_;
-  ic_edges_ = own_ic_edges_;
-  ic_skip_inv_log_ = own_ic_skip_inv_log_;
-  lt_meta_ = own_lt_meta_;
-  lt_buckets_ = own_lt_buckets_;
-}
-
-void SamplingView::SealArena() {
-  // Pack the five arrays into one mapping, each section on an
-  // MmapArena::kAlignment boundary. The arena replaces five independent
-  // heap blocks (and their growth slack) with one contiguous hinted
-  // region; span contents are bit-identical, so the sampled RR streams
-  // cannot change.
-  uint64_t pos = 0;
-  auto place = [&pos](uint64_t bytes) {
-    uint64_t at = pos;
-    pos = MmapArena::AlignUp(pos + bytes);
-    return at;
-  };
-  const uint64_t at_ic_meta = place(ic_meta_.size_bytes());
-  const uint64_t at_ic_edges = place(ic_edges_.size_bytes());
-  const uint64_t at_ic_skip = place(ic_skip_inv_log_.size_bytes());
-  const uint64_t at_lt_meta = place(lt_meta_.size_bytes());
-  const uint64_t at_lt_buckets = place(lt_buckets_.size_bytes());
-
-  auto allocated = MmapArena::Allocate(pos);
-  if (!allocated.ok()) return;  // Heap-backed is always a valid state.
-  arena_ = std::move(allocated).ValueOrDie();
-  arena_size_ = pos;
-  uint8_t* base = arena_->mutable_data();
-  auto seal = [base](auto& span, auto& vec, uint64_t at) {
-    using T = typename std::remove_reference_t<decltype(vec)>::value_type;
-    if (!span.empty()) {
-      std::memcpy(base + at, span.data(), span.size_bytes());
-    }
-    span = {reinterpret_cast<const T*>(base + at), span.size()};
-    vec = {};  // Release the heap copy.
-  };
-  seal(ic_meta_, own_ic_meta_, at_ic_meta);
-  seal(ic_edges_, own_ic_edges_, at_ic_edges);
-  seal(ic_skip_inv_log_, own_ic_skip_inv_log_, at_ic_skip);
-  seal(lt_meta_, own_lt_meta_, at_lt_meta);
-  seal(lt_buckets_, own_lt_buckets_, at_lt_buckets);
-  arena_->Advise(0, pos, MmapArena::Advice::kWillNeed);
 }
 
 void SamplingView::BuildIc(ThreadPool* pool) {
   const Graph& g = *graph_;
   const uint32_t n = g.num_nodes();
-  own_ic_meta_.assign(n + 1, IcNodeMeta{0, 0});
-  own_ic_skip_inv_log_.assign(n, 0.0);
+  ic_meta_.assign(n + 1, IcNodeMeta{0, 0});
+  ic_skip_inv_log_.assign(n, 0.0);
 
   // Pass 1: count positive-probability in-edges per node (p <= 0 edges are
   // exactly never live, so the kernel never needs to look at them).
@@ -108,11 +55,11 @@ void SamplingView::BuildIc(ThreadPool* pool) {
     for (NodeId v = lo; v < hi; ++v) {
       uint32_t kept = 0;
       for (double p : g.InProbs(v)) kept += p > 0.0;
-      own_ic_meta_[v + 1].offset = kept;
+      ic_meta_[v + 1].offset = kept;
     }
   });
-  for (uint32_t v = 0; v < n; ++v) own_ic_meta_[v + 1].offset += own_ic_meta_[v].offset;
-  own_ic_edges_.resize(own_ic_meta_[n].offset);
+  for (uint32_t v = 0; v < n; ++v) ic_meta_[v + 1].offset += ic_meta_[v].offset;
+  ic_edges_.resize(ic_meta_[n].offset);
 
   // Pass 2: place interleaved {neighbor, reject} pairs, classify nodes,
   // and pack `indeg << 2 | kind` next to the offset so one 8-byte load
@@ -121,7 +68,7 @@ void SamplingView::BuildIc(ThreadPool* pool) {
     for (NodeId v = lo; v < hi; ++v) {
       const auto probs = g.InProbs(v);
       const auto nbrs = g.InNeighbors(v);
-      uint32_t w = own_ic_meta_[v].offset;
+      uint32_t w = ic_meta_[v].offset;
       double first = -1.0;
       bool uniform = true;
       for (size_t i = 0; i < probs.size(); ++i) {
@@ -131,10 +78,10 @@ void SamplingView::BuildIc(ThreadPool* pool) {
         } else {
           uniform &= probs[i] == first;
         }
-        own_ic_edges_[w] = IcEdge{nbrs[i], QuantizeRejectThreshold(probs[i])};
+        ic_edges_[w] = IcEdge{nbrs[i], QuantizeRejectThreshold(probs[i])};
         ++w;
       }
-      const uint32_t kept = w - own_ic_meta_[v].offset;
+      const uint32_t kept = w - ic_meta_[v].offset;
       IcNodeKind kind = IcNodeKind::kEmpty;
       if (kept > 0) {
         if (uniform && first >= 1.0) {
@@ -142,12 +89,12 @@ void SamplingView::BuildIc(ThreadPool* pool) {
         } else if (uniform && kept >= kSkipMinDegree &&
                    first <= kSkipMaxProb) {
           kind = IcNodeKind::kSkip;
-          own_ic_skip_inv_log_[v] = 1.0 / std::log1p(-first);
+          ic_skip_inv_log_[v] = 1.0 / std::log1p(-first);
         } else {
           kind = IcNodeKind::kPerEdge;
         }
       }
-      own_ic_meta_[v].indeg_kind =
+      ic_meta_[v].indeg_kind =
           (static_cast<uint32_t>(probs.size()) << 2) |
           static_cast<uint32_t>(kind);
     }
@@ -159,12 +106,12 @@ void SamplingView::BuildLt(ThreadPool* pool) {
   OPIM_CHECK_MSG(g.MaxInWeightSum() <= 1.0 + 1e-9,
                  "LT requires per-node incoming weights to sum to <= 1");
   const uint32_t n = g.num_nodes();
-  own_lt_meta_.assign(n + 1, LtNodeMeta{0, kAlwaysReject});
+  lt_meta_.assign(n + 1, LtNodeMeta{0, kAlwaysReject});
   for (uint32_t v = 0; v < n; ++v) {
-    own_lt_meta_[v + 1].offset =
-        own_lt_meta_[v].offset + static_cast<uint32_t>(g.InDegree(v));
+    lt_meta_[v + 1].offset =
+        lt_meta_[v].offset + static_cast<uint32_t>(g.InDegree(v));
   }
-  own_lt_buckets_.assign(own_lt_meta_[n].offset, LtBucket{kAlwaysReject, 0, 0});
+  lt_buckets_.assign(lt_meta_[n].offset, LtBucket{kAlwaysReject, 0, 0});
 
   // One Vose alias build per node, written straight into the shared arena
   // slice [offset(v), offset(v+1)) — with both bucket outcomes stored as
@@ -181,7 +128,7 @@ void SamplingView::BuildLt(ThreadPool* pool) {
       if (d == 0) continue;  // stop threshold stays kAlwaysReject
       const double stay = g.InWeightSum(v);
       if (stay <= 0.0) continue;  // zero mass: the walk always stops at v
-      own_lt_meta_[v].stop_rej = QuantizeRejectThreshold(stay);
+      lt_meta_[v].stop_rej = QuantizeRejectThreshold(stay);
 
       scaled.assign(probs.begin(), probs.end());
       for (double& s : scaled) s *= static_cast<double>(d) / stay;
@@ -190,13 +137,13 @@ void SamplingView::BuildLt(ThreadPool* pool) {
       for (size_t i = 0; i < d; ++i) {
         (scaled[i] < 1.0 ? small : large).push_back(static_cast<uint32_t>(i));
       }
-      const uint64_t off = own_lt_meta_[v].offset;
+      const uint64_t off = lt_meta_[v].offset;
       while (!small.empty() && !large.empty()) {
         const uint32_t s = small.back();
         small.pop_back();
         const uint32_t l = large.back();
         large.pop_back();
-        own_lt_buckets_[off + s] =
+        lt_buckets_[off + s] =
             LtBucket{QuantizeRejectThreshold(scaled[s]), nbrs[s], nbrs[l]};
         scaled[l] = (scaled[l] + scaled[s]) - 1.0;
         (scaled[l] < 1.0 ? small : large).push_back(l);
@@ -205,10 +152,10 @@ void SamplingView::BuildLt(ThreadPool* pool) {
       // own neighbor with certainty, which the kernel reads off rej == 0
       // without spending a draw.
       for (const uint32_t l : large) {
-        own_lt_buckets_[off + l] = LtBucket{0, nbrs[l], nbrs[l]};
+        lt_buckets_[off + l] = LtBucket{0, nbrs[l], nbrs[l]};
       }
       for (const uint32_t s : small) {
-        own_lt_buckets_[off + s] = LtBucket{0, nbrs[s], nbrs[s]};
+        lt_buckets_[off + s] = LtBucket{0, nbrs[s], nbrs[s]};
       }
     }
   });

@@ -43,7 +43,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -51,20 +50,7 @@
 
 namespace opim {
 
-class MmapArena;
 class ThreadPool;
-
-/// Construction options for SamplingView.
-struct SamplingViewOptions {
-  /// Seal the built kernel state into one anonymous madvise-hinted
-  /// MmapArena: the five arrays are packed 64-byte aligned into a single
-  /// mapping (dropping the vectors' slack capacity) and hinted
-  /// MADV_WILLNEED so the kernels never stall on lazy first-touch
-  /// faults. Purely a storage move — the sampled RR streams are
-  /// byte-identical to the heap-backed layout. When the kernel refuses
-  /// the mapping the view silently stays heap-backed.
-  bool seal_arena = false;
-};
 
 /// Quantizes a keep-probability into the 32-bit reject threshold used by
 /// the sampling kernels: a trial is *rejected* iff `rng.NextU32() < rej`,
@@ -147,8 +133,7 @@ class SamplingView {
   /// construction; the result is identical for any worker count. The LT
   /// part requires per-node in-weights summing to <= 1 (checked).
   explicit SamplingView(const Graph& g, Parts parts = Parts::kBoth,
-                        ThreadPool* pool = nullptr,
-                        const SamplingViewOptions& options = {});
+                        ThreadPool* pool = nullptr);
 
   OPIM_DISALLOW_COPY(SamplingView);
 
@@ -156,21 +141,16 @@ class SamplingView {
   bool has_ic() const { return !ic_meta_.empty(); }
   bool has_lt() const { return !lt_meta_.empty(); }
 
-  /// Footprint of the precomputed kernel state in bytes: the sealed
-  /// arena's size when arena-backed, else the heap vectors'
-  /// capacity-based sum. Counted against RunControl memory budgets
-  /// together with RRCollection::MemoryUsage().
+  /// Footprint of the precomputed kernel state in bytes (capacity-based).
+  /// Counted against RunControl memory budgets together with
+  /// RRCollection::MemoryUsage().
   uint64_t MemoryFootprintBytes() const {
-    if (arena_ != nullptr) return arena_size_;
-    return own_ic_meta_.capacity() * sizeof(IcNodeMeta) +
-           own_ic_edges_.capacity() * sizeof(IcEdge) +
-           own_ic_skip_inv_log_.capacity() * sizeof(double) +
-           own_lt_meta_.capacity() * sizeof(LtNodeMeta) +
-           own_lt_buckets_.capacity() * sizeof(LtBucket);
+    return ic_meta_.capacity() * sizeof(IcNodeMeta) +
+           ic_edges_.capacity() * sizeof(IcEdge) +
+           ic_skip_inv_log_.capacity() * sizeof(double) +
+           lt_meta_.capacity() * sizeof(LtNodeMeta) +
+           lt_buckets_.capacity() * sizeof(LtBucket);
   }
-
-  /// True when the kernel state was sealed into an MmapArena.
-  bool arena_backed() const { return arena_ != nullptr; }
 
   // --- IC part -----------------------------------------------------------
 
@@ -222,34 +202,16 @@ class SamplingView {
   void BuildIc(ThreadPool* pool);
   void BuildLt(ThreadPool* pool);
 
-  /// Rebinds the span members to the own_* vectors (heap-backed state).
-  void BindOwned();
-
-  /// Packs the built arrays into one anonymous arena and rebinds the
-  /// spans into it; no-op (heap stays) when the mapping is refused.
-  void SealArena();
-
   const Graph* graph_;
 
-  // Active views; bound to own_* (heap) or into arena_ (sealed).
-  std::span<const IcNodeMeta> ic_meta_;      // n + 1 (last: end offset)
-  std::span<const IcEdge> ic_edges_;         // m' <= m
-  std::span<const double> ic_skip_inv_log_;  // n (kSkip nodes only)
-  std::span<const LtNodeMeta> lt_meta_;      // n + 1 (last: end offset)
-  std::span<const LtBucket> lt_buckets_;     // m
-
   // IC: compacted reverse CSR over positive-probability edges.
-  std::vector<IcNodeMeta> own_ic_meta_;
-  std::vector<IcEdge> own_ic_edges_;
-  std::vector<double> own_ic_skip_inv_log_;
+  std::vector<IcNodeMeta> ic_meta_;      // n + 1 (last: end offset)
+  std::vector<IcEdge> ic_edges_;         // m' <= m
+  std::vector<double> ic_skip_inv_log_;  // n (kSkip nodes only)
 
   // LT: flattened alias arena aligned with the full reverse CSR.
-  std::vector<LtNodeMeta> own_lt_meta_;
-  std::vector<LtBucket> own_lt_buckets_;
-
-  // Sealed storage; null while heap-backed.
-  std::shared_ptr<MmapArena> arena_;
-  uint64_t arena_size_ = 0;
+  std::vector<LtNodeMeta> lt_meta_;      // n + 1 (last: end offset)
+  std::vector<LtBucket> lt_buckets_;     // m
 };
 
 }  // namespace opim

@@ -91,40 +91,60 @@ uint64_t StagedGeneration::TotalSets() const {
   return total;
 }
 
-uint64_t StagedGeneration::TotalNodes() const {
-  uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.nodes;
-  return total;
-}
-
-uint64_t StagedGeneration::TotalEdges() const {
-  uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.edges;
-  return total;
-}
-
-uint64_t StagedGeneration::TotalAliasDraws() const {
-  uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.alias;
-  return total;
-}
-
-std::vector<CompressedRRShard> StagedGeneration::TakeShards() {
+uint64_t StagedGeneration::IngestInto(RRCollection* collection,
+                                      ThreadPool* pool) {
   std::vector<CompressedRRShard> out;
   out.reserve(shards_.size());
+  Shard total;
   for (Shard& s : shards_) {
     out.push_back(s.encoder.Finish(view_.graph().num_nodes()));
+    total.sets += s.sets;
+    total.nodes += s.nodes;
+    total.edges += s.edges;
+    total.alias += s.alias;
   }
-  return out;
+  collection->AddCompressedShards(std::move(out), pool);
+  OPIM_TM_COUNTER_ADD("opim.rrset.sets_generated", total.sets);
+  OPIM_TM_COUNTER_ADD("opim.rrset.nodes_total", total.nodes);
+  OPIM_TM_COUNTER_ADD("opim.rrset.edges_examined", total.edges);
+  OPIM_TM_COUNTER_ADD("opim.rrset.alias_draws", total.alias);
+  return total.sets;
 }
 
-void IngestStaged(StagedGeneration* stage, RRCollection* collection,
-                  ThreadPool* pool) {
-  collection->AddCompressedShards(stage->TakeShards(), pool);
-  OPIM_TM_COUNTER_ADD("opim.rrset.sets_generated", stage->TotalSets());
-  OPIM_TM_COUNTER_ADD("opim.rrset.nodes_total", stage->TotalNodes());
-  OPIM_TM_COUNTER_ADD("opim.rrset.edges_examined", stage->TotalEdges());
-  OPIM_TM_COUNTER_ADD("opim.rrset.alias_draws", stage->TotalAliasDraws());
+ShardRun::ShardRun(std::span<StagedGeneration* const> stages,
+                   ThreadPool* pool)
+    : stages_(stages.begin(), stages.end()) {
+  unsigned shards = 0;
+  for (const StagedGeneration* stage : stages_) shards += stage->shards();
+  if (pool == nullptr || shards <= 1) return;
+  // A TaskGroup (not the pool's global barrier) tracks the shards: their
+  // completion — and any exception they raise — stays out of foreground
+  // Wait()/ParallelFor calls that CELF, CoverBitset kernels or an index
+  // merge may issue on the same pool while the batches run.
+  group_.emplace(pool);
+  for (StagedGeneration* stage : stages_) {
+    for (unsigned s = 0; s < stage->shards(); ++s) {
+      group_->Submit([stage, s] { stage->RunShard(s); });
+    }
+  }
+}
+
+void ShardRun::Finish(RunControl* control) {
+  // With a control we degrade — record the failure, keep every completed
+  // staged shard — and without one we propagate, preserving the
+  // uncontrolled contract.
+  try {
+    if (group_) {
+      group_->Wait();
+    } else {
+      for (StagedGeneration* stage : stages_) {
+        for (unsigned s = 0; s < stage->shards(); ++s) stage->RunShard(s);
+      }
+    }
+  } catch (...) {
+    if (control == nullptr) throw;
+    control->TripWorkerFailure();
+  }
 }
 
 void ParallelGenerate(const Graph& g, DiffusionModel model,
@@ -174,26 +194,9 @@ void ParallelGenerate(const Graph& g, DiffusionModel model,
       control != nullptr ? collection->MemoryUsage() : 0;
   StagedGeneration stage(*view, model, count, seed, shards, shared_root,
                          control, base_bytes, /*speculative=*/false);
-
-  // A worker exception is captured by the pool and rethrown from Wait()
-  // (support/thread_pool.h); with a control we degrade — record the
-  // failure, keep every completed staged shard — and without one we
-  // propagate, preserving the uncontrolled contract.
-  try {
-    if (shards == 1) {
-      stage.RunShard(0);
-    } else {
-      for (unsigned s = 0; s < shards; ++s) {
-        pool->Submit([&stage, s] { stage.RunShard(s); });
-      }
-      pool->Wait();
-    }
-  } catch (...) {
-    if (control == nullptr) throw;
-    control->TripWorkerFailure();
-  }
-
-  IngestStaged(&stage, collection, pool);
+  StagedGeneration* const stages[] = {&stage};
+  ShardRun(stages, pool).Finish(control);
+  stage.IngestInto(collection, pool);
 
   OPIM_TM_STMT({
     // Caller-owned pools accumulate lifetime stats the caller reports once

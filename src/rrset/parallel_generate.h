@@ -14,10 +14,10 @@
 // StagedGeneration exposes the two halves separately: RunShard() calls
 // can overlap other work on the same pool (the pipelined doubling loop
 // runs them speculatively during CELF + bounds, see docs/performance.md)
-// and IngestStaged() merges the staged shards — or drops them, if the
+// and IngestInto() merges the staged shards — or drops them, if the
 // speculation was not needed — at a point the caller chooses.
 //
-// Callers that generate repeatedly (OPIM-C's doublings) should construct
+// Callers that generate repeatedly (a doubling loop) should construct
 // one ThreadPool and pass it to every call: the workers and their stacks
 // are reused across generations and the same pool parallelizes the
 // inverted-index rebuild of each ingestion batch. Without a pool, a
@@ -32,19 +32,20 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "diffusion/cascade.h"
 #include "graph/graph.h"
 #include "rrset/rr_collection.h"
+#include "support/thread_pool.h"
 
 namespace opim {
 
 class AliasSampler;
 class RunControl;
 class SamplingView;
-class ThreadPool;
 
 /// Samples `count` RR sets under `model` and appends them to `collection`.
 /// Deterministic in (seed, num_threads); num_threads = 0 picks the
@@ -56,7 +57,7 @@ class ThreadPool;
 ///
 /// Shared read-only sampling state (SamplingView + one weighted-root alias
 /// table) is built once per call and borrowed by every shard; callers that
-/// generate repeatedly on the same graph (OPIM-C's doublings) should build
+/// generate repeatedly on the same graph (a doubling loop) should build
 /// a SamplingView themselves and pass it as `view` to skip even that
 /// once-per-call cost. `view` must be for `g` with the part for `model`
 /// built (checked).
@@ -71,7 +72,7 @@ class ThreadPool;
 /// A worker exception (possible only via fault injection or allocation
 /// failure) trips control->TripWorkerFailure() and the completed shard
 /// buffers are ingested; with control == nullptr it propagates to the
-/// caller instead (rethrown from ThreadPool::Wait). Early exit makes the
+/// caller instead (rethrown from ShardRun::Finish). Early exit makes the
 /// number of generated sets timing-dependent — by design, and only after
 /// a trip; untripped runs are byte-identical to control == nullptr.
 void ParallelGenerate(const Graph& g, DiffusionModel model,
@@ -100,12 +101,10 @@ inline unsigned GenerateShardCount(uint64_t count, unsigned num_threads) {
 /// Construction fixes the sampling schedule (count, seed, shard count):
 /// the same derivation ParallelGenerate uses, so a staged batch is
 /// byte-identical to a synchronous one. RunShard(s) runs shard s's
-/// sample+compress loop on the calling thread; callers pick the execution
-/// context — ParallelGenerate submits every shard to its pool and waits,
-/// the pipelined engine submits them through a TaskGroup and joins only
-/// at the merge point. Abort() asks shards to stop at the next
-/// poll-stride boundary: the discard path when the doubling loop
-/// converges before the staged batch is needed.
+/// sample+compress loop on the calling thread; a ShardRun picks the
+/// execution context and the join point. Abort() asks shards to stop at
+/// the next poll-stride boundary: the discard path when the doubling
+/// loop converges before the staged batch is needed.
 ///
 /// Guardrails: shards publish their compressed staging footprint to a
 /// shared counter once per kControlPollStride samples and poll `control`
@@ -133,20 +132,14 @@ class StagedGeneration {
   /// Asks running shards to stop at their next poll-stride boundary.
   void Abort() { abort_.store(true, std::memory_order_relaxed); }
 
-  /// Compressed staging footprint published so far (poll-stride stale).
-  uint64_t StagingBytes() const {
-    return published_bytes_.load(std::memory_order_relaxed);
-  }
-
-  /// Aggregate sample stats; valid once every RunShard has returned.
+  /// Sets sampled; valid once every RunShard has returned.
   uint64_t TotalSets() const;
-  uint64_t TotalNodes() const;
-  uint64_t TotalEdges() const;
-  uint64_t TotalAliasDraws() const;
 
-  /// Finalizes and takes the per-shard wire-format buffers (call after
-  /// every RunShard returned; the stats above remain valid).
-  std::vector<CompressedRRShard> TakeShards();
+  /// Ingests the sampled shards into `collection` (shard-order merge;
+  /// RRCollection::AddCompressedShards) and reports the batch's
+  /// generation counters to telemetry. Every RunShard must have returned;
+  /// call at most once. Returns TotalSets().
+  uint64_t IngestInto(RRCollection* collection, ThreadPool* pool);
 
  private:
   const SamplingView& view_;
@@ -169,10 +162,22 @@ class StagedGeneration {
   std::vector<Shard> shards_;
 };
 
-/// Ingests a fully sampled staged batch into `collection` (shard-order
-/// merge; RRCollection::AddCompressedShards) and reports the batch's
-/// generation counters to telemetry. Every RunShard must have returned.
-void IngestStaged(StagedGeneration* stage, RRCollection* collection,
-                  ThreadPool* pool);
+/// Executes the shards of staged batches: construction submits them to
+/// `pool` as one TaskGroup (so they can overlap other work), or, without
+/// a pool or with one shard in total, defers them to Finish(), which runs
+/// them inline. Finish() joins under ParallelGenerate's worker-failure
+/// contract. Destruction joins without rethrowing, so the stages must
+/// outlive the run.
+class ShardRun {
+ public:
+  ShardRun(std::span<StagedGeneration* const> stages, ThreadPool* pool);
+
+  /// Runs deferred shards, then joins. Call at most once.
+  void Finish(RunControl* control);
+
+ private:
+  std::vector<StagedGeneration*> stages_;
+  std::optional<TaskGroup> group_;  // empty: shards deferred to Finish
+};
 
 }  // namespace opim

@@ -31,24 +31,20 @@ constexpr uint32_t kBlockCostRatio = 3;
 
 void ShardEncoder::Add(std::vector<NodeId>* members, uint64_t cost) {
   std::sort(members->begin(), members->end());
-  AddSorted(*members, cost);
-}
-
-void ShardEncoder::AddSorted(std::span<const NodeId> members, uint64_t cost) {
 #if OPIM_DEBUG_CHECKS
-  for (size_t i = 1; i < members.size(); ++i) {
-    OPIM_DCHECK_LT(members[i - 1], members[i]);  // distinct by contract
+  for (size_t i = 1; i < members->size(); ++i) {
+    OPIM_DCHECK_LT((*members)[i - 1], (*members)[i]);  // distinct by contract
   }
 #endif
   uint32_t rec;
-  if (members.empty()) {
+  if (members->empty()) {
     rec = rrslot::kEmpty;
-  } else if (members.size() == 1) {
-    rec = rrslot::kInlineTag | members[0];
+  } else if (members->size() == 1) {
+    rec = rrslot::kInlineTag | (*members)[0];
   } else {
     // Bytes precede the record: a failed record push can only orphan
     // trailing bytes, which Finalize strips (see header).
-    const size_t len = EncodeRRMembers(members, &shard_.bytes);
+    const size_t len = EncodeRRMembers(*members, &shard_.bytes);
     OPIM_CHECK_LT(len, rrslot::kInlineTag);
     rec = static_cast<uint32_t>(len);
   }
@@ -169,43 +165,6 @@ RRId RRCollection::AddSet(std::span<const NodeId> nodes,
   total_edges_examined_ += edges_examined;
   if (!nodes.empty()) index_dirty_ = true;
   return id;
-}
-
-void RRCollection::AddBatch(std::vector<RRBatch> shards, ThreadPool* pool) {
-  uint64_t add_sets = 0;
-  for (const RRBatch& shard : shards) {
-    add_sets += shard.sets.size();
-#if OPIM_DEBUG_CHECKS
-    for (NodeId v : shard.pool) OPIM_DCHECK_LT(v, num_nodes_);
-    uint64_t shard_nodes = 0;
-    for (const auto& [size, cost] : shard.sets) shard_nodes += size;
-    OPIM_DCHECK_EQ(shard_nodes, shard.pool.size());
-#endif
-  }
-  if (add_sets == 0) return;
-
-  // Per-shard sort + compress + local postings, in parallel; ingestion
-  // proper is the shard-order merge in AddCompressedShards.
-  std::vector<CompressedRRShard> enc(shards.size());
-  auto encode_shard = [&](uint64_t s) {
-    OPIM_TM_SCOPED_TIMER("opim.rrset.shard_encode_us");
-    RRBatch& shard = shards[s];
-    ShardEncoder encoder;
-    NodeId* cursor = shard.pool.data();
-    for (const auto& [size, cost] : shard.sets) {
-      std::span<NodeId> members(cursor, size);
-      cursor += size;
-      std::sort(members.begin(), members.end());
-      encoder.AddSorted(members, cost);
-    }
-    enc[s] = encoder.Finish(num_nodes_);
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && shards.size() > 1) {
-    pool->ParallelFor(shards.size(), encode_shard);
-  } else {
-    for (uint64_t s = 0; s < shards.size(); ++s) encode_shard(s);
-  }
-  AddCompressedShards(std::move(enc), pool);
 }
 
 void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,

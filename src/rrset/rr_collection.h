@@ -27,13 +27,14 @@
 // Both representations hang off dual CSR offset arrays; exactly one has a
 // nonzero extent per node.
 //
-// Index validity contract: AddBatch leaves the index built (in parallel
-// when given a ThreadPool). AddSet defers the rebuild; the first index
-// read after single-set appends rebuilds serially. Interleaving AddSet
-// with reads is therefore valid but pays one rebuild per flip from
-// writing to reading — the engine paths (ParallelGenerate / select/)
-// always ingest whole batches. The lazy rebuild also means the first
-// post-append read is not safe to race with other readers.
+// Index validity contract: AddCompressedShards leaves the index built (in
+// parallel when given a ThreadPool). AddSet defers the rebuild; the first
+// index read after single-set appends rebuilds serially. Interleaving
+// AddSet with reads is therefore valid but pays one rebuild per flip from
+// writing to reading — the batch paths (ParallelGenerate and the two-pool
+// engine's staged batches) ingest whole shards, and only the online
+// serial Advance appends set by set. The lazy rebuild also means the
+// first post-append read is not safe to race with other readers.
 
 // Out-of-core spill tier. The pool is chunked (4096 sets per chunk);
 // each chunk's encoded bytes are an independent byte run, so a sealed
@@ -76,16 +77,6 @@ inline constexpr uint32_t kInlineTag = 0x80000000u;
 inline constexpr uint32_t kEmpty = 0xFFFFFFFFu;
 }  // namespace rrslot
 
-/// One producer shard of sampled RR sets, in append order: `pool` is the
-/// concatenation of the sets' nodes and `sets` holds each set's (size,
-/// traversal cost). This is exactly the per-worker buffer shape of
-/// ParallelGenerate; ingestion sorts and compresses the members shard by
-/// shard (in parallel when given a pool).
-struct RRBatch {
-  std::vector<NodeId> pool;
-  std::vector<std::pair<uint32_t, uint64_t>> sets;  // (size, edges examined)
-};
-
 /// One producer shard already in wire format: the concatenation of the
 /// sets' group-varint encodings (no tail slack), one record per set (an
 /// inline slot value for empty/singleton sets — tag bit set — or the
@@ -122,8 +113,8 @@ struct CompressedRRShard {
 /// Streaming per-shard compressor: generation workers feed it one sampled
 /// set at a time (sorted + encoded immediately, while the members are
 /// cache-hot) and Finish() builds the shard-local postings, yielding a
-/// CompressedRRShard ready for RRCollection::AddCompressedShards. The raw
-/// member pool of the RRBatch path is never materialized.
+/// CompressedRRShard ready for RRCollection::AddCompressedShards; a raw
+/// member pool is never materialized.
 ///
 /// Exception safety: Add() appends the encoding before the set record, so
 /// an allocation failure mid-append can orphan trailing bytes but never a
@@ -137,13 +128,6 @@ class ShardEncoder {
   /// Sorts `*members` in place (distinct nodes by sampler contract) and
   /// appends its encoding. `cost` is the traversal cost (γ accounting).
   void Add(std::vector<NodeId>* members, uint64_t cost);
-
-  /// Same for members already strictly ascending (validated in debug
-  /// builds) — the AddBatch path sorts spans of its pool in place first.
-  void AddSorted(std::span<const NodeId> members, uint64_t cost);
-
-  /// Sets encoded so far (readable mid-stream, e.g. for poll metering).
-  uint64_t num_sets() const { return shard_.sets.size(); }
 
   /// Current heap footprint of the staged shard.
   uint64_t StagingBytes() const { return shard_.StagingBytes(); }
@@ -200,17 +184,9 @@ class RRCollection {
   /// sorted). `edges_examined` is the traversal cost the sampler paid
   /// (the paper's γ accounting, §3.2). Returns the new set's id. The
   /// inverted index rebuild is deferred to the next index read (see the
-  /// contract above); bulk producers should use AddBatch.
+  /// contract above); bulk producers should encode shards with
+  /// ShardEncoder and use AddCompressedShards.
   RRId AddSet(std::span<const NodeId> nodes, uint64_t edges_examined);
-
-  /// Appends every set of every shard, in shard order, sorting and
-  /// compressing each shard's members (parallelized over shards when
-  /// `pool` is provided), then rebuilds the inverted index. The index is
-  /// valid on return. Per-node range validation is debug-only on this
-  /// path (OPIM_DCHECK). Implemented as encode-to-CompressedRRShard +
-  /// AddCompressedShards, so the result is byte-identical to the
-  /// streaming producer path.
-  void AddBatch(std::vector<RRBatch> shards, ThreadPool* pool = nullptr);
 
   /// Appends pre-compressed shards (ShardEncoder output), in shard order:
   /// byte streams are appended wholesale, and the inverted index is
@@ -497,7 +473,7 @@ class RRCollection {
   void FaultChunk(uint32_t chunk) const;
 
   /// Sorts (and de-dups) `*nodes` in place, then appends the slot /
-  /// encoded bytes for one set. Shared by AddSet and batch assembly.
+  /// encoded bytes for one set (AddSet).
   void AppendEncodedSet(std::vector<NodeId>* nodes);
 
   /// Rebuilds the hybrid inverted index from the compressed pool:

@@ -19,8 +19,7 @@ SamplingView::Parts SamplingViewPartsFor(DiffusionModel model) {
 void RRSampler::Generate(RRCollection* collection, uint64_t count, Rng& rng) {
   if (count == 0) return;
   // Each set is sorted and compressed the moment it is sampled (members
-  // still cache-hot) — the raw member pool of the old RRBatch path is
-  // never materialized — and ingestion is one shard-merge.
+  // still cache-hot), and ingestion is one shard-merge.
   ShardEncoder encoder;
   std::vector<NodeId> scratch;
   for (uint64_t i = 0; i < count; ++i) {

@@ -65,7 +65,7 @@ class RRSampler {
   virtual uint64_t SampleInto(Rng& rng, std::vector<NodeId>* out) = 0;
 
   /// Samples `count` RR sets and appends them to `collection` through the
-  /// bulk-ingest path (one RRBatch, one index rebuild).
+  /// compressed-shard ingest path (one shard, one index merge).
   void Generate(RRCollection* collection, uint64_t count, Rng& rng);
 
   /// The graph being sampled.

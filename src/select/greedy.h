@@ -8,7 +8,7 @@
 //    prefix i = 0..k (Eq. 10), in O(kn + Σ|R|) total. Kept as the
 //    reference oracle for differential tests.
 //  * SelectGreedyCelf — CELF lazy-forward greedy (Leskovec et al. 2007),
-//    the selection path RunOpimC uses. Identical output to SelectGreedy
+//    the selection path of the two-pool engine and of every baseline. Identical output to SelectGreedy
 //    (including tie-breaking and the trace arrays; the differential test
 //    in tests/select/ pins this). In trace mode it maintains exact
 //    marginals like SelectGreedy but replaces the O(n) argmax scan with

@@ -31,7 +31,7 @@
 namespace opim {
 
 /// Reusable selection state bound to (at most) one RRCollection at a
-/// time. Owned by the engine run / OnlineMaximizer; not thread-safe.
+/// time. Owned by TwoPoolEngine; not thread-safe.
 class SelectionState {
  public:
   SelectionState() = default;

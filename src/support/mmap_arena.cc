@@ -64,21 +64,6 @@ Result<std::shared_ptr<MmapArena>> MmapArena::MapFile(const std::string& path,
   return arena;
 }
 
-Result<std::shared_ptr<MmapArena>> MmapArena::Allocate(uint64_t bytes) {
-  if (bytes == 0) {
-    return std::shared_ptr<MmapArena>(new MmapArena(nullptr, 0, false));
-  }
-  void* addr = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (addr == MAP_FAILED) {
-    return Status::IOError("cannot allocate anonymous mapping of " +
-                           std::to_string(bytes) + " bytes: " +
-                           std::strerror(errno));
-  }
-  return std::shared_ptr<MmapArena>(
-      new MmapArena(static_cast<uint8_t*>(addr), bytes, false));
-}
-
 MmapArena::~MmapArena() {
   if (data_ != nullptr) ::munmap(data_, size_);
 }

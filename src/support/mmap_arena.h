@@ -1,11 +1,9 @@
 // Memory-mapped arenas for the storage tier.
 //
-// An MmapArena owns one contiguous mapping: either a read-only
+// An MmapArena owns one contiguous mapping: a read-only
 // file-backed mapping (MapFile — the `.opimg` fast load path, where
 // "loading" a graph is a page-table operation and the kernel faults
-// pages in on first touch) or an anonymous read-write mapping
-// (Allocate — sealed SamplingView arenas and the heap fallback when a
-// file cannot be mapped). The arena hands out raw byte views; callers
+// pages in on first touch). The arena hands out raw byte views; callers
 // bind typed spans over AlignUp-aligned sections.
 //
 // Advise() forwards access-pattern hints to madvise(2). Hints are
@@ -29,9 +27,9 @@
 
 namespace opim {
 
-/// Owns one mmap(2) region (file-backed read-only or anonymous
-/// read-write) and unmaps it on destruction. Shared via shared_ptr so
-/// graphs and views copied from a mapped source keep the pages alive.
+/// Owns one read-only file-backed mmap(2) region and unmaps it on
+/// destruction. Shared via shared_ptr so graphs and views copied from a
+/// mapped source keep the pages alive.
 class MmapArena {
  public:
   /// Section alignment for multi-array payloads carved out of one
@@ -59,21 +57,11 @@ class MmapArena {
   static Result<std::shared_ptr<MmapArena>> MapFile(
       const std::string& path, Advice advice = Advice::kNormal);
 
-  /// Creates an anonymous read-write mapping of `bytes` zeroed bytes.
-  /// Fails with IOError when the kernel refuses the mapping.
-  static Result<std::shared_ptr<MmapArena>> Allocate(uint64_t bytes);
-
   ~MmapArena();
   OPIM_DISALLOW_COPY(MmapArena);
 
   const uint8_t* data() const { return data_; }
   uint64_t size() const { return size_; }
-
-  /// Writable view; only valid for Allocate()d arenas.
-  uint8_t* mutable_data() {
-    OPIM_CHECK_MSG(!file_backed_, "mutable_data on a file-backed arena");
-    return data_;
-  }
 
   bool file_backed() const { return file_backed_; }
 

@@ -97,22 +97,5 @@ TEST_P(SpillDifferentialTest, BudgetedSpillRunMatchesResidentRun) {
 INSTANTIATE_TEST_SUITE_P(SerialAndParallel, SpillDifferentialTest,
                          ::testing::Values(1u, 2u));
 
-TEST(SpillDifferentialTest, ViewArenaIsByteIdenticalToo) {
-  // The sealed SamplingView arena is the other storage move of this
-  // layer: same RR stream, same seeds, same certificate.
-  const Graph g = DenseTestGraph();
-  OpimCOptions plain;
-  plain.seed = 7;
-  OpimCOptions sealed = plain;
-  sealed.view_arena = true;
-  const OpimCResult a =
-      RunOpimC(g, DiffusionModel::kIndependentCascade, 5, 0.3, 0.05, plain);
-  const OpimCResult b =
-      RunOpimC(g, DiffusionModel::kIndependentCascade, 5, 0.3, 0.05, sealed);
-  EXPECT_EQ(a.seeds, b.seeds);
-  EXPECT_EQ(a.alpha, b.alpha);
-  EXPECT_EQ(a.num_rr_sets, b.num_rr_sets);
-}
-
 }  // namespace
 }  // namespace opim

@@ -104,6 +104,21 @@ TEST(WeightedOnlineMaximizerTest, PicksWeightedOptimum) {
   EXPECT_GT(snap.alpha, 0.5);
 }
 
+TEST(WeightedOnlineMaximizerTest, AdvanceParallelPicksWeightedOptimum) {
+  // The parallel stream samples its roots through the engine's shared
+  // weighted-root table, never through the serial sampler.
+  TwoStars ts = MakeTwoStars();
+  OnlineMaximizer om(ts.graph, DiffusionModel::kIndependentCascade, 1, 0.05,
+                     ts.weights, /*seed=*/6);
+  om.AdvanceParallel(6000, 4);
+  EXPECT_EQ(om.num_rr_sets(), 6000u);
+  OnlineSnapshot snap = om.Query(BoundKind::kImproved);
+  ASSERT_EQ(snap.seeds.size(), 1u);
+  EXPECT_EQ(snap.seeds[0], TwoStars::kHubB);
+  EXPECT_GT(snap.sigma_lower, 200.0);
+  EXPECT_GT(snap.alpha, 0.5);
+}
+
 TEST(WeightedOnlineMaximizerTest, UnweightedPicksTheOtherHub) {
   TwoStars ts = MakeTwoStars();
   OnlineMaximizer om(ts.graph, DiffusionModel::kIndependentCascade, 1, 0.05,

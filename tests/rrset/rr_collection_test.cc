@@ -170,11 +170,18 @@ TEST(RRCollectionTest, ForEachAccessorsMatchDecode) {
   }
 }
 
-/// Expects identical sets, costs, and inverted index in both collections.
+/// Expects identical sets, costs, and inverted index in both collections,
+/// down to the stored bytes (slot words and per-chunk encoded runs).
 void ExpectEquivalent(const RRCollection& a, const RRCollection& b) {
   ASSERT_EQ(a.num_sets(), b.num_sets());
   ASSERT_EQ(a.total_size(), b.total_size());
   ASSERT_EQ(a.total_edges_examined(), b.total_edges_examined());
+  EXPECT_TRUE(std::ranges::equal(a.slots(), b.slots()));
+  ASSERT_EQ(a.num_pool_chunks(), b.num_pool_chunks());
+  for (uint32_t c = 0; c < a.num_pool_chunks(); ++c) {
+    EXPECT_TRUE(std::ranges::equal(a.ChunkRun(c), b.ChunkRun(c)))
+        << "chunk " << c;
+  }
   for (RRId id = 0; id < a.num_sets(); ++id) {
     EXPECT_EQ(a.DecodeSet(id), b.DecodeSet(id)) << "set " << id;
     if (a.retains_set_costs() && b.retains_set_costs()) {
@@ -186,14 +193,13 @@ void ExpectEquivalent(const RRCollection& a, const RRCollection& b) {
   }
 }
 
-/// Packs explicit sets into a single RRBatch shard (unit cost each).
-RRBatch PackShard(const std::vector<std::vector<NodeId>>& sets) {
-  RRBatch shard;
-  for (const auto& s : sets) {
-    shard.sets.emplace_back(static_cast<uint32_t>(s.size()), 1);
-    shard.pool.insert(shard.pool.end(), s.begin(), s.end());
-  }
-  return shard;
+/// Encodes explicit sets into one compressed shard (unit cost each), the
+/// wire format generation workers hand to AddCompressedShards.
+CompressedRRShard PackShard(uint32_t n,
+                            const std::vector<std::vector<NodeId>>& sets) {
+  ShardEncoder encoder;
+  for (std::vector<NodeId> s : sets) encoder.Add(&s, 1);
+  return encoder.Finish(n);
 }
 
 TEST(RRCollectionBatchTest, SingleShardMatchesAddSetLoop) {
@@ -203,9 +209,9 @@ TEST(RRCollectionBatchTest, SingleShardMatchesAddSetLoop) {
   for (const auto& s : sets) incremental.AddSet(s, 1);
 
   RRCollection batched(4);
-  std::vector<RRBatch> shards;
-  shards.push_back(PackShard(sets));
-  batched.AddBatch(std::move(shards));
+  std::vector<CompressedRRShard> shards;
+  shards.push_back(PackShard(4, sets));
+  batched.AddCompressedShards(std::move(shards));
   ExpectEquivalent(incremental, batched);
 }
 
@@ -217,10 +223,10 @@ TEST(RRCollectionBatchTest, MultiShardConcatenatesInShardOrder) {
   incremental.AddSet(std::vector<NodeId>{3, 1}, 1);
 
   RRCollection batched(5);
-  std::vector<RRBatch> shards;
-  shards.push_back(PackShard({{0, 4}, {1}}));
-  shards.push_back(PackShard({{4, 2}, {3, 1}}));
-  batched.AddBatch(std::move(shards));
+  std::vector<CompressedRRShard> shards;
+  shards.push_back(PackShard(5, {{0, 4}, {1}}));
+  shards.push_back(PackShard(5, {{4, 2}, {3, 1}}));
+  batched.AddCompressedShards(std::move(shards));
   ExpectEquivalent(incremental, batched);
 }
 
@@ -238,9 +244,9 @@ TEST(RRCollectionBatchTest, SuccessiveBatchesAppend) {
           sets.back().end());
       incremental.AddSet(sets.back(), 1);
     }
-    std::vector<RRBatch> shards;
-    shards.push_back(PackShard(sets));
-    batched.AddBatch(std::move(shards));
+    std::vector<CompressedRRShard> shards;
+    shards.push_back(PackShard(4, sets));
+    batched.AddCompressedShards(std::move(shards));
   }
   ExpectEquivalent(incremental, batched);
 }
@@ -262,9 +268,9 @@ TEST(RRCollectionBatchTest, CompressedStorageBeatsRawForDenseSets) {
     sets.push_back(std::move(members));
   }
   RRCollection rr(n);
-  std::vector<RRBatch> shards;
-  shards.push_back(PackShard(sets));
-  rr.AddBatch(std::move(shards));
+  std::vector<CompressedRRShard> shards;
+  shards.push_back(PackShard(n, sets));
+  rr.AddCompressedShards(std::move(shards));
   ASSERT_EQ(rr.num_sets(), sets.size());
   for (RRId id = 0; id < rr.num_sets(); ++id) {
     EXPECT_EQ(rr.DecodeSet(id), sets[id]) << "set " << id;
@@ -276,17 +282,19 @@ TEST(RRCollectionBatchTest, CompressedStorageBeatsRawForDenseSets) {
 
 TEST(RRCollectionBatchTest, EmptyAndNoopShards) {
   RRCollection rr(3);
-  rr.AddBatch({});  // no shards at all
+  rr.AddCompressedShards({});  // no shards at all
   EXPECT_EQ(rr.num_sets(), 0u);
-  std::vector<RRBatch> shards(2);  // shards with no sets
-  rr.AddBatch(std::move(shards));
+  std::vector<CompressedRRShard> shards;  // shards with no sets
+  shards.push_back(PackShard(3, {}));
+  shards.push_back(CompressedRRShard{});  // never finalized
+  rr.AddCompressedShards(std::move(shards));
   EXPECT_EQ(rr.num_sets(), 0u);
   EXPECT_EQ(rr.CoveringCount(0), 0u);
 }
 
 TEST(RRCollectionBatchTest, ParallelRebuildMatchesSerial) {
-  // Above the size cutoff AddBatch rebuilds the inverted index on the
-  // pool; the chunked counting sort must produce exactly the serial
+  // Above the size cutoff AddCompressedShards merges the inverted index
+  // on the pool; the per-node-range merge must produce exactly the serial
   // layout.
   const uint32_t n = 400;
   const int num_sets = 30000;  // ~90k pooled nodes > the 2^16 cutoff
@@ -302,15 +310,15 @@ TEST(RRCollectionBatchTest, ParallelRebuildMatchesSerial) {
   }
   RRCollection serial(n), parallel(n);
   {
-    std::vector<RRBatch> shards;
-    shards.push_back(PackShard(sets));
-    serial.AddBatch(std::move(shards));  // no pool: serial rebuild
+    std::vector<CompressedRRShard> shards;
+    shards.push_back(PackShard(n, sets));
+    serial.AddCompressedShards(std::move(shards));  // no pool: serial merge
   }
   {
     ThreadPool pool(4);
-    std::vector<RRBatch> shards;
-    shards.push_back(PackShard(sets));
-    parallel.AddBatch(std::move(shards), &pool);
+    std::vector<CompressedRRShard> shards;
+    shards.push_back(PackShard(n, sets));
+    parallel.AddCompressedShards(std::move(shards), &pool);
   }
   ExpectEquivalent(serial, parallel);
 }
@@ -319,9 +327,9 @@ TEST(RRCollectionBatchTest, AddSetAfterBatchKeepsIndexFresh) {
   // AddSet defers the index rebuild; the next covering query must observe
   // both the batched and the incrementally added sets.
   RRCollection rr(3);
-  std::vector<RRBatch> shards;
-  shards.push_back(PackShard({{0, 1}}));
-  rr.AddBatch(std::move(shards));
+  std::vector<CompressedRRShard> shards;
+  shards.push_back(PackShard(3, {{0, 1}}));
+  rr.AddCompressedShards(std::move(shards));
   EXPECT_EQ(rr.CoveringCount(1), 1u);
   rr.AddSet(std::vector<NodeId>{1, 2}, 1);
   EXPECT_EQ(rr.CoveringCount(1), 2u);

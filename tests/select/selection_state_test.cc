@@ -52,14 +52,18 @@ Stream MakeStream(uint32_t n, uint32_t num_sets, uint32_t max_len,
   return s;
 }
 
-/// Appends stream sets [from, to) to `c` as one compressed batch — the
+/// Appends stream sets [from, to) to `c` as one compressed shard — the
 /// ingest shape the engine's doubling loop uses.
 void AddSlice(RRCollection* c, const Stream& s, size_t from, size_t to) {
-  std::vector<RRBatch> shards(1);
-  shards[0].pool.assign(s.pool.begin() + s.offsets[from],
-                        s.pool.begin() + s.offsets[to]);
-  shards[0].sets.assign(s.sets.begin() + from, s.sets.begin() + to);
-  c->AddBatch(std::move(shards));
+  ShardEncoder encoder;
+  for (size_t i = from; i < to; ++i) {
+    std::vector<NodeId> members(s.pool.begin() + s.offsets[i],
+                                s.pool.begin() + s.offsets[i + 1]);
+    encoder.Add(&members, s.sets[i].second);
+  }
+  std::vector<CompressedRRShard> shards;
+  shards.push_back(encoder.Finish(c->num_nodes()));
+  c->AddCompressedShards(std::move(shards));
 }
 
 void ExpectSameSelection(const GreedyResult& a, const GreedyResult& b) {

@@ -23,21 +23,6 @@ TEST(MmapArenaTest, AlignUpRoundsToCacheLines) {
   EXPECT_EQ(MmapArena::AlignUp(1000), 1024u);
 }
 
-TEST(MmapArenaTest, AllocateIsZeroedAndWritable) {
-  auto arena_or = MmapArena::Allocate(4096 + 17);
-  ASSERT_TRUE(arena_or.ok()) << arena_or.status().ToString();
-  auto arena = arena_or.ValueOrDie();
-  ASSERT_EQ(arena->size(), 4096u + 17u);
-  EXPECT_FALSE(arena->file_backed());
-  for (uint64_t i = 0; i < arena->size(); ++i) {
-    ASSERT_EQ(arena->data()[i], 0u) << "byte " << i;
-  }
-  uint8_t* rw = arena->mutable_data();
-  std::memset(rw, 0xAB, arena->size());
-  EXPECT_EQ(arena->data()[0], 0xABu);
-  EXPECT_EQ(arena->data()[arena->size() - 1], 0xABu);
-}
-
 TEST(MmapArenaTest, MapFileSeesTheFileBytes) {
   const std::string path = TempPath("opim_arena_map.bin");
   std::string content(10000, '\0');

@@ -34,8 +34,6 @@
 //                        compressed chunks spill to an unlinked file in
 //                        <dir> and the run continues; seeds and α are
 //                        byte-identical to the fully-resident run
-//   --view-arena         (run with opim-c*) seal the sampling kernel
-//                        state into one madvise-hinted mapping
 //   --checkpoint-dir=<d> (run with opim-c*) crash-safe checkpointing:
 //                        atomically rewrite <d>/opimc.opimss at the top of
 //                        each doubling iteration (write-to-temp + fsync +
@@ -476,7 +474,6 @@ int CmdRun(const Flags& flags) {
                                   : BoundKind::kImproved;
     o.control = &control;
     o.spill_dir = flags.GetString("spill-dir", "");
-    o.view_arena = flags.GetBool("view-arena", false);
     o.checkpoint_dir = flags.GetString("checkpoint-dir", "");
     o.checkpoint_every_iters =
         static_cast<uint32_t>(flags.GetUint("checkpoint-every", 1));
