@@ -2,7 +2,7 @@
 // serial SampleInto loop, no collection) and the end-to-end
 // ParallelGenerate path (sample + ingest), for both diffusion models under
 // weighted-cascade weights at 1 and N threads. Emits one JSON object
-// (interleaved-median kernel timings, min-of-R end-to-end timings) so
+// (median-of-R kernel timings, min-of-R end-to-end timings) so
 // scripts/run_perf_baseline.sh can track before/after numbers
 // (BENCH_generate.json).
 //
@@ -23,12 +23,11 @@
 //   ./build/bench/bench_generate [--smoke] [--n=N] [--theta=T] [--reps=R]
 //       [--threads=T] [--label=NAME] [--out=FILE]
 //
-// The kernel timings are the ones the ISSUE acceptance criteria compare:
-// `ic_kernel_1t` / `lt_kernel_1t` are pure per-sample cost (RNG draws,
-// threshold compares, walk steps) on the n=100k weighted-cascade config.
+// `IC_kernel_1t` / `LT_kernel_1t` are pure per-sample cost (RNG draws,
+// threshold compares, walk steps) on the n=100k weighted-cascade config;
+// `*_view_build` is one serial SamplingView construction.
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -145,108 +144,20 @@ StageBreakdown BreakdownBetween(const MetricsSnapshot& before,
   return b;
 }
 
-/// Times `ref` and `fn` interleaved rep by rep. Returns {median ref us,
-/// median fn us, median per-rep ref/fn ratio}. Interleaving keeps every
-/// ratio inside one tight machine window, so the speedup survives the
-/// host-speed drift that makes two separate runs on shared/virtualized
-/// hardware differ by 1.5x for reasons unrelated to the code.
-template <typename RefFn, typename Fn>
-std::array<double, 3> TimePairedMedianUs(int reps, RefFn&& ref, Fn&& fn) {
-  std::vector<double> rs, fs, ratios;
+/// Times `fn` `reps` times and returns the MEDIAN wall time in us: the
+/// kernel loop is long and allocation-free, so its spread is symmetric
+/// and the median is the stable estimator.
+template <typename Fn>
+double TimeMedianUs(int reps, Fn&& fn) {
+  std::vector<double> seconds;
   for (int r = 0; r < reps; ++r) {
-    Stopwatch wr;
-    ref();
-    rs.push_back(wr.ElapsedSeconds());
-    Stopwatch wf;
+    Stopwatch watch;
     fn();
-    fs.push_back(wf.ElapsedSeconds());
-    ratios.push_back(rs.back() / fs.back());
+    seconds.push_back(watch.ElapsedSeconds());
   }
-  std::sort(rs.begin(), rs.end());
-  std::sort(fs.begin(), fs.end());
-  std::sort(ratios.begin(), ratios.end());
-  const size_t mid = rs.size() / 2;
-  return {rs[mid] * 1e6, fs[mid] * 1e6, ratios[mid]};
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2] * 1e6;
 }
-
-/// Faithful port of the pre-rework IC kernel: per-edge
-/// `rng.Bernoulli(Graph::InProbs()[i])` double compares with a
-/// visited-check-first edge loop and a separate BFS queue. Kept in the
-/// benchmark so every run reports an in-process, interleaved speedup of
-/// the SamplingView kernel over it.
-struct ReferenceIcSampler {
-  const Graph& g;
-  uint32_t epoch = 0;
-  std::vector<uint32_t> visited;
-  std::vector<NodeId> queue;
-
-  explicit ReferenceIcSampler(const Graph& graph)
-      : g(graph), visited(graph.num_nodes(), 0) {}
-
-  uint64_t SampleInto(Rng& rng, std::vector<NodeId>* out) {
-    out->clear();
-    ++epoch;
-    NodeId root = rng.UniformBelow(g.num_nodes());
-    visited[root] = epoch;
-    out->push_back(root);
-    queue.clear();
-    queue.push_back(root);
-    uint64_t edges_examined = 0;
-    for (size_t head = 0; head < queue.size(); ++head) {
-      NodeId u = queue[head];
-      auto in_nbrs = g.InNeighbors(u);
-      auto in_probs = g.InProbs(u);
-      edges_examined += in_nbrs.size();
-      for (size_t i = 0; i < in_nbrs.size(); ++i) {
-        NodeId w = in_nbrs[i];
-        if (visited[w] == epoch) continue;
-        if (!rng.Bernoulli(in_probs[i])) continue;
-        visited[w] = epoch;
-        out->push_back(w);
-        queue.push_back(w);
-      }
-    }
-    return edges_examined;
-  }
-};
-
-/// Faithful port of the pre-rework LT kernel: per-node AliasSampler
-/// objects and a double-precision stop draw per step.
-struct ReferenceLtSampler {
-  const Graph& g;
-  uint32_t epoch = 0;
-  std::vector<uint32_t> visited;
-  std::vector<AliasSampler> in_alias;
-
-  explicit ReferenceLtSampler(const Graph& graph)
-      : g(graph), visited(graph.num_nodes(), 0), in_alias(graph.num_nodes()) {
-    std::vector<double> weights;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      auto probs = g.InProbs(v);
-      weights.assign(probs.begin(), probs.end());
-      in_alias[v].Build(weights);
-    }
-  }
-
-  uint64_t SampleInto(Rng& rng, std::vector<NodeId>* out) {
-    out->clear();
-    ++epoch;
-    NodeId u = rng.UniformBelow(g.num_nodes());
-    uint64_t edges_examined = 0;
-    for (;;) {
-      if (visited[u] == epoch) break;
-      visited[u] = epoch;
-      out->push_back(u);
-      edges_examined += g.InDegree(u);
-      double stay = g.InWeightSum(u);
-      if (stay <= 0.0 || in_alias[u].empty()) break;
-      if (rng.UniformDouble() >= stay) break;
-      uint32_t pick = in_alias[u].Sample(rng);
-      u = g.InNeighbors(u)[pick];
-    }
-    return edges_examined;
-  }
-};
 
 int Run(const Config& cfg) {
   const unsigned nt = ThreadPool::ResolveThreadCount(cfg.threads);
@@ -271,7 +182,6 @@ int Run(const Config& cfg) {
 
   uint64_t sink = 0;
   std::vector<std::pair<std::string, double>> timings;
-  std::vector<std::pair<std::string, double>> speedups;
   std::vector<std::pair<std::string, StageBreakdown>> breakdowns;
   for (DiffusionModel model : {DiffusionModel::kIndependentCascade,
                                DiffusionModel::kLinearThreshold}) {
@@ -279,47 +189,26 @@ int Run(const Config& cfg) {
 
     // Kernel: serial SampleInto loop, sampler constructed outside the
     // timed region (preprocessing is amortized across doublings in the
-    // engine), no collection involved. The pre-rework reference kernel is
-    // timed interleaved with it, rep by rep, and the median per-rep ratio
-    // is reported as the drift-immune kernel speedup.
-    // Both kernels are held by concrete type: the reference samplers are
-    // non-virtual, so the measured kernel must not pay a vtable dispatch
-    // the reference does not.
+    // engine), no collection involved. The sampler is held by concrete
+    // type, so the loop pays no vtable dispatch.
     const bool is_ic = model == DiffusionModel::kIndependentCascade;
     std::optional<IcRRSampler> ic_sampler;
     std::optional<LtRRSampler> lt_sampler;
-    std::optional<ReferenceIcSampler> ref_ic;
-    std::optional<ReferenceLtSampler> ref_lt;
     if (is_ic) {
       ic_sampler.emplace(g);
-      ref_ic.emplace(g);
     } else {
       lt_sampler.emplace(g);
-      ref_lt.emplace(g);
     }
-    const auto [ref_us, kernel_us, kernel_speedup] = TimePairedMedianUs(
-        cfg.reps,
-        [&] {
-          Rng rng(101);
-          std::vector<NodeId> scratch;
-          for (uint64_t i = 0; i < cfg.theta; ++i) {
-            sink += is_ic ? ref_ic->SampleInto(rng, &scratch)
-                          : ref_lt->SampleInto(rng, &scratch);
-            sink += scratch.size();
-          }
-        },
-        [&] {
-          Rng rng(101);
-          std::vector<NodeId> scratch;
-          for (uint64_t i = 0; i < cfg.theta; ++i) {
-            sink += is_ic ? ic_sampler->SampleInto(rng, &scratch)
-                          : lt_sampler->SampleInto(rng, &scratch);
-            sink += scratch.size();
-          }
-        });
+    const double kernel_us = TimeMedianUs(cfg.reps, [&] {
+      Rng rng(101);
+      std::vector<NodeId> scratch;
+      for (uint64_t i = 0; i < cfg.theta; ++i) {
+        sink += is_ic ? ic_sampler->SampleInto(rng, &scratch)
+                      : lt_sampler->SampleInto(rng, &scratch);
+        sink += scratch.size();
+      }
+    });
     timings.emplace_back(std::string(tag) + "_kernel_1t", kernel_us);
-    timings.emplace_back(std::string(tag) + "_kernel_1t_ref", ref_us);
-    speedups.emplace_back(std::string(tag) + "_kernel_1t", kernel_speedup);
 
     // Cold end-to-end path at 1 thread: per-call SamplingView build +
     // temporary pool + sampling + ingestion + index build. The historical
@@ -361,21 +250,15 @@ int Run(const Config& cfg) {
     breakdowns.emplace_back(std::string(tag) + "_nt", bn);
 
     std::fprintf(stderr,
-                 "bench_generate: %s kernel_1t=%.0fus (ref=%.0fus, "
-                 "speedup=%.2fx) generate_1t=%.0fus generate_%ut=%.0fus "
-                 "(sample+compress=%.0fus ingest=%.0fus index=%.0fus)\n",
-                 tag, kernel_us, ref_us, kernel_speedup, gen1_us, nt,
-                 genN_us, bn.sample_sort_compress_us, bn.ingest_us,
-                 bn.index_us);
+                 "bench_generate: %s kernel_1t=%.0fus generate_1t=%.0fus "
+                 "generate_%ut=%.0fus (sample+compress=%.0fus "
+                 "ingest=%.0fus index=%.0fus)\n",
+                 tag, kernel_us, gen1_us, nt, genN_us,
+                 bn.sample_sort_compress_us, bn.ingest_us, bn.index_us);
   }
 
   w.Key("timings_us").BeginObject();
   for (const auto& [key, us] : timings) w.Key(key).Value(us);
-  w.EndObject();
-  // Median of per-rep interleaved (reference kernel)/(view kernel) ratios:
-  // the machine-drift-immune speedup numbers.
-  w.Key("kernel_speedup_vs_ref").BeginObject();
-  for (const auto& [key, ratio] : speedups) w.Key(key).Value(ratio);
   w.EndObject();
   // Per-rep stage timings of each end-to-end configuration, from
   // telemetry histogram deltas (all zeros when OPIM_TELEMETRY=OFF):

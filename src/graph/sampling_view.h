@@ -7,30 +7,38 @@
 // SamplingView precomputes, once per graph, everything that lets the
 // kernels consume the RNG stream 32 bits at a time:
 //
-//   * IC: per-edge *reject* thresholds quantized to uint32_t — an edge is
-//     rejected iff `rng.NextU32() < rej`, with per-edge error <= 2^-32 and
-//     p >= 1 kept *exactly* (rej == 0). Edges with p <= 0 are dropped from
-//     the view entirely (exactly never live; traversal cost still charges
-//     the full in-degree, which the view carries per node). Each node is
+//   * IC: *reject* thresholds quantized to uint32_t — an edge is rejected
+//     iff `rng.NextU32() < rej`, with per-edge error <= 2^-32 and p >= 1
+//     kept *exactly* (rej == 0). Edges with p <= 0 are never traversed
+//     (exactly never live; traversal cost still charges the full
+//     in-degree, which the view carries per node). Each node is
 //     classified: uniform-probability nodes — true by construction for
 //     kWeightedCascade and kConstant weights — with enough in-edges
 //     additionally precompute 1/log1p(-p), so the kernel can jump
 //     Geometric(p) edges ahead (Rng::GeometricSkip) instead of flipping a
 //     coin per in-neighbor: expected RNG draws drop from deg to p·deg + 1.
-//   * LT: one flattened Walker/Vose alias arena — single bucket array
-//     indexed by the reverse-CSR offsets — instead of n independently
-//     allocated per-node tables, plus a quantized per-node stop threshold
-//     (the walk continues with probability Σ_w p(w, v)).
+//   * LT: a Walker/Vose alias table per node plus a quantized per-node
+//     stop threshold (the walk continues with probability Σ_w p(w, v)).
 //
-// The storage layout is chosen for the memory-latency profile of real RR
+// The storage is O(n) for the graphs the paper evaluates. A node whose
+// in-probabilities are all bitwise equal — every node under weighted
+// cascade or constant weights — needs no per-edge state: each of its
+// in-edges has the same reject threshold, and its alias table is uniform
+// (every scaled Vose weight is the same double, so every bucket is full
+// and keeps its own neighbor). Such a *uniform* node's record points
+// straight into Graph::InNeighbors, and the kernels read its neighbors
+// from the graph. Only the remaining *explicit* nodes keep per-edge state,
+// in a side arena sized by their own edges: compacted {neighbor, reject}
+// pairs for IC, resolved {reject, keep, alias} buckets for LT.
+//
+// The layout is chosen for the memory-latency profile of real RR
 // sampling: at typical scales a sample touches a handful of *random*
 // nodes, so cache lines per member — not arithmetic — bound throughput.
-// Per-node state is packed into one 8-byte record (edge offset + full
-// in-degree + kind for IC; edge offset + stop threshold for LT), and
-// per-edge state is interleaved ({neighbor, reject} pairs for IC; fully
-// resolved {reject, keep, alias} buckets for LT — the LT walk never
-// touches the Graph arrays at all). One random load per member where the
-// split-array layout took three or four.
+// Every node has one 16-byte record per part (four to a cache line)
+// holding everything but its edges: the edge offset, the full in-degree
+// and kind plus the shared threshold or skip constant for IC; the edge
+// offset, in-degree and stop threshold for LT. A member therefore costs
+// one random record load plus one run through its neighbors.
 //
 // A view is immutable after construction and shared read-only across
 // worker threads; ParallelGenerate builds one per call (or accepts a
@@ -40,6 +48,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -88,39 +97,58 @@ class SamplingView {
     kPerEdge,  ///< one quantized threshold compare per in-edge
   };
 
-  /// One interleaved IC edge: kept in-neighbor plus its quantized reject
-  /// threshold, adjacent so a single cache line serves both.
+  /// One IC edge of an explicit node: kept in-neighbor plus its quantized
+  /// reject threshold, adjacent so a single cache line serves both.
   struct IcEdge {
     NodeId nbr;
     uint32_t rej;
   };
 
-  /// Packed per-node IC record: offset of the node's first kept edge in
-  /// the interleaved edge array, plus the *full* in-degree (for the cost
-  /// contract) and the IcNodeKind packed as `indeg << 2 | kind`. One
-  /// 8-byte load gives the kernel everything about a member but the edges.
-  struct IcNodeMeta {
+  /// Per-node IC record. `indeg_kind` packs the IcNodeKind (bits 0-1),
+  /// kIcExplicit when the node's edges live in the side arena (bit 2), and
+  /// the *full* in-degree — the cost contract — from bit kIcDegreeShift.
+  ///   * Uniform node (in-probabilities all bitwise equal): `offset` is
+  ///     its first in-edge in the graph's reverse CSR and all in-degree
+  ///     edges are traversed; `param` holds the shared reject threshold
+  ///     (kPerEdge).
+  ///   * Explicit node: `offset` is its run in the side arena — one
+  ///     header slot whose `nbr` is the kept-edge count, then the kept
+  ///     (p > 0) edges in reverse-CSR order.
+  /// Either way `param` holds the bits of 1/log1p(-p) for kSkip nodes.
+  struct alignas(16) IcNode {
     uint32_t offset;
     uint32_t indeg_kind;
+    uint64_t param;
   };
+  static_assert(sizeof(IcNode) == 16);
+  static constexpr uint32_t kIcKindMask = 3;
+  static constexpr uint32_t kIcExplicit = 4;
+  static constexpr uint32_t kIcDegreeShift = 3;
+  /// In-degrees at or above this do not fit the packed record; the IC
+  /// build rejects such a graph (checked) rather than truncating them.
+  static constexpr uint64_t kMaxIcInDegree = uint64_t{1}
+                                             << (32 - kIcDegreeShift);
 
-  /// One resolved LT alias bucket: the draw *deviates to `alias`* iff
-  /// `rng.NextU32() < rej` (0 = full bucket, keeps `keep` with no draw);
-  /// both outcomes are stored as node ids, so a walk step never reads the
-  /// Graph adjacency arrays.
+  /// One resolved LT alias bucket of an explicit node: the draw *deviates
+  /// to `alias`* iff `rng.NextU32() < rej` (0 = full bucket, keeps `keep`
+  /// with no draw); both outcomes are stored as node ids.
   struct LtBucket {
     uint32_t rej;
     NodeId keep;
     NodeId alias;
   };
 
-  /// Packed per-node LT record: offset of the node's first bucket (the
-  /// arena is aligned with the full reverse CSR, so in-degree is the
-  /// offset delta) plus the quantized stop threshold.
-  struct LtNodeMeta {
+  /// Per-node LT record. A uniform node (`explicit_buckets == 0`) steps to
+  /// in-neighbor `offset + UniformBelow(degree)` of the graph's reverse
+  /// CSR; an explicit node draws bucket `offset + UniformBelow(degree)`
+  /// of the side arena.
+  struct alignas(16) LtNode {
     uint32_t offset;
+    uint32_t degree;
     uint32_t stop_rej;
+    uint32_t explicit_buckets;
   };
+  static_assert(sizeof(LtNode) == 16);
 
   /// Uniform nodes switch from per-edge compares to geometric skipping at
   /// this in-degree (and only for p <= kSkipMaxProb): a Geometric(p) draw
@@ -138,45 +166,60 @@ class SamplingView {
   OPIM_DISALLOW_COPY(SamplingView);
 
   const Graph& graph() const { return *graph_; }
-  bool has_ic() const { return !ic_meta_.empty(); }
-  bool has_lt() const { return !lt_meta_.empty(); }
+  bool has_ic() const { return !ic_nodes_.empty(); }
+  bool has_lt() const { return !lt_nodes_.empty(); }
 
-  /// Footprint of the precomputed kernel state in bytes (capacity-based).
-  /// Counted against RunControl memory budgets together with
+  /// Footprint of the state the view owns, in bytes (capacity-based): the
+  /// per-node records plus the explicit nodes' side arenas. Uniform
+  /// nodes' neighbors are the graph's and are not counted. Counted
+  /// against RunControl memory budgets together with
   /// RRCollection::MemoryUsage().
   uint64_t MemoryFootprintBytes() const {
-    return ic_meta_.capacity() * sizeof(IcNodeMeta) +
-           ic_edges_.capacity() * sizeof(IcEdge) +
-           ic_skip_inv_log_.capacity() * sizeof(double) +
-           lt_meta_.capacity() * sizeof(LtNodeMeta) +
-           lt_buckets_.capacity() * sizeof(LtBucket);
+    return ic_nodes_.capacity() * sizeof(IcNode) +
+           ic_side_.capacity() * sizeof(IcEdge) +
+           lt_nodes_.capacity() * sizeof(LtNode) +
+           lt_side_.capacity() * sizeof(LtBucket);
   }
+
+  /// The graph's reverse-CSR neighbor array, which uniform nodes' records
+  /// index.
+  const NodeId* InNeighborData() const { return in_neighbors_; }
 
   // --- IC part -----------------------------------------------------------
 
   IcNodeKind ic_kind(NodeId v) const {
-    return static_cast<IcNodeKind>(ic_meta_[v].indeg_kind & 3u);
+    return static_cast<IcNodeKind>(ic_nodes_[v].indeg_kind & kIcKindMask);
   }
 
-  /// Full in-degree of v (including dropped p <= 0 edges): the traversal
-  /// cost the sampler charges per member.
+  /// True when v's kept edges live in the side arena: its
+  /// in-probabilities are not all bitwise equal, and some are positive.
+  bool IcExplicit(NodeId v) const {
+    return (ic_nodes_[v].indeg_kind & kIcExplicit) != 0;
+  }
+
+  /// Full in-degree of v (including p <= 0 edges): the traversal cost the
+  /// sampler charges per member.
   uint32_t IcFullInDegree(NodeId v) const {
-    return ic_meta_[v].indeg_kind >> 2;
+    return ic_nodes_[v].indeg_kind >> kIcDegreeShift;
   }
 
-  /// Kept (p > 0) in-edges of v in reverse-CSR order, each a
-  /// {neighbor, reject threshold} pair.
-  std::span<const IcEdge> IcEdges(NodeId v) const {
-    return {ic_edges_.data() + ic_meta_[v].offset,
-            ic_edges_.data() + ic_meta_[v + 1].offset};
-  }
+  /// The kept (p > 0) in-edges of v the kernel traverses, in reverse-CSR
+  /// order, each as a {neighbor, reject threshold} pair — read from the
+  /// graph for uniform nodes, from the side arena otherwise. Materializes
+  /// a copy: for inspection and tests, not the sampling path.
+  std::vector<IcEdge> IcKeptEdges(NodeId v) const;
 
   /// 1/log1p(-p) for kSkip nodes (meaningless otherwise).
-  double IcSkipInvLog(NodeId v) const { return ic_skip_inv_log_[v]; }
+  double IcSkipInvLog(NodeId v) const {
+    return std::bit_cast<double>(ic_nodes_[v].param);
+  }
 
-  /// Raw array access for the sampling kernels (size n + 1 / total kept).
-  const IcNodeMeta* IcMetaData() const { return ic_meta_.data(); }
-  const IcEdge* IcEdgeData() const { return ic_edges_.data(); }
+  /// Raw arrays for the sampling kernels (n records / side arena).
+  const IcNode* IcNodeData() const { return ic_nodes_.data(); }
+  const IcEdge* IcSideData() const { return ic_side_.data(); }
+  /// Slots in the IC side arena (kept edges plus one header per explicit
+  /// node); 0 when every node is uniform.
+  uint64_t IcSideSize() const { return ic_side_.size(); }
 
   // --- LT part -----------------------------------------------------------
 
@@ -184,34 +227,36 @@ class SamplingView {
   /// `rng.NextU32() < LtStopReject(v)`; kAlwaysReject means stop
   /// unconditionally (no in-edges or no stay mass). Exactly 0 for
   /// LT-saturated nodes (Σ p = 1, e.g. weighted cascade): no draw needed.
-  uint32_t LtStopReject(NodeId v) const { return lt_meta_[v].stop_rej; }
+  uint32_t LtStopReject(NodeId v) const { return lt_nodes_[v].stop_rej; }
 
-  /// First alias bucket of v; bucket j corresponds to in-edge j of v.
-  uint64_t LtOffset(NodeId v) const { return lt_meta_[v].offset; }
-
-  /// Bucket contents; see LtBucket.
-  const LtBucket& LtBucketAt(uint64_t bucket) const {
-    return lt_buckets_[bucket];
+  /// True when v's walk steps draw from alias buckets in the side arena.
+  bool LtExplicit(NodeId v) const {
+    return lt_nodes_[v].explicit_buckets != 0;
   }
 
-  /// Raw array access for the sampling kernels (size n + 1 / m).
-  const LtNodeMeta* LtMetaData() const { return lt_meta_.data(); }
-  const LtBucket* LtBucketData() const { return lt_buckets_.data(); }
+  /// v's alias buckets, bucket j for in-edge j, with both outcomes
+  /// resolved to node ids; a uniform node's are all full. Materializes a
+  /// copy (empty when the walk always stops at v): for inspection and
+  /// tests, not the sampling path.
+  std::vector<LtBucket> LtBuckets(NodeId v) const;
+
+  /// Raw arrays for the sampling kernels (n records / side arena).
+  const LtNode* LtNodeData() const { return lt_nodes_.data(); }
+  const LtBucket* LtSideData() const { return lt_side_.data(); }
+  /// Buckets in the LT side arena; 0 when every node is uniform.
+  uint64_t LtSideSize() const { return lt_side_.size(); }
 
  private:
   void BuildIc(ThreadPool* pool);
   void BuildLt(ThreadPool* pool);
 
   const Graph* graph_;
+  const NodeId* in_neighbors_;  // the graph's reverse CSR
 
-  // IC: compacted reverse CSR over positive-probability edges.
-  std::vector<IcNodeMeta> ic_meta_;      // n + 1 (last: end offset)
-  std::vector<IcEdge> ic_edges_;         // m' <= m
-  std::vector<double> ic_skip_inv_log_;  // n (kSkip nodes only)
-
-  // LT: flattened alias arena aligned with the full reverse CSR.
-  std::vector<LtNodeMeta> lt_meta_;      // n + 1 (last: end offset)
-  std::vector<LtBucket> lt_buckets_;     // m
+  std::vector<IcNode> ic_nodes_;    // n
+  std::vector<IcEdge> ic_side_;     // explicit nodes: header + kept edges
+  std::vector<LtNode> lt_nodes_;    // n
+  std::vector<LtBucket> lt_side_;   // explicit nodes: one bucket per edge
 };
 
 }  // namespace opim

@@ -13,8 +13,9 @@
 //
 // Both kernels run off a SamplingView (graph/sampling_view.h): quantized
 // 32-bit edge thresholds instead of double compares, geometric skipping
-// over high-degree uniform-probability nodes, and a flattened alias arena
-// for the LT walk. A sampler either owns a private view (the Graph
+// over high-degree uniform-probability nodes, and alias buckets for the
+// LT walk — with uniform-probability nodes read straight from the graph's
+// reverse CSR. A sampler either owns a private view (the Graph
 // constructors, convenient for one-off use) or borrows a caller-owned one
 // (the SamplingView constructors) so that parallel shards and repeated
 // doublings share one read-only preprocessing pass.
@@ -115,8 +116,9 @@ class IcRRSampler final : public RRSampler {
   std::vector<uint32_t> visited_epoch_;
 };
 
-/// LT-model sampler: reverse random walk over the view's flattened alias
-/// arena (one quantized stop threshold + alias bucket lookup per step).
+/// LT-model sampler: reverse random walk over the view's per-node records
+/// (one quantized stop threshold + one in-neighbor or alias bucket lookup
+/// per step).
 class LtRRSampler final : public RRSampler {
  public:
   /// Owns a private SamplingView built from `g` (LT part only;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/online_maximizer.h"
 #include "core/opim_c.h"
 #include "gen/generators.h"
@@ -45,6 +48,120 @@ TEST(GoldenTest, IcSamplerFirstSets) {
   // Pin sizes and costs rather than full contents (compact but specific).
   EXPECT_EQ(first.size() + out.size(), 2u);
   EXPECT_EQ(cost1 + cost2, 2u);
+}
+
+/// FNV-1a over the size, members and cost of the first 2 000 RR sets
+/// `sampler` draws from `seed`: pins the exact RR stream, not just its
+/// shape, so any change to the kernels' RNG consumption or traversal
+/// order fails loudly.
+uint64_t HashFirstSets(RRSampler& sampler, uint64_t seed) {
+  uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  Rng rng(seed);
+  std::vector<NodeId> out;
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t cost = sampler.SampleInto(rng, &out);
+    mix(out.size());
+    for (const NodeId v : out) mix(v);
+    mix(cost);
+  }
+  return h;
+}
+
+/// A small LT-feasible graph that mixes every per-node probability
+/// pattern the sampling view distinguishes: zero in-degree, equal
+/// probabilities (weighted-cascade-like, small enough to skip, all zero,
+/// certain), unequal ones, and a p = 0 edge beside equal positive ones —
+/// with Σp = 1, Σp < 1 and Σp = 0 under LT.
+Graph MakeMixedProbabilityGraph() {
+  constexpr uint32_t kNodes = 270;
+  GraphBuilder b(kNodes);
+  Rng rng(2718);
+  const auto src = [&](NodeId v) {
+    NodeId u = rng.UniformBelow(kNodes);
+    while (u == v) u = rng.UniformBelow(kNodes);
+    return u;
+  };
+  for (NodeId v = 0; v < kNodes; ++v) {
+    switch (v % 9) {
+      case 0:  // no in-edges
+        break;
+      case 1: {  // equal 1/d, Σp = 1
+        const uint32_t d = 1 + rng.UniformBelow(5);
+        for (uint32_t i = 0; i < d; ++i) b.AddEdge(src(v), v, 1.0 / d);
+        break;
+      }
+      case 2:  // 20 equal small probabilities, Σp = 0.8
+        for (int i = 0; i < 20; ++i) b.AddEdge(src(v), v, 0.04);
+        break;
+      case 3:  // unequal, Σp = 0.6
+        b.AddEdge(src(v), v, 0.1);
+        b.AddEdge(src(v), v, 0.3);
+        b.AddEdge(src(v), v, 0.2);
+        break;
+      case 4:  // p = 0 beside two equal probabilities, Σp = 0.5
+        b.AddEdge(src(v), v, 0.25);
+        b.AddEdge(src(v), v, 0.0);
+        b.AddEdge(src(v), v, 0.25);
+        break;
+      case 5:  // p = 0 beside 18 equal small probabilities, Σp = 0.9
+        b.AddEdge(src(v), v, 0.0);
+        for (int i = 0; i < 18; ++i) b.AddEdge(src(v), v, 0.05);
+        break;
+      case 6:  // p = 0 beside a certain edge, Σp = 1
+        b.AddEdge(src(v), v, 1.0);
+        b.AddEdge(src(v), v, 0.0);
+        break;
+      case 7:  // only dead edges, Σp = 0
+        b.AddEdge(src(v), v, 0.0);
+        b.AddEdge(src(v), v, 0.0);
+        break;
+      case 8:  // equal 0.5 pair, Σp = 1
+        b.AddEdge(src(v), v, 0.5);
+        b.AddEdge(src(v), v, 0.5);
+        break;
+    }
+  }
+  return b.Build();
+}
+
+TEST(GoldenTest, IcStreamWeightedCascade) {
+  // Hubs skip geometrically, low in-degrees compare per edge, in-degree 1
+  // keeps all, and the first nodes have no in-edges.
+  Graph g = GenerateBarabasiAlbert(2000, 3);
+  IcRRSampler sampler(g);
+  EXPECT_EQ(HashFirstSets(sampler, 41), 10926847962696418369ULL);
+}
+
+TEST(GoldenTest, LtStreamWeightedCascade) {
+  Graph g = GenerateBarabasiAlbert(2000, 3);
+  LtRRSampler sampler(g);
+  EXPECT_EQ(HashFirstSets(sampler, 42), 2428384199194139650ULL);
+}
+
+TEST(GoldenTest, IcStreamTrivalency) {
+  GenOptions opt;
+  opt.scheme = WeightScheme::kTrivalency;
+  Graph g = GenerateBarabasiAlbert(2000, 3, /*undirected=*/false, opt);
+  IcRRSampler sampler(g);
+  EXPECT_EQ(HashFirstSets(sampler, 43), 6918058776779905907ULL);
+}
+
+TEST(GoldenTest, IcStreamMixedProbabilities) {
+  Graph g = MakeMixedProbabilityGraph();
+  IcRRSampler sampler(g);
+  EXPECT_EQ(HashFirstSets(sampler, 44), 4165232860309789726ULL);
+}
+
+TEST(GoldenTest, LtStreamMixedProbabilities) {
+  Graph g = MakeMixedProbabilityGraph();
+  LtRRSampler sampler(g);
+  EXPECT_EQ(HashFirstSets(sampler, 45), 8237185926432852036ULL);
 }
 
 TEST(GoldenTest, OnlineMaximizerSnapshot) {

@@ -3,11 +3,13 @@
 //
 // The kernel replaces double-precision Bernoulli draws with quantized
 // 32-bit reject thresholds, adds geometric skipping over high-degree
-// uniform-probability nodes, and flattens the LT alias tables into one
-// arena. None of that may change the *distribution* being sampled beyond
-// the documented 2^-32 per-trial quantization error, so these tests
-// compare the production kernels against straightforward double-precision
-// reference implementations (the pre-view algorithms, kept verbatim here):
+// uniform-probability nodes, reads equal-probability nodes' neighbors
+// straight from the graph, and keeps per-edge thresholds and LT alias
+// buckets in side arenas for the other nodes only. None of that may
+// change the *distribution* being sampled beyond the documented 2^-32
+// per-trial quantization error, so these tests compare the production
+// kernels against straightforward double-precision reference
+// implementations (the pre-view algorithms, kept verbatim here):
 // mean RR-set size and per-node coverage frequencies via a two-sample
 // chi-square statistic, plus exactness at the p = 0 / p = 1 boundaries
 // where quantization is required to be lossless.
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "gen/generators.h"
@@ -72,6 +75,25 @@ void ReferenceLtSample(const Graph& g,
     if (rng.UniformDouble() >= stay) break;
     u = g.InNeighbors(u)[in_alias[u].Sample(rng)];
   }
+}
+
+/// A copy of `g`'s edges with per-node random in-weights scaled to sum to
+/// `total`: unequal probabilities on every node with two or more
+/// in-edges, still LT-feasible for total <= 1.
+Graph ReweightPerNode(const Graph& g, double total, uint64_t seed) {
+  GraphBuilder b(g.num_nodes());
+  Rng rng(seed);
+  std::vector<double> w;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto nbrs = g.InNeighbors(v);
+    w.assign(nbrs.size(), 0.0);
+    double sum = 0.0;
+    for (double& x : w) sum += x = 0.05 + rng.UniformDouble();
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      b.AddEdge(nbrs[i], v, w[i] * total / sum);
+    }
+  }
+  return b.Build();
 }
 
 std::vector<AliasSampler> BuildReferenceAlias(const Graph& g) {
@@ -182,6 +204,13 @@ TEST(SamplingViewTest, ClassifiesNodesAndDropsDeadEdges) {
   // Node 4: only a dead edge -> compacted away, kEmpty.
   b.AddEdge(5, 4, 0.0);
   // Node 5: no in-edges at all -> kEmpty.
+  // Node 6: a dead edge beside 20 equal low probabilities: explicit (its
+  // probabilities differ), yet over its kept edges it still skips.
+  b.AddEdge(30, 6, 0.0);
+  for (NodeId u = 1; u <= 20; ++u) b.AddEdge(u, 6, 0.05);
+  // Node 7: a dead edge beside a certain one -> explicit kKeepAll.
+  b.AddEdge(2, 7, 0.0);
+  b.AddEdge(3, 7, 1.0);
   Graph g = b.Build();
   SamplingView view(g, SamplingView::Parts::kIc);
 
@@ -195,10 +224,36 @@ TEST(SamplingViewTest, ClassifiesNodesAndDropsDeadEdges) {
   EXPECT_EQ(view.ic_kind(4), SamplingView::IcNodeKind::kEmpty);
   EXPECT_EQ(view.ic_kind(5), SamplingView::IcNodeKind::kEmpty);
 
-  EXPECT_EQ(view.IcEdges(0).size(), 20u);
-  EXPECT_EQ(view.IcEdges(4).size(), 0u);  // p = 0 edge dropped
+  EXPECT_EQ(view.IcKeptEdges(0).size(), 20u);
+  EXPECT_EQ(view.IcKeptEdges(4).size(), 0u);  // p = 0 edge dropped
   EXPECT_EQ(view.IcFullInDegree(4), 1u);  // cost contract still charges it
-  for (const auto& e : view.IcEdges(2)) EXPECT_EQ(e.rej, 0u);
+  for (const auto& e : view.IcKeptEdges(2)) EXPECT_EQ(e.rej, 0u);
+  for (const auto& e : view.IcKeptEdges(1)) {
+    EXPECT_EQ(e.rej, QuantizeRejectThreshold(0.5));
+  }
+
+  // Equal in-probabilities read the graph; only nodes whose
+  // probabilities differ keep {neighbor, reject} pairs.
+  for (NodeId v : {0u, 1u, 2u, 4u, 5u}) EXPECT_FALSE(view.IcExplicit(v));
+  EXPECT_TRUE(view.IcExplicit(3));
+  const auto mixed = view.IcKeptEdges(3);
+  ASSERT_EQ(mixed.size(), 2u);
+  EXPECT_EQ(mixed[0].nbr, 5u);
+  EXPECT_EQ(mixed[0].rej, QuantizeRejectThreshold(0.2));
+  EXPECT_EQ(mixed[1].nbr, 6u);
+  EXPECT_EQ(mixed[1].rej, QuantizeRejectThreshold(0.7));
+
+  EXPECT_TRUE(view.IcExplicit(6));
+  EXPECT_EQ(view.ic_kind(6), SamplingView::IcNodeKind::kSkip);
+  EXPECT_DOUBLE_EQ(view.IcSkipInvLog(6), 1.0 / std::log1p(-0.05));
+  EXPECT_EQ(view.IcKeptEdges(6).size(), 20u);
+  EXPECT_EQ(view.IcFullInDegree(6), 21u);
+  EXPECT_TRUE(view.IcExplicit(7));
+  EXPECT_EQ(view.ic_kind(7), SamplingView::IcNodeKind::kKeepAll);
+  const auto certain = view.IcKeptEdges(7);
+  ASSERT_EQ(certain.size(), 1u);
+  EXPECT_EQ(certain[0].nbr, 3u);
+  EXPECT_EQ(view.IcFullInDegree(7), 2u);
 }
 
 TEST(SamplingViewTest, SkipThresholdRespectsDegreeAndProbability) {
@@ -213,51 +268,135 @@ TEST(SamplingViewTest, SkipThresholdRespectsDegreeAndProbability) {
 }
 
 TEST(SamplingViewTest, LtArenaMatchesReferenceStopProbabilities) {
-  Graph g = GenerateBarabasiAlbert(200, 3);  // weighted cascade
-  SamplingView view(g, SamplingView::Parts::kLt);
-  EXPECT_TRUE(view.has_lt());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const double stay = g.InWeightSum(v);
-    if (g.InDegree(v) == 0 || stay <= 0.0) {
-      EXPECT_EQ(view.LtStopReject(v), SamplingView::kAlwaysReject);
-    } else if (stay >= 1.0) {
-      // Weighted cascade saturates Σ p = 1: the stop draw must be elided
-      // exactly, not approximately.
-      EXPECT_EQ(view.LtStopReject(v), 0u);
-    } else {
-      const double implied_stop =
-          static_cast<double>(view.LtStopReject(v)) * 0x1.0p-32;
-      EXPECT_NEAR(implied_stop, 1.0 - stay, 0x1.0p-32);
+  // Weighted cascade (Σp = 1, equal weights) and per-node random weights
+  // (Σp = 0.9, alias buckets in the side arena).
+  const Graph wc = GenerateBarabasiAlbert(200, 3);
+  const Graph graphs[] = {wc, ReweightPerNode(wc, 0.9, 17)};
+  for (const Graph& g : graphs) {
+    SamplingView view(g, SamplingView::Parts::kLt);
+    EXPECT_TRUE(view.has_lt());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const double stay = g.InWeightSum(v);
+      const auto buckets = view.LtBuckets(v);
+      if (g.InDegree(v) == 0 || stay <= 0.0) {
+        EXPECT_EQ(view.LtStopReject(v), SamplingView::kAlwaysReject);
+        EXPECT_TRUE(buckets.empty());
+        continue;
+      }
+      if (stay >= 1.0) {
+        // Weighted cascade saturates Σ p = 1: the stop draw must be
+        // elided exactly, not approximately.
+        EXPECT_EQ(view.LtStopReject(v), 0u);
+      } else {
+        const double implied_stop =
+            static_cast<double>(view.LtStopReject(v)) * 0x1.0p-32;
+        EXPECT_NEAR(implied_stop, 1.0 - stay, 0x1.0p-32);
+      }
+      // The buckets reproduce the in-weights: bucket j keeps in-edge j's
+      // neighbor with its keep mass and hands the rest to its alias.
+      const auto nbrs = g.InNeighbors(v);
+      const auto probs = g.InProbs(v);
+      ASSERT_EQ(buckets.size(), nbrs.size());
+      std::vector<double> mass(g.num_nodes(), 0.0);
+      std::vector<double> expected(g.num_nodes(), 0.0);
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        const double deviate = static_cast<double>(buckets[i].rej) * 0x1.0p-32;
+        mass[buckets[i].keep] += 1.0 - deviate;
+        mass[buckets[i].alias] += deviate;
+        expected[nbrs[i]] += probs[i] / stay * nbrs.size();
+      }
+      for (const NodeId w : nbrs) EXPECT_NEAR(mass[w], expected[w], 1e-6);
     }
   }
 }
 
-TEST(SamplingViewTest, ParallelBuildMatchesSerialBuild) {
-  Graph g = GenerateBarabasiAlbert(30000, 5);
-  ThreadPool pool(4);
-  SamplingView serial(g, SamplingView::Parts::kBoth);
-  SamplingView parallel(g, SamplingView::Parts::kBoth, &pool);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    ASSERT_EQ(serial.ic_kind(v), parallel.ic_kind(v)) << "node " << v;
-    ASSERT_EQ(serial.IcFullInDegree(v), parallel.IcFullInDegree(v));
-    const auto se = serial.IcEdges(v);
-    const auto pe = parallel.IcEdges(v);
-    ASSERT_EQ(se.size(), pe.size()) << "node " << v;
-    for (size_t i = 0; i < se.size(); ++i) {
-      ASSERT_EQ(se[i].nbr, pe[i].nbr);
-      ASSERT_EQ(se[i].rej, pe[i].rej);
+TEST(SamplingViewTest, SideArenaScalesWithExplicitEdgesOnly) {
+  // Weighted cascade: every node's in-probabilities are equal, so the
+  // view is one record per node and part, whatever the edge count.
+  Graph wc = GenerateBarabasiAlbert(5000, 8);
+  SamplingView wc_view(wc, SamplingView::Parts::kBoth);
+  EXPECT_EQ(wc_view.IcSideSize(), 0u);
+  EXPECT_EQ(wc_view.LtSideSize(), 0u);
+  EXPECT_EQ(wc_view.MemoryFootprintBytes(),
+            uint64_t{wc.num_nodes()} * (sizeof(SamplingView::IcNode) +
+                                        sizeof(SamplingView::LtNode)));
+
+  // Half the nodes take equal in-weights, half unequal ones; only the
+  // unequal half may own per-edge state.
+  constexpr uint32_t kNodes = 2000;
+  GraphBuilder b(kNodes);
+  Rng rng(23);
+  uint64_t explicit_edges = 0, explicit_nodes = 0;
+  for (NodeId v = 0; v < kNodes; ++v) {
+    const uint32_t d = 2 + rng.UniformBelow(6);
+    const bool equal = v % 2 == 0;
+    for (uint32_t i = 0; i < d; ++i) {
+      const double p = equal ? 0.5 / d : (i + 1) * 0.9 / (d * (d + 1) / 2);
+      b.AddEdge(rng.UniformBelow(kNodes), v, p);
     }
-    ASSERT_EQ(serial.LtStopReject(v), parallel.LtStopReject(v));
-    ASSERT_EQ(serial.LtOffset(v), parallel.LtOffset(v));
-    for (uint64_t bkt = serial.LtOffset(v); bkt < serial.LtOffset(v + 1);
-         ++bkt) {
-      const auto& sb = serial.LtBucketAt(bkt);
-      const auto& pb = parallel.LtBucketAt(bkt);
-      ASSERT_EQ(sb.rej, pb.rej);
-      ASSERT_EQ(sb.keep, pb.keep);
-      ASSERT_EQ(sb.alias, pb.alias);
+    if (!equal) {
+      explicit_edges += d;
+      ++explicit_nodes;
     }
   }
+  Graph g = b.Build();
+  SamplingView view(g, SamplingView::Parts::kBoth);
+  // IC: kept pairs plus one header per explicit node; LT: one bucket per
+  // explicit in-edge.
+  EXPECT_EQ(view.IcSideSize(), explicit_edges + explicit_nodes);
+  EXPECT_EQ(view.LtSideSize(), explicit_edges);
+  EXPECT_EQ(view.MemoryFootprintBytes(),
+            uint64_t{kNodes} * (sizeof(SamplingView::IcNode) +
+                                sizeof(SamplingView::LtNode)) +
+                view.IcSideSize() * sizeof(SamplingView::IcEdge) +
+                view.LtSideSize() * sizeof(SamplingView::LtBucket));
+  for (NodeId v = 0; v < kNodes; ++v) {
+    EXPECT_EQ(view.IcExplicit(v), v % 2 == 1) << "node " << v;
+    EXPECT_EQ(view.LtExplicit(v), v % 2 == 1) << "node " << v;
+  }
+}
+
+/// Asserts two views hold byte-identical records and side arenas.
+void ExpectSameView(const SamplingView& a, const SamplingView& b) {
+  const uint32_t n = a.graph().num_nodes();
+  ASSERT_EQ(a.IcSideSize(), b.IcSideSize());
+  ASSERT_EQ(a.LtSideSize(), b.LtSideSize());
+  EXPECT_EQ(std::memcmp(a.IcNodeData(), b.IcNodeData(),
+                        n * sizeof(SamplingView::IcNode)),
+            0);
+  EXPECT_EQ(std::memcmp(a.LtNodeData(), b.LtNodeData(),
+                        n * sizeof(SamplingView::LtNode)),
+            0);
+  for (uint64_t i = 0; i < a.IcSideSize(); ++i) {
+    ASSERT_EQ(a.IcSideData()[i].nbr, b.IcSideData()[i].nbr);
+    ASSERT_EQ(a.IcSideData()[i].rej, b.IcSideData()[i].rej);
+  }
+  for (uint64_t i = 0; i < a.LtSideSize(); ++i) {
+    ASSERT_EQ(a.LtSideData()[i].rej, b.LtSideData()[i].rej);
+    ASSERT_EQ(a.LtSideData()[i].keep, b.LtSideData()[i].keep);
+    ASSERT_EQ(a.LtSideData()[i].alias, b.LtSideData()[i].alias);
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ(a.ic_kind(v), b.ic_kind(v)) << "node " << v;
+    ASSERT_EQ(a.IcFullInDegree(v), b.IcFullInDegree(v));
+    ASSERT_EQ(a.LtStopReject(v), b.LtStopReject(v));
+  }
+}
+
+TEST(SamplingViewTest, ParallelBuildMatchesSerialBuild) {
+  ThreadPool pool(4);
+  // Weighted cascade (every node uniform) and per-node random weights
+  // (every node with two or more in-edges explicit).
+  Graph wc = GenerateBarabasiAlbert(30000, 5);
+  Graph random = ReweightPerNode(wc, 0.9, 29);
+  for (const Graph* g : {&wc, &random}) {
+    SamplingView serial(*g, SamplingView::Parts::kBoth);
+    SamplingView parallel(*g, SamplingView::Parts::kBoth, &pool);
+    ExpectSameView(serial, parallel);
+  }
+  SamplingView random_view(random, SamplingView::Parts::kBoth, &pool);
+  EXPECT_GT(random_view.IcSideSize(), 0u);
+  EXPECT_GT(random_view.LtSideSize(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -309,45 +448,64 @@ TEST(SharedViewTest, SharedRootTableMatchesOwnedWeights) {
 constexpr int kDiffSamples = 60000;
 
 TEST(KernelDifferentialTest, IcMatchesDoublePrecisionReference) {
-  // Weighted-cascade BA graph: mixed node kinds (hubs classify as kSkip,
-  // low-degree nodes as kPerEdge), the paper's experimental weighting.
-  Graph g = GenerateBarabasiAlbert(400, 4);
-  IcRRSampler sampler(g);
-  Rng rng_new(2024);
-  const CoverageStats fast =
-      Collect(g.num_nodes(), kDiffSamples,
-              [&](std::vector<NodeId>* out) { sampler.SampleInto(rng_new, out); });
-  Rng rng_ref(4048);
-  const CoverageStats ref =
-      Collect(g.num_nodes(), kDiffSamples,
-              [&](std::vector<NodeId>* out) { ReferenceIcSample(g, rng_ref, out); });
+  // Weighted-cascade BA graph, the paper's experimental weighting: every
+  // node reads its neighbors from the graph (hubs skip geometrically,
+  // low in-degrees compare one shared threshold per edge). Trivalency
+  // weights differ per edge, so its nodes compare per-edge thresholds
+  // from the side arena.
+  GenOptions trivalency;
+  trivalency.scheme = WeightScheme::kTrivalency;
+  const Graph graphs[] = {
+      GenerateBarabasiAlbert(400, 4),
+      GenerateBarabasiAlbert(400, 8, /*undirected=*/false, trivalency)};
+  for (const Graph& g : graphs) {
+    SCOPED_TRACE(&g == &graphs[0] ? "weighted cascade" : "trivalency");
+    IcRRSampler sampler(g);
+    Rng rng_new(2024);
+    const CoverageStats fast = Collect(
+        g.num_nodes(), kDiffSamples,
+        [&](std::vector<NodeId>* out) { sampler.SampleInto(rng_new, out); });
+    Rng rng_ref(4048);
+    const CoverageStats ref = Collect(
+        g.num_nodes(), kDiffSamples,
+        [&](std::vector<NodeId>* out) { ReferenceIcSample(g, rng_ref, out); });
 
-  EXPECT_NEAR(fast.mean_size, ref.mean_size, 0.05 * ref.mean_size);
-  size_t df = 0;
-  const double stat = TwoSampleChiSquare(fast.node_hits, ref.node_hits, &df);
-  ASSERT_GT(df, 100u);  // the test must actually cover most nodes
-  EXPECT_LT(stat, ChiSquareBound(df)) << "df=" << df;
+    EXPECT_NEAR(fast.mean_size, ref.mean_size, 0.05 * ref.mean_size);
+    size_t df = 0;
+    const double stat =
+        TwoSampleChiSquare(fast.node_hits, ref.node_hits, &df);
+    ASSERT_GT(df, 100u);  // the test must actually cover most nodes
+    EXPECT_LT(stat, ChiSquareBound(df)) << "df=" << df;
+  }
 }
 
 TEST(KernelDifferentialTest, LtMatchesDoublePrecisionReference) {
-  Graph g = GenerateBarabasiAlbert(400, 4);
-  const std::vector<AliasSampler> ref_alias = BuildReferenceAlias(g);
-  LtRRSampler sampler(g);
-  Rng rng_new(9090);
-  const CoverageStats fast =
-      Collect(g.num_nodes(), kDiffSamples,
-              [&](std::vector<NodeId>* out) { sampler.SampleInto(rng_new, out); });
-  Rng rng_ref(1818);
-  const CoverageStats ref = Collect(
-      g.num_nodes(), kDiffSamples, [&](std::vector<NodeId>* out) {
-        ReferenceLtSample(g, ref_alias, rng_ref, out);
-      });
+  // Weighted cascade (uniform in-neighbor steps read from the graph) and
+  // per-node random weights with Σp = 0.9 (alias buckets from the side
+  // arena, plus a stop draw at every step).
+  const Graph wc = GenerateBarabasiAlbert(400, 4);
+  const Graph graphs[] = {wc, ReweightPerNode(wc, 0.9, 31)};
+  for (const Graph& g : graphs) {
+    SCOPED_TRACE(&g == &graphs[0] ? "weighted cascade" : "random weights");
+    const std::vector<AliasSampler> ref_alias = BuildReferenceAlias(g);
+    LtRRSampler sampler(g);
+    Rng rng_new(9090);
+    const CoverageStats fast = Collect(
+        g.num_nodes(), kDiffSamples,
+        [&](std::vector<NodeId>* out) { sampler.SampleInto(rng_new, out); });
+    Rng rng_ref(1818);
+    const CoverageStats ref = Collect(
+        g.num_nodes(), kDiffSamples, [&](std::vector<NodeId>* out) {
+          ReferenceLtSample(g, ref_alias, rng_ref, out);
+        });
 
-  EXPECT_NEAR(fast.mean_size, ref.mean_size, 0.05 * ref.mean_size);
-  size_t df = 0;
-  const double stat = TwoSampleChiSquare(fast.node_hits, ref.node_hits, &df);
-  ASSERT_GT(df, 100u);
-  EXPECT_LT(stat, ChiSquareBound(df)) << "df=" << df;
+    EXPECT_NEAR(fast.mean_size, ref.mean_size, 0.05 * ref.mean_size);
+    size_t df = 0;
+    const double stat =
+        TwoSampleChiSquare(fast.node_hits, ref.node_hits, &df);
+    ASSERT_GT(df, 100u);
+    EXPECT_LT(stat, ChiSquareBound(df)) << "df=" << df;
+  }
 }
 
 TEST(KernelDifferentialTest, GeometricSkipMatchesNaiveScanPerPosition) {

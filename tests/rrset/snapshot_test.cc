@@ -23,8 +23,15 @@
 namespace opim {
 namespace {
 
+/// `name` under the gtest temp dir, prefixed with the running test's name.
+/// gtest_discover_tests runs every case as its own process and `ctest -j`
+/// runs them side by side, so cases that shared a file would overwrite
+/// each other's bytes mid-test.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." +
+         test->name() + "." + name;
 }
 
 std::vector<uint8_t> ReadAll(const std::string& path) {
