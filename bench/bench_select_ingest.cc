@@ -23,17 +23,13 @@
 // verify that before comparing timings.
 //
 // The compression block reports the collection's compressed footprint
-// against (a) the raw uint32 bytes of the same members and (b) the exact
-// byte layout of the pre-compression storage (flat uint32 pool + uint64
-// offsets/costs + uint64-offset CSR index), plus CELF-trace timings for
-// the scalar and SIMD coverage kernels and for an in-process replica of
-// the legacy raw-array selection path on the identical stream.
+// against the raw uint32 bytes of the same members, plus CELF timings for
+// the scalar and SIMD coverage kernels on the identical stream.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -210,164 +206,6 @@ void IngestSlice(RRCollection* c, const std::vector<NodeId>& pool,
   c->AddCompressedShards(std::move(shards));
 }
 
-/// The pre-compression storage replica: flat uint32 member pool + uint64
-/// set offsets + uint64 per-set costs + CSR inverted index with uint64
-/// node offsets + the epoch-stamped coverage scratch — byte for byte the
-/// state RRCollection held before the group-varint rework, built from the
-/// identical stream. mark_epoch is materialized the way the old engine
-/// materialized it: by the first CoverageOf, which RunOpimC issued every
-/// iteration, so it was always part of the engine's metered peak.
-struct LegacyStore {
-  std::vector<NodeId> pool;
-  std::vector<uint64_t> offsets;        // num_sets + 1
-  std::vector<uint64_t> set_cost;
-  std::vector<uint64_t> cover_offsets;  // n + 1
-  std::vector<RRId> cover_ids;
-  mutable std::vector<uint32_t> mark_epoch;
-  mutable uint32_t epoch = 0;
-
-  LegacyStore(const std::vector<NodeId>& stream_pool,
-              const std::vector<std::pair<uint32_t, uint64_t>>& sets,
-              uint32_t n)
-      : pool(stream_pool), cover_offsets(n + 1, 0) {
-    offsets.reserve(sets.size() + 1);
-    offsets.push_back(0);
-    set_cost.reserve(sets.size());
-    uint64_t off = 0;
-    for (const auto& [size, cost] : sets) {
-      off += size;
-      offsets.push_back(off);
-      set_cost.push_back(cost);
-    }
-    cover_ids.resize(pool.size());
-    for (NodeId v : pool) ++cover_offsets[v + 1];
-    for (uint32_t v = 0; v < n; ++v) cover_offsets[v + 1] += cover_offsets[v];
-    std::vector<uint64_t> cursor(cover_offsets.begin(),
-                                 cover_offsets.end() - 1);
-    for (uint64_t id = 0; id + 1 < offsets.size(); ++id) {
-      for (uint64_t e = offsets[id]; e < offsets[id + 1]; ++e) {
-        cover_ids[cursor[pool[e]]++] = static_cast<RRId>(id);
-      }
-    }
-  }
-
-  uint32_t num_sets() const {
-    return static_cast<uint32_t>(offsets.size() - 1);
-  }
-  std::span<const NodeId> Set(RRId id) const {
-    return {pool.data() + offsets[id], pool.data() + offsets[id + 1]};
-  }
-  std::span<const RRId> Covering(NodeId v) const {
-    return {cover_ids.data() + cover_offsets[v],
-            cover_ids.data() + cover_offsets[v + 1]};
-  }
-  uint64_t CoverageOf(std::span<const NodeId> seeds) const {
-    if (mark_epoch.empty()) mark_epoch.assign(num_sets(), 0);
-    ++epoch;
-    uint64_t covered = 0;
-    for (NodeId v : seeds) {
-      for (RRId id : Covering(v)) {
-        if (mark_epoch[id] != epoch) {
-          mark_epoch[id] = epoch;
-          ++covered;
-        }
-      }
-    }
-    return covered;
-  }
-  uint64_t MemoryBytes() const {
-    return pool.size() * sizeof(NodeId) + offsets.size() * sizeof(uint64_t) +
-           set_cost.size() * sizeof(uint64_t) +
-           cover_offsets.size() * sizeof(uint64_t) +
-           cover_ids.size() * sizeof(RRId) +
-           mark_epoch.size() * sizeof(uint32_t);
-  }
-};
-
-/// The pre-rework trace-mode CELF (covered char array, span-based
-/// decrement loops, bucket histogram) run against the legacy layout —
-/// the "current raw-uint32 path" reference of the acceptance criteria.
-std::vector<NodeId> LegacyCelfTrace(const LegacyStore& store, uint32_t n,
-                                    uint32_t k, uint64_t* coverage_out) {
-  struct Entry {
-    uint64_t gain;
-    NodeId node;
-    uint32_t round;
-    bool operator<(const Entry& o) const {
-      if (gain != o.gain) return gain < o.gain;
-      return node > o.node;
-    }
-  };
-  const uint32_t theta = store.num_sets();
-  std::vector<char> covered(theta, 0);
-  std::vector<char> selected(n, 0);
-  std::vector<uint64_t> counts(n, 0);
-  uint64_t max_count = 0;
-  std::priority_queue<Entry> queue;
-  for (NodeId v = 0; v < n; ++v) {
-    const uint64_t g = store.Covering(v).size();
-    counts[v] = g;
-    if (g > 0) queue.push({g, v, 0});
-    max_count = std::max(max_count, g);
-  }
-  std::vector<uint32_t> hist(max_count + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (counts[v] > 0) ++hist[counts[v]];
-  }
-  std::vector<NodeId> seeds;
-  seeds.reserve(k);
-  std::vector<uint64_t> coverage_at, topk_at;
-  uint64_t coverage = 0;
-  uint32_t round = 0;
-  auto record_prefix = [&] {
-    coverage_at.push_back(coverage);
-    while (max_count > 0 && hist[max_count] == 0) --max_count;
-    uint64_t sum = 0, taken = 0;
-    for (uint64_t value = max_count; value > 0 && taken < k; --value) {
-      const uint64_t take = std::min<uint64_t>(hist[value], k - taken);
-      sum += value * take;
-      taken += take;
-    }
-    topk_at.push_back(sum);
-  };
-  for (uint32_t i = 0; i < k; ++i) {
-    record_prefix();
-    NodeId best = kInvalidNode;
-    uint64_t best_gain = 0;
-    while (!queue.empty()) {
-      Entry top = queue.top();
-      queue.pop();
-      if (selected[top.node]) continue;
-      if (top.round != round) {
-        top.gain = counts[top.node];
-        top.round = round;
-        if (top.gain > 0) queue.push(top);
-        continue;
-      }
-      best = top.node;
-      best_gain = top.gain;
-      break;
-    }
-    if (best == kInvalidNode) break;
-    selected[best] = 1;
-    seeds.push_back(best);
-    coverage += best_gain;
-    for (RRId id : store.Covering(best)) {
-      if (covered[id]) continue;
-      covered[id] = 1;
-      for (NodeId w : store.Set(id)) {
-        const uint64_t c = counts[w]--;
-        --hist[c];
-        if (c > 1) ++hist[c - 1];
-      }
-    }
-    ++round;
-  }
-  record_prefix();
-  *coverage_out = coverage + topk_at.back() * 0;  // keep trace arrays live
-  return seeds;
-}
-
 int Run(const Config& cfg) {
   std::fprintf(
       stderr,
@@ -430,12 +268,14 @@ int Run(const Config& cfg) {
   const double celf_us = TimeMedianUs(cfg.reps, [&] {
     select_sink += SelectGreedyCelf(rr, cfg.k).coverage;
   });
-  // (select_celf_trace itself is timed below, interleaved with the legacy
-  // reference so the headline comparison is fair.)
+  // The gated selection timing: more reps than the others, since it is
+  // the one number the regression gate reads from this block.
+  const double celf_trace_us = TimeMedianUs(cfg.reps * 2 + 1, [&] {
+    select_sink += SelectGreedyCelf(rr, cfg.k, /*with_trace=*/true).coverage;
+  });
 
-  // --- Compression ablation: the same selection under forced scalar and
-  // (when available) forced AVX2 kernels, plus the legacy raw-layout
-  // replica of the pre-rework storage + CELF path on the same stream.
+  // --- Kernel ablation: the same selection under forced scalar and (when
+  // available) forced AVX2 kernels.
   SetCoverageSimdMode(SimdMode::kScalar);
   const double celf_scalar_us = TimeMedianUs(cfg.reps, [&] {
     select_sink += SelectGreedyCelf(rr, cfg.k).coverage;
@@ -451,59 +291,9 @@ int Run(const Config& cfg) {
     return 1;
   }
 
-  uint64_t legacy_bytes = 0;
-  uint64_t legacy_coverage = 0;
-  double celf_trace_us = 0.0;
-  double legacy_celf_trace_us = 0.0;
-  {
-    LegacyStore legacy(pool, sets, cfg.n);
-    // Headline acceptance comparison: compressed trace-CELF vs the legacy
-    // raw-layout replica. The two paths alternate inside every rep so
-    // cache state and CPU-frequency drift hit both equally instead of
-    // biasing whichever standalone block runs later; extra reps because
-    // this pair is the number the ablation summary is derived from.
-    const int pair_reps = cfg.reps * 2 + 1;
-    std::vector<double> new_samples;
-    std::vector<double> legacy_samples;
-    new_samples.reserve(static_cast<size_t>(pair_reps));
-    legacy_samples.reserve(static_cast<size_t>(pair_reps));
-    for (int r = 0; r < pair_reps; ++r) {
-      {
-        Stopwatch watch;
-        select_sink +=
-            SelectGreedyCelf(rr, cfg.k, /*with_trace=*/true).coverage;
-        new_samples.push_back(watch.ElapsedSeconds());
-      }
-      {
-        Stopwatch watch;
-        uint64_t cov = 0;
-        const std::vector<NodeId> seeds =
-            LegacyCelfTrace(legacy, cfg.n, cfg.k, &cov);
-        legacy_coverage = cov;
-        select_sink += cov + seeds.size();
-        legacy_samples.push_back(watch.ElapsedSeconds());
-      }
-    }
-    celf_trace_us = MedianUs(std::move(new_samples));
-    legacy_celf_trace_us = MedianUs(std::move(legacy_samples));
-    const std::vector<NodeId> legacy_seeds =
-        LegacyCelfTrace(legacy, cfg.n, cfg.k, &legacy_coverage);
-    const std::vector<NodeId> new_seeds =
-        SelectGreedyCelf(rr, cfg.k, /*with_trace=*/true).seeds;
-    if (legacy_seeds != new_seeds) {
-      std::fprintf(stderr, "FATAL: legacy/compressed seed sets diverge\n");
-      return 1;
-    }
-    // Λ2-style coverage query on both representations: checks the bitset
-    // CoverageOf against the legacy epoch-stamp scratch, and materializes
-    // each side's coverage scratch so both footprints below include it
-    // (the engines run this query every iteration).
-    if (rr.CoverageOf(new_seeds) != legacy.CoverageOf(legacy_seeds)) {
-      std::fprintf(stderr, "FATAL: legacy/bitset coverage diverges\n");
-      return 1;
-    }
-    legacy_bytes = legacy.MemoryBytes();
-  }
+  // The engines run a Λ2 coverage query every iteration; run one so the
+  // footprint below includes the coverage scratch.
+  select_sink += rr.CoverageOf(auto_seeds);
 
   // --- Bounds: trace-bound assembly from a cached greedy trace.
   GreedyResult traced = SelectGreedy(rr, cfg.k, /*with_trace=*/true);
@@ -574,13 +364,12 @@ int Run(const Config& cfg) {
   uint64_t postings_delta = 0;
   uint64_t warm_fallbacks_delta = 0;
   double warm_sync_us_delta = 0.0;
-  double member_counts_us_delta = 0.0;
   {
     std::vector<NodeId> scratch_seeds, incremental_seeds;
     double scratch_best = 0.0, incremental_best = 0.0;
-    // The two modes alternate inside every rep (same fairness rationale
-    // as the legacy pair above). The telemetry delta brackets the first
-    // incremental pass: with kDoublings selections it must show
+    // The two modes alternate inside every rep, so cache state and
+    // CPU-frequency drift hit both equally. The telemetry delta brackets
+    // the first incremental pass: with kDoublings selections it must show
     // kDoublings warm-sync calls, kDoublings - 1 of them warm hits, and
     // a postings_delta equal to the stream mass past the first batch.
     for (int r = 0; r < cfg.reps; ++r) {
@@ -602,9 +391,6 @@ int Run(const Config& cfg) {
         warm_sync_us_delta =
             TimerSumUs(after, "opim.select.warm_sync_us") -
             TimerSumUs(before, "opim.select.warm_sync_us");
-        member_counts_us_delta =
-            TimerSumUs(after, "opim.rrset.member_counts_us") -
-            TimerSumUs(before, "opim.rrset.member_counts_us");
       }
       if (r == 0 || scratch < scratch_best) scratch_best = scratch;
       if (r == 0 || incremental < incremental_best) {
@@ -660,24 +446,17 @@ int Run(const Config& cfg) {
   w.Key("opim.select.warm_start_fallbacks").Value(warm_fallbacks_delta);
   w.Key("opim.select.postings_delta_ingested").Value(postings_delta);
   w.Key("opim.select.warm_sync_us").Value(warm_sync_us_delta);
-  w.Key("opim.rrset.member_counts_us").Value(member_counts_us_delta);
   w.EndObject();
   w.EndObject();
-  // Storage + kernel ablation: peak_rr_bytes is MemoryUsage() — what the
-  // PR 4 memory budget meters — against the exact byte layout the
-  // pre-compression storage would hold for the identical stream.
+  // Storage + kernel ablation: peak_rr_bytes is MemoryUsage(), what a
+  // RunControl memory budget meters.
   w.Key("compression").BeginObject();
   w.Key("peak_rr_bytes").Value(rr.MemoryUsage());
-  w.Key("legacy_layout_bytes").Value(legacy_bytes);
-  w.Key("layout_ratio")
-      .Value(static_cast<double>(legacy_bytes) /
-             static_cast<double>(rr.MemoryUsage()));
   w.Key("compressed_member_bytes").Value(rr.CompressedMemberBytes());
   w.Key("raw_member_bytes").Value(rr.RawMemberBytes());
   w.Key("simd_kernel").Value(ActiveCoverageKernelName());
   w.Key("select_celf_scalar").Value(celf_scalar_us);
   w.Key("select_celf_trace_scalar").Value(celf_trace_scalar_us);
-  w.Key("select_celf_trace_legacy_ref").Value(legacy_celf_trace_us);
   w.EndObject();
   // The telemetry the acceptance criteria reference: per-phase counters
   // and timer sums recorded by the engine itself during the runs above.
@@ -704,7 +483,7 @@ int Run(const Config& cfg) {
   // Sinks: keep the optimizer from dropping timed work.
   w.Key("checksum")
       .Value(ingest_sink + select_sink + generate_sink + doubling_sink +
-             legacy_coverage + static_cast<uint64_t>(bounds_sink));
+             static_cast<uint64_t>(bounds_sink));
   w.EndObject();
 
   std::printf("%s\n", w.str().c_str());

@@ -57,16 +57,18 @@ ctest --test-dir build-asan --output-on-failure \
 
 # TSan build over the concurrency-heavy subset: the thread pool, parallel
 # RR generation, the two-pool engine's staged and speculative batches
-# (TwoPoolEngine, AdvanceParallel, OpimCPipeline), the SamplingView build
-# on pool workers, the lock-free trace recorder, and the progress
-# heartbeat all publish across threads with hand-placed acquire/release
-# pairs, so a missing fence must fail loudly here. TSan and ASan cannot
+# (TwoPoolEngine, AdvanceParallel, OpimCPipeline), batch index appends
+# (RRCollection: one task per index partition, all writing the shared
+# per-node vectors), the SamplingView build on pool workers, the
+# lock-free trace recorder, and the progress heartbeat all publish across
+# threads with hand-placed acquire/release pairs, so a missing fence must
+# fail loudly here. TSan and ASan cannot
 # share a build (mutually exclusive runtimes), hence the separate tree.
 cmake -B build-tsan -G Ninja -DOPIM_SANITIZE=thread \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-tsan
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ThreadPool|ParallelGenerate|AdvanceParallel|OpimCPipeline|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState|TwoPoolEngine|SamplingView' 2>&1 \
+  -R 'ThreadPool|ParallelGenerate|AdvanceParallel|OpimCPipeline|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState|TwoPoolEngine|SamplingView|RRCollection' 2>&1 \
   | tee "$OUT/test_output_tsan.txt"
 
 # OPIM_SIMD=OFF build: the portable scalar coverage kernels alone must

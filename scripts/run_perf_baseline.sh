@@ -115,24 +115,7 @@ jq 'if ([.runs[].label] | contains(["before", "after"])) then
           generate_ingest:
             (($b.generate_ingest / $a.generate_ingest) * 100 | round / 100)
         }
-    else . end
-    # Storage ablation summary from the newest run that carries a
-    # compression block: memory reduction vs the legacy raw layout on the
-    # identical stream, and CELF-trace throughput vs the in-process legacy
-    # reference path (>= 1.0 means the compressed path is no slower).
-    | ((.runs | map(select(.compression != null)) | last) // null) as $c
-    | if $c != null then
-        .compression_summary = {
-          label: $c.label,
-          memory_reduction_vs_legacy:
-            (($c.compression.legacy_layout_bytes
-              / $c.compression.peak_rr_bytes) * 100 | round / 100),
-          celf_trace_speedup_vs_legacy_ref:
-            (($c.compression.select_celf_trace_legacy_ref
-              / $c.timings_us.select_celf_trace) * 100 | round / 100),
-          simd_kernel: $c.compression.simd_kernel
-        }
-      else . end' "$JSON.tmp" > "$JSON"
+    else . end' "$JSON.tmp" > "$JSON"
 rm -f "$JSON.tmp"
 echo "updated $JSON (label=$LABEL)"
 

@@ -259,8 +259,9 @@ void TwoPoolEngine::Restore(RRPoolSnapshot* snapshot) {
   OPIM_CHECK_EQ(snapshot->r2.num_nodes(), r2_.num_nodes());
   r1_ = std::move(snapshot->r1);
   r2_ = std::move(snapshot->r2);
-  // Snapshots store no index; rebuild it now, on the workers, so the
-  // first CELF pass starts from the state a live run would have.
+  // Snapshots store no index; build it now, on the workers, so the first
+  // CELF pass starts from the state a live run would have and later
+  // concurrent reads never build it lazily.
   r1_.EnsureIndex(workers_.get());
   r2_.EnsureIndex(workers_.get());
 }

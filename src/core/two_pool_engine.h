@@ -100,10 +100,11 @@ class TwoPoolEngine {
   uint64_t Discard();
 
   /// Samples `count` sets on the calling thread from `rng`, each into R1
-  /// when `*to_r1` (else R2), flipping the cursor; AddSet appends, so the
-  /// next read rebuilds the index. Polls `control` with Footprint() every
-  /// kControlPollStride sets and stops once it trips, but never before
-  /// both pools hold a set.
+  /// when `*to_r1` (else R2), flipping the cursor; AddSet appends each
+  /// set's postings in place, so the index stays current for the next
+  /// query. Polls `control` with Footprint() every kControlPollStride
+  /// sets and stops once it trips, but never before both pools hold a
+  /// set.
   void SampleSerial(uint64_t count, Rng& rng, bool* to_r1,
                     RunControl* control);
 
@@ -164,7 +165,8 @@ class TwoPoolEngine {
   Result<uint64_t> Save(const SnapshotRunState& run,
                         const std::string& path) const;
 
-  /// Adopts a loaded snapshot's pools and rebuilds their indexes.
+  /// Adopts a loaded snapshot's pools and builds their indexes on the
+  /// workers.
   void Restore(RRPoolSnapshot* snapshot);
 
  private:

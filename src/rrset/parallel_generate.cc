@@ -81,6 +81,11 @@ void StagedGeneration::RunShard(unsigned s) {
     shard.edges += cost;
   }
   shard.alias = sampler->alias_draws();
+  // Build the shard's postings here, on the worker that sampled it, so
+  // the merge only appends. An aborted batch is never ingested.
+  if (!abort_.load(std::memory_order_relaxed)) {
+    shard.finished = shard.encoder.Finish(view_.graph().num_nodes());
+  }
   OPIM_TM_HISTOGRAM_RECORD("opim.rrset.shard_us",
                            shard_watch.ElapsedSeconds() * 1e6);
 }
@@ -97,7 +102,11 @@ uint64_t StagedGeneration::IngestInto(RRCollection* collection,
   out.reserve(shards_.size());
   Shard total;
   for (Shard& s : shards_) {
-    out.push_back(s.encoder.Finish(view_.graph().num_nodes()));
+    // A shard whose worker threw never reached its own Finish.
+    if (!s.finished.finalized()) {
+      s.finished = s.encoder.Finish(view_.graph().num_nodes());
+    }
+    out.push_back(std::move(s.finished));
     total.sets += s.sets;
     total.nodes += s.nodes;
     total.edges += s.edges;

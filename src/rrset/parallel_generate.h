@@ -3,13 +3,14 @@
 // RR sets are independent samples, so generation parallelizes trivially:
 // each worker owns a private sampler and an RNG stream derived from
 // (seed, shard), and streams its sets straight into a shard-local
-// CompressedShard — members sorted and group-varint-compressed while they
-// are cache-hot, partial inverted-index postings built in the worker — so
-// ingestion after the barrier is a cheap deterministic shard-order merge
-// (RRCollection::AddCompressedShards + parallel MergeIndex) instead of a
-// serial sort/compress/rebuild pass. The result is deterministic for a
-// fixed (seed, num_threads) pair, and single-threaded generation with the
-// same derivation reproduces num_threads = 1 exactly.
+// CompressedRRShard — members sorted and group-varint-compressed while
+// they are cache-hot — and, once its sets are sampled, builds the shard's
+// inverted-index postings on the same worker. Ingestion after the barrier
+// is then a cheap deterministic shard-order append
+// (RRCollection::AddCompressedShards, parallel over index partitions)
+// instead of a serial sort/compress/rebuild pass. The result is
+// deterministic for a fixed (seed, num_threads) pair, and single-threaded
+// generation with the same derivation reproduces num_threads = 1 exactly.
 //
 // StagedGeneration exposes the two halves separately: RunShard() calls
 // can overlap other work on the same pool (the pipelined doubling loop
@@ -20,7 +21,7 @@
 // Callers that generate repeatedly (a doubling loop) should construct
 // one ThreadPool and pass it to every call: the workers and their stacks
 // are reused across generations and the same pool parallelizes the
-// inverted-index rebuild of each ingestion batch. Without a pool, a
+// inverted-index append of each ingestion batch. Without a pool, a
 // temporary pool is created per call (the original behavior).
 //
 // The samplers' per-sample scratch (epoch arrays, alias tables) is why the
@@ -124,7 +125,8 @@ class StagedGeneration {
                    const AliasSampler* root_table, RunControl* control,
                    uint64_t base_bytes, bool speculative);
 
-  /// Samples shard `s` (thread-safe for distinct `s`; call once per `s`).
+  /// Samples shard `s`, then builds its postings unless the batch was
+  /// aborted (thread-safe for distinct `s`; call once per `s`).
   void RunShard(unsigned s);
 
   unsigned shards() const { return static_cast<unsigned>(shards_.size()); }
@@ -135,10 +137,11 @@ class StagedGeneration {
   /// Sets sampled; valid once every RunShard has returned.
   uint64_t TotalSets() const;
 
-  /// Ingests the sampled shards into `collection` (shard-order merge;
-  /// RRCollection::AddCompressedShards) and reports the batch's
-  /// generation counters to telemetry. Every RunShard must have returned;
-  /// call at most once. Returns TotalSets().
+  /// Ingests the sampled shards into `collection` (shard-order append;
+  /// RRCollection::AddCompressedShards), first building the postings of
+  /// any shard whose worker threw, and reports the batch's generation
+  /// counters to telemetry. Every RunShard must have returned; call at
+  /// most once. Returns TotalSets().
   uint64_t IngestInto(RRCollection* collection, ThreadPool* pool);
 
  private:
@@ -154,6 +157,7 @@ class StagedGeneration {
   std::atomic<uint64_t> published_bytes_{0};
   struct alignas(64) Shard {
     ShardEncoder encoder;
+    CompressedRRShard finished;  // built by RunShard unless it threw
     uint64_t sets = 0;
     uint64_t nodes = 0;
     uint64_t edges = 0;

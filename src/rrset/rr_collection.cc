@@ -19,13 +19,77 @@ namespace opim {
 
 namespace {
 
-/// Below this many total members a serial rebuild beats the fan-out
+/// Below this many total postings a serial index pass beats the fan-out
 /// overhead.
-constexpr uint64_t kParallelRebuildMinNodes = 1u << 16;
+constexpr uint64_t kParallelIndexMinPostings = 1u << 16;
 
 /// A block representation entry costs 12 bytes (uint32 word + uint64
 /// mask) against 4 per raw posting: blocks win iff 3·blocks <= postings.
-constexpr uint32_t kBlockCostRatio = 3;
+constexpr uint64_t kBlockCostRatio = 3;
+
+/// Counts the blocks an ascending id list occupies.
+struct BlockCounter {
+  uint64_t blocks = 0;
+  uint32_t last = 0;  // word of the last id added
+  void Add(RRId id) {
+    const uint32_t word = id >> 6;
+    if (blocks == 0 || word != last) {
+      ++blocks;
+      last = word;
+    }
+  }
+};
+
+/// Writes ascending ids as one list from entry `begin` of an arena, in a
+/// fixed representation: raw ids into `ids`, or blocks into
+/// `words`/`masks` (merging ids of one word). Only the chosen arena is
+/// indexed.
+struct ListWriter {
+  RRId* ids;
+  uint32_t* words;
+  uint64_t* masks;
+  uint64_t begin;
+  bool blocks;
+  uint32_t size = 0;  // entries written
+  void Add(RRId id) {
+    if (!blocks) {
+      ids[begin + size++] = id;
+      return;
+    }
+    const uint32_t word = id >> 6;
+    if (size == 0 || words[begin + size - 1] != word) {
+      words[begin + size] = word;
+      masks[begin + size] = 0;
+      ++size;
+    }
+    masks[begin + size - 1] |= uint64_t{1} << (id & 63);
+  }
+};
+
+/// Counting-sorts members into `shard`'s postings: `for_each_member(fn)`
+/// calls fn(local set index, node) in ascending set order, so each node's
+/// postings come out ascending. The postings are published last, so a
+/// shard reads as finalized() only once they are whole. Returns the
+/// member total.
+template <typename ForEachMember>
+uint64_t BuildPostings(uint32_t num_nodes, ForEachMember&& for_each_member,
+                       CompressedRRShard* shard) {
+  std::vector<uint32_t> offsets(num_nodes + 1, 0);
+  uint64_t members = 0;
+  for_each_member([&](RRId, NodeId v) {
+    OPIM_DCHECK_LT(v, num_nodes);
+    ++offsets[v + 1];
+    ++members;
+  });
+  for (uint32_t v = 0; v < num_nodes; ++v) offsets[v + 1] += offsets[v];
+  std::vector<RRId> postings(members);
+  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for_each_member(
+      [&](RRId local, NodeId v) { postings[cursor[v]++] = local; });
+  shard->postings = std::move(postings);
+  shard->post_offsets = std::move(offsets);
+  return members;
+}
 
 }  // namespace
 
@@ -87,30 +151,16 @@ void ShardEncoder::Finalize(CompressedRRShard* shard, uint32_t num_nodes) {
       }
     }
   };
-  shard->post_offsets.assign(num_nodes + 1, 0);
-  uint64_t members = 0;
-  for_each_member([&](RRId, NodeId v) {
-    OPIM_DCHECK_LT(v, num_nodes);
-    ++shard->post_offsets[v + 1];
-    ++members;
-  });
-  for (uint32_t v = 0; v < num_nodes; ++v) {
-    shard->post_offsets[v + 1] += shard->post_offsets[v];
-  }
-  shard->postings.resize(members);
-  std::vector<uint32_t> cursor(shard->post_offsets.begin(),
-                               shard->post_offsets.end() - 1);
-  for_each_member(
-      [&](RRId local, NodeId v) { shard->postings[cursor[v]++] = local; });
-  shard->total_members = members;
+  shard->total_members = BuildPostings(num_nodes, for_each_member, shard);
   shard->bytes.resize(used);  // strip the temporary slack again
 }
 
 RRCollection::RRCollection(uint32_t num_nodes, RRStoreOptions options)
     : num_nodes_(num_nodes),
       retain_costs_(options.retain_set_costs),
-      raw_offsets_(num_nodes + 1, 0),
-      block_offsets_(num_nodes + 1, 0) {
+      parts_((uint64_t{num_nodes} + (1u << kPartShift) - 1) >> kPartShift),
+      extents_(num_nodes),
+      counts_(num_nodes, 0) {
   // One slot bit tags inline sets, so ids must fit in 31 bits.
   OPIM_CHECK_LT(num_nodes, kSlotInlineTag);
 }
@@ -155,16 +205,97 @@ void RRCollection::AppendEncodedSet(std::vector<NodeId>* nodes) {
 
 RRId RRCollection::AddSet(std::span<const NodeId> nodes,
                           uint64_t edges_examined) {
+  EnsureIndex();  // a restored collection builds before its first append
   const RRId id = num_sets_;
   for (NodeId v : nodes) {
     OPIM_CHECK_LT(v, num_nodes_);
   }
   addset_scratch_.assign(nodes.begin(), nodes.end());
   AppendEncodedSet(&addset_scratch_);
+  for (NodeId v : addset_scratch_) AppendPosting(v, id);
   if (retain_costs_) set_cost_.push_back(edges_examined);
   total_edges_examined_ += edges_examined;
-  if (!nodes.empty()) index_dirty_ = true;
   return id;
+}
+
+void RRCollection::AppendPosting(NodeId v, RRId id) {
+  Extent& e = extents_[v];
+  IndexPart& part = parts_[v >> kPartShift];
+  const uint64_t end = uint64_t{e.begin} + e.size();
+  if (!e.blocks()) {
+    if (e.size() != 0 && end < part.ids.size() && part.ids[end] == kFreeId) {
+      part.ids[end] = id;
+      ++e.tagged_size;
+      ++part.live_ids;
+    } else {
+      GrowExtent(v, id);
+    }
+  } else if (part.words[end - 1] == id >> 6) {
+    part.masks[end - 1] |= uint64_t{1} << (id & 63);
+  } else if (end < part.masks.size() && part.masks[end] == 0) {
+    part.words[end] = id >> 6;
+    part.masks[end] = uint64_t{1} << (id & 63);
+    ++e.tagged_size;
+    ++part.live_blocks;
+  } else {
+    GrowExtent(v, id);
+  }
+  if (counts_[v]++ == 0) member_nonzero_.push_back(v);
+}
+
+void RRCollection::GrowExtent(NodeId v, RRId id) {
+  Extent& e = extents_[v];
+  const uint32_t p = v >> kPartShift;
+  IndexPart& part = parts_[p];
+  const uint32_t size = e.size();
+  const uint64_t posts = counts_[v] + 1;
+  // A block extent only grows when `id` opens a new word.
+  uint64_t blocks = uint64_t{size} + 1;
+  if (!e.blocks()) {
+    BlockCounter counter;
+    for (RRId r : PostingsOf(v).ids) counter.Add(r);
+    counter.Add(id);
+    blocks = counter.blocks;
+  }
+  const bool to_blocks = kBlockCostRatio * blocks <= posts;
+  const uint64_t new_size = to_blocks ? blocks : posts;
+  const uint64_t arena = to_blocks ? part.masks.size() : part.ids.size();
+  // Extend in place when the extent already ends at its arena's tail.
+  const bool in_place = to_blocks == e.blocks() && size != 0 &&
+                        uint64_t{e.begin} + size == arena;
+  const uint64_t begin = in_place ? e.begin : arena;
+  // Twice the size; the minimum spares the many short lists a second move.
+  const uint64_t cap = std::max<uint64_t>(2 * new_size, 4);
+  OPIM_CHECK_LE(begin + cap, uint64_t{kFreeId});
+  if (to_blocks) {
+    part.words.resize(begin + cap, 0);
+    part.masks.resize(begin + cap, 0);
+  } else {
+    part.ids.resize(begin + cap, kFreeId);
+  }
+  // The resize may have moved the arena, so read the old list afresh;
+  // the new extent starts past it, so the two never overlap.
+  ListWriter out{part.ids.data(), part.words.data(), part.masks.data(),
+                 begin, to_blocks};
+  if (in_place) {
+    out.size = size;
+  } else {
+    ForEachPosting(PostingsOf(v), [&](RRId r) { out.Add(r); });
+  }
+  out.Add(id);
+  OPIM_DCHECK_EQ(out.size, new_size);
+  const bool from_blocks = e.blocks();
+  (to_blocks ? part.live_blocks : part.live_ids) += new_size;
+  (from_blocks ? part.live_blocks : part.live_ids) -= size;
+  if (!in_place) (from_blocks ? part.dead_blocks : part.dead_ids) += size;
+  e.begin = static_cast<uint32_t>(begin);
+  e.tagged_size = static_cast<uint32_t>(new_size) |
+                  (to_blocks ? Extent::kBlocksBit : 0);
+  // Compact: a rewrite with nothing to append writes the partition
+  // tightly, dropping dead entries and slack alike.
+  if (part.dead_ids > part.live_ids || part.dead_blocks > part.live_blocks) {
+    RewritePartition(p, {}, {}, nullptr);
+  }
 }
 
 void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,
@@ -177,14 +308,7 @@ void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,
     add_sets += shard.sets.size();
   }
   if (add_sets == 0) return;
-
-  // When the per-node membership counts are already materialized and
-  // current, each shard's posting counts update them in O(num_nodes)
-  // below — the whole point of the compressed-shard path for incremental
-  // selection. Captured before any append so a stale vector (serial
-  // AddSet interleaved) keeps its lazy-decode watermark instead.
-  const bool counts_live =
-      member_counts_.size() == num_nodes_ && counts_accounted_ == num_sets_;
+  EnsureIndex(pool);  // a restored collection builds before its first append
 
   // Serial assembly: each shard's byte stream is appended in contiguous
   // runs split only at chunk boundaries (sets are consecutive within a
@@ -228,301 +352,185 @@ void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,
     OPIM_CHECK_EQ(src_pos, shard.bytes.size());
     total_members_ += shard.total_members;
   }
-  if (counts_live) {
-    for (const CompressedRRShard& shard : shards) {
-      OPIM_DCHECK_EQ(shard.post_offsets.size(), size_t{num_nodes_} + 1);
-      for (uint32_t v = 0; v < num_nodes_; ++v) {
-        const uint64_t add =
-            shard.post_offsets[v + 1] - shard.post_offsets[v];
-        if (add != 0 && member_counts_[v] == 0) member_nonzero_.push_back(v);
-        member_counts_[v] += add;
-      }
-    }
-    counts_accounted_ = num_sets_;
-  }
   OPIM_TM_GAUGE_SET("opim.rrset.compressed_bytes", pool_bytes_);
-  if (index_dirty_) {
-    RebuildIndex(pool);  // single-set appends left no merge base
-  } else {
-    MergeIndex(shards, shard_bases, pool);
-  }
-}
-
-void RRCollection::MergeIndex(std::span<const CompressedRRShard> shards,
-                              std::span<const RRId> shard_bases,
-                              ThreadPool* pool) const {
   OPIM_TR_SPAN1("index_merge", "rrset", "sets", num_sets_);
   OPIM_TM_SCOPED_TIMER("opim.rrset.index_merge_us");
   OPIM_TM_COUNTER_ADD("opim.rrset.index_merges", 1);
-  index_dirty_ = false;
-  const uint32_t n = num_nodes_;
-  OPIM_CHECK_LE(total_members_, 0xFFFFFFFFull);
-
-  // Every phase runs over the same fixed node ranges; per-node output
-  // never depends on the split, so the result is identical for any worker
-  // count. More ranges than workers keeps the merge balanced when posting
-  // mass is skewed toward hubs.
-  const unsigned workers = pool != nullptr ? pool->num_threads() : 1;
-  const uint32_t ranges =
-      workers > 1 && total_members_ >= kParallelRebuildMinNodes
-          ? std::min<uint32_t>(n, workers * 4)
-          : 1;
-  auto range_lo = [n, ranges](uint32_t r) {
-    return static_cast<uint32_t>(uint64_t{n} * r / ranges);
-  };
-  auto for_ranges = [&](auto&& fn) {
-    if (ranges == 1) {
-      fn(0);
-    } else {
-      pool->ParallelFor(ranges,
-                        [&](uint64_t r) { fn(static_cast<uint32_t>(r)); });
-    }
-  };
-
-  // Phase 1: merged per-node posting counts, then a serial prefix sum.
-  std::vector<uint32_t> offsets(n + 1, 0);
-  for_ranges([&](uint32_t r) {
-    for (uint32_t v = range_lo(r); v < range_lo(r + 1); ++v) {
-      uint32_t count = raw_offsets_[v + 1] - raw_offsets_[v];
-      for (uint32_t b = block_offsets_[v]; b < block_offsets_[v + 1]; ++b) {
-        count += static_cast<uint32_t>(std::popcount(block_masks_[b]));
-      }
-      for (const CompressedRRShard& shard : shards) {
-        count += shard.post_offsets[v + 1] - shard.post_offsets[v];
-      }
-      offsets[v + 1] = count;
-    }
-  });
-  for (uint32_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  OPIM_CHECK_EQ(offsets[n], static_cast<uint32_t>(total_members_));
-
-  // Phase 2: fill the merged raw postings. Old ids first (ascending out
-  // of either representation), then shard postings in shard order —
-  // local indices ascend per node and bases increase, so every node's
-  // merged list comes out ascending without any sort.
-  std::vector<RRId> merged(offsets[n]);
-  for_ranges([&](uint32_t r) {
-    for (uint32_t v = range_lo(r); v < range_lo(r + 1); ++v) {
-      uint32_t w = offsets[v];
-      for (uint32_t i = raw_offsets_[v]; i < raw_offsets_[v + 1]; ++i) {
-        merged[w++] = cover_ids_[i];
-      }
-      for (uint32_t b = block_offsets_[v]; b < block_offsets_[v + 1]; ++b) {
-        uint64_t mask = block_masks_[b];
-        const uint64_t base = uint64_t{block_words_[b]} << 6;
-        while (mask != 0) {
-          merged[w++] = static_cast<RRId>(base + std::countr_zero(mask));
-          mask &= mask - 1;
-        }
-      }
-      for (size_t s = 0; s < shards.size(); ++s) {
-        const CompressedRRShard& shard = shards[s];
-        for (uint32_t i = shard.post_offsets[v];
-             i < shard.post_offsets[v + 1]; ++i) {
-          merged[w++] = shard_bases[s] + shard.postings[i];
-        }
-      }
-      OPIM_DCHECK_EQ(w, offsets[v + 1]);
-    }
-  });
-
-  // Phase 3: per-node representation selection + compaction, two passes
-  // over the same ranges: per-range output sizes, a serial prefix fixing
-  // each range's write base, then emission. The choice rule matches
-  // RebuildIndex exactly (blocks win iff 3·blocks <= postings).
-  auto node_blocks = [&](uint32_t lo, uint32_t hi) {
-    uint32_t blocks = 1;
-    for (uint32_t i = lo + 1; i < hi; ++i) {
-      blocks += (merged[i] >> 6) != (merged[i - 1] >> 6);
-    }
-    return blocks;
-  };
-  std::vector<uint64_t> range_raw(ranges + 1, 0);
-  std::vector<uint64_t> range_blocks(ranges + 1, 0);
-  for_ranges([&](uint32_t r) {
-    uint64_t raw = 0;
-    uint64_t blk = 0;
-    for (uint32_t v = range_lo(r); v < range_lo(r + 1); ++v) {
-      const uint32_t p = offsets[v + 1] - offsets[v];
-      if (p == 0) continue;
-      const uint32_t blocks = node_blocks(offsets[v], offsets[v + 1]);
-      if (kBlockCostRatio * blocks <= p) {
-        blk += blocks;
-      } else {
-        raw += p;
-      }
-    }
-    range_raw[r + 1] = raw;
-    range_blocks[r + 1] = blk;
-  });
-  for (uint32_t r = 0; r < ranges; ++r) {
-    range_raw[r + 1] += range_raw[r];
-    range_blocks[r + 1] += range_blocks[r];
-  }
-  cover_ids_.resize(range_raw[ranges]);
-  block_words_.resize(range_blocks[ranges]);
-  block_masks_.resize(range_blocks[ranges]);
-  for_ranges([&](uint32_t r) {
-    uint32_t w_raw = static_cast<uint32_t>(range_raw[r]);
-    uint32_t w_blk = static_cast<uint32_t>(range_blocks[r]);
-    for (uint32_t v = range_lo(r); v < range_lo(r + 1); ++v) {
-      raw_offsets_[v] = w_raw;
-      block_offsets_[v] = w_blk;
-      const uint32_t lo = offsets[v];
-      const uint32_t hi = offsets[v + 1];
-      const uint32_t p = hi - lo;
-      if (p == 0) continue;
-      const uint32_t blocks = node_blocks(lo, hi);
-      if (kBlockCostRatio * blocks <= p) {
-        uint32_t word = merged[lo] >> 6;
-        uint64_t mask = 0;
-        for (uint32_t i = lo; i < hi; ++i) {
-          const uint32_t w = merged[i] >> 6;
-          if (w != word) {
-            block_words_[w_blk] = word;
-            block_masks_[w_blk] = mask;
-            ++w_blk;
-            word = w;
-            mask = 0;
-          }
-          mask |= uint64_t{1} << (merged[i] & 63);
-        }
-        block_words_[w_blk] = word;
-        block_masks_[w_blk] = mask;
-        ++w_blk;
-      } else {
-        for (uint32_t i = lo; i < hi; ++i) cover_ids_[w_raw++] = merged[i];
-      }
-    }
-  });
-  raw_offsets_[n] = static_cast<uint32_t>(range_raw[ranges]);
-  block_offsets_[n] = static_cast<uint32_t>(range_blocks[ranges]);
-  cover_ids_.shrink_to_fit();
-  block_words_.shrink_to_fit();
-  block_masks_.shrink_to_fit();
+  AppendShardPostings(shards, shard_bases, pool);
 }
 
-void RRCollection::RebuildIndex(ThreadPool* pool) const {
+void RRCollection::AppendShardPostings(
+    std::span<const CompressedRRShard> shards,
+    std::span<const RRId> shard_bases, ThreadPool* pool) const {
+  const uint32_t num_parts = static_cast<uint32_t>(parts_.size());
+  // Nodes whose count leaves zero, per partition; appended to the
+  // nonzero list in partition order below.
+  std::vector<std::vector<NodeId>> fresh(num_parts);
+  auto append = [&](uint32_t p) {
+    const NodeId lo = p << kPartShift;
+    const NodeId hi = PartitionEnd(p);
+    for (const CompressedRRShard& shard : shards) {
+      if (shard.post_offsets[hi] != shard.post_offsets[lo]) {
+        RewritePartition(p, shards, shard_bases, &fresh[p]);
+        return;
+      }
+    }
+  };
+  if (pool != nullptr && pool->num_threads() > 1 && num_parts > 1 &&
+      total_members_ >= kParallelIndexMinPostings) {
+    pool->ParallelFor(num_parts,
+                      [&](uint64_t p) { append(static_cast<uint32_t>(p)); });
+  } else {
+    for (uint32_t p = 0; p < num_parts; ++p) append(p);
+  }
+  for (const std::vector<NodeId>& nodes : fresh) {
+    member_nonzero_.insert(member_nonzero_.end(), nodes.begin(), nodes.end());
+  }
+}
+
+void RRCollection::RewritePartition(uint32_t p,
+                                    std::span<const CompressedRRShard> shards,
+                                    std::span<const RRId> shard_bases,
+                                    std::vector<NodeId>* fresh) const {
+  // Calls fn(global id) for each of v's new postings, ascending.
+  auto for_each_new = [&](NodeId v, auto&& fn) {
+    for (size_t s = 0; s < shards.size(); ++s) {
+      const CompressedRRShard& shard = shards[s];
+      for (uint32_t i = shard.post_offsets[v]; i < shard.post_offsets[v + 1];
+           ++i) {
+        fn(shard_bases[s] + shard.postings[i]);
+      }
+    }
+  };
+  // The representation rule for v's list grown by its `add` new
+  // postings; returns the grown extent's tagged size.
+  auto grown_size = [&](NodeId v, Extent e, uint64_t add) {
+    const uint64_t posts = counts_[v] + add;
+    // The new ids' blocks bound the grown list's from below, which
+    // settles most nodes as raw without reading their old postings.
+    BlockCounter counter;
+    for_each_new(v, [&](RRId r) { counter.Add(r); });
+    if (kBlockCostRatio * counter.blocks <= posts) {
+      counter = {};
+      const CoverPostings old = PostingsOf(v);
+      if (e.blocks()) {
+        counter = {e.size(), old.words.back()};
+      } else {
+        for (RRId r : old.ids) counter.Add(r);
+      }
+      for_each_new(v, [&](RRId r) { counter.Add(r); });
+      if (kBlockCostRatio * counter.blocks <= posts) {
+        return static_cast<uint32_t>(counter.blocks) | Extent::kBlocksBit;
+      }
+    }
+    return static_cast<uint32_t>(posts);
+  };
+  const NodeId lo = p << kPartShift;
+  const NodeId hi = PartitionEnd(p);
+  IndexPart& part = parts_[p];
+
+  // Pass 1: each node's new posting count and grown extent. An
+  // untouched node keeps its representation; a touched one is
+  // re-chosen.
+  std::vector<uint32_t> adds(hi - lo);
+  std::vector<Extent> plan(hi - lo);
+  uint64_t raw_total = 0;
+  uint64_t block_total = 0;
+  for (NodeId v = lo; v < hi; ++v) {
+    const Extent e = extents_[v];
+    uint32_t add = 0;
+    for (const CompressedRRShard& shard : shards) {
+      add += shard.post_offsets[v + 1] - shard.post_offsets[v];
+    }
+    adds[v - lo] = add;
+    Extent& out = plan[v - lo];
+    out.tagged_size = add == 0 ? e.tagged_size : grown_size(v, e, add);
+    (out.blocks() ? block_total : raw_total) += out.size();
+  }
+  OPIM_CHECK_LT(raw_total, uint64_t{kFreeId});
+  OPIM_CHECK_LT(block_total, uint64_t{kFreeId});
+
+  // Pass 2: write every extent tightly into fresh arenas — old list
+  // first, then the new postings in shard order, so each list comes out
+  // ascending without a sort.
+  std::vector<RRId> ids(raw_total);
+  std::vector<uint32_t> words(block_total);
+  std::vector<uint64_t> masks(block_total);
+  uint32_t raw_at = 0;
+  uint32_t block_at = 0;
+  for (NodeId v = lo; v < hi; ++v) {
+    Extent& out = plan[v - lo];
+    if (out.size() == 0) continue;
+    uint32_t& at = out.blocks() ? block_at : raw_at;
+    out.begin = at;
+    at += out.size();
+    ListWriter w{ids.data(), words.data(), masks.data(), out.begin,
+                 out.blocks()};
+    const Extent e = extents_[v];
+    if (e.blocks() && out.blocks()) {
+      // Whole blocks carry over; only the last may merge a new id.
+      std::copy_n(part.words.begin() + e.begin, e.size(),
+                  words.begin() + out.begin);
+      std::copy_n(part.masks.begin() + e.begin, e.size(),
+                  masks.begin() + out.begin);
+      w.size = e.size();
+    } else {
+      ForEachPosting(PostingsOf(v), [&](RRId r) { w.Add(r); });
+    }
+    const uint32_t add = adds[v - lo];
+    if (add != 0) {
+      for_each_new(v, [&](RRId r) { w.Add(r); });
+      if (counts_[v] == 0) fresh->push_back(v);
+      counts_[v] += add;
+    }
+    OPIM_DCHECK_EQ(w.size, out.size());
+  }
+  std::copy(plan.begin(), plan.end(), extents_.begin() + lo);
+  part.ids = std::move(ids);
+  part.words = std::move(words);
+  part.masks = std::move(masks);
+  part.live_ids = raw_total;
+  part.live_blocks = block_total;
+  part.dead_ids = 0;
+  part.dead_blocks = 0;
+}
+
+void RRCollection::BuildIndex(ThreadPool* pool) const {
   OPIM_TR_SPAN1("index_rebuild", "rrset", "sets", num_sets_);
   OPIM_TM_SCOPED_TIMER("opim.rrset.index_rebuild_us");
   OPIM_TM_COUNTER_ADD("opim.rrset.index_rebuilds", 1);
-  index_dirty_ = false;
-  const uint32_t n = num_nodes_;
-  const uint64_t sets = num_sets_;
-  // Posting positions are uint32 (a raw posting is 4 bytes; 2^32 of them
-  // is a 16 GiB index, far past any budgeted run).
-  OPIM_CHECK_LE(total_members_, 0xFFFFFFFFull);
-  cover_ids_.resize(total_members_);
-
-  // Stage 1: counting-sort the decoded sets into full raw postings
-  // (ascending RR ids per node), exactly the PR-2 rebuild but reading
-  // members through the codec. With the spill tier armed, decodes can
-  // fault chunks in, so the rebuild must stay on one thread.
-  std::vector<uint32_t> full_offsets(n + 1, 0);
+  // One posting shard per contiguous set range, decoded in parallel
+  // unless spill is armed (a decode can fault chunks in, so it must stay
+  // on one thread). Ranges are in set order, so appending them as a
+  // batch yields each node's postings ascending.
   const unsigned workers =
-      pool != nullptr && spill_ == nullptr ? pool->num_threads() : 1;
-  if (workers <= 1 || total_members_ < kParallelRebuildMinNodes) {
-    // Serial two-pass counting sort: count into full_offsets[v + 1],
-    // prefix-sum, then place ids in ascending set order per node.
-    for (uint64_t id = 0; id < sets; ++id) {
-      ForEachMember(static_cast<RRId>(id),
-                    [&](NodeId v) { ++full_offsets[v + 1]; });
-    }
-    for (uint32_t v = 0; v < n; ++v) full_offsets[v + 1] += full_offsets[v];
-    std::vector<uint32_t> cursor(full_offsets.begin(), full_offsets.end() - 1);
-    for (uint64_t id = 0; id < sets; ++id) {
-      ForEachMember(static_cast<RRId>(id), [&](NodeId v) {
-        cover_ids_[cursor[v]++] = static_cast<RRId>(id);
-      });
-    }
-  } else {
-    // Parallel counting sort over contiguous set ranges ("chunks"):
-    // per-chunk node counts, a serial combine that turns them into
-    // per-chunk write cursors, and a parallel placement pass. Chunks are
-    // ordered by set id and cursors start at each chunk's global
-    // position, so every node's id list comes out ascending — identical
-    // to the serial result for any worker count.
-    const unsigned chunks = workers;
-    std::vector<uint64_t> chunk_set_end(chunks);
-    for (unsigned c = 0; c < chunks; ++c) {
-      chunk_set_end[c] = sets * (c + 1) / chunks;
-    }
-    std::vector<std::vector<uint32_t>> chunk_counts(chunks);
-    pool->ParallelFor(chunks, [&](uint64_t c) {
-      std::vector<uint32_t>& counts = chunk_counts[c];
-      counts.assign(n, 0);
-      const uint64_t lo = c == 0 ? 0 : chunk_set_end[c - 1];
-      for (uint64_t id = lo; id < chunk_set_end[c]; ++id) {
-        ForEachMember(static_cast<RRId>(id), [&](NodeId v) { ++counts[v]; });
-      }
-    });
-    uint32_t acc = 0;
-    for (uint32_t v = 0; v < n; ++v) {
-      full_offsets[v] = acc;
-      for (unsigned c = 0; c < chunks; ++c) {
-        const uint32_t count = chunk_counts[c][v];
-        chunk_counts[c][v] = acc;  // becomes chunk c's write cursor for v
-        acc += count;
-      }
-    }
-    full_offsets[n] = acc;
-    pool->ParallelFor(chunks, [&](uint64_t c) {
-      std::vector<uint32_t>& cursor = chunk_counts[c];
-      const uint64_t lo = c == 0 ? 0 : chunk_set_end[c - 1];
-      for (uint64_t id = lo; id < chunk_set_end[c]; ++id) {
-        ForEachMember(static_cast<RRId>(id), [&](NodeId v) {
-          cover_ids_[cursor[v]++] = static_cast<RRId>(id);
-        });
-      }
-    });
+      pool != nullptr && spill_ == nullptr &&
+              total_members_ >= kParallelIndexMinPostings
+          ? pool->num_threads()
+          : 1;
+  const uint32_t ranges = std::min<uint32_t>(workers, num_sets_);
+  std::vector<CompressedRRShard> shards(ranges);
+  std::vector<RRId> bases(ranges);
+  auto decode = [&](uint64_t r) {
+    const auto lo = static_cast<RRId>(uint64_t{num_sets_} * r / ranges);
+    const auto hi = static_cast<RRId>(uint64_t{num_sets_} * (r + 1) / ranges);
+    bases[r] = lo;
+    BuildPostings(
+        num_nodes_,
+        [&](auto&& fn) {
+          for (RRId id = lo; id < hi; ++id) {
+            ForEachMember(id, [&](NodeId v) { fn(id - lo, v); });
+          }
+        },
+        &shards[r]);
+  };
+  if (ranges > 1) {
+    pool->ParallelFor(ranges, decode);
+  } else if (ranges == 1) {
+    decode(0);
   }
-
-  // Stage 2: per-node representation selection + in-place compaction.
-  // Raw postings for a node are rewritten left-to-right at or before
-  // their original position (the kept total only shrinks), so the block
-  // conversion reads ahead of every write and no temporary copy of the
-  // postings is needed.
-  block_words_.clear();
-  block_masks_.clear();
-  uint32_t write = 0;
-  for (uint32_t v = 0; v < n; ++v) {
-    const uint32_t lo = full_offsets[v];
-    const uint32_t hi = full_offsets[v + 1];
-    const uint32_t p = hi - lo;
-    raw_offsets_[v] = write;
-    block_offsets_[v] = static_cast<uint32_t>(block_words_.size());
-    if (p == 0) continue;
-    uint32_t blocks = 1;
-    for (uint32_t i = lo + 1; i < hi; ++i) {
-      blocks += (cover_ids_[i] >> 6) != (cover_ids_[i - 1] >> 6);
-    }
-    if (kBlockCostRatio * blocks <= p) {
-      uint32_t word = cover_ids_[lo] >> 6;
-      uint64_t mask = 0;
-      for (uint32_t i = lo; i < hi; ++i) {
-        const uint32_t w = cover_ids_[i] >> 6;
-        if (w != word) {
-          block_words_.push_back(word);
-          block_masks_.push_back(mask);
-          word = w;
-          mask = 0;
-        }
-        mask |= uint64_t{1} << (cover_ids_[i] & 63);
-      }
-      block_words_.push_back(word);
-      block_masks_.push_back(mask);
-    } else {
-      for (uint32_t i = lo; i < hi; ++i) {
-        cover_ids_[write++] = cover_ids_[i];
-      }
-    }
-  }
-  raw_offsets_[n] = write;
-  block_offsets_[n] = static_cast<uint32_t>(block_words_.size());
-  cover_ids_.resize(write);
-  cover_ids_.shrink_to_fit();
-  block_words_.shrink_to_fit();
-  block_masks_.shrink_to_fit();
+  AppendShardPostings(shards, bases, ranges > 1 ? pool : nullptr);
+  index_built_ = true;
 }
 
 /// Spill-file bookkeeping behind unique_ptr so the collection stays
@@ -710,40 +718,7 @@ std::vector<RRId> RRCollection::DecodeCovering(NodeId v) const {
   return out;
 }
 
-std::span<const uint64_t> RRCollection::MemberCounts() const {
-  if (member_counts_.size() != num_nodes_ || counts_accounted_ != num_sets_) {
-    AccountMemberCounts();
-  }
-  return member_counts_;
-}
-
-void RRCollection::AccountMemberCounts() const {
-  OPIM_TM_SCOPED_TIMER("opim.rrset.member_counts_us");
-  if (member_counts_.size() != num_nodes_) {
-    // First use (or a restore replaced the pool wholesale): materialize
-    // and fold every set. This is the one full-pool decode the counts
-    // ever pay; every later doubling folds only its shard deltas.
-    member_counts_.assign(num_nodes_, 0);
-    member_nonzero_.clear();
-    counts_accounted_ = 0;
-  }
-  OPIM_TR_SPAN1("member_counts", "rrset", "delta_sets",
-                num_sets_ - counts_accounted_);
-  for (RRId id = static_cast<RRId>(counts_accounted_); id < num_sets_; ++id) {
-    ForEachMember(id, [&](NodeId v) {
-      if (member_counts_[v]++ == 0) member_nonzero_.push_back(v);
-    });
-  }
-  counts_accounted_ = num_sets_;
-}
-
-std::span<const NodeId> RRCollection::MemberNonzero() const {
-  MemberCounts();  // materialize / fold pending sets; keeps the list current
-  return member_nonzero_;
-}
-
 uint64_t RRCollection::CoverageOf(std::span<const NodeId> seeds) const {
-  if (index_dirty_) RebuildIndex(nullptr);
   cover_scratch_.Reset(num_sets_);
   uint64_t* words = cover_scratch_.words();
   uint64_t covered = 0;
@@ -805,9 +780,9 @@ RRCollection RRCollection::RestoreFromSnapshotParts(
   rr.set_cost_ = std::move(costs);
   rr.total_members_ = total_members;
   rr.total_edges_examined_ = total_edges_examined;
-  // The index is a deterministic function of the pool; rebuild on first
-  // read (or EnsureIndex) instead of shipping it through the snapshot.
-  rr.index_dirty_ = rr.num_sets_ > 0;
+  // The index is a function of the pool; build it on EnsureIndex or the
+  // first read instead of shipping it through the snapshot.
+  rr.index_built_ = rr.num_sets_ == 0;
   return rr;
 }
 

@@ -18,23 +18,38 @@
 // budget and the peak_rr_bytes telemetry are checked against.
 //
 // Inverted index. Each node's posting list (the ascending ids of the RR
-// sets containing it) is stored in one of two representations chosen per
-// node at rebuild time: raw RRId postings, or (word index, 64-bit mask)
-// blocks over the RR-id space for dense nodes. A block costs 12 bytes
-// against 4 per raw posting, so blocks win exactly when 3·blocks <=
-// postings — hub nodes collapse to ~θ/64 words that the bitset coverage
-// kernels (rrset/cover_bitset.h) AND + popcount whole words at a time.
-// Both representations hang off dual CSR offset arrays; exactly one has a
-// nonzero extent per node.
+// sets containing it) is stored in one of two representations: raw RRId
+// postings, or (word index, 64-bit mask) blocks over the RR-id space for
+// dense nodes. A block costs 12 bytes against 4 per raw posting, so
+// blocks win exactly when 3·blocks <= postings — hub nodes collapse to
+// ~θ/64 words that the bitset coverage kernels (rrset/cover_bitset.h)
+// AND + popcount whole words at a time. The rule picks the
+// representation whenever an extent is written.
 //
-// Index validity contract: AddCompressedShards leaves the index built (in
-// parallel when given a ThreadPool). AddSet defers the rebuild; the first
-// index read after single-set appends rebuilds serially. Interleaving
-// AddSet with reads is therefore valid but pays one rebuild per flip from
-// writing to reading — the batch paths (ParallelGenerate and the two-pool
-// engine's staged batches) ingest whole shards, and only the online
-// serial Advance appends set by set. The lazy rebuild also means the
-// first post-append read is not safe to race with other readers.
+// Node ids are split into fixed 4096-node partitions. Each partition owns
+// two arenas (raw ids; parallel block words and masks) that hold its
+// nodes' extents, and each node keeps one 8-byte extent record (arena
+// offset, size, representation) next to its 8-byte membership count. The
+// index is append-only: an ingest writes only the new sets' postings.
+//   * AddSet appends each member's new id in place. An extent that is
+//     full moves to its partition's tail at twice its size (free slots
+//     hold a sentinel, so capacity is implicit), and a partition arena
+//     whose dead entries outnumber its live ones is compacted. O(|set|)
+//     amortized.
+//   * AddCompressedShards rewrites each partition the shards touch
+//     tightly — old list, then the shards' postings in shard order — in
+//     one ParallelFor over partitions; untouched partitions are not read.
+// A posting list's contents never depend on ingest history; only its
+// layout (representation, position, slack) does.
+//
+// Index validity contract: the index and MemberCounts() are current after
+// every append, so reads may interleave with appends freely, and
+// concurrent index reads (all but CoverageOf, which borrows a scratch
+// bitset) need no synchronization. The one exception is a collection
+// restored from a snapshot (RestoreFromSnapshotParts), whose index is
+// built by EnsureIndex — TwoPoolEngine::Restore does so on its workers —
+// or else by the first read or append, which must then not race with
+// other readers.
 
 // Out-of-core spill tier. The pool is chunked (4096 sets per chunk);
 // each chunk's encoded bytes are an independent byte run, so a sealed
@@ -44,14 +59,16 @@
 // the resident pool fits a target, and any later decode of a spilled
 // set faults its chunk back in transparently (evicting other cold
 // chunks past the sticky resident target). Fault-in happens inside
-// SetBytes, so the CELF recount path — the only engine path that
-// decodes members after ingest — drives residency. Decode-time
-// fault-in is single-threaded-readers-only: with spill enabled the
-// index rebuild runs serially, matching the engine (selection decodes
-// are serial; parallel generation workers never read the collection).
+// SetBytes, so the trace-mode CELF update — which decodes each newly
+// covered set — drives residency. Decode-time fault-in is
+// single-threaded-readers-only. The index never decodes the pool except
+// to build a restored collection, and that build runs serially once
+// spill is armed (selection decodes are serial; parallel generation
+// workers never read the collection).
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -83,10 +100,10 @@ inline constexpr uint32_t kEmpty = 0xFFFFFFFFu;
 /// set's encoded byte length, paired with its traversal cost), and the
 /// shard-local inverted postings (per node, the ascending *local* set
 /// indices within this shard). Built inside generation workers by
-/// ShardEncoder so ingestion is a cheap shard-order merge: byte streams
-/// are appended wholesale and the index update is a parallel per-node
-/// merge of old postings with each shard's postings (global id = shard
-/// base + local index) instead of a full re-decode of every stored set.
+/// ShardEncoder so ingestion is a cheap shard-order append: byte streams
+/// are appended wholesale and each node's new postings (global id = shard
+/// base + local index) land after its existing ones, without re-decoding
+/// any stored set.
 struct CompressedRRShard {
   std::vector<uint8_t> bytes;
   struct SetRec {
@@ -182,20 +199,19 @@ class RRCollection {
 
   /// Appends one RR set (list of distinct nodes, any order; stored
   /// sorted). `edges_examined` is the traversal cost the sampler paid
-  /// (the paper's γ accounting, §3.2). Returns the new set's id. The
-  /// inverted index rebuild is deferred to the next index read (see the
-  /// contract above); bulk producers should encode shards with
+  /// (the paper's γ accounting, §3.2). Returns the new set's id. Each
+  /// member's posting is appended in place, O(|set|) amortized, so the
+  /// index stays current; bulk producers should encode shards with
   /// ShardEncoder and use AddCompressedShards.
   RRId AddSet(std::span<const NodeId> nodes, uint64_t edges_examined);
 
   /// Appends pre-compressed shards (ShardEncoder output), in shard order:
-  /// byte streams are appended wholesale, and the inverted index is
-  /// updated by a parallel per-node merge of the existing postings with
-  /// each shard's local postings — existing sets are never re-decoded.
-  /// Non-finalized shards (worker threw before Finish) are finalized
-  /// here first. The index is valid on return; deterministic for any
-  /// worker count. Falls back to a full rebuild when single-set appends
-  /// left the index stale.
+  /// byte streams are appended wholesale, and every index partition the
+  /// shards touch is rewritten tightly — each node's old postings, then
+  /// each shard's local postings offset by its id base — in one parallel
+  /// pass over partitions when `pool` is given. Existing sets are never
+  /// re-decoded. Non-finalized shards (worker threw before Finish) are
+  /// finalized here first. Deterministic for any worker count.
   void AddCompressedShards(std::vector<CompressedRRShard> shards,
                            ThreadPool* pool = nullptr);
 
@@ -228,8 +244,7 @@ class RRCollection {
   /// Members of RR set `id`, decoded into a fresh vector (ascending).
   std::vector<NodeId> DecodeSet(RRId id) const;
 
-  /// Number of RR sets containing `v` — Λ({v}). Rebuilds the inverted
-  /// index first if single-set appends left it stale.
+  /// Number of RR sets containing `v` — Λ({v}).
   uint32_t CoveringCount(NodeId v) const;
 
   /// One node's posting list in whichever representation it is stored;
@@ -242,60 +257,43 @@ class RRCollection {
   };
   CoverPostings Covering(NodeId v) const {
     OPIM_DCHECK_LT(v, num_nodes_);
-    if (index_dirty_) RebuildIndex(nullptr);
-    return {{cover_ids_.data() + raw_offsets_[v],
-             cover_ids_.data() + raw_offsets_[v + 1]},
-            {block_words_.data() + block_offsets_[v],
-             block_words_.data() + block_offsets_[v + 1]},
-            {block_masks_.data() + block_offsets_[v],
-             block_masks_.data() + block_offsets_[v + 1]}};
+    if (!index_built_) BuildIndex(nullptr);
+    return PostingsOf(v);
   }
 
   /// Calls `fn(RRId)` for each RR set containing `v`, ascending.
   template <typename Fn>
   void ForEachCovering(NodeId v, Fn&& fn) const {
-    const CoverPostings p = Covering(v);
-    for (RRId id : p.ids) fn(id);
-    for (size_t i = 0; i < p.words.size(); ++i) {
-      uint64_t mask = p.masks[i];
-      const uint64_t base = uint64_t{p.words[i]} << 6;
-      while (mask != 0) {
-        fn(static_cast<RRId>(base + std::countr_zero(mask)));
-        mask &= mask - 1;
-      }
-    }
+    ForEachPosting(Covering(v), fn);
   }
 
   /// Ids of the RR sets containing `v`, decoded into a fresh vector.
   std::vector<RRId> DecodeCovering(NodeId v) const;
 
   /// Per-node membership counts: MemberCounts()[v] == CoveringCount(v)
-  /// for every node, materialized lazily and maintained incrementally.
-  /// First call decodes the whole pool once; afterwards
-  /// AddCompressedShards folds each new shard's posting-count deltas in
-  /// O(num_nodes) per shard — never re-decoding existing sets — which is
-  /// what makes warm-started selection's initial-gain pass an O(n) copy
-  /// instead of an O(Σ|R|) recount. Serial AddSet appends are folded
-  /// lazily on the next call. Collections that never call this pay
-  /// nothing. The span is invalidated by any mutation.
-  std::span<const uint64_t> MemberCounts() const;
+  /// for every node, maintained by the same appends that write the
+  /// postings, so always current — which is what makes warm-started
+  /// selection's initial-gain pass an O(n) copy instead of an O(Σ|R|)
+  /// recount. The span is invalidated by any mutation.
+  std::span<const uint64_t> MemberCounts() const {
+    if (!index_built_) BuildIndex(nullptr);
+    return counts_;
+  }
 
-  /// Nodes with MemberCounts()[v] > 0, each exactly once, maintained for
-  /// free inside the same folds that maintain the counts (a node is
+  /// Nodes with MemberCounts()[v] > 0, each exactly once (a node is
   /// appended when its count first leaves zero; counts never decrease).
   /// Warm-started selection iterates this instead of all n nodes when
   /// building its CELF heap and gain histogram — at small θ the touched
   /// nodes are a small fraction of n, and the selection output cannot
   /// depend on the iteration order (the CELF comparator is a strict
-  /// total order over (gain, node)), so the order here is first-touch,
-  /// not sorted. Materializes the counts if needed; the span is
-  /// invalidated by any mutation.
-  std::span<const NodeId> MemberNonzero() const;
-
-  /// Sets already folded into MemberCounts() (0 before first use). The
-  /// selection state uses this watermark to detect a restored pool whose
-  /// counts must be rebuilt.
-  uint64_t member_counts_accounted() const { return counts_accounted_; }
+  /// total order over (gain, node)). AddSet appends nodes in first-touch
+  /// order; a batch appends its new nodes in ascending id order, so the
+  /// list is the same for any worker count. The span is invalidated by
+  /// any mutation.
+  std::span<const NodeId> MemberNonzero() const {
+    if (!index_built_) BuildIndex(nullptr);
+    return member_nonzero_;
+  }
 
   /// Total nodes across all sets, Σ_R |R|. The query-time complexity of the
   /// OPIM bounds is linear in this (paper Table 1).
@@ -307,24 +305,28 @@ class RRCollection {
   /// Heap footprint of this collection in bytes (capacity-based, so it
   /// reflects what the allocator actually holds): the *resident* part of
   /// the compressed member pool (spilled chunks cost nothing), slots +
-  /// chunk records, optional per-set costs, the hybrid inverted index,
-  /// and the coverage scratch bitset. This is the quantity RunControl's
-  /// memory budget is checked against — which is exactly why spilling
-  /// cold chunks lets a budgeted run continue.
+  /// chunk records, optional per-set costs, the hybrid inverted index
+  /// (its arenas include AddSet slack and dead extents until the
+  /// partition is compacted or rewritten), the per-node extents and
+  /// counts, and the coverage scratch bitset. This is the quantity
+  /// RunControl's memory budget is checked against — which is exactly
+  /// why spilling cold chunks lets a budgeted run continue.
   uint64_t MemoryUsage() const {
-    uint64_t resident_pool = 0;
+    uint64_t bytes = 0;
     for (const PoolChunk& c : chunks_) {
-      resident_pool += c.bytes.capacity() * sizeof(uint8_t);
+      bytes += c.bytes.capacity() * sizeof(uint8_t);
     }
-    return resident_pool + chunks_.capacity() * sizeof(PoolChunk) +
+    for (const IndexPart& part : parts_) {
+      bytes += part.ids.capacity() * sizeof(RRId) +
+               part.words.capacity() * sizeof(uint32_t) +
+               part.masks.capacity() * sizeof(uint64_t);
+    }
+    return bytes + chunks_.capacity() * sizeof(PoolChunk) +
            slot_.capacity() * sizeof(uint32_t) +
            set_cost_.capacity() * sizeof(uint64_t) +
-           raw_offsets_.capacity() * sizeof(uint32_t) +
-           cover_ids_.capacity() * sizeof(RRId) +
-           block_offsets_.capacity() * sizeof(uint32_t) +
-           block_words_.capacity() * sizeof(uint32_t) +
-           block_masks_.capacity() * sizeof(uint64_t) +
-           member_counts_.capacity() * sizeof(uint64_t) +
+           parts_.capacity() * sizeof(IndexPart) +
+           extents_.capacity() * sizeof(Extent) +
+           counts_.capacity() * sizeof(uint64_t) +
            member_nonzero_.capacity() * sizeof(NodeId) +
            cover_scratch_.MemoryUsage();
   }
@@ -391,10 +393,9 @@ class RRCollection {
   //
   // The snapshot container serializes exactly the canonical storage —
   // per-chunk byte runs, slot words, optional cost column, and the
-  // member/γ totals. The inverted index is NOT serialized: it is a
-  // deterministic function of the pool (RebuildIndex produces identical
-  // output for any worker count), so restore marks it stale and the
-  // first read — or an explicit EnsureIndex — rebuilds it.
+  // member/γ totals. The inverted index is NOT serialized: its contents
+  // are a function of the pool, so restore leaves it unbuilt and an
+  // explicit EnsureIndex — or the first read or append — builds it.
 
   /// Number of pool chunks (ceil(num_sets / 4096); 0 when empty).
   uint32_t num_pool_chunks() const {
@@ -412,11 +413,11 @@ class RRCollection {
   /// Per-set cost column; empty unless retains_set_costs().
   std::span<const uint64_t> set_costs() const { return set_cost_; }
 
-  /// Rebuilds the inverted index now (parallel when `pool` is given) if
-  /// single-set appends or a snapshot restore left it stale; no-op
-  /// otherwise.
+  /// Builds the inverted index and member counts of a restored
+  /// collection now (decoding in parallel when `pool` is given and spill
+  /// is not armed); no-op once built.
   void EnsureIndex(ThreadPool* pool = nullptr) const {
-    if (index_dirty_) RebuildIndex(pool);
+    if (!index_built_) BuildIndex(pool);
   }
 
   /// Reassembles a collection from snapshot parts. `chunk_runs` are the
@@ -426,7 +427,8 @@ class RRCollection {
   /// member totals — so violations here are programmer errors
   /// (OPIM_CHECK). The restored collection is byte-identical to the
   /// saved one: further appends, spills, and index reads behave as if
-  /// the sets had been added directly.
+  /// the sets had been added directly. The index is not built here (see
+  /// EnsureIndex), so loading a snapshot pays only for its bytes.
   static RRCollection RestoreFromSnapshotParts(
       uint32_t num_nodes, RRStoreOptions options,
       std::vector<std::vector<uint8_t>> chunk_runs,
@@ -441,6 +443,34 @@ class RRCollection {
   /// run so 31 bits suffice no matter how large the pool grows — and a
   /// chunk's run is independently spillable.
   static constexpr uint32_t kChunkShift = 12;
+  /// Nodes per index partition.
+  static constexpr uint32_t kPartShift = 12;
+
+  /// One node's posting list: `size` entries from `begin` in its
+  /// partition's raw arena, or in its block arena when the blocks bit is
+  /// set. The capacity is implicit: the free slots after an extent hold
+  /// the arena's free sentinel (kFreeId, or a zero mask).
+  struct Extent {
+    static constexpr uint32_t kBlocksBit = 0x80000000u;
+    uint32_t begin = 0;
+    uint32_t tagged_size = 0;  // size | kBlocksBit for block extents
+    uint32_t size() const { return tagged_size & ~kBlocksBit; }
+    bool blocks() const { return (tagged_size & kBlocksBit) != 0; }
+  };
+  static constexpr RRId kFreeId = ~RRId{0};  // never a set id (< 2^32 - 1)
+
+  /// The arenas of one 4096-node partition. `words`/`masks` run in
+  /// parallel. Dead entries are those of extents that moved away; free
+  /// slack after a live extent counts as neither live nor dead.
+  struct IndexPart {
+    std::vector<RRId> ids;
+    std::vector<uint32_t> words;
+    std::vector<uint64_t> masks;
+    uint64_t live_ids = 0;
+    uint64_t dead_ids = 0;
+    uint64_t live_blocks = 0;
+    uint64_t dead_blocks = 0;
+  };
 
   /// One pool chunk: the group-varint byte run of its non-inline sets.
   /// Resident chunks keep the run (plus decode slack) in `bytes` with
@@ -457,6 +487,32 @@ class RRCollection {
   };
 
   struct SpillState;
+
+  /// Node `v`'s extent as spans (no build check).
+  CoverPostings PostingsOf(NodeId v) const {
+    const Extent e = extents_[v];
+    const IndexPart& part = parts_[v >> kPartShift];
+    if (e.blocks()) {
+      return {{},
+              {part.words.data() + e.begin, e.size()},
+              {part.masks.data() + e.begin, e.size()}};
+    }
+    return {{part.ids.data() + e.begin, e.size()}, {}, {}};
+  }
+
+  /// Calls `fn(RRId)` for each id of `p`, ascending.
+  template <typename Fn>
+  static void ForEachPosting(const CoverPostings& p, Fn&& fn) {
+    for (RRId id : p.ids) fn(id);
+    for (size_t i = 0; i < p.words.size(); ++i) {
+      uint64_t mask = p.masks[i];
+      const uint64_t base = uint64_t{p.words[i]} << 6;
+      while (mask != 0) {
+        fn(static_cast<RRId>(base + std::countr_zero(mask)));
+        mask &= mask - 1;
+      }
+    }
+  }
 
   const uint8_t* SetBytes(RRId id, uint32_t slot) const {
     const PoolChunk& c = chunks_[id >> kChunkShift];
@@ -476,22 +532,43 @@ class RRCollection {
   /// encoded bytes for one set (AddSet).
   void AppendEncodedSet(std::vector<NodeId>* nodes);
 
-  /// Rebuilds the hybrid inverted index from the compressed pool:
-  /// counting-sort into raw ascending postings (parallelized across set
-  /// ranges when `pool` has > 1 worker), then per-node representation
-  /// selection and compaction. Deterministic: the result is identical
-  /// for any worker count.
-  void RebuildIndex(ThreadPool* pool) const;
+  /// Appends set `id` to node `v`'s posting list in place, or moves the
+  /// full extent to its partition's tail at twice its size.
+  void AppendPosting(NodeId v, RRId id);
 
-  /// Merges per-shard local postings into the hybrid index without
-  /// re-decoding existing sets: per node, the old postings (enumerated
-  /// from whichever representation holds them) are concatenated with each
-  /// shard's postings offset by its id base, then the representation is
-  /// re-chosen. Parallel over node ranges when `pool` has > 1 worker;
-  /// output is identical to a full RebuildIndex for any worker count.
-  /// `shard_bases[s]` is the first global RRId of shard s.
-  void MergeIndex(std::span<const CompressedRRShard> shards,
-                  std::span<const RRId> shard_bases, ThreadPool* pool) const;
+  /// AppendPosting's slow path: re-chooses the representation for the
+  /// grown list, writes it at the arena tail with twice its size as
+  /// capacity (extending in place when the extent already ends there),
+  /// and compacts the partition once an arena's dead entries outnumber
+  /// its live ones.
+  void GrowExtent(NodeId v, RRId id);
+
+  /// Appends shard s's postings (global id = shard_bases[s] + local
+  /// index) to every node, rewriting each partition they touch;
+  /// parallel over partitions when `pool` has > 1 worker. Maintains the
+  /// member counts and the nonzero list.
+  void AppendShardPostings(std::span<const CompressedRRShard> shards,
+                           std::span<const RRId> shard_bases,
+                           ThreadPool* pool) const;
+
+  /// Rewrites partition `p`'s arenas tightly: each node's old list, then
+  /// its postings from `shards` (re-choosing the representation of every
+  /// node that gains some), and records nodes whose count leaves zero in
+  /// `*fresh`. With no shards this is the compaction.
+  void RewritePartition(uint32_t p, std::span<const CompressedRRShard> shards,
+                        std::span<const RRId> shard_bases,
+                        std::vector<NodeId>* fresh) const;
+
+  /// One past partition `p`'s last node.
+  NodeId PartitionEnd(uint32_t p) const {
+    return static_cast<NodeId>(std::min<uint64_t>(
+        num_nodes_, (uint64_t{p} + 1) << kPartShift));
+  }
+
+  /// Builds the index of a restored collection: decodes the pool into
+  /// per-set-range posting shards (one range per worker; serial once
+  /// spill is armed) and appends them through AppendShardPostings.
+  void BuildIndex(ThreadPool* pool) const;
 
   /// Appends `len` bytes from `src` to the open (last) chunk's run,
   /// maintaining the per-chunk decode slack and `pool_bytes_`.
@@ -511,25 +588,16 @@ class RRCollection {
   std::vector<NodeId> addset_scratch_;  // AddSet sort buffer (reused)
   uint64_t total_members_ = 0;
   uint64_t total_edges_examined_ = 0;
-  // Hybrid inverted index; rebuilt lazily (mutable) after AddSet appends.
-  mutable std::vector<uint32_t> raw_offsets_;    // num_nodes + 1
-  mutable std::vector<RRId> cover_ids_;
-  mutable std::vector<uint32_t> block_offsets_;  // num_nodes + 1
-  mutable std::vector<uint32_t> block_words_;
-  mutable std::vector<uint64_t> block_masks_;
-  mutable bool index_dirty_ = false;
+  // Hybrid inverted index (see the file comment). Mutable only so a
+  // restored collection can build it on first read.
+  mutable std::vector<IndexPart> parts_;  // ceil(num_nodes / 4096)
+  mutable std::vector<Extent> extents_;   // per node
+  mutable std::vector<uint64_t> counts_;  // per node: postings (MemberCounts)
+  // Nodes whose count left zero (see MemberNonzero).
+  mutable std::vector<NodeId> member_nonzero_;
+  mutable bool index_built_ = true;  // false only after a restore
   // Scratch for CoverageOf (covered-set bitset, reset per call).
   mutable CoverBitset cover_scratch_;
-  // Lazily materialized per-node membership counts and the id of the
-  // first set not yet folded in (see MemberCounts). Empty until first use.
-  mutable std::vector<uint64_t> member_counts_;
-  mutable uint64_t counts_accounted_ = 0;
-  // Nodes whose count left zero, in first-touch order (see MemberNonzero).
-  mutable std::vector<NodeId> member_nonzero_;
-
-  /// Folds sets [counts_accounted_, num_sets_) into member_counts_,
-  /// materializing the vector first when empty.
-  void AccountMemberCounts() const;
 };
 
 }  // namespace opim

@@ -90,7 +90,7 @@ static_assert(sizeof(SnapshotRunState) == 88,
               ".opimss run-state record is part of the wire format");
 
 /// A loaded snapshot: the run position plus both restored pools (index
-/// marked stale; EnsureIndex or the first read rebuilds it).
+/// not built yet; EnsureIndex or the first read or append builds it).
 struct RRPoolSnapshot {
   SnapshotRunState run;
   RRCollection r1{0};

@@ -27,15 +27,11 @@ void InitialGains(const RRCollection& collection, const CelfOptions& options,
   const uint32_t n = collection.num_nodes();
   gains->resize(n);
   ThreadPool* pool = options.pool;
-  if (pool != nullptr && pool->num_threads() > 1 && n > 0 &&
+  if (pool != nullptr && pool->num_threads() > 1 &&
       collection.total_size() >= kParallelInitMinWork) {
-    // One serial touch first: Covering() lazily rebuilds a stale index,
-    // which must not race across workers.
-    (*gains)[0] = collection.CoveringCount(0);
     const uint32_t ranges = std::min<uint32_t>(n, pool->num_threads() * 4);
     pool->ParallelFor(ranges, [&](uint64_t r) {
-      const uint32_t lo =
-          std::max<uint32_t>(1, static_cast<uint32_t>(uint64_t{n} * r / ranges));
+      const uint32_t lo = static_cast<uint32_t>(uint64_t{n} * r / ranges);
       const uint32_t hi =
           static_cast<uint32_t>(uint64_t{n} * (r + 1) / ranges);
       for (NodeId v = lo; v < hi; ++v) {
@@ -58,12 +54,12 @@ void InitialGains(const RRCollection& collection, const CelfOptions& options,
 // where d_v is v's membership count among the NEW sets only. The synced
 // counts are therefore the EXACT singleton coverages on the grown pool —
 // not an approximation — because RRCollection::MemberCounts maintains
-// Σ-membership per node exactly across ingests (the shard posting
-// offsets it folds are computed from the same encoded sets the index is
-// built from). Seeding CELF's heap with exact Λ_i({v}) is precisely what
-// the cold pass does, so the heap contents, every pop, every tie-break,
-// and hence the seed sequence and all trace arrays are bit-identical to
-// a from-scratch run (the differential tests in tests/select pin this).
+// Σ-membership per node exactly across ingests (the same appends that
+// write a node's postings count them). Seeding CELF's heap with exact
+// Λ_i({v}) is precisely what the cold pass does, so the heap contents,
+// every pop, every tie-break, and hence the seed sequence and all trace
+// arrays are bit-identical to a from-scratch run (the differential tests
+// in tests/select pin this).
 // Note the subtlety this design avoids: warm-starting from iteration
 // i-1's FINAL marginals Λ_{i-1}(v | S*) — tempting, since they are
 // smaller — would be unsound as CELF initial entries: a node's marginal

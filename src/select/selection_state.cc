@@ -26,8 +26,7 @@ void SelectionState::SyncGains(const RRCollection& collection,
   }
   // The counts are exact memberships (sets are de-duplicated at encode
   // time), so this is the same vector the cold CoveringCount pass would
-  // produce — just obtained in O(n) plus whatever delta the collection
-  // still had to fold, instead of O(Σ|R|) every iteration.
+  // produce — just obtained in O(n) instead of O(Σ|R|) every iteration.
   const std::span<const uint64_t> counts = collection.MemberCounts();
   gains->assign(counts.begin(), counts.end());
   collection_ = &collection;

@@ -7,12 +7,11 @@
 // posting mass — again each time. SelectionState makes that pass
 // incremental: it tracks which prefix of a specific RRCollection its
 // owner has already selected over, and on the next selection pulls the
-// collection's incrementally maintained per-node membership counts
-// (RRCollection::MemberCounts — updated in O(n) per ingested shard from
-// the shards' own posting offsets, never re-decoding stored sets) as the
-// exact initial gains. It also keeps the covered-RR-set bitset's word
-// arena alive across selections, so each doubling extends and clears it
-// instead of reallocating.
+// collection's per-node membership counts (RRCollection::MemberCounts —
+// kept current by the same appends that write each node's postings,
+// never re-decoding stored sets) as the exact initial gains. It also
+// keeps the covered-RR-set bitset's word arena alive across selections,
+// so each doubling extends and clears it instead of reallocating.
 //
 // The state is an execution accelerator only: SelectGreedyCelf with a
 // state produces bit-identical output to the stateless path (the warm

@@ -14,8 +14,15 @@
 namespace opim {
 namespace {
 
+/// `name` under the gtest temp dir, prefixed with the running test's name:
+/// ctest runs every case as its own process, side by side under -j, so
+/// cases that shared a file (every GraphMmapCorruptionTest writes one in
+/// SetUp) would overwrite each other's bytes mid-test.
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." +
+         test->name() + "." + name;
 }
 
 std::string ReadFile(const std::string& path) {

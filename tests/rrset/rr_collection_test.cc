@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -293,9 +295,9 @@ TEST(RRCollectionBatchTest, EmptyAndNoopShards) {
 }
 
 TEST(RRCollectionBatchTest, ParallelRebuildMatchesSerial) {
-  // Above the size cutoff AddCompressedShards merges the inverted index
-  // on the pool; the per-node-range merge must produce exactly the serial
-  // layout.
+  // Above the size cutoff AddCompressedShards appends to the inverted
+  // index on the pool, one task per index partition; every node must
+  // read exactly as after the serial append.
   const uint32_t n = 400;
   const int num_sets = 30000;  // ~90k pooled nodes > the 2^16 cutoff
   std::vector<std::vector<NodeId>> sets;
@@ -324,8 +326,8 @@ TEST(RRCollectionBatchTest, ParallelRebuildMatchesSerial) {
 }
 
 TEST(RRCollectionBatchTest, AddSetAfterBatchKeepsIndexFresh) {
-  // AddSet defers the index rebuild; the next covering query must observe
-  // both the batched and the incrementally added sets.
+  // AddSet appends to a batch-written index in place; the next covering
+  // query must observe both the batched and the incrementally added sets.
   RRCollection rr(3);
   std::vector<CompressedRRShard> shards;
   shards.push_back(PackShard(3, {{0, 1}}));
@@ -336,6 +338,186 @@ TEST(RRCollectionBatchTest, AddSetAfterBatchKeepsIndexFresh) {
   EXPECT_EQ(rr.DecodeCovering(1), (std::vector<RRId>{0, 1}));
   EXPECT_EQ(rr.CoveringCount(2), 1u);
 }
+
+/// Brute-force inverted index of `rr`, built from DecodeSet alone.
+std::vector<std::vector<RRId>> BruteForceIndex(const RRCollection& rr) {
+  std::vector<std::vector<RRId>> index(rr.num_nodes());
+  for (RRId id = 0; id < rr.num_sets(); ++id) {
+    for (NodeId v : rr.DecodeSet(id)) index[v].push_back(id);
+  }
+  return index;
+}
+
+/// Checks every node's postings, count and membership count, the nonzero
+/// list, and the coverage of `seeds` against the brute-force index.
+void ExpectIndexMatchesBruteForce(const RRCollection& rr,
+                                  std::span<const NodeId> seeds) {
+  const std::vector<std::vector<RRId>> index = BruteForceIndex(rr);
+  const std::span<const uint64_t> counts = rr.MemberCounts();
+  ASSERT_EQ(counts.size(), rr.num_nodes());
+  std::vector<char> nonzero(rr.num_nodes(), 0);
+  for (NodeId v : rr.MemberNonzero()) {
+    ASSERT_LT(v, rr.num_nodes());
+    EXPECT_FALSE(nonzero[v]) << "node " << v << " listed twice";
+    nonzero[v] = 1;
+  }
+  for (NodeId v = 0; v < rr.num_nodes(); ++v) {
+    ASSERT_EQ(rr.DecodeCovering(v), index[v]) << "node " << v;
+    EXPECT_EQ(rr.CoveringCount(v), index[v].size()) << "node " << v;
+    EXPECT_EQ(counts[v], index[v].size()) << "node " << v;
+    EXPECT_EQ(nonzero[v] != 0, !index[v].empty()) << "node " << v;
+  }
+  std::vector<RRId> covered;
+  for (NodeId v : seeds) {
+    covered.insert(covered.end(), index[v].begin(), index[v].end());
+  }
+  std::sort(covered.begin(), covered.end());
+  covered.erase(std::unique(covered.begin(), covered.end()), covered.end());
+  EXPECT_EQ(rr.CoverageOf(seeds), covered.size());
+}
+
+/// A collection reassembled from `rr`'s snapshot parts; its index is
+/// built by the next read or append.
+RRCollection RestoredCopy(const RRCollection& rr) {
+  std::vector<std::vector<uint8_t>> runs;
+  for (uint32_t c = 0; c < rr.num_pool_chunks(); ++c) {
+    const std::span<const uint8_t> run = rr.ChunkRun(c);
+    runs.emplace_back(run.begin(), run.end());
+  }
+  return RRCollection::RestoreFromSnapshotParts(
+      rr.num_nodes(), {}, std::move(runs),
+      {rr.slots().begin(), rr.slots().end()},
+      {rr.set_costs().begin(), rr.set_costs().end()}, rr.total_size(),
+      rr.total_edges_examined());
+}
+
+/// One random ingest stream: relative weights of its operations.
+struct IndexDiffCase {
+  const char* name;
+  uint64_t seed;
+  int add_set;  // a burst of AddSet calls
+  int batch;    // AddCompressedShards, without a pool or on 4 threads
+  int restore;  // swap in a restored copy
+};
+
+class RRCollectionIndexDiffTest
+    : public ::testing::TestWithParam<IndexDiffCase> {};
+
+TEST_P(RRCollectionIndexDiffTest, MatchesBruteForceIndex) {
+  // The append-only index must read exactly like an index built from
+  // scratch, whatever mix of appends and restores produced it.
+  const IndexDiffCase& param = GetParam();
+  // Four index partitions, the last one partial.
+  constexpr uint32_t n = 3 * 4096 + 517;
+  // Partition 2 holds only these nodes: two raw growers that relocate in
+  // lockstep (so AddSet leaves enough dead entries to compact the raw
+  // arena) and a hub that is dense, then sparse (blocks, then raw).
+  constexpr NodeId kPart2 = 2 * 4096;
+  constexpr NodeId kGrowerA = kPart2 + 8;
+  constexpr NodeId kGrowerB = kPart2 + 808;
+  constexpr NodeId kDenseThenSparse = kPart2 + 100;
+  // Two hubs in blocks throughout, in lockstep (the block arena's
+  // compaction), and one that turns dense halfway (raw, then blocks).
+  constexpr NodeId kDense = 3;
+  constexpr NodeId kDense2 = 5;
+  constexpr NodeId kSparseThenDense = n - 1;
+  constexpr uint64_t kSets = 30000;
+
+  std::mt19937_64 rng(param.seed);
+  auto chance = [&](double p) {
+    return std::uniform_real_distribution<double>(0, 1)(rng) < p;
+  };
+  auto random_node = [&] {
+    NodeId v;
+    do {
+      v = static_cast<NodeId>(rng() % n);
+    } while (v >= kPart2 && v < kPart2 + 4096);
+    return v;
+  };
+  // Set `id`'s members: empty and singleton sets, small random sets, and
+  // the scheduled nodes.
+  auto draw = [&](uint64_t id) {
+    std::vector<NodeId> s;
+    const uint64_t kind = rng() % 16;
+    if (kind == 0) return s;
+    if (kind <= 4) return std::vector<NodeId>{random_node()};
+    const uint64_t size = 2 + rng() % 6;
+    for (uint64_t i = 0; i < size; ++i) s.push_back(random_node());
+    if (chance(0.9)) {
+      s.push_back(kDense);
+      s.push_back(kDense2);
+    }
+    if (id < 256 || chance(0.02)) s.push_back(kDenseThenSparse);
+    if (id >= kSets / 2 || chance(0.02)) s.push_back(kSparseThenDense);
+    if (chance(0.03)) {
+      s.push_back(kGrowerA);
+      s.push_back(kGrowerB);
+    }
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+    return s;
+  };
+
+  ThreadPool pool(4);
+  RRCollection rr(n);
+  bool dense_was_blocks = false;
+  bool dense_back_to_raw = false;
+  bool sparse_was_raw = false;
+  bool sparse_to_blocks = false;
+  const int total_weight = param.add_set + param.batch + param.restore;
+  while (rr.num_sets() < kSets) {
+    const int op = static_cast<int>(rng() % total_weight);
+    if (op < param.add_set) {
+      const uint64_t burst = 50 + rng() % 400;
+      for (uint64_t i = 0; i < burst; ++i) {
+        rr.AddSet(draw(rr.num_sets()), 1 + rng() % 9);
+      }
+    } else if (op < param.add_set + param.batch) {
+      std::vector<CompressedRRShard> shards(1 + rng() % 4);
+      uint64_t id = rr.num_sets();
+      for (CompressedRRShard& shard : shards) {
+        ShardEncoder encoder;
+        const uint64_t sets = 1 + rng() % 1500;
+        for (uint64_t i = 0; i < sets; ++i) {
+          std::vector<NodeId> members = draw(id++);
+          encoder.Add(&members, 1 + rng() % 9);
+        }
+        shard = encoder.Finish(n);
+      }
+      rr.AddCompressedShards(std::move(shards),
+                             rng() % 2 == 0 ? &pool : nullptr);
+    } else {
+      rr = RestoredCopy(rr);
+      // Build on the pool, serially, or lazily at the next read.
+      const uint64_t build = rng() % 3;
+      if (build == 0) rr.EnsureIndex(&pool);
+      if (build == 1) rr.EnsureIndex();
+    }
+    std::vector<NodeId> seeds = {kDense, random_node(), random_node()};
+    ExpectIndexMatchesBruteForce(rr, seeds);
+    if (HasFatalFailure()) return;
+    const bool dense_blocks = !rr.Covering(kDenseThenSparse).words.empty();
+    dense_back_to_raw |= dense_was_blocks && !dense_blocks;
+    dense_was_blocks |= dense_blocks;
+    const bool sparse_blocks = !rr.Covering(kSparseThenDense).words.empty();
+    sparse_to_blocks |= sparse_was_raw && sparse_blocks;
+    sparse_was_raw |= !sparse_blocks && rr.CoveringCount(kSparseThenDense) > 0;
+  }
+  EXPECT_TRUE(dense_back_to_raw) << "blocks -> raw never happened";
+  EXPECT_TRUE(sparse_to_blocks) << "raw -> blocks never happened";
+  EXPECT_GT(rr.CoveringCount(kDense), 10000u);
+  EXPECT_FALSE(rr.Covering(kDense).words.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, RRCollectionIndexDiffTest,
+    ::testing::Values(IndexDiffCase{"AddSet", 1, 9, 0, 1},
+                      IndexDiffCase{"Batch", 2, 0, 9, 1},
+                      IndexDiffCase{"Mixed", 3, 4, 4, 1},
+                      IndexDiffCase{"MixedNoRestore", 4, 1, 1, 0}),
+    [](const ::testing::TestParamInfo<IndexDiffCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(RRCollectionTest, ManySetsStressInvertedIndex) {
   const uint32_t n = 50;

@@ -111,9 +111,9 @@ TEST(SelectionStateTest, WarmSelectionsMatchColdAcrossDoublings) {
 }
 
 TEST(SelectionStateTest, SerialAppendsBetweenSyncsStayExact) {
-  // Serial AddSet appends leave the membership counts behind a lazy
-  // watermark; the next warm sync must fold exactly the pending delta
-  // (re-decoding only the new sets) and still match the cold path.
+  // Serial AddSet appends update the membership counts one set at a
+  // time; the next warm sync must see exactly those counts and still
+  // match the cold path.
   const uint32_t n = 120;
   const uint32_t k = 8;
   const Stream s = MakeStream(n, 600, 4, 7);
