@@ -45,9 +45,11 @@ ctest --test-dir build-fi --output-on-failure \
 # These are the paths with raw index arithmetic (quantized thresholds,
 # geometric skips, flattened alias arena, CSR rebuilds), so UB or
 # out-of-bounds access must fail loudly here even when the plain build
-# happens to pass. Fault sites are compiled in too: the injected-failure
-# unwind paths (shard buffers dropped mid-batch, pool drain, trip
-# bookkeeping) are exactly where leaks or use-after-free would hide.
+# happens to pass (the configuration also defines _GLIBCXX_ASSERTIONS, so
+# a vector indexed past size() but inside its capacity fails too). Fault
+# sites are compiled in too: the injected-failure unwind paths (shard
+# buffers dropped mid-batch, pool drain, trip bookkeeping) are exactly
+# where leaks or use-after-free would hide.
 cmake -B build-asan -G Ninja -DOPIM_SANITIZE=ON -DOPIM_FAULT_INJECT=ON \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-asan

@@ -85,27 +85,34 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
 
   // Generation goes through engine batches even in the serial case so
   // the RR stream depends only on (seed, num_threads); each batch gets a
-  // distinct derived seed. The speculative path below *peeks* the next two
-  // batch seeds without consuming them, and bumps the counter only when a
-  // staged doubling is actually merged — so the RR stream stays
+  // distinct derived seed, R1's before R2's. Every fill of both pools —
+  // the θ0 fill, an eager doubling, a speculative one — is one engine
+  // stage with the next two batch seeds. The speculative path below
+  // *peeks* them without consuming them, and bumps the counter only when
+  // a staged doubling is actually merged — so the RR stream stays
   // byte-identical whether a batch was sampled eagerly or speculatively.
   // `pending_generate_seconds` accumulates the wall time of every
   // generate() since the last iteration record, so the θ0 fill and each
   // doubling land on the iteration that consumes them.
+  RunControl* const control = options.control;
   uint64_t batch_counter = 0;
   double pending_generate_seconds = 0.0;
   auto batch_seed = [&options](uint64_t counter) {
     uint64_t state = options.seed ^ (0x6f70634bULL + counter);
     return SplitMix64(state);
   };
-  auto generate = [&](int pool, uint64_t count, RunControl* ctl) {
-    OPIM_TR_SPAN1("generate", "opimc", "count", count);
+  auto generate = [&](uint64_t count1, uint64_t count2) {
+    OPIM_TR_SPAN2("generate", "opimc", "count1", count1, "count2", count2);
+    OPIM_TM_SCOPED_TIMER("opim.rrset.generate_us");
     Stopwatch watch;
-    engine.Sample(pool, count, batch_seed(++batch_counter), ctl);
+    engine.Stage(count1, batch_seed(batch_counter + 1), count2,
+                 batch_seed(batch_counter + 2), control,
+                 /*speculative=*/false);
+    engine.Merge(control);
+    batch_counter += 2;
     pending_generate_seconds += watch.ElapsedSeconds();
   };
   const bool pipelined = options.pipeline && engine.has_workers();
-  RunControl* const control = options.control;
 
   // Resume: adopt the snapshot's pools and loop position. The RR stream
   // is a pure function of (seed, num_threads, batch_counter), and CELF
@@ -144,10 +151,7 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
                     << ", batch_counter=" << batch_counter << ")";
   }
   if (!options.spill_dir.empty()) engine.EnableSpill(options.spill_dir);
-  if (options.resume == nullptr) {
-    generate(0, theta0, control);
-    generate(1, theta0, control);
-  }
+  if (options.resume == nullptr) generate(theta0, theta0);
 
   // Anytime floor: if a guardrail tripped before (or during) the θ0 fill
   // and left a pool empty, the bound machinery below has nothing to
@@ -380,8 +384,7 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
       // Eager doubling of both pools (Line 9 of Algorithm 2) — the only
       // path on serial runs, and the fallback when no speculation was
       // launched this iteration.
-      generate(0, engine.r1().num_sets(), control);
-      generate(1, engine.r2().num_sets(), control);
+      generate(engine.r1().num_sets(), engine.r2().num_sets());
     }
   }
 

@@ -75,29 +75,13 @@ void TwoPoolEngine::SetThreads(unsigned num_threads) {
   if (threads_ > 1) workers_ = std::make_unique<ThreadPool>(threads_);
 }
 
-void TwoPoolEngine::Sample(int index, uint64_t count, uint64_t seed,
-                           RunControl* control) {
-  OPIM_TR_SPAN1("generate", "rrset", "count", count);
-  OPIM_TM_SCOPED_TIMER("opim.rrset.generate_us");
-  uint64_t counts[2] = {}, seeds[2] = {};
-  counts[index] = count;
-  seeds[index] = seed;
-  Launch(counts, seeds, control != nullptr ? pool(index).MemoryUsage() : 0,
-         control, /*speculative=*/false);
-  Merge(control);
-}
-
 void TwoPoolEngine::Stage(uint64_t count1, uint64_t seed1, uint64_t count2,
                           uint64_t seed2, RunControl* control,
                           bool speculative) {
-  Launch({count1, count2}, {seed1, seed2},
-         control != nullptr ? PoolBytes() : 0, control, speculative);
-}
-
-void TwoPoolEngine::Launch(const uint64_t (&count)[2],
-                           const uint64_t (&seed)[2], uint64_t base_bytes,
-                           RunControl* control, bool speculative) {
   OPIM_CHECK(!run_);
+  const uint64_t count[2] = {count1, count2};
+  const uint64_t seed[2] = {seed1, seed2};
+  const uint64_t base_bytes = control != nullptr ? PoolBytes() : 0;
   std::vector<StagedGeneration*> stages;
   for (int i : {0, 1}) {
     if (count[i] == 0) continue;
@@ -181,9 +165,16 @@ void TwoPoolEngine::SampleSerial(uint64_t count, Rng& rng, bool* to_r1,
 void TwoPoolEngine::FloorEmptyPools(
     RunControl* control, const std::function<uint64_t(int)>& seed_for) {
   if (control == nullptr || !control->Stopped()) return;
+  uint64_t count[2] = {}, seed[2] = {};
   for (int i : {0, 1}) {
-    if (pool(i).num_sets() == 0) Sample(i, 1, seed_for(i), nullptr);
+    if (pool(i).num_sets() == 0) {
+      count[i] = 1;
+      seed[i] = seed_for(i);
+    }
   }
+  if (count[0] + count[1] == 0) return;
+  Stage(count[0], seed[0], count[1], seed[1], nullptr, /*speculative=*/false);
+  Merge(nullptr);
 }
 
 GreedyResult TwoPoolEngine::Select(uint32_t k,

@@ -75,24 +75,22 @@ class TwoPoolEngine {
 
   // --- Sampling ----------------------------------------------------------
 
-  /// Samples `count` sets into pool `index` (0 = R1, 1 = R2) and ingests
-  /// them: ParallelGenerate's output and guardrail contract (shards poll
-  /// with the destination pool's footprint plus their staging bytes).
-  void Sample(int index, uint64_t count, uint64_t seed, RunControl* control);
-
   /// Stages one batch per pool (a count may be 0), their shards
   /// interleaved on the workers, and returns at once; Merge ingests the
-  /// batches exactly as Sample would have, Discard drops them. Shards poll
-  /// with both pools' footprint plus their staging bytes. `speculative`
-  /// batches may turn out unneeded (the pipelined loop stages the next
-  /// doubling while selection runs); their shards evaluate the
-  /// rrset.speculation_throw site.
+  /// batches, Discard drops them. This is the engine's only batch path:
+  /// an eager batch is a Stage followed at once by Merge, so both pools'
+  /// shards share one fan-out, one join and one ingest. Each pool's
+  /// batch is byte-identical to ParallelGenerate with the same count,
+  /// seed and thread count. Shards poll with both pools' footprint plus
+  /// their staging bytes. `speculative` batches may turn out unneeded
+  /// (the pipelined loop stages the next doubling while selection runs);
+  /// their shards evaluate the rrset.speculation_throw site.
   void Stage(uint64_t count1, uint64_t seed1, uint64_t count2,
              uint64_t seed2, RunControl* control, bool speculative);
   bool staging() const { return run_.has_value(); }
 
-  /// Joins and ingests the staged batches under Sample's failure
-  /// contract. Returns the sets merged.
+  /// Joins and ingests the staged batches under ParallelGenerate's
+  /// failure contract. Returns the sets merged.
   uint64_t Merge(RunControl* control);
 
   /// Aborts, joins and drops the staged batches, swallowing any exception
@@ -109,8 +107,9 @@ class TwoPoolEngine {
                     RunControl* control);
 
   /// Anytime floor: once `control` has tripped, each empty pool gets one
-  /// uncontrolled set with batch seed `seed_for(index)`, so greedy still
-  /// pads to k seeds and both σ estimates stay finite.
+  /// uncontrolled set with batch seed `seed_for(index)` (asked for R1
+  /// first), staged together, so greedy still pads to k seeds and both σ
+  /// estimates stay finite. Requires no staged batches.
   void FloorEmptyPools(RunControl* control,
                        const std::function<uint64_t(int)>& seed_for);
 
@@ -175,10 +174,6 @@ class TwoPoolEngine {
   }
   RRCollection& pool(int index) { return index == 0 ? r1_ : r2_; }
 
-  /// Stages one batch per nonzero count and starts their ShardRun; shards
-  /// poll with `base_bytes` plus their staging bytes.
-  void Launch(const uint64_t (&count)[2], const uint64_t (&seed)[2],
-              uint64_t base_bytes, RunControl* control, bool speculative);
   void ClearStage();
   /// Adds the workers' stats since the last call to telemetry.
   void ReportPoolStats();

@@ -5,18 +5,22 @@
 // (seed, shard), and streams its sets straight into a shard-local
 // CompressedRRShard — members sorted and group-varint-compressed while
 // they are cache-hot — and, once its sets are sampled, builds the shard's
-// inverted-index postings on the same worker. Ingestion after the barrier
-// is then a cheap deterministic shard-order append
-// (RRCollection::AddCompressedShards, parallel over index partitions)
-// instead of a serial sort/compress/rebuild pass. The result is
-// deterministic for a fixed (seed, num_threads) pair, and single-threaded
-// generation with the same derivation reproduces num_threads = 1 exactly.
+// inverted-index postings, grouped by index partition, on the same worker
+// in O(members + partitions). Ingestion after the barrier is then a cheap
+// deterministic shard-order append (RRCollection::AddCompressedShards,
+// parallel over index partitions, each of which reads only its own slice
+// of every shard) instead of a serial sort/compress/rebuild pass. The
+// result is deterministic for a fixed (seed, num_threads) pair, and
+// single-threaded generation with the same derivation reproduces
+// num_threads = 1 exactly.
 //
 // StagedGeneration exposes the two halves separately: RunShard() calls
-// can overlap other work on the same pool (the pipelined doubling loop
-// runs them speculatively during CELF + bounds, see docs/performance.md)
-// and IngestInto() merges the staged shards — or drops them, if the
-// speculation was not needed — at a point the caller chooses.
+// can overlap other work on the same pool, and IngestInto() merges the
+// staged shards — or drops them, if the speculation was not needed — at
+// a point the caller chooses. TwoPoolEngine stages every batch of its two
+// pools this way, both pools' shards in one ShardRun: an eager doubling
+// joins them at once, and the pipelined doubling loop runs them
+// speculatively during CELF + bounds (see docs/performance.md).
 //
 // Callers that generate repeatedly (a doubling loop) should construct
 // one ThreadPool and pass it to every call: the workers and their stacks
@@ -138,10 +142,13 @@ class StagedGeneration {
   uint64_t TotalSets() const;
 
   /// Ingests the sampled shards into `collection` (shard-order append;
-  /// RRCollection::AddCompressedShards), first building the postings of
-  /// any shard whose worker threw, and reports the batch's generation
-  /// counters to telemetry. Every RunShard must have returned; call at
-  /// most once. Returns TotalSets().
+  /// RRCollection::AddCompressedShards, which merges each touched index
+  /// partition from the shards' partition-grouped postings), first
+  /// building the postings of any shard whose worker threw, and reports
+  /// the batch's generation counters to telemetry. Every RunShard must
+  /// have returned — a ShardRun joins all its stages at once, so the
+  /// stages of one run are ingested back to back; call at most once.
+  /// Returns TotalSets().
   uint64_t IngestInto(RRCollection* collection, ThreadPool* pool);
 
  private:

@@ -66,28 +66,38 @@ struct ListWriter {
   }
 };
 
-/// Counting-sorts members into `shard`'s postings: `for_each_member(fn)`
-/// calls fn(local set index, node) in ascending set order, so each node's
-/// postings come out ascending. The postings are published last, so a
+/// Counting-sorts members into `shard`'s postings by index partition:
+/// `for_each_member(fn)` calls fn(local set index, node) in ascending set
+/// order, so each partition's postings come out in ascending local set
+/// order. O(members + partitions). The postings are published last, so a
 /// shard reads as finalized() only once they are whole. Returns the
 /// member total.
 template <typename ForEachMember>
 uint64_t BuildPostings(uint32_t num_nodes, ForEachMember&& for_each_member,
                        CompressedRRShard* shard) {
-  std::vector<uint32_t> offsets(num_nodes + 1, 0);
-  uint64_t members = 0;
+  const uint32_t parts = rrpart::Count(num_nodes);
+  std::vector<uint64_t> offsets(parts + 1, 0);
   for_each_member([&](RRId, NodeId v) {
     OPIM_DCHECK_LT(v, num_nodes);
-    ++offsets[v + 1];
-    ++members;
+    ++offsets[(v >> rrpart::kShift) + 1];
   });
-  for (uint32_t v = 0; v < num_nodes; ++v) offsets[v + 1] += offsets[v];
-  std::vector<RRId> postings(members);
-  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for_each_member(
-      [&](RRId local, NodeId v) { postings[cursor[v]++] = local; });
-  shard->postings = std::move(postings);
-  shard->post_offsets = std::move(offsets);
+  for (uint32_t p = 0; p < parts; ++p) offsets[p + 1] += offsets[p];
+  const uint64_t members = offsets[parts];
+  // The published offsets are 32-bit.
+  OPIM_CHECK_LE(members, uint64_t{UINT32_MAX});
+  std::vector<uint16_t> nodes(members);
+  std::vector<RRId> sets(members);
+  std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for_each_member([&](RRId local, NodeId v) {
+    const uint64_t at = cursor[v >> rrpart::kShift]++;
+    nodes[at] = static_cast<uint16_t>(v & (rrpart::kWidth - 1));
+    sets[at] = local;
+  });
+  shard->post_nodes = std::move(nodes);
+  shard->post_sets = std::move(sets);
+  std::vector<uint32_t> part_offsets(parts + 1);
+  std::copy(offsets.begin(), offsets.end(), part_offsets.begin());
+  shard->part_offsets = std::move(part_offsets);
   return members;
 }
 
@@ -158,7 +168,7 @@ void ShardEncoder::Finalize(CompressedRRShard* shard, uint32_t num_nodes) {
 RRCollection::RRCollection(uint32_t num_nodes, RRStoreOptions options)
     : num_nodes_(num_nodes),
       retain_costs_(options.retain_set_costs),
-      parts_((uint64_t{num_nodes} + (1u << kPartShift) - 1) >> kPartShift),
+      parts_(rrpart::Count(num_nodes)),
       extents_(num_nodes),
       counts_(num_nodes, 0) {
   // One slot bit tags inline sets, so ids must fit in 31 bits.
@@ -305,6 +315,7 @@ void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,
   uint64_t add_sets = 0;
   for (CompressedRRShard& shard : shards) {
     ShardEncoder::Finalize(&shard, num_nodes_);  // no-op on Finish output
+    OPIM_CHECK_EQ(shard.part_offsets.size(), parts_.size() + 1);
     add_sets += shard.sets.size();
   }
   if (add_sets == 0) return;
@@ -367,10 +378,8 @@ void RRCollection::AppendShardPostings(
   // nonzero list in partition order below.
   std::vector<std::vector<NodeId>> fresh(num_parts);
   auto append = [&](uint32_t p) {
-    const NodeId lo = p << kPartShift;
-    const NodeId hi = PartitionEnd(p);
     for (const CompressedRRShard& shard : shards) {
-      if (shard.post_offsets[hi] != shard.post_offsets[lo]) {
+      if (shard.part_offsets[p + 1] != shard.part_offsets[p]) {
         RewritePartition(p, shards, shard_bases, &fresh[p]);
         return;
       }
@@ -392,98 +401,121 @@ void RRCollection::RewritePartition(uint32_t p,
                                     std::span<const CompressedRRShard> shards,
                                     std::span<const RRId> shard_bases,
                                     std::vector<NodeId>* fresh) const {
-  // Calls fn(global id) for each of v's new postings, ascending.
-  auto for_each_new = [&](NodeId v, auto&& fn) {
-    for (size_t s = 0; s < shards.size(); ++s) {
-      const CompressedRRShard& shard = shards[s];
-      for (uint32_t i = shard.post_offsets[v]; i < shard.post_offsets[v + 1];
-           ++i) {
-        fn(shard_bases[s] + shard.postings[i]);
-      }
-    }
-  };
-  // The representation rule for v's list grown by its `add` new
-  // postings; returns the grown extent's tagged size.
-  auto grown_size = [&](NodeId v, Extent e, uint64_t add) {
-    const uint64_t posts = counts_[v] + add;
-    // The new ids' blocks bound the grown list's from below, which
-    // settles most nodes as raw without reading their old postings.
-    BlockCounter counter;
-    for_each_new(v, [&](RRId r) { counter.Add(r); });
-    if (kBlockCostRatio * counter.blocks <= posts) {
-      counter = {};
-      const CoverPostings old = PostingsOf(v);
-      if (e.blocks()) {
-        counter = {e.size(), old.words.back()};
-      } else {
-        for (RRId r : old.ids) counter.Add(r);
-      }
-      for_each_new(v, [&](RRId r) { counter.Add(r); });
-      if (kBlockCostRatio * counter.blocks <= posts) {
-        return static_cast<uint32_t>(counter.blocks) | Extent::kBlocksBit;
-      }
-    }
-    return static_cast<uint32_t>(posts);
-  };
   const NodeId lo = p << kPartShift;
-  const NodeId hi = PartitionEnd(p);
+  const uint32_t width = PartitionEnd(p) - lo;
   IndexPart& part = parts_[p];
 
-  // Pass 1: each node's new posting count and grown extent. An
-  // untouched node keeps its representation; a touched one is
-  // re-chosen.
-  std::vector<uint32_t> adds(hi - lo);
-  std::vector<Extent> plan(hi - lo);
+  // Gather the partition's new postings by node: one counting sort, read
+  // shard by shard in shard order. Each shard lists a partition's
+  // postings in ascending local id, so every node's new ids come out
+  // ascending; node lo + w's are new_ids[new_at[w], new_at[w + 1]).
+  uint64_t added = 0;
+  for (const CompressedRRShard& shard : shards) {
+    added += shard.part_offsets[p + 1] - shard.part_offsets[p];
+  }
+  OPIM_CHECK_LT(added, uint64_t{kFreeId});  // new_at is 32-bit
+  std::vector<uint32_t> new_at(width + 1, 0);
+  for (const CompressedRRShard& shard : shards) {
+    for (uint32_t i = shard.part_offsets[p]; i < shard.part_offsets[p + 1];
+         ++i) {
+      ++new_at[shard.post_nodes[i] + 1];
+    }
+  }
+  for (uint32_t w = 0; w < width; ++w) new_at[w + 1] += new_at[w];
+  std::vector<RRId> new_ids(added);
+  std::vector<uint32_t> cursor(new_at.begin(), new_at.end() - 1);
+  for (size_t s = 0; s < shards.size(); ++s) {
+    const CompressedRRShard& shard = shards[s];
+    for (uint32_t i = shard.part_offsets[p]; i < shard.part_offsets[p + 1];
+         ++i) {
+      new_ids[cursor[shard.post_nodes[i]]++] =
+          shard_bases[s] + shard.post_sets[i];
+    }
+  }
+  auto new_of = [&](uint32_t w) {
+    return std::span<const RRId>(new_ids.data() + new_at[w],
+                                 new_at[w + 1] - new_at[w]);
+  };
+
+  // Plan: each node's grown extent. An untouched node keeps its
+  // representation; a touched one is re-chosen by the 3·blocks <=
+  // postings rule.
+  std::vector<Extent> plan(width);
   uint64_t raw_total = 0;
   uint64_t block_total = 0;
-  for (NodeId v = lo; v < hi; ++v) {
-    const Extent e = extents_[v];
-    uint32_t add = 0;
-    for (const CompressedRRShard& shard : shards) {
-      add += shard.post_offsets[v + 1] - shard.post_offsets[v];
+  for (uint32_t w = 0; w < width; ++w) {
+    const Extent e = extents_[lo + w];
+    const std::span<const RRId> add = new_of(w);
+    Extent& out = plan[w];
+    out.tagged_size = e.tagged_size;
+    if (!add.empty()) {
+      const uint64_t posts = counts_[lo + w] + add.size();
+      out.tagged_size = static_cast<uint32_t>(posts);
+      // The new ids' blocks bound the grown list's from below, which
+      // settles most nodes as raw without reading their old postings.
+      BlockCounter counter;
+      for (RRId r : add) counter.Add(r);
+      if (kBlockCostRatio * counter.blocks <= posts) {
+        counter = {};
+        if (e.blocks()) {
+          counter = {e.size(), part.words[e.begin + e.size() - 1]};
+        } else {
+          for (RRId r : PostingsOf(lo + w).ids) counter.Add(r);
+        }
+        for (RRId r : add) counter.Add(r);
+        if (kBlockCostRatio * counter.blocks <= posts) {
+          out.tagged_size =
+              static_cast<uint32_t>(counter.blocks) | Extent::kBlocksBit;
+        }
+      }
     }
-    adds[v - lo] = add;
-    Extent& out = plan[v - lo];
-    out.tagged_size = add == 0 ? e.tagged_size : grown_size(v, e, add);
     (out.blocks() ? block_total : raw_total) += out.size();
   }
   OPIM_CHECK_LT(raw_total, uint64_t{kFreeId});
   OPIM_CHECK_LT(block_total, uint64_t{kFreeId});
 
-  // Pass 2: write every extent tightly into fresh arenas — old list
-  // first, then the new postings in shard order, so each list comes out
-  // ascending without a sort.
+  // Write every extent tightly into fresh arenas — old list first, then
+  // the new ids, so each list comes out ascending without a sort. A list
+  // that keeps its representation is copied as runs; only a raw <-> blocks
+  // crossing re-encodes it id by id.
   std::vector<RRId> ids(raw_total);
   std::vector<uint32_t> words(block_total);
   std::vector<uint64_t> masks(block_total);
   uint32_t raw_at = 0;
   uint32_t block_at = 0;
-  for (NodeId v = lo; v < hi; ++v) {
-    Extent& out = plan[v - lo];
+  for (uint32_t w = 0; w < width; ++w) {
+    const NodeId v = lo + w;
+    Extent& out = plan[w];
     if (out.size() == 0) continue;
     uint32_t& at = out.blocks() ? block_at : raw_at;
     out.begin = at;
     at += out.size();
-    ListWriter w{ids.data(), words.data(), masks.data(), out.begin,
-                 out.blocks()};
     const Extent e = extents_[v];
-    if (e.blocks() && out.blocks()) {
-      // Whole blocks carry over; only the last may merge a new id.
-      std::copy_n(part.words.begin() + e.begin, e.size(),
-                  words.begin() + out.begin);
-      std::copy_n(part.masks.begin() + e.begin, e.size(),
-                  masks.begin() + out.begin);
-      w.size = e.size();
+    const std::span<const RRId> add = new_of(w);
+    if (!out.blocks() && !e.blocks()) {
+      std::copy_n(part.ids.begin() + e.begin, e.size(),
+                  ids.begin() + out.begin);
+      std::copy(add.begin(), add.end(), ids.begin() + out.begin + e.size());
     } else {
-      ForEachPosting(PostingsOf(v), [&](RRId r) { w.Add(r); });
+      ListWriter writer{ids.data(), words.data(), masks.data(), out.begin,
+                        out.blocks()};
+      if (e.blocks() && out.blocks()) {
+        // Whole blocks carry over; only the last may merge a new id.
+        std::copy_n(part.words.begin() + e.begin, e.size(),
+                    words.begin() + out.begin);
+        std::copy_n(part.masks.begin() + e.begin, e.size(),
+                    masks.begin() + out.begin);
+        writer.size = e.size();
+      } else {
+        ForEachPosting(PostingsOf(v), [&](RRId r) { writer.Add(r); });
+      }
+      for (RRId r : add) writer.Add(r);
+      OPIM_DCHECK_EQ(writer.size, out.size());
     }
-    const uint32_t add = adds[v - lo];
-    if (add != 0) {
-      for_each_new(v, [&](RRId r) { w.Add(r); });
+    if (!add.empty()) {
       if (counts_[v] == 0) fresh->push_back(v);
-      counts_[v] += add;
+      counts_[v] += add.size();
     }
-    OPIM_DCHECK_EQ(w.size, out.size());
   }
   std::copy(plan.begin(), plan.end(), extents_.begin() + lo);
   part.ids = std::move(ids);

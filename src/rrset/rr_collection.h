@@ -37,8 +37,13 @@
 //     whose dead entries outnumber its live ones is compacted. O(|set|)
 //     amortized.
 //   * AddCompressedShards rewrites each partition the shards touch
-//     tightly — old list, then the shards' postings in shard order — in
-//     one ParallelFor over partitions; untouched partitions are not read.
+//     tightly, in one ParallelFor over partitions; untouched partitions
+//     are not read. Shards arrive with their postings grouped by
+//     partition, so a rewrite gathers only its own partition's new
+//     postings (one counting sort over its nodes) and writes each node's
+//     old run, then its new run, as two bulk copies. Its cost is the new
+//     postings plus one copy of the partition, with nothing per shard
+//     proportional to n.
 // A posting list's contents never depend on ingest history; only its
 // layout (representation, position, slack) does.
 //
@@ -94,16 +99,34 @@ inline constexpr uint32_t kInlineTag = 0x80000000u;
 inline constexpr uint32_t kEmpty = 0xFFFFFFFFu;
 }  // namespace rrslot
 
+/// Index partitions, shared by RRCollection's inverted index and the
+/// shard postings ShardEncoder groups by them: node ids split into
+/// 4096-node partitions, and a shard posting stores its node's offset
+/// within the partition in 16 bits.
+namespace rrpart {
+inline constexpr uint32_t kShift = 12;
+inline constexpr uint32_t kWidth = 1u << kShift;
+static_assert(kWidth <= uint32_t{UINT16_MAX} + 1,
+              "a node's offset within its partition must fit 16 bits");
+/// Partitions covering node ids [0, num_nodes).
+inline uint32_t Count(uint32_t num_nodes) {
+  return static_cast<uint32_t>((uint64_t{num_nodes} + kWidth - 1) >> kShift);
+}
+}  // namespace rrpart
+
 /// One producer shard already in wire format: the concatenation of the
 /// sets' group-varint encodings (no tail slack), one record per set (an
 /// inline slot value for empty/singleton sets — tag bit set — or the
 /// set's encoded byte length, paired with its traversal cost), and the
-/// shard-local inverted postings (per node, the ascending *local* set
-/// indices within this shard). Built inside generation workers by
-/// ShardEncoder so ingestion is a cheap shard-order append: byte streams
-/// are appended wholesale and each node's new postings (global id = shard
-/// base + local index) land after its existing ones, without re-decoding
-/// any stored set.
+/// shard-local inverted postings grouped by index partition. Partition
+/// p's postings are entries [part_offsets[p], part_offsets[p + 1]) of
+/// `post_nodes` (the member's offset within p) and `post_sets` (its
+/// *local* set index within this shard), in ascending local set order.
+/// Built inside generation workers by ShardEncoder in O(members +
+/// partitions), so ingestion is a cheap shard-order append: byte streams
+/// are appended wholesale and each touched partition merges its new
+/// postings (global id = shard base + local index) after its existing
+/// ones, without re-decoding any stored set.
 struct CompressedRRShard {
   std::vector<uint8_t> bytes;
   struct SetRec {
@@ -111,19 +134,21 @@ struct CompressedRRShard {
     uint64_t cost;   // edges examined sampling this set
   };
   std::vector<SetRec> sets;
-  std::vector<uint32_t> post_offsets;  // num_nodes + 1 once finalized
-  std::vector<RRId> postings;          // local set indices, per node asc
+  std::vector<uint32_t> part_offsets;  // partitions + 1 once finalized
+  std::vector<uint16_t> post_nodes;    // per posting: node within partition
+  std::vector<RRId> post_sets;         // per posting: local set index
   uint64_t total_members = 0;
 
-  bool finalized() const { return !post_offsets.empty(); }
+  bool finalized() const { return !part_offsets.empty(); }
 
   /// Heap footprint (capacity-based) — what RunControl staging-buffer
   /// metering charges for a speculatively sampled shard.
   uint64_t StagingBytes() const {
     return bytes.capacity() * sizeof(uint8_t) +
            sets.capacity() * sizeof(SetRec) +
-           post_offsets.capacity() * sizeof(uint32_t) +
-           postings.capacity() * sizeof(RRId);
+           part_offsets.capacity() * sizeof(uint32_t) +
+           post_nodes.capacity() * sizeof(uint16_t) +
+           post_sets.capacity() * sizeof(RRId);
   }
 };
 
@@ -149,9 +174,10 @@ class ShardEncoder {
   /// Current heap footprint of the staged shard.
   uint64_t StagingBytes() const { return shard_.StagingBytes(); }
 
-  /// Builds the shard-local postings (counting sort over this shard's
-  /// decoded members) and returns the finished shard. The encoder is left
-  /// empty and reusable. `num_nodes` is the graph's node-id bound.
+  /// Builds the shard-local postings (a counting sort of this shard's
+  /// decoded members by partition; checks that they fit the 32-bit
+  /// partition offsets) and returns the finished shard. The encoder is
+  /// left empty and reusable. `num_nodes` is the graph's node-id bound.
   CompressedRRShard Finish(uint32_t num_nodes);
 
   /// Finalizes `shard` in place (used when a worker threw before its own
@@ -205,13 +231,14 @@ class RRCollection {
   /// ShardEncoder and use AddCompressedShards.
   RRId AddSet(std::span<const NodeId> nodes, uint64_t edges_examined);
 
-  /// Appends pre-compressed shards (ShardEncoder output), in shard order:
-  /// byte streams are appended wholesale, and every index partition the
-  /// shards touch is rewritten tightly — each node's old postings, then
-  /// each shard's local postings offset by its id base — in one parallel
-  /// pass over partitions when `pool` is given. Existing sets are never
-  /// re-decoded. Non-finalized shards (worker threw before Finish) are
-  /// finalized here first. Deterministic for any worker count.
+  /// Appends pre-compressed shards (ShardEncoder output for this
+  /// collection's num_nodes), in shard order: byte streams are appended
+  /// wholesale, and every index partition the shards touch is rewritten
+  /// tightly — each node's old postings, then its new ones from the
+  /// shards in shard order, each offset by its shard's id base — in one
+  /// parallel pass over partitions when `pool` is given. Existing sets are
+  /// never re-decoded. Non-finalized shards (worker threw before Finish)
+  /// are finalized here first. Deterministic for any worker count.
   void AddCompressedShards(std::vector<CompressedRRShard> shards,
                            ThreadPool* pool = nullptr);
 
@@ -444,7 +471,7 @@ class RRCollection {
   /// chunk's run is independently spillable.
   static constexpr uint32_t kChunkShift = 12;
   /// Nodes per index partition.
-  static constexpr uint32_t kPartShift = 12;
+  static constexpr uint32_t kPartShift = rrpart::kShift;
 
   /// One node's posting list: `size` entries from `begin` in its
   /// partition's raw arena, or in its block arena when the blocks bit is
@@ -554,7 +581,9 @@ class RRCollection {
   /// Rewrites partition `p`'s arenas tightly: each node's old list, then
   /// its postings from `shards` (re-choosing the representation of every
   /// node that gains some), and records nodes whose count leaves zero in
-  /// `*fresh`. With no shards this is the compaction.
+  /// `*fresh`. The new postings are gathered by one counting sort over
+  /// the partition's nodes, and a list that keeps its representation is
+  /// written as two bulk copies. With no shards this is the compaction.
   void RewritePartition(uint32_t p, std::span<const CompressedRRShard> shards,
                         std::span<const RRId> shard_bases,
                         std::vector<NodeId>* fresh) const;

@@ -1,10 +1,10 @@
-// TwoPoolEngine contracts: every way the engine samples a batch — eager
-// per-pool Sample, one Stage of both pools merged at once, a speculative
-// Stage merged later — produces pools byte-identical to ParallelGenerate
-// with the same seeds and thread count; discarded speculation never
-// reaches the pools; the anytime floor only fires after a trip; and the
-// certificate is the Eq. (5) / upper-bound pair the bounds module
-// computes on the same pools.
+// TwoPoolEngine contracts: every way the engine samples a batch — one
+// Stage of both pools merged at once, a Stage filling one pool only, a
+// speculative Stage merged later — produces pools byte-identical to
+// ParallelGenerate with the same seeds and thread count; discarded
+// speculation never reaches the pools; the anytime floor only fires
+// after a trip; and the certificate is the Eq. (5) / upper-bound pair
+// the bounds module computes on the same pools.
 
 #include "core/two_pool_engine.h"
 
@@ -102,12 +102,15 @@ TEST_P(TwoPoolEngineStreamTest, EagerAndSpeculativeBatchesMatchToo) {
   RRCollection want2(g_.num_nodes(), kNoCosts);
   Reference(&want1, &want2);
 
-  // First batch eagerly per pool, second as speculation merged after a
-  // selection ran on the pools in between (the pipelined loop's order).
+  // First batch as two one-pool stages, second as speculation merged
+  // after a selection ran on the pools in between (the pipelined loop's
+  // order).
   TwoPoolEngine engine(g_, model(), weights_, threads());
   const auto& [c1, s1, c2, s2] = kBatches[0];
-  engine.Sample(0, c1, s1, nullptr);
-  engine.Sample(1, c2, s2, nullptr);
+  engine.Stage(c1, s1, 0, 0, nullptr, /*speculative=*/false);
+  EXPECT_EQ(engine.Merge(nullptr), c1);
+  engine.Stage(0, 0, c2, s2, nullptr, /*speculative=*/false);
+  EXPECT_EQ(engine.Merge(nullptr), c2);
   const auto& [d1, t1, d2, t2] = kBatches[1];
   TwoPoolEngine::SelectOptions select;
   if (engine.has_workers()) {
@@ -142,8 +145,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TwoPoolEngineTest, DiscardedSpeculationNeverReachesThePools) {
   const Graph g = GenerateBarabasiAlbert(400, 4);
   TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {}, 4);
-  engine.Sample(0, 500, 1, nullptr);
-  engine.Sample(1, 500, 2, nullptr);
+  engine.Stage(500, 1, 500, 2, nullptr, /*speculative=*/false);
+  engine.Merge(nullptr);
   const uint64_t bytes = engine.r1().CompressedMemberBytes() +
                          engine.r2().CompressedMemberBytes();
   engine.Stage(500, 3, 500, 4, nullptr, /*speculative=*/true);
@@ -171,11 +174,20 @@ TEST(TwoPoolEngineTest, FloorFillsEmptyPoolsOnlyAfterATrip) {
 
   RunControl cancelled;
   cancelled.RequestCancel();
-  engine.Sample(0, 1000, 7, &cancelled);  // stops at its first poll
+  // Stops at its first poll.
+  engine.Stage(1000, 7, 0, 0, &cancelled, /*speculative=*/false);
+  EXPECT_EQ(engine.Merge(&cancelled), 0u);
   EXPECT_EQ(engine.r1().num_sets(), 0u);
   engine.FloorEmptyPools(&cancelled, seed_for);
   EXPECT_EQ(engine.r1().num_sets(), 1u);
   EXPECT_EQ(engine.r2().num_sets(), 1u);
+  // Each floored set is the pool's one-set batch with its own seed.
+  for (int pool : {0, 1}) {
+    RRCollection want(g.num_nodes(), kNoCosts);
+    ParallelGenerate(g, DiffusionModel::kIndependentCascade, &want, 1,
+                     seed_for(pool), 1);
+    ExpectSamePool(pool == 0 ? engine.r1() : engine.r2(), want);
+  }
   engine.FloorEmptyPools(&cancelled, seed_for);  // pools no longer empty
   EXPECT_EQ(engine.r1().num_sets(), 1u);
 }
@@ -183,8 +195,8 @@ TEST(TwoPoolEngineTest, FloorFillsEmptyPoolsOnlyAfterATrip) {
 TEST(TwoPoolEngineTest, CertificateMatchesTheBoundsModule) {
   const Graph g = GenerateBarabasiAlbert(300, 4);
   TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {}, 1);
-  engine.Sample(0, 3000, 1, nullptr);
-  engine.Sample(1, 3000, 2, nullptr);
+  engine.Stage(3000, 1, 3000, 2, nullptr, /*speculative=*/false);
+  engine.Merge(nullptr);
   TwoPoolEngine::SelectOptions select;
   select.with_trace = true;
   const GreedyResult greedy = engine.Select(5, select);
