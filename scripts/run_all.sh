@@ -41,7 +41,8 @@ ctest --test-dir build-fi --output-on-failure \
   | tee "$OUT/test_output_faultinject.txt"
 
 # Sanitized build (ASan + UBSan) over the memory-heavy engine subset:
-# sampling kernels, RR-set storage, parallel generation, and selection.
+# sampling kernels, RR-set storage (the judge scan included), parallel
+# generation, and selection.
 # These are the paths with raw index arithmetic (quantized thresholds,
 # geometric skips, flattened alias arena, CSR rebuilds), so UB or
 # out-of-bounds access must fail loudly here even when the plain build
@@ -54,14 +55,17 @@ cmake -B build-asan -G Ninja -DOPIM_SANITIZE=ON -DOPIM_FAULT_INJECT=ON \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|ParallelGenerate|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|SimdDifferential|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine' 2>&1 \
+  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|ParallelGenerate|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|SimdDifferential|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine|JudgeScan' 2>&1 \
   | tee "$OUT/test_output_sanitized.txt"
 
-# TSan build over the concurrency-heavy subset: the thread pool, parallel
-# RR generation, the two-pool engine's staged and speculative batches
-# (TwoPoolEngine, AdvanceParallel, OpimCPipeline), batch index appends
-# (RRCollection: one task per index partition, all writing the shared
-# per-node vectors), the SamplingView build on pool workers, the
+# TSan build over the concurrency-heavy subset: the thread pool and the
+# joins that run queued work on the calling thread (the spread
+# estimator's Submit + Wait, TaskGroup and ParallelFor), parallel RR
+# generation, the two-pool engine's staged and speculative batches
+# (TwoPoolEngine, AdvanceParallel, OpimCPipeline, and 4-thread RunOpimC
+# through the judge scan in OpimCDeterminism and QueryKs), batch index
+# appends (RRCollection: one task per index partition, all writing the
+# shared per-node vectors), the SamplingView build on pool workers, the
 # lock-free trace recorder, and the progress heartbeat all publish across
 # threads with hand-placed acquire/release pairs, so a missing fence must
 # fail loudly here. TSan and ASan cannot
@@ -70,7 +74,7 @@ cmake -B build-tsan -G Ninja -DOPIM_SANITIZE=thread \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-tsan
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ThreadPool|ParallelGenerate|AdvanceParallel|OpimCPipeline|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState|TwoPoolEngine|SamplingView|RRCollection' 2>&1 \
+  -R 'ThreadPool|ParallelGenerate|AdvanceParallel|OpimCPipeline|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState|TwoPoolEngine|SamplingView|RRCollection|SpreadEstimator|EstimateWithError|QueryKs|OpimCDeterminism' 2>&1 \
   | tee "$OUT/test_output_tsan.txt"
 
 # OPIM_SIMD=OFF build: the portable scalar coverage kernels alone must

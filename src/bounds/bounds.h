@@ -14,12 +14,13 @@
 // with probability >= 1 - δ1 - δ2. OPIM⁰ / OPIM⁺ / OPIM′ differ only in
 // which upper bound they use (BoundKind).
 //
-// The Λ coverage counts these bounds consume come from the bitset
-// coverage engine: Λ2(S*) is RRCollection::CoverageOf (seed postings
-// marked into a 64-bit-word scratch bitset, popcounted whole words at a
-// time), and the Λ1 trace values arrive in GreedyResult from the CELF
-// selection over the same bitset representation (select/greedy.cc). The
-// functions here are pure arithmetic on those counts.
+// The Λ coverage counts these bounds consume come from the RR pools:
+// Λ2(S*) is RRCollection::CoverageOf (on an indexed judge pool, seed
+// postings marked into a 64-bit-word scratch bitset and popcounted whole
+// words at a time; on OPIM-C's unindexed one, a single scan of its
+// compressed sets), and the Λ1 trace values arrive in GreedyResult from
+// the CELF selection over the bitset representation (select/greedy.cc).
+// The functions here are pure arithmetic on those counts.
 //
 // Also here: Borgs et al.'s purely input-size-based guarantee (§3.2) for
 // the baseline, and the Lemma 4.4 f/g machinery behind Figure 1.

@@ -57,8 +57,14 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
 
   // One engine for the whole run: one worker pool and one sampling view
   // serve every doubling of both pools, every index merge and every CELF
-  // pass (see core/two_pool_engine.h).
-  TwoPoolEngine engine(g, model, options.node_weights, options.num_threads);
+  // pass (see core/two_pool_engine.h). R2 is read once per doubling, for
+  // Λ2(S*) (and, in query mode, Λ2 of every prefix): one judge scan of
+  // its compressed sets costs less than rewriting an index for it at
+  // every doubling, so it keeps none.
+  constexpr RRStoreOptions kJudgeStore{.retain_set_costs = false,
+                                       .index = false};
+  TwoPoolEngine engine(g, model, options.node_weights, options.num_threads,
+                       kJudgeStore);
 
   // Weighted objective: scale W = Σ w_v replaces n, and the trivial
   // optimum lower bound becomes the top-k weight sum (each seed at least
@@ -273,8 +279,11 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
     const double greedy_seconds = phase_watch.ElapsedSeconds();
 
     phase_watch.Restart();
+    // In query mode the same judge pass prepares the trace to answer every
+    // k' at these pools, should this iteration be the last.
     const TwoPoolEngine::Certificate cert =
-        engine.Certify(greedy, options.bound, delta_iter, delta_iter);
+        engine.Certify(greedy, options.bound, delta_iter, delta_iter,
+                       query_mode ? &seed_trace : nullptr);
 
     OpimCIteration iter;
     iter.theta1 = engine.r1().num_sets();
@@ -354,14 +363,13 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
       }
       if (query_mode) {
         // Answer every requested k' from the exiting iteration's
-        // prefix-complete trace: one incremental judge-coverage pass,
-        // then pure bound arithmetic per query — no re-selection, no
+        // prefix-complete trace, which this iteration's Certify already
+        // judged: pure bound arithmetic per query — no re-selection, no
         // further pool scans. Evaluated at the final pools with the same
         // δ_iter the run's own certificate used, so the k' = k answer
         // reproduces iter.alpha exactly.
         OPIM_TR_SPAN1("query_answers", "opimc", "count",
                       options.query_ks.size());
-        engine.CertifyTrace(&seed_trace, delta_iter, delta_iter);
         result.queries.reserve(options.query_ks.size());
         for (uint32_t k_prime : options.query_ks) {
           const TraceQueryBounds qb =

@@ -14,9 +14,9 @@ namespace opim {
 
 namespace {
 
-/// Engine pools never answer SetCost (only aggregate γ), so they drop the
-/// 8 bytes/set cost column.
-constexpr RRStoreOptions kEngineStore{.retain_set_costs = false};
+/// R1 never answers SetCost (only aggregate γ), so it drops the 8
+/// bytes/set cost column.
+constexpr RRStoreOptions kNominatorStore{.retain_set_costs = false};
 
 /// Σ w_v over validated weights, or n for unit weights (empty span).
 double ObjectiveScale(uint32_t n, std::span<const double> weights) {
@@ -35,7 +35,7 @@ double ObjectiveScale(uint32_t n, std::span<const double> weights) {
 
 TwoPoolEngine::TwoPoolEngine(const Graph& g, DiffusionModel model,
                              std::span<const double> node_weights,
-                             unsigned num_threads)
+                             unsigned num_threads, RRStoreOptions judge_store)
     : model_(model),
       weights_(node_weights.begin(), node_weights.end()),
       scale_(ObjectiveScale(g.num_nodes(), node_weights)),
@@ -43,8 +43,8 @@ TwoPoolEngine::TwoPoolEngine(const Graph& g, DiffusionModel model,
       workers_(threads_ > 1 ? std::make_unique<ThreadPool>(threads_)
                             : nullptr),
       view_(g, SamplingViewPartsFor(model), workers_.get()),
-      r1_(g.num_nodes(), kEngineStore),
-      r2_(g.num_nodes(), kEngineStore) {
+      r1_(g.num_nodes(), kNominatorStore),
+      r2_(g.num_nodes(), judge_store) {
   if (!weights_.empty()) root_.Build(weights_);
 }
 
@@ -87,7 +87,7 @@ void TwoPoolEngine::Stage(uint64_t count1, uint64_t seed1, uint64_t count2,
     if (count[i] == 0) continue;
     staged_[i].emplace(view_, model_, count[i], seed[i],
                        GenerateShardCount(count[i], threads_), root(),
-                       control, base_bytes, speculative);
+                       control, base_bytes, speculative, pool(i).indexed());
     stages.push_back(&*staged_[i]);
   }
   run_.emplace(stages, workers_.get());
@@ -188,10 +188,18 @@ GreedyResult TwoPoolEngine::Select(uint32_t k,
 }
 
 TwoPoolEngine::Certificate TwoPoolEngine::Certify(
-    const GreedyResult& greedy, BoundKind kind, double delta1,
-    double delta2) const {
+    const GreedyResult& greedy, BoundKind kind, double delta1, double delta2,
+    SeedTrace* trace) const {
   Certificate c;
-  c.lambda2 = r2_.CoverageOf(greedy.seeds);
+  if (trace != nullptr) {
+    OPIM_CHECK(std::ranges::equal(trace->seeds(), greedy.seeds));
+    trace->SetBoundParams(r1_.num_sets(), r2_.num_sets(), scale_, delta1,
+                          delta2);
+    trace->AttributeJudgeCoverage(r2_);
+    c.lambda2 = trace->Lambda2At(trace->k());
+  } else {
+    c.lambda2 = r2_.CoverageOf(greedy.seeds);
+  }
   c.sigma_lower = SigmaLower(c.lambda2, r2_.num_sets(), scale_, delta2);
   c.sigma_upper = UpperBound(greedy, kind, delta1);
   c.alpha = ApproxRatio(c.sigma_lower, c.sigma_upper);
@@ -201,13 +209,6 @@ TwoPoolEngine::Certificate TwoPoolEngine::Certify(
 double TwoPoolEngine::UpperBound(const GreedyResult& greedy, BoundKind kind,
                                  double delta1) const {
   return SigmaUpper(kind, greedy, r1_.num_sets(), scale_, delta1);
-}
-
-void TwoPoolEngine::CertifyTrace(SeedTrace* trace, double delta1,
-                                 double delta2) const {
-  trace->SetBoundParams(r1_.num_sets(), r2_.num_sets(), scale_, delta1,
-                        delta2);
-  trace->AttributeJudgeCoverage(r2_);
 }
 
 void TwoPoolEngine::EnableSpill(const std::string& dir) {
@@ -248,8 +249,10 @@ Result<uint64_t> TwoPoolEngine::Save(const SnapshotRunState& run,
 void TwoPoolEngine::Restore(RRPoolSnapshot* snapshot) {
   OPIM_CHECK_EQ(snapshot->r1.num_nodes(), r1_.num_nodes());
   OPIM_CHECK_EQ(snapshot->r2.num_nodes(), r2_.num_nodes());
+  const bool judge_indexed = r2_.indexed();
   r1_ = std::move(snapshot->r1);
   r2_ = std::move(snapshot->r2);
+  if (!judge_indexed) r2_.DropIndex();
   // Snapshots store no index; build it now, on the workers, so the first
   // CELF pass starts from the state a live run would have and later
   // concurrent reads never build it lazily.

@@ -2,7 +2,10 @@
 // sets into two pools — R1 nominates S* by greedy max-coverage, R2
 // judges it — and certify α = σ_l(S*) / σ_upper(S°); they differ only in
 // the schedule (OnlineMaximizer grows the pools on request, RunOpimC
-// doubles them until α reaches its target). The engine owns the pools,
+// doubles them until α reaches its target) and in how R2 is stored:
+// RunOpimC asks R2 for Λ2(S*) once per doubling and keeps it unindexed
+// (one judge scan per query), while OnlineMaximizer, queried at its
+// caller's cadence, keeps R2's index. The engine owns the pools,
 // the SamplingView and weighted-root table, one ThreadPool reused across
 // calls, the SelectionState, the bounds and the spill/snapshot hooks.
 // Callers pass every batch seed, so each keeps its own RR stream.
@@ -43,8 +46,11 @@ class TwoPoolEngine {
   /// Empty `node_weights` selects unit weights, else every σ is the
   /// weighted spread σ_w (weights checked). `num_threads` (0 = hardware
   /// default) fixes each batch's shard count; > 1 builds the workers.
+  /// `judge_store` configures R2; R1 always keeps its index and drops
+  /// the per-set cost column.
   TwoPoolEngine(const Graph& g, DiffusionModel model,
-                std::span<const double> node_weights, unsigned num_threads);
+                std::span<const double> node_weights, unsigned num_threads,
+                RRStoreOptions judge_store);
   ~TwoPoolEngine();
 
   OPIM_DISALLOW_COPY(TwoPoolEngine);
@@ -138,16 +144,17 @@ class TwoPoolEngine {
     double sigma_upper = 0.0;  // σ_upper(S°) for the bound kind at δ1
     double alpha = 0.0;        // σ_lower / σ_upper
   };
+  /// With `trace` — recorded by the Select that produced `greedy` — the
+  /// same R2 pass also attributes Λ2 to every prefix of the selection and
+  /// attaches the bound parameters, so the trace answers k' <= k queries
+  /// at the current pools with failure budgets δ1/δ2.
   Certificate Certify(const GreedyResult& greedy, BoundKind kind,
-                      double delta1, double delta2) const;
+                      double delta1, double delta2,
+                      SeedTrace* trace = nullptr) const;
 
   /// σ_upper(S°) alone, for judging one selection under several kinds.
   double UpperBound(const GreedyResult& greedy, BoundKind kind,
                     double delta1) const;
-
-  /// Prepares `trace`, recorded by the last Select, to answer k' <= k
-  /// queries at the current pools with failure budgets δ1/δ2.
-  void CertifyTrace(SeedTrace* trace, double delta1, double delta2) const;
 
   // --- Storage -----------------------------------------------------------
 
@@ -165,7 +172,7 @@ class TwoPoolEngine {
                         const std::string& path) const;
 
   /// Adopts a loaded snapshot's pools and builds their indexes on the
-  /// workers.
+  /// workers; an unindexed R2 stays unindexed and builds none.
   void Restore(RRPoolSnapshot* snapshot);
 
  private:

@@ -21,7 +21,7 @@ StagedGeneration::StagedGeneration(const SamplingView& view,
                                    uint64_t seed, unsigned shards,
                                    const AliasSampler* root_table,
                                    RunControl* control, uint64_t base_bytes,
-                                   bool speculative)
+                                   bool speculative, bool postings)
     : view_(view),
       model_(model),
       count_(count),
@@ -30,6 +30,7 @@ StagedGeneration::StagedGeneration(const SamplingView& view,
       control_(control),
       base_bytes_(base_bytes),
       speculative_(speculative),
+      postings_(postings),
       shards_(shards) {
   OPIM_CHECK_GE(shards, 1u);
   OPIM_CHECK_LE(shards, count);
@@ -84,7 +85,8 @@ void StagedGeneration::RunShard(unsigned s) {
   // Build the shard's postings here, on the worker that sampled it, so
   // the merge only appends. An aborted batch is never ingested.
   if (!abort_.load(std::memory_order_relaxed)) {
-    shard.finished = shard.encoder.Finish(view_.graph().num_nodes());
+    shard.finished =
+        shard.encoder.Finish(view_.graph().num_nodes(), postings_);
   }
   OPIM_TM_HISTOGRAM_RECORD("opim.rrset.shard_us",
                            shard_watch.ElapsedSeconds() * 1e6);
@@ -103,8 +105,8 @@ uint64_t StagedGeneration::IngestInto(RRCollection* collection,
   Shard total;
   for (Shard& s : shards_) {
     // A shard whose worker threw never reached its own Finish.
-    if (!s.finished.finalized()) {
-      s.finished = s.encoder.Finish(view_.graph().num_nodes());
+    if (!s.finished.sealed) {
+      s.finished = s.encoder.Finish(view_.graph().num_nodes(), postings_);
     }
     out.push_back(std::move(s.finished));
     total.sets += s.sets;
@@ -202,7 +204,8 @@ void ParallelGenerate(const Graph& g, DiffusionModel model,
   const uint64_t base_bytes =
       control != nullptr ? collection->MemoryUsage() : 0;
   StagedGeneration stage(*view, model, count, seed, shards, shared_root,
-                         control, base_bytes, /*speculative=*/false);
+                         control, base_bytes, /*speculative=*/false,
+                         collection->indexed());
   StagedGeneration* const stages[] = {&stage};
   ShardRun(stages, pool).Finish(control);
   stage.IngestInto(collection, pool);

@@ -6,7 +6,8 @@
 // CompressedRRShard — members sorted and group-varint-compressed while
 // they are cache-hot — and, once its sets are sampled, builds the shard's
 // inverted-index postings, grouped by index partition, on the same worker
-// in O(members + partitions). Ingestion after the barrier is then a cheap
+// in O(members + partitions) (a shard bound for an unindexed collection
+// skips them). Ingestion after the barrier is then a cheap
 // deterministic shard-order append (RRCollection::AddCompressedShards,
 // parallel over index partitions, each of which reads only its own slice
 // of every shard) instead of a serial sort/compress/rebuild pass. The
@@ -123,14 +124,16 @@ class StagedGeneration {
   /// have the part for `model` built and, like `root_table` (nullptr for
   /// uniform roots) and `control`, must outlive the staging run.
   /// `speculative` selects the rrset.speculation_throw fault site and the
-  /// speculative trace span names.
+  /// speculative trace span names. `postings` is whether the destination
+  /// collection is indexed (RRCollection::indexed).
   StagedGeneration(const SamplingView& view, DiffusionModel model,
                    uint64_t count, uint64_t seed, unsigned shards,
                    const AliasSampler* root_table, RunControl* control,
-                   uint64_t base_bytes, bool speculative);
+                   uint64_t base_bytes, bool speculative, bool postings);
 
-  /// Samples shard `s`, then builds its postings unless the batch was
-  /// aborted (thread-safe for distinct `s`; call once per `s`).
+  /// Samples shard `s`, then seals it and builds its postings (when the
+  /// destination is indexed) unless the batch was aborted (thread-safe
+  /// for distinct `s`; call once per `s`).
   void RunShard(unsigned s);
 
   unsigned shards() const { return static_cast<unsigned>(shards_.size()); }
@@ -144,7 +147,7 @@ class StagedGeneration {
   /// Ingests the sampled shards into `collection` (shard-order append;
   /// RRCollection::AddCompressedShards, which merges each touched index
   /// partition from the shards' partition-grouped postings), first
-  /// building the postings of any shard whose worker threw, and reports
+  /// finishing any shard whose worker threw, and reports
   /// the batch's generation counters to telemetry. Every RunShard must
   /// have returned — a ShardRun joins all its stages at once, so the
   /// stages of one run are ingested back to back; call at most once.
@@ -160,6 +163,7 @@ class StagedGeneration {
   RunControl* control_;
   uint64_t base_bytes_;
   bool speculative_;
+  bool postings_;
   std::atomic<bool> abort_{false};
   std::atomic<uint64_t> published_bytes_{0};
   struct alignas(64) Shard {
@@ -177,8 +181,9 @@ class StagedGeneration {
 /// `pool` as one TaskGroup (so they can overlap other work), or, without
 /// a pool or with one shard in total, defers them to Finish(), which runs
 /// them inline. Finish() joins under ParallelGenerate's worker-failure
-/// contract. Destruction joins without rethrowing, so the stages must
-/// outlive the run.
+/// contract; the group's join runs shards no worker has started on the
+/// calling thread. Destruction joins without rethrowing, so the stages
+/// must outlive the run.
 class ShardRun {
  public:
   ShardRun(std::span<StagedGeneration* const> stages, ThreadPool* pool);

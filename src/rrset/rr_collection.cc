@@ -125,23 +125,42 @@ void ShardEncoder::Add(std::vector<NodeId>* members, uint64_t cost) {
   shard_.sets.push_back({rec, cost});
 }
 
-CompressedRRShard ShardEncoder::Finish(uint32_t num_nodes) {
-  Finalize(&shard_, num_nodes);
+CompressedRRShard ShardEncoder::Finish(uint32_t num_nodes, bool postings) {
+  Finalize(&shard_, num_nodes, postings);
   CompressedRRShard out = std::move(shard_);
   shard_ = {};
   return out;
 }
 
-void ShardEncoder::Finalize(CompressedRRShard* shard, uint32_t num_nodes) {
-  if (shard->finalized()) return;
+void ShardEncoder::Finalize(CompressedRRShard* shard, uint32_t num_nodes,
+                            bool postings) {
+  if (postings ? shard->finalized() : shard->sealed) return;
   // Drop orphan trailing bytes (a worker that threw mid-Add may have
-  // appended an encoding without its record), then add temporary decode
-  // slack: the counting-sort passes below read via the fast decoder.
+  // appended an encoding without its record).
   uint64_t used = 0;
   for (const CompressedRRShard::SetRec& s : shard->sets) {
     if (!(s.rec & rrslot::kInlineTag)) used += s.rec;
   }
   shard->bytes.resize(used);
+  shard->sealed = true;
+  if (!postings) {
+    // Without postings to count them, the members are counted from the
+    // records: one header read per encoded set.
+    uint64_t members = 0;
+    const uint8_t* p = shard->bytes.data();
+    for (const CompressedRRShard::SetRec& s : shard->sets) {
+      if (!(s.rec & rrslot::kInlineTag)) {
+        members += DecodedRRMemberCount(p);
+        p += s.rec;
+      } else if (s.rec != rrslot::kEmpty) {
+        ++members;
+      }
+    }
+    shard->total_members = members;
+    return;
+  }
+  // Temporary decode slack: the counting-sort passes below read via the
+  // fast decoder.
   shard->bytes.resize(used + kVarintDecodeSlackBytes, 0);
 
   const uint32_t sets = static_cast<uint32_t>(shard->sets.size());
@@ -168,11 +187,15 @@ void ShardEncoder::Finalize(CompressedRRShard* shard, uint32_t num_nodes) {
 RRCollection::RRCollection(uint32_t num_nodes, RRStoreOptions options)
     : num_nodes_(num_nodes),
       retain_costs_(options.retain_set_costs),
-      parts_(rrpart::Count(num_nodes)),
-      extents_(num_nodes),
-      counts_(num_nodes, 0) {
+      indexed_(options.index),
+      index_built_(options.index) {
   // One slot bit tags inline sets, so ids must fit in 31 bits.
   OPIM_CHECK_LT(num_nodes, kSlotInlineTag);
+  if (indexed_) {
+    parts_.resize(rrpart::Count(num_nodes));
+    extents_.resize(num_nodes);
+    counts_.assign(num_nodes, 0);
+  }
 }
 
 RRCollection::~RRCollection() = default;
@@ -222,7 +245,9 @@ RRId RRCollection::AddSet(std::span<const NodeId> nodes,
   }
   addset_scratch_.assign(nodes.begin(), nodes.end());
   AppendEncodedSet(&addset_scratch_);
-  for (NodeId v : addset_scratch_) AppendPosting(v, id);
+  if (indexed_) {
+    for (NodeId v : addset_scratch_) AppendPosting(v, id);
+  }
   if (retain_costs_) set_cost_.push_back(edges_examined);
   total_edges_examined_ += edges_examined;
   return id;
@@ -314,8 +339,11 @@ void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,
   OPIM_TM_SCOPED_TIMER("opim.rrset.ingest_us");
   uint64_t add_sets = 0;
   for (CompressedRRShard& shard : shards) {
-    ShardEncoder::Finalize(&shard, num_nodes_);  // no-op on Finish output
-    OPIM_CHECK_EQ(shard.part_offsets.size(), parts_.size() + 1);
+    // A no-op on Finish output for this collection.
+    ShardEncoder::Finalize(&shard, num_nodes_, indexed_);
+    if (indexed_) {
+      OPIM_CHECK_EQ(shard.part_offsets.size(), parts_.size() + 1);
+    }
     add_sets += shard.sets.size();
   }
   if (add_sets == 0) return;
@@ -364,6 +392,7 @@ void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,
     total_members_ += shard.total_members;
   }
   OPIM_TM_GAUGE_SET("opim.rrset.compressed_bytes", pool_bytes_);
+  if (!indexed_) return;
   OPIM_TR_SPAN1("index_merge", "rrset", "sets", num_sets_);
   OPIM_TM_SCOPED_TIMER("opim.rrset.index_merge_us");
   OPIM_TM_COUNTER_ADD("opim.rrset.index_merges", 1);
@@ -528,6 +557,9 @@ void RRCollection::RewritePartition(uint32_t p,
 }
 
 void RRCollection::BuildIndex(ThreadPool* pool) const {
+  OPIM_CHECK_MSG(indexed_,
+                 "index read on an RR collection that keeps no index "
+                 "(RRStoreOptions::index)");
   OPIM_TR_SPAN1("index_rebuild", "rrset", "sets", num_sets_);
   OPIM_TM_SCOPED_TIMER("opim.rrset.index_rebuild_us");
   OPIM_TM_COUNTER_ADD("opim.rrset.index_rebuilds", 1);
@@ -751,19 +783,89 @@ std::vector<RRId> RRCollection::DecodeCovering(NodeId v) const {
 }
 
 uint64_t RRCollection::CoverageOf(std::span<const NodeId> seeds) const {
+  if (indexed_) return MarkCovered(seeds, nullptr);
+  return CoverageByPrefix(seeds).back();
+}
+
+std::vector<uint64_t> RRCollection::CoverageByPrefix(
+    std::span<const NodeId> seeds) const {
+  std::vector<uint64_t> at(seeds.size() + 1, 0);
+  if (indexed_) {
+    MarkCovered(seeds, at.data() + 1);
+    return at;
+  }
+  ScanFirstCovered(seeds, at.data() + 1);
+  for (size_t i = 1; i < at.size(); ++i) at[i] += at[i - 1];
+  return at;
+}
+
+uint64_t RRCollection::MarkCovered(std::span<const NodeId> seeds,
+                                   uint64_t* prefix) const {
   cover_scratch_.Reset(num_sets_);
   uint64_t* words = cover_scratch_.words();
   uint64_t covered = 0;
-  for (NodeId v : seeds) {
-    const CoverPostings p = Covering(v);
+  for (size_t s = 0; s < seeds.size(); ++s) {
+    const CoverPostings p = Covering(seeds[s]);
     ForEachNewlyCoveredIds(p.ids, words, [&](RRId) { ++covered; });
     for (size_t i = 0; i < p.words.size(); ++i) {
       const uint64_t fresh = p.masks[i] & ~words[p.words[i]];
       covered += std::popcount(fresh);
       words[p.words[i]] |= fresh;
     }
+    if (prefix != nullptr) prefix[s] = covered;
   }
   return covered;
+}
+
+void RRCollection::ScanFirstCovered(std::span<const NodeId> seeds,
+                                    uint64_t* first) const {
+  OPIM_TR_SPAN1("judge_scan", "rrset", "sets", num_sets_);
+  OPIM_TM_SCOPED_TIMER("opim.rrset.judge_scan_us");
+  // An n-bit seed bitmap answers the per-member test; (node, first
+  // position) pairs sorted by node give a hit its position.
+  std::vector<uint64_t> is_seed((uint64_t{num_nodes_} + 63) >> 6, 0);
+  std::vector<std::pair<NodeId, uint32_t>> position;
+  position.reserve(seeds.size());
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    const NodeId v = seeds[i];
+    OPIM_CHECK_LT(v, num_nodes_);
+    const uint64_t bit = uint64_t{1} << (v & 63);
+    if (is_seed[v >> 6] & bit) continue;  // a duplicate keeps its first
+    is_seed[v >> 6] |= bit;
+    position.emplace_back(v, static_cast<uint32_t>(i));
+  }
+  std::sort(position.begin(), position.end());
+  auto hit = [&](NodeId v) { return (is_seed[v >> 6] >> (v & 63)) & 1; };
+  auto position_of = [&](NodeId v) {
+    return std::lower_bound(position.begin(), position.end(),
+                            std::pair<NodeId, uint32_t>{v, 0})
+        ->second;
+  };
+  constexpr uint32_t kNone = ~uint32_t{0};
+  for (uint32_t c = 0; c < chunks_.size(); ++c) {
+    const RRId lo = c << kChunkShift;
+    const RRId hi = static_cast<RRId>(
+        std::min<uint64_t>(num_sets_, uint64_t{lo} + (1u << kChunkShift)));
+    // Fault a spilled chunk in once per pass, and only when some set in
+    // it is stored in the pool.
+    const uint8_t* data = nullptr;
+    if (chunks_[c].encoded_bytes > 0) {
+      data = spill_ != nullptr ? SpillAwareChunkData(c) : chunks_[c].data;
+    }
+    for (RRId id = lo; id < hi; ++id) {
+      const uint32_t slot = slot_[id];
+      if (slot & kSlotInlineTag) {
+        const NodeId v = slot & ~kSlotInlineTag;
+        if (slot != kEmptySlot && hit(v)) ++first[position_of(v)];
+        continue;
+      }
+      uint32_t earliest = kNone;
+      DecodeRRMembersForEach(data + slot, [&](NodeId v) {
+        if (hit(v)) earliest = std::min(earliest, position_of(v));
+      });
+      if (earliest != kNone) ++first[earliest];
+    }
+  }
 }
 
 double RRCollection::EstimateSpread(std::span<const NodeId> seeds) const {
@@ -781,6 +883,16 @@ std::span<const uint8_t> RRCollection::ChunkRun(uint32_t chunk) const {
   const uint8_t* data =
       spill_ != nullptr ? SpillAwareChunkData(chunk) : c.data;
   return {data, c.encoded_bytes};
+}
+
+void RRCollection::DropIndex() {
+  indexed_ = false;
+  index_built_ = false;
+  std::vector<IndexPart>().swap(parts_);
+  std::vector<Extent>().swap(extents_);
+  std::vector<uint64_t>().swap(counts_);
+  std::vector<NodeId>().swap(member_nonzero_);
+  cover_scratch_ = CoverBitset();
 }
 
 RRCollection RRCollection::RestoreFromSnapshotParts(
@@ -814,7 +926,7 @@ RRCollection RRCollection::RestoreFromSnapshotParts(
   rr.total_edges_examined_ = total_edges_examined;
   // The index is a function of the pool; build it on EnsureIndex or the
   // first read instead of shipping it through the snapshot.
-  rr.index_built_ = rr.num_sets_ == 0;
+  rr.index_built_ = rr.indexed_ && rr.num_sets_ == 0;
   return rr;
 }
 

@@ -1,10 +1,14 @@
-// Compressed pooled storage for random reverse-reachable (RR) sets with a
-// hybrid inverted node -> RR-set index (paper §3.1).
+// Compressed pooled storage for random reverse-reachable (RR) sets with an
+// optional hybrid inverted node -> RR-set index (paper §3.1).
 //
 // An RR set is a set of nodes; a collection R of them supports the two
 // operations every RIS algorithm needs:
 //   * coverage Λ(S): how many RR sets in R intersect a seed set S, and
 //   * greedy max-coverage (via the inverted index; see select/).
+// Only the nominating pool R1 runs greedy. A judge pool R2 that is only
+// asked for Λ2(S*) once per selection can skip the index
+// (RRStoreOptions::index = false): its ingest appends the compressed sets
+// alone, and one scan of them answers coverage (see "Judge scan" below).
 //
 // Storage. Members are kept sorted and group-varint delta-encoded
 // (rrset/varint_codec.h) into one append-only byte pool. Each set owns a
@@ -49,12 +53,24 @@
 //
 // Index validity contract: the index and MemberCounts() are current after
 // every append, so reads may interleave with appends freely, and
-// concurrent index reads (all but CoverageOf, which borrows a scratch
-// bitset) need no synchronization. The one exception is a collection
-// restored from a snapshot (RestoreFromSnapshotParts), whose index is
-// built by EnsureIndex — TwoPoolEngine::Restore does so on its workers —
-// or else by the first read or append, which must then not race with
-// other readers.
+// concurrent index reads (all but CoverageOf and CoverageByPrefix, which
+// borrow a scratch bitset) need no synchronization. The one exception is
+// a collection restored from a snapshot (RestoreFromSnapshotParts), whose
+// index is built by EnsureIndex — TwoPoolEngine::Restore does so on its
+// workers — or else by the first read or append, which must then not race
+// with other readers.
+//
+// Judge scan. An unindexed collection (RRStoreOptions::index = false, or
+// after DropIndex) allocates no extents, counts, partitions or arenas,
+// and reading its index (Covering, MemberCounts, MemberNonzero and what
+// builds on them) fails a check. CoverageOf and CoverageByPrefix answer
+// from one pass over the pool instead, chunk by chunk: each set counts
+// at the position of its earliest member in the seed list, found by
+// testing members against an n-bit seed bitmap and looking a position up
+// only on a hit (so a duplicate seed counts once), and the prefix sums of
+// those counts are Λ of every seed prefix. O(θ + Σ|R|) per call, against
+// the indexed path's O(θ/64 + Σ_{v∈S} postings); it pays off for a pool
+// queried once per doubling, whose index would be rewritten every time.
 
 // Out-of-core spill tier. The pool is chunked (4096 sets per chunk);
 // each chunk's encoded bytes are an independent byte run, so a sealed
@@ -65,11 +81,12 @@
 // set faults its chunk back in transparently (evicting other cold
 // chunks past the sticky resident target). Fault-in happens inside
 // SetBytes, so the trace-mode CELF update — which decodes each newly
-// covered set — drives residency. Decode-time fault-in is
+// covered set — drives residency; the judge scan faults each spilled
+// chunk in once per pass. Decode-time fault-in is
 // single-threaded-readers-only. The index never decodes the pool except
 // to build a restored collection, and that build runs serially once
-// spill is armed (selection decodes are serial; parallel generation
-// workers never read the collection).
+// spill is armed (selection decodes and judge scans are serial; parallel
+// generation workers never read the collection).
 
 #pragma once
 
@@ -117,8 +134,9 @@ inline uint32_t Count(uint32_t num_nodes) {
 /// One producer shard already in wire format: the concatenation of the
 /// sets' group-varint encodings (no tail slack), one record per set (an
 /// inline slot value for empty/singleton sets — tag bit set — or the
-/// set's encoded byte length, paired with its traversal cost), and the
-/// shard-local inverted postings grouped by index partition. Partition
+/// set's encoded byte length, paired with its traversal cost), and —
+/// for an indexed destination — the shard-local inverted postings
+/// grouped by index partition. Partition
 /// p's postings are entries [part_offsets[p], part_offsets[p + 1]) of
 /// `post_nodes` (the member's offset within p) and `post_sets` (its
 /// *local* set index within this shard), in ascending local set order.
@@ -138,7 +156,10 @@ struct CompressedRRShard {
   std::vector<uint16_t> post_nodes;    // per posting: node within partition
   std::vector<RRId> post_sets;         // per posting: local set index
   uint64_t total_members = 0;
+  /// Finalize ran: orphan bytes are stripped and total_members counted.
+  bool sealed = false;
 
+  /// The postings are built (an unindexed destination needs none).
   bool finalized() const { return !part_offsets.empty(); }
 
   /// Heap footprint (capacity-based) — what RunControl staging-buffer
@@ -174,16 +195,22 @@ class ShardEncoder {
   /// Current heap footprint of the staged shard.
   uint64_t StagingBytes() const { return shard_.StagingBytes(); }
 
-  /// Builds the shard-local postings (a counting sort of this shard's
-  /// decoded members by partition; checks that they fit the 32-bit
-  /// partition offsets) and returns the finished shard. The encoder is
-  /// left empty and reusable. `num_nodes` is the graph's node-id bound.
-  CompressedRRShard Finish(uint32_t num_nodes);
+  /// Seals the shard and, when `postings`, builds its shard-local
+  /// postings (a counting sort of this shard's decoded members by
+  /// partition; checks that they fit the 32-bit partition offsets), then
+  /// returns the finished shard. Shards bound for an unindexed collection
+  /// skip the postings. The encoder is left empty and reusable.
+  /// `num_nodes` is the graph's node-id bound.
+  CompressedRRShard Finish(uint32_t num_nodes, bool postings = true);
 
   /// Finalizes `shard` in place (used when a worker threw before its own
-  /// Finish ran: records stay consistent, so postings can be rebuilt by
-  /// any thread afterwards). No-op when already finalized.
-  static void Finalize(CompressedRRShard* shard, uint32_t num_nodes);
+  /// Finish ran: records stay consistent, so the shard can be sealed and
+  /// its postings rebuilt by any thread afterwards). Sealing strips
+  /// orphan bytes and counts the members (from the records when no
+  /// postings are built). No-op when already sealed, or finalized when
+  /// `postings`.
+  static void Finalize(CompressedRRShard* shard, uint32_t num_nodes,
+                       bool postings = true);
 
  private:
   CompressedRRShard shard_;
@@ -194,6 +221,11 @@ struct RRStoreOptions {
   /// Keep the per-set traversal cost (8 bytes/set) so SetCost() answers.
   /// Engine pools that only need aggregate γ turn this off.
   bool retain_set_costs = true;
+  /// Keep the inverted index and member counts. A pool that is never
+  /// selected on — OPIM-C's judge pool — turns this off: its coverage
+  /// queries scan the pool instead (see "Judge scan" in the file
+  /// comment).
+  bool index = true;
 };
 
 /// Spill-tier configuration for RRCollection::EnableSpill.
@@ -225,20 +257,21 @@ class RRCollection {
 
   /// Appends one RR set (list of distinct nodes, any order; stored
   /// sorted). `edges_examined` is the traversal cost the sampler paid
-  /// (the paper's γ accounting, §3.2). Returns the new set's id. Each
-  /// member's posting is appended in place, O(|set|) amortized, so the
-  /// index stays current; bulk producers should encode shards with
-  /// ShardEncoder and use AddCompressedShards.
+  /// (the paper's γ accounting, §3.2). Returns the new set's id. On an
+  /// indexed collection each member's posting is appended in place,
+  /// O(|set|) amortized, so the index stays current; bulk producers
+  /// should encode shards with ShardEncoder and use AddCompressedShards.
   RRId AddSet(std::span<const NodeId> nodes, uint64_t edges_examined);
 
   /// Appends pre-compressed shards (ShardEncoder output for this
   /// collection's num_nodes), in shard order: byte streams are appended
-  /// wholesale, and every index partition the shards touch is rewritten
-  /// tightly — each node's old postings, then its new ones from the
-  /// shards in shard order, each offset by its shard's id base — in one
-  /// parallel pass over partitions when `pool` is given. Existing sets are
-  /// never re-decoded. Non-finalized shards (worker threw before Finish)
-  /// are finalized here first. Deterministic for any worker count.
+  /// wholesale, and on an indexed collection every index partition the
+  /// shards touch is rewritten tightly — each node's old postings, then
+  /// its new ones from the shards in shard order, each offset by its
+  /// shard's id base — in one parallel pass over partitions when `pool`
+  /// is given. Existing sets are never re-decoded. Shards whose worker
+  /// threw before Finish are finalized here first. Deterministic for any
+  /// worker count.
   void AddCompressedShards(std::vector<CompressedRRShard> shards,
                            ThreadPool* pool = nullptr);
 
@@ -247,6 +280,10 @@ class RRCollection {
 
   /// Number of nodes n of the underlying graph.
   uint32_t num_nodes() const { return num_nodes_; }
+
+  /// Whether the collection keeps an inverted index (RRStoreOptions::
+  /// index, until DropIndex).
+  bool indexed() const { return indexed_; }
 
   /// Member count of RR set `id`.
   uint32_t SetSize(RRId id) const {
@@ -408,9 +445,16 @@ class RRCollection {
   }
 
   /// Coverage Λ(S): number of RR sets intersecting S, counted by marking
-  /// a scratch bitset with each seed's postings. O(θ/64 + Σ_{v∈S} work).
-  /// Duplicate nodes in `seeds` are handled (each RR set counted once).
+  /// a scratch bitset with each seed's postings (O(θ/64 + Σ_{v∈S} work)),
+  /// or by the judge scan on an unindexed collection. Duplicate nodes in
+  /// `seeds` are handled (each RR set counted once).
   uint64_t CoverageOf(std::span<const NodeId> seeds) const;
+
+  /// Coverage of every prefix of `seeds`: entry i is Λ(seeds[0, i)), so
+  /// entry 0 is 0 and the last entry is CoverageOf(seeds). One postings
+  /// walk over the seeds on an indexed collection, one judge scan
+  /// otherwise.
+  std::vector<uint64_t> CoverageByPrefix(std::span<const NodeId> seeds) const;
 
   /// |V|/θ · Λ(S): the unbiased RIS estimate of σ(S) (Lemma 3.1). Returns 0
   /// for an empty collection.
@@ -442,10 +486,15 @@ class RRCollection {
 
   /// Builds the inverted index and member counts of a restored
   /// collection now (decoding in parallel when `pool` is given and spill
-  /// is not armed); no-op once built.
+  /// is not armed); no-op once built, and on an unindexed collection.
   void EnsureIndex(ThreadPool* pool = nullptr) const {
-    if (!index_built_) BuildIndex(pool);
+    if (indexed_ && !index_built_) BuildIndex(pool);
   }
+
+  /// Frees the inverted index and member counts for good: the collection
+  /// continues as if built with RRStoreOptions::index = false. A restored
+  /// judge pool takes this path, so it never builds the index.
+  void DropIndex();
 
   /// Reassembles a collection from snapshot parts. `chunk_runs` are the
   /// slack-free per-chunk byte runs (ChunkRun output); `slots`, `costs`,
@@ -597,7 +646,18 @@ class RRCollection {
   /// Builds the index of a restored collection: decodes the pool into
   /// per-set-range posting shards (one range per worker; serial once
   /// spill is armed) and appends them through AppendShardPostings.
+  /// Fails a check on an unindexed collection, which is how its index
+  /// reads fail.
   void BuildIndex(ThreadPool* pool) const;
+
+  /// Marks each seed's postings in the scratch bitset, in seed order;
+  /// with `prefix`, prefix[i] is the coverage after seeds[0..i]. Returns
+  /// the coverage of all seeds. Indexed collections only.
+  uint64_t MarkCovered(std::span<const NodeId> seeds, uint64_t* prefix) const;
+
+  /// The judge scan (see the file comment): adds one to first[i] for
+  /// each set whose earliest member in `seeds` is seeds[i].
+  void ScanFirstCovered(std::span<const NodeId> seeds, uint64_t* first) const;
 
   /// Appends `len` bytes from `src` to the open (last) chunk's run,
   /// maintaining the per-chunk decode slack and `pool_bytes_`.
@@ -606,6 +666,7 @@ class RRCollection {
   uint32_t num_nodes_ = 0;
   uint32_t num_sets_ = 0;
   bool retain_costs_ = true;
+  bool indexed_ = true;
   // Chunked compressed pool; each resident chunk's run ends with
   // kVarintDecodeSlackBytes zero bytes. Mutable: decodes fault spilled
   // chunks back in and stamp recency.
@@ -617,15 +678,18 @@ class RRCollection {
   std::vector<NodeId> addset_scratch_;  // AddSet sort buffer (reused)
   uint64_t total_members_ = 0;
   uint64_t total_edges_examined_ = 0;
-  // Hybrid inverted index (see the file comment). Mutable only so a
-  // restored collection can build it on first read.
+  // Hybrid inverted index (see the file comment); empty when unindexed.
+  // Mutable only so a restored collection can build it on first read.
   mutable std::vector<IndexPart> parts_;  // ceil(num_nodes / 4096)
   mutable std::vector<Extent> extents_;   // per node
   mutable std::vector<uint64_t> counts_;  // per node: postings (MemberCounts)
   // Nodes whose count left zero (see MemberNonzero).
   mutable std::vector<NodeId> member_nonzero_;
-  mutable bool index_built_ = true;  // false only after a restore
-  // Scratch for CoverageOf (covered-set bitset, reset per call).
+  // False after a restore until the index is built, and always when
+  // unindexed (index reads then reach BuildIndex's check).
+  mutable bool index_built_ = true;
+  // Scratch for indexed CoverageOf / CoverageByPrefix (covered-set
+  // bitset, reset per call).
   mutable CoverBitset cover_scratch_;
 };
 

@@ -1,12 +1,10 @@
 #include "select/seed_trace.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "rrset/cover_bitset.h"
 #include "support/macros.h"
 
 namespace opim {
@@ -42,26 +40,11 @@ void SeedTrace::AttributeJudgeCoverage(const RRCollection& r2) {
   OPIM_DCHECK(armed_);
   OPIM_TR_SPAN1("judge_attrib", "select", "k", seeds_.size());
   OPIM_TM_SCOPED_TIMER("opim.select.judge_attrib_us");
-  lambda2_at_.assign(coverage_at_.size(), 0);
-  CoverBitset covered;
-  covered.Reset(r2.num_sets());
-  uint64_t* words = covered.words();
-  uint64_t cov = 0;
-  for (size_t i = 0; i < seeds_.size(); ++i) {
-    const RRCollection::CoverPostings p = r2.Covering(seeds_[i]);
-    ForEachNewlyCoveredIds(p.ids, words, [&](RRId) { ++cov; });
-    for (size_t b = 0; b < p.words.size(); ++b) {
-      const uint64_t fresh = p.masks[b] & ~words[p.words[b]];
-      cov += std::popcount(fresh);
-      words[p.words[b]] |= fresh;
-    }
-    lambda2_at_[i + 1] = cov;
-  }
   // When n < k there are fewer real seeds than prefixes; Λ2 is flat from
   // the last one (no further node exists to cover anything).
-  for (size_t i = seeds_.size() + 1; i < lambda2_at_.size(); ++i) {
-    lambda2_at_[i] = cov;
-  }
+  const std::vector<uint64_t> at = r2.CoverageByPrefix(seeds_);
+  lambda2_at_.assign(coverage_at_.size(), at.back());
+  std::copy(at.begin(), at.end(), lambda2_at_.begin());
   judged_ = true;
 }
 

@@ -67,8 +67,9 @@ class SeedTrace {
   // --- Engine attachment ----------------------------------------------
 
   /// Judge-pool pass: fills Λ2(S_i*) for every prefix i with one
-  /// incremental coverage walk over `r2` (each seed's postings marked
-  /// once). Λ2 at the full prefix equals r2.CoverageOf(seeds()).
+  /// r2.CoverageByPrefix pass — an incremental walk over the seeds'
+  /// postings, or one judge scan of an unindexed `r2`. Λ2 at the full
+  /// prefix equals r2.CoverageOf(seeds()).
   void AttributeJudgeCoverage(const RRCollection& r2);
 
   /// Attaches the bound parameters of the run that produced the pools.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <utility>
 
 namespace opim {
@@ -30,15 +31,17 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 #endif
 
-ThreadPool::ThreadPool(unsigned num_threads) {
+ThreadPool::ThreadPool(unsigned num_threads) : num_threads_(num_threads) {
   OPIM_CHECK_GE(num_threads, 1u);
-  workers_.reserve(num_threads);
-  for (unsigned i = 0; i < num_threads; ++i) {
+  // The caller of each join is the last thread.
+  workers_.reserve(num_threads - 1);
+  for (unsigned i = 1; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
+  RunQueued(nullptr);
   {
     std::unique_lock<std::mutex> lock(mu_);
     shutting_down_ = true;
@@ -48,21 +51,87 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  Enqueue(std::move(task), nullptr);
+}
+
+void ThreadPool::Enqueue(std::function<void()> fn, const void* owner) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     OPIM_CHECK_MSG(!shutting_down_, "Submit after shutdown");
     QueuedTask queued;
-    queued.fn = std::move(task);
+    queued.fn = std::move(fn);
+    queued.owner = owner;
 #if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
     queued.enqueued = std::chrono::steady_clock::now();
 #endif
-    tasks_.push(std::move(queued));
+    tasks_.push_back(std::move(queued));
     ++in_flight_;
   }
   task_ready_.notify_one();
 }
 
+bool ThreadPool::TakeQueued(const void* owner, QueuedTask* task,
+                            bool* drain) {
+  auto it = tasks_.begin();
+  if (owner != nullptr) {
+    it = std::find_if(tasks_.begin(), tasks_.end(),
+                      [owner](const QueuedTask& t) { return t.owner == owner; });
+  }
+  if (it == tasks_.end()) return false;
+  *task = std::move(*it);
+  tasks_.erase(it);
+  // A captured failure poisons the batch: drain the remaining queued
+  // Submit tasks without running them so Wait() can rethrow promptly.
+  // Owned tasks report to their own join, which must see them finish.
+  *drain = failure_ != nullptr && task->owner == nullptr;
+  ++stats_.tasks_run;
+#if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
+  stats_.queue_wait_us += MicrosSince(task->enqueued);
+#endif
+  return true;
+}
+
+void ThreadPool::Execute(QueuedTask* task, bool drain) {
+  if (!drain) {
+#if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
+    const TaskSpanHook hook = task_span_hook.load(std::memory_order_acquire);
+    const auto task_start = hook != nullptr
+                                ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point{};
+#endif
+    try {
+      task->fn();
+    } catch (...) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (failure_ == nullptr) failure_ = std::current_exception();
+    }
+#if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
+    if (hook != nullptr) {
+      hook(task_start, std::chrono::steady_clock::now());
+    }
+#endif
+  }
+  // Release the callable (and whatever it captured) before the task
+  // counts as finished.
+  task->fn = nullptr;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (--in_flight_ == 0) all_done_.notify_all();
+}
+
+void ThreadPool::RunQueued(const void* owner) {
+  for (;;) {
+    QueuedTask task;
+    bool drain = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!TakeQueued(owner, &task, &drain)) return;
+    }
+    Execute(&task, drain);
+  }
+}
+
 void ThreadPool::Wait() {
+  RunQueued(nullptr);
   std::unique_lock<std::mutex> lock(mu_);
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
   if (failure_ != nullptr) {
@@ -83,19 +152,51 @@ unsigned ThreadPool::ResolveThreadCount(unsigned requested) {
 void ThreadPool::ParallelFor(uint64_t n,
                              const std::function<void(uint64_t)>& fn) {
   if (n == 0) return;
-  const unsigned shards =
-      static_cast<unsigned>(std::min<uint64_t>(n, num_threads()));
-  auto next = std::make_shared<std::atomic<uint64_t>>(0);
-  for (unsigned s = 0; s < shards; ++s) {
-    Submit([next, n, &fn] {
-      for (;;) {
-        uint64_t i = next->fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        fn(i);
+  // Shared with the helper tasks, which may start after this call
+  // returned: a late helper claims nothing, so it never touches `fn`.
+  struct Items {
+    uint64_t n;
+    const std::function<void(uint64_t)>* fn;
+    std::atomic<uint64_t> next{0};
+    // Set with `failure`; lets claimers skip items without the lock.
+    std::atomic<bool> failed{false};
+    std::mutex mu;
+    std::condition_variable all_done;
+    uint64_t done = 0;           // guarded by mu
+    std::exception_ptr failure;  // guarded by mu
+  };
+  auto items = std::make_shared<Items>();
+  items->n = n;
+  items->fn = &fn;
+  auto claim = [](Items* it) {
+    for (;;) {
+      const uint64_t i = it->next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= it->n) return;
+      // After a failure the remaining items are skipped, not run.
+      std::exception_ptr error;
+      if (!it->failed.load(std::memory_order_relaxed)) {
+        try {
+          (*it->fn)(i);
+        } catch (...) {
+          error = std::current_exception();
+        }
       }
-    });
+      std::unique_lock<std::mutex> lock(it->mu);
+      if (error != nullptr && it->failure == nullptr) {
+        it->failure = error;
+        it->failed.store(true, std::memory_order_relaxed);
+      }
+      if (++it->done == it->n) it->all_done.notify_all();
+    }
+  };
+  const uint64_t helpers = std::min<uint64_t>(n, num_threads()) - 1;
+  for (uint64_t h = 0; h < helpers; ++h) {
+    Enqueue([items, claim] { claim(items.get()); }, items.get());
   }
-  Wait();
+  claim(items.get());
+  std::unique_lock<std::mutex> lock(items->mu);
+  items->all_done.wait(lock, [&] { return items->done == n; });
+  if (items->failure != nullptr) std::rethrow_exception(items->failure);
 }
 
 ThreadPoolStats ThreadPool::Stats() const {
@@ -117,72 +218,47 @@ void ThreadPool::WorkerLoop() {
 #if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
       stats_.idle_wait_us += MicrosSince(idle_start);
 #endif
-      if (tasks_.empty()) {
+      if (!TakeQueued(nullptr, &task, &drain)) {
         if (shutting_down_) return;
         continue;
       }
-      task = std::move(tasks_.front());
-      tasks_.pop();
-      // A captured failure poisons the batch: drain the remaining queued
-      // tasks without running them so Wait() can rethrow promptly.
-      drain = failure_ != nullptr;
-      ++stats_.tasks_run;
-#if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
-      stats_.queue_wait_us += MicrosSince(task.enqueued);
-#endif
     }
-    if (!drain) {
-#if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
-      const TaskSpanHook hook = task_span_hook.load(std::memory_order_acquire);
-      const auto task_start = hook != nullptr
-                                  ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-#endif
-      try {
-        task.fn();
-      } catch (...) {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (failure_ == nullptr) failure_ = std::current_exception();
-      }
-#if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
-      if (hook != nullptr) {
-        hook(task_start, std::chrono::steady_clock::now());
-      }
-#endif
-    }
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
+    Execute(&task, drain);
   }
 }
 
-TaskGroup::~TaskGroup() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_.wait(lock, [this] { return pending_ == 0; });
-}
+TaskGroup::~TaskGroup() { Join(); }
 
 void TaskGroup::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     ++pending_;
   }
-  pool_->Submit([this, task = std::move(task)] {
-    try {
-      task();
-    } catch (...) {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (failure_ == nullptr) failure_ = std::current_exception();
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (--pending_ == 0) done_.notify_all();
-  });
+  pool_->Enqueue(
+      [this, task = std::move(task)]() mutable {
+        try {
+          task();
+        } catch (...) {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (failure_ == nullptr) failure_ = std::current_exception();
+        }
+        // The group may be destroyed as soon as it counts this task done.
+        task = nullptr;
+        std::unique_lock<std::mutex> lock(mu_);
+        if (--pending_ == 0) done_.notify_all();
+      },
+      this);
+}
+
+void TaskGroup::Join() {
+  pool_->RunQueued(this);
+  std::unique_lock<std::mutex> lock(mu_);
+  done_.wait(lock, [this] { return pending_ == 0; });
 }
 
 void TaskGroup::Wait() {
+  Join();
   std::unique_lock<std::mutex> lock(mu_);
-  done_.wait(lock, [this] { return pending_ == 0; });
   if (failure_ != nullptr) {
     std::exception_ptr failure = std::exchange(failure_, nullptr);
     lock.unlock();

@@ -1,15 +1,24 @@
-// Minimal fixed-size thread pool, used by the Monte-Carlo spread estimator
-// to parallelize the (embarrassingly parallel) forward simulations.
+// Fixed-size thread pool shared by every parallel phase: RR-set sampling
+// shards, index merges, the SamplingView build, CELF's initial-gain pass
+// and the Monte-Carlo spread estimator.
+//
+// The calling thread is one of the pool's threads. ThreadPool(n) starts
+// n − 1 workers, and every join — ThreadPool::Wait, TaskGroup::Wait,
+// ParallelFor — runs not-yet-started work of its own on the caller
+// instead of sleeping until a worker gets to it. On a host whose
+// scheduler does not spread threads across CPUs (docs/performance.md,
+// "Engine-owned thread pool"), a fan-out therefore starts at least one
+// task at once, on a CPU that is already running.
 
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -21,17 +30,24 @@ namespace opim {
 /// only maintained when the build compiles telemetry in
 /// (OPIM_TELEMETRY_ENABLED); `tasks_run` is always exact.
 struct ThreadPoolStats {
-  /// Tasks dequeued and executed by workers.
+  /// Queued tasks dequeued, by a worker or by a joining caller: Submit
+  /// and TaskGroup tasks, and ParallelFor's helper tasks (the caller's
+  /// own share of a ParallelFor is not a task). Tasks drained after a
+  /// failure count too.
   uint64_t tasks_run = 0;
-  /// Total microseconds tasks spent queued before a worker picked them up.
+  /// Total microseconds tasks spent queued before a worker or a joining
+  /// caller picked them up.
   uint64_t queue_wait_us = 0;
-  /// Total microseconds workers spent blocked waiting for work.
+  /// Total microseconds workers spent blocked waiting for work. A
+  /// caller blocked in a join is not counted.
   uint64_t idle_wait_us = 0;
 };
 
-/// Fixed-size worker pool executing std::function<void()> tasks.
-/// Submit work with Submit(); Wait() blocks until all submitted tasks have
-/// finished. Destruction waits for outstanding tasks.
+/// Fixed-size pool executing std::function<void()> tasks on
+/// num_threads() − 1 workers plus the thread that joins them.
+/// Submit work with Submit(); Wait() runs queued tasks on the calling
+/// thread, then blocks until every submitted task has finished.
+/// Destruction runs or waits for outstanding tasks.
 ///
 /// Exception safety: a throwing task no longer escapes through the bare
 /// std::function call (which used to land in std::terminate). The first
@@ -39,25 +55,30 @@ struct ThreadPoolStats {
 /// consumed are drained without running (so a poisoned batch ends
 /// promptly); Wait() rethrows the captured exception and leaves the pool
 /// fully reusable for subsequent batches. An unconsumed exception is
-/// discarded by the destructor.
+/// discarded by the destructor. TaskGroup tasks and ParallelFor items
+/// capture their own failures and are never drained.
 class ThreadPool {
  public:
-  /// Creates `num_threads` workers (>= 1).
+  /// A pool of `num_threads` (>= 1) threads: starts num_threads − 1
+  /// workers, the caller of each join being the last.
   explicit ThreadPool(unsigned num_threads);
   ~ThreadPool();
 
   OPIM_DISALLOW_COPY(ThreadPool);
 
-  /// Enqueues a task for execution on some worker.
+  /// Enqueues a task for execution on some worker (or on the caller of
+  /// the next Wait()).
   void Submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has completed (or was drained
+  /// Runs queued tasks on the calling thread until none is left, then
+  /// blocks until every submitted task has completed (or was drained
   /// after a failure). Rethrows the first exception any task threw since
-  /// the last Wait(); the pool stays usable afterwards.
+  /// the last Wait(); the pool stays usable afterwards. Must not be
+  /// called from inside a task of this pool.
   void Wait();
 
-  /// Number of worker threads.
-  unsigned num_threads() const { return static_cast<unsigned>(workers_.size()); }
+  /// Number of threads, the caller included: the worker count plus one.
+  unsigned num_threads() const { return num_threads_; }
 
   /// A reasonable default: hardware concurrency, at least 1.
   static unsigned DefaultThreadCount();
@@ -67,15 +88,22 @@ class ThreadPool {
   /// else is taken literally.
   static unsigned ResolveThreadCount(unsigned requested);
 
-  /// Runs `fn(i)` for i in [0, n) across the pool and waits. `fn` must be
-  /// safe to invoke concurrently for distinct i.
+  /// Runs `fn(i)` for i in [0, n) on the caller and up to num_threads() − 1
+  /// helper tasks, and returns once every item is done. `fn` must be safe
+  /// to invoke concurrently for distinct i. Only this call's items are
+  /// joined, so it may run inside a pool task or next to unrelated
+  /// queued work; a helper that starts after the items ran out returns
+  /// at once and is not waited for. The first exception an item throws
+  /// is rethrown here once the claimed items finish; unclaimed items are
+  /// skipped.
   void ParallelFor(uint64_t n, const std::function<void(uint64_t)>& fn);
 
   /// Snapshot of lifetime counters (consistent under the pool mutex).
   ThreadPoolStats Stats() const;
 
-  /// Observer invoked from the worker thread after each executed task with
-  /// the task's wall-clock interval.
+  /// Observer invoked from the executing thread (a worker or a joining
+  /// caller) after each executed task with the task's wall-clock
+  /// interval.
   using TaskSpanHook = void (*)(std::chrono::steady_clock::time_point begin,
                                 std::chrono::steady_clock::time_point end);
 
@@ -87,24 +115,46 @@ class ThreadPool {
   static void SetTaskSpanHook(TaskSpanHook hook);
 
  private:
+  friend class TaskGroup;
+
   struct QueuedTask {
     std::function<void()> fn;
+    /// The TaskGroup or ParallelFor call the task belongs to; null for
+    /// Submit tasks, the only ones a captured failure drains.
+    const void* owner = nullptr;
 #if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
     std::chrono::steady_clock::time_point enqueued;
 #endif
   };
 
+  void Enqueue(std::function<void()> fn, const void* owner);
+
+  /// Moves the oldest queued task of `owner` (of any owner when null)
+  /// into `*task`, counts it, and decides whether a captured failure
+  /// drains it. Returns false when none is queued. Requires mu_ held.
+  bool TakeQueued(const void* owner, QueuedTask* task, bool* drain);
+
+  /// Runs (or drains) a dequeued task on the calling thread, captures a
+  /// Submit task's exception, and retires it from in_flight_.
+  void Execute(QueuedTask* task, bool drain);
+
+  /// Runs `owner`'s queued tasks (every queued task when null) on the
+  /// calling thread until none is left.
+  void RunQueued(const void* owner);
+
   void WorkerLoop();
 
+  unsigned num_threads_;
   std::vector<std::thread> workers_;
-  std::queue<QueuedTask> tasks_;
+  std::deque<QueuedTask> tasks_;
   mutable std::mutex mu_;
   std::condition_variable task_ready_;
   std::condition_variable all_done_;
   uint64_t in_flight_ = 0;
   bool shutting_down_ = false;
-  /// First exception thrown by a task since the last Wait(); guarded by
-  /// mu_. While set, dequeued tasks are drained without running.
+  /// First exception thrown by a Submit task since the last Wait();
+  /// guarded by mu_. While set, dequeued Submit tasks are drained without
+  /// running.
   std::exception_ptr failure_;
   ThreadPoolStats stats_;
 };
@@ -116,13 +166,16 @@ class ThreadPool {
 /// an unrelated Wait() or cause queued foreground tasks to be drained.
 /// The pipelined engine uses this to overlap speculative sampling with
 /// serial selection and join only the speculative tasks at the merge
-/// point. Note the asymmetry: the pool-global Wait() still counts group
-/// tasks (callers must join the group before pool-wide barriers), while
-/// group Wait() never counts foreground tasks.
+/// point. Wait() runs the group's not-yet-started tasks on the caller,
+/// then waits for the ones a worker started. Note the asymmetry: the
+/// pool-global Wait() still counts group tasks (and runs queued ones on
+/// its caller), while group Wait() never counts foreground tasks;
+/// ParallelFor joins only its own items and is no pool-wide barrier.
 ///
 /// The group must outlive its tasks; Wait() — or destruction, which joins
-/// and discards any unconsumed exception — must complete before the pool
-/// is destroyed.
+/// the same way and discards any unconsumed exception — must complete
+/// before the pool is destroyed. Destroying a group whose tasks are still
+/// queued is safe: the destructor runs them.
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
@@ -133,11 +186,16 @@ class TaskGroup {
   /// Enqueues a task on the pool, tracked by this group.
   void Submit(std::function<void()> task);
 
-  /// Blocks until every group task has completed; rethrows the group's
-  /// first exception since the last Wait(). The group stays reusable.
+  /// Runs the group's queued tasks on the calling thread, then blocks
+  /// until every group task a worker started has completed; rethrows the
+  /// group's first exception since the last Wait(). The group stays
+  /// reusable.
   void Wait();
 
  private:
+  /// Runs queued group tasks on the caller, then waits for the rest.
+  void Join();
+
   ThreadPool* pool_;
   std::mutex mu_;
   std::condition_variable done_;

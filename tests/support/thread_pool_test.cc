@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -166,6 +167,112 @@ TEST(ThreadPoolTest, StatsCountTasksRun) {
   pool.Submit([&counter] { counter.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(pool.Stats().tasks_run, 38u);
+}
+
+/// Occupies every worker of `pool` with a task that blocks until
+/// Release(), and returns once all of them are running.
+class BlockedWorkers {
+ public:
+  explicit BlockedWorkers(ThreadPool* pool)
+      : workers_(pool->num_threads() - 1), started_(workers_) {
+    for (unsigned i = 0; i < workers_; ++i) {
+      pool->Submit([this] {
+        started_.count_down();
+        release_.wait();
+      });
+    }
+    started_.wait();
+  }
+  void Release() { release_.count_down(); }
+
+ private:
+  unsigned workers_;
+  std::latch started_;
+  std::latch release_{1};
+};
+
+TEST(ThreadPoolJoinTest, ParallelForInsideAPoolTaskCompletes) {
+  ThreadPool pool(4);
+  // One task per thread, each fanning out again: every worker then sits
+  // inside a ParallelFor whose helpers can only run on a busy pool.
+  constexpr uint64_t kItems = 200;
+  std::vector<std::atomic<int>> hits(4 * kItems);
+  for (uint64_t t = 0; t < 4; ++t) {
+    pool.Submit([&, t] {
+      pool.ParallelFor(kItems, [&](uint64_t i) {
+        hits[t * kItems + i].fetch_add(1);
+      });
+    });
+  }
+  pool.Wait();
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolJoinTest, JoinsCompleteOnTheCallerWhileWorkersAreBlocked) {
+  ThreadPool pool(3);
+  BlockedWorkers blocked(&pool);
+  std::atomic<int> items{0};
+  pool.ParallelFor(64, [&](uint64_t) { items.fetch_add(1); });
+  EXPECT_EQ(items.load(), 64);
+
+  TaskGroup group(&pool);
+  std::atomic<int> tasks{0};
+  for (int i = 0; i < 5; ++i) group.Submit([&] { tasks.fetch_add(1); });
+  group.Wait();
+  EXPECT_EQ(tasks.load(), 5);
+
+  group.Submit([] { throw std::runtime_error("group failure"); });
+  EXPECT_THROW(group.Wait(), std::runtime_error);
+  EXPECT_THROW(pool.ParallelFor(8,
+                                [](uint64_t i) {
+                                  if (i == 3) throw std::logic_error("item");
+                                }),
+               std::logic_error);
+  blocked.Release();
+  pool.Wait();
+}
+
+TEST(ThreadPoolJoinTest, TaskGroupDestroyedWithQueuedTasksIsSafe) {
+  ThreadPool pool(2);
+  BlockedWorkers blocked(&pool);
+  std::atomic<int> ran{0};
+  {
+    TaskGroup group(&pool);
+    for (int i = 0; i < 6; ++i) group.Submit([&] { ran.fetch_add(1); });
+    group.Submit([] { throw std::runtime_error("never observed"); });
+    // No Wait(): the destructor runs the queued tasks on this thread.
+  }
+  EXPECT_EQ(ran.load(), 6);
+  blocked.Release();
+  pool.Wait();
+  // The pool is unaffected: later work runs normally.
+  pool.Submit([&] { ran.fetch_add(1); });
+  pool.Wait();
+  EXPECT_EQ(ran.load(), 7);
+}
+
+TEST(ThreadPoolJoinTest, StatsCountTasksTheCallerRan) {
+  ThreadPool serial(1);  // no workers: the caller runs everything
+  std::atomic<int> counter{0};
+  for (int i = 0; i < 5; ++i) serial.Submit([&] { counter.fetch_add(1); });
+  serial.Wait();
+  TaskGroup group(&serial);
+  for (int i = 0; i < 3; ++i) group.Submit([&] { counter.fetch_add(1); });
+  group.Wait();
+  EXPECT_EQ(counter.load(), 8);
+  EXPECT_EQ(serial.Stats().tasks_run, 8u);
+
+  ThreadPool pool(2);
+  BlockedWorkers blocked(&pool);
+  TaskGroup blocked_group(&pool);
+  for (int i = 0; i < 4; ++i) {
+    blocked_group.Submit([&] { counter.fetch_add(1); });
+  }
+  blocked_group.Wait();  // all four ran here
+  EXPECT_EQ(pool.Stats().tasks_run, 5u);  // plus the blocking task
+  blocked.Release();
+  pool.Wait();
+  EXPECT_EQ(pool.Stats().tasks_run, 5u);
 }
 
 }  // namespace
