@@ -17,7 +17,7 @@
 // The Λ coverage counts these bounds consume come from the RR pools:
 // Λ2(S*) is RRCollection::CoverageOf (on an indexed judge pool, seed
 // postings marked into a 64-bit-word scratch bitset and popcounted whole
-// words at a time; on OPIM-C's unindexed one, a single scan of its
+// words at a time; on the engine's unindexed one, a single scan of its
 // compressed sets), and the Λ1 trace values arrive in GreedyResult from
 // the CELF selection over the bitset representation (select/greedy.cc).
 // The functions here are pure arithmetic on those counts.

@@ -18,10 +18,7 @@ OnlineMaximizer::OnlineMaximizer(const Graph& g, DiffusionModel model,
                                  uint64_t seed)
     : k_(k),
       delta_(delta),
-      // Queries come at the caller's cadence, each reading Λ2 once: R2
-      // keeps its index, whose appends are cheaper than a scan per query.
-      engine_(g, model, node_weights, /*num_threads=*/1,
-              RRStoreOptions{.retain_set_costs = false}),
+      engine_(g, model, node_weights, /*num_threads=*/1),
       rng_(seed, 0x6f70696dULL) {  // "opim"
   OPIM_CHECK_GE(k, 1u);
   OPIM_CHECK_LE(k, g.num_nodes());

@@ -57,14 +57,8 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
 
   // One engine for the whole run: one worker pool and one sampling view
   // serve every doubling of both pools, every index merge and every CELF
-  // pass (see core/two_pool_engine.h). R2 is read once per doubling, for
-  // Λ2(S*) (and, in query mode, Λ2 of every prefix): one judge scan of
-  // its compressed sets costs less than rewriting an index for it at
-  // every doubling, so it keeps none.
-  constexpr RRStoreOptions kJudgeStore{.retain_set_costs = false,
-                                       .index = false};
-  TwoPoolEngine engine(g, model, options.node_weights, options.num_threads,
-                       kJudgeStore);
+  // pass (see core/two_pool_engine.h).
+  TwoPoolEngine engine(g, model, options.node_weights, options.num_threads);
 
   // Weighted objective: scale W = Σ w_v replaces n, and the trivial
   // optimum lower bound becomes the top-k weight sum (each seed at least

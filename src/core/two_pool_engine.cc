@@ -14,9 +14,11 @@ namespace opim {
 
 namespace {
 
-/// R1 never answers SetCost (only aggregate γ), so it drops the 8
-/// bytes/set cost column.
+/// Neither pool answers SetCost (only aggregate γ), so both drop the 8
+/// bytes/set cost column; R2, never selected on, keeps no index either.
 constexpr RRStoreOptions kNominatorStore{.retain_set_costs = false};
+constexpr RRStoreOptions kJudgeStore{.retain_set_costs = false,
+                                     .index = false};
 
 /// Σ w_v over validated weights, or n for unit weights (empty span).
 double ObjectiveScale(uint32_t n, std::span<const double> weights) {
@@ -35,7 +37,7 @@ double ObjectiveScale(uint32_t n, std::span<const double> weights) {
 
 TwoPoolEngine::TwoPoolEngine(const Graph& g, DiffusionModel model,
                              std::span<const double> node_weights,
-                             unsigned num_threads, RRStoreOptions judge_store)
+                             unsigned num_threads)
     : model_(model),
       weights_(node_weights.begin(), node_weights.end()),
       scale_(ObjectiveScale(g.num_nodes(), node_weights)),
@@ -44,7 +46,7 @@ TwoPoolEngine::TwoPoolEngine(const Graph& g, DiffusionModel model,
                             : nullptr),
       view_(g, SamplingViewPartsFor(model), workers_.get()),
       r1_(g.num_nodes(), kNominatorStore),
-      r2_(g.num_nodes(), judge_store) {
+      r2_(g.num_nodes(), kJudgeStore) {
   if (!weights_.empty()) root_.Build(weights_);
 }
 
@@ -249,15 +251,13 @@ Result<uint64_t> TwoPoolEngine::Save(const SnapshotRunState& run,
 void TwoPoolEngine::Restore(RRPoolSnapshot* snapshot) {
   OPIM_CHECK_EQ(snapshot->r1.num_nodes(), r1_.num_nodes());
   OPIM_CHECK_EQ(snapshot->r2.num_nodes(), r2_.num_nodes());
-  const bool judge_indexed = r2_.indexed();
   r1_ = std::move(snapshot->r1);
   r2_ = std::move(snapshot->r2);
-  if (!judge_indexed) r2_.DropIndex();
-  // Snapshots store no index; build it now, on the workers, so the first
-  // CELF pass starts from the state a live run would have and later
+  r2_.DropIndex();
+  // Snapshots store no index; build R1's now, on the workers, so the
+  // first CELF pass starts from the state a live run would have and later
   // concurrent reads never build it lazily.
   r1_.EnsureIndex(workers_.get());
-  r2_.EnsureIndex(workers_.get());
 }
 
 void TwoPoolEngine::ReportPoolStats() {

@@ -2,13 +2,13 @@
 // sets into two pools — R1 nominates S* by greedy max-coverage, R2
 // judges it — and certify α = σ_l(S*) / σ_upper(S°); they differ only in
 // the schedule (OnlineMaximizer grows the pools on request, RunOpimC
-// doubles them until α reaches its target) and in how R2 is stored:
-// RunOpimC asks R2 for Λ2(S*) once per doubling and keeps it unindexed
-// (one judge scan per query), while OnlineMaximizer, queried at its
-// caller's cadence, keeps R2's index. The engine owns the pools,
-// the SamplingView and weighted-root table, one ThreadPool reused across
-// calls, the SelectionState, the bounds and the spill/snapshot hooks.
-// Callers pass every batch seed, so each keeps its own RR stream.
+// doubles them until α reaches its target). R2 is read once per
+// certificate, for Λ2(S*), so it keeps no inverted index: one judge scan
+// of its compressed sets answers each certificate (see RRStoreOptions::
+// index). The engine owns the pools, the SamplingView and weighted-root
+// table, one ThreadPool reused across calls, the SelectionState, the
+// bounds and the spill/snapshot hooks. Callers pass every batch seed, so
+// each keeps its own RR stream.
 
 #pragma once
 
@@ -46,11 +46,8 @@ class TwoPoolEngine {
   /// Empty `node_weights` selects unit weights, else every σ is the
   /// weighted spread σ_w (weights checked). `num_threads` (0 = hardware
   /// default) fixes each batch's shard count; > 1 builds the workers.
-  /// `judge_store` configures R2; R1 always keeps its index and drops
-  /// the per-set cost column.
   TwoPoolEngine(const Graph& g, DiffusionModel model,
-                std::span<const double> node_weights, unsigned num_threads,
-                RRStoreOptions judge_store);
+                std::span<const double> node_weights, unsigned num_threads);
   ~TwoPoolEngine();
 
   OPIM_DISALLOW_COPY(TwoPoolEngine);
@@ -105,7 +102,7 @@ class TwoPoolEngine {
 
   /// Samples `count` sets on the calling thread from `rng`, each into R1
   /// when `*to_r1` (else R2), flipping the cursor; AddSet appends each
-  /// set's postings in place, so the index stays current for the next
+  /// R1 set's postings in place, so R1's index stays current for the next
   /// query. Polls `control` with Footprint() every kControlPollStride
   /// sets and stops once it trips, but never before both pools hold a
   /// set.
@@ -171,8 +168,8 @@ class TwoPoolEngine {
   Result<uint64_t> Save(const SnapshotRunState& run,
                         const std::string& path) const;
 
-  /// Adopts a loaded snapshot's pools and builds their indexes on the
-  /// workers; an unindexed R2 stays unindexed and builds none.
+  /// Adopts a loaded snapshot's pools and builds R1's index on the
+  /// workers; R2 stays unindexed and builds none.
   void Restore(RRPoolSnapshot* snapshot);
 
  private:

@@ -222,9 +222,9 @@ struct RRStoreOptions {
   /// Engine pools that only need aggregate γ turn this off.
   bool retain_set_costs = true;
   /// Keep the inverted index and member counts. A pool that is never
-  /// selected on — OPIM-C's judge pool — turns this off: its coverage
-  /// queries scan the pool instead (see "Judge scan" in the file
-  /// comment).
+  /// selected on — the engine's judge pool R2 — turns this off: its
+  /// coverage queries scan the pool instead (see "Judge scan" in the
+  /// file comment).
   bool index = true;
 };
 

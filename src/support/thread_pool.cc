@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <utility>
 
 namespace opim {
@@ -152,51 +151,27 @@ unsigned ThreadPool::ResolveThreadCount(unsigned requested) {
 void ThreadPool::ParallelFor(uint64_t n,
                              const std::function<void(uint64_t)>& fn) {
   if (n == 0) return;
-  // Shared with the helper tasks, which may start after this call
-  // returned: a late helper claims nothing, so it never touches `fn`.
-  struct Items {
-    uint64_t n;
-    const std::function<void(uint64_t)>* fn;
-    std::atomic<uint64_t> next{0};
-    // Set with `failure`; lets claimers skip items without the lock.
-    std::atomic<bool> failed{false};
-    std::mutex mu;
-    std::condition_variable all_done;
-    uint64_t done = 0;           // guarded by mu
-    std::exception_ptr failure;  // guarded by mu
-  };
-  auto items = std::make_shared<Items>();
-  items->n = n;
-  items->fn = &fn;
-  auto claim = [](Items* it) {
+  std::atomic<uint64_t> next{0};
+  auto claim = [&] {
     for (;;) {
-      const uint64_t i = it->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= it->n) return;
-      // After a failure the remaining items are skipped, not run.
-      std::exception_ptr error;
-      if (!it->failed.load(std::memory_order_relaxed)) {
-        try {
-          (*it->fn)(i);
-        } catch (...) {
-          error = std::current_exception();
-        }
+      const uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        fn(i);
+      } catch (...) {
+        next.store(n, std::memory_order_relaxed);  // skip unclaimed items
+        throw;
       }
-      std::unique_lock<std::mutex> lock(it->mu);
-      if (error != nullptr && it->failure == nullptr) {
-        it->failure = error;
-        it->failed.store(true, std::memory_order_relaxed);
-      }
-      if (++it->done == it->n) it->all_done.notify_all();
     }
   };
+  // Declared after `next`, so a throwing caller joins the helpers before
+  // the counter goes away. Helpers that never started are run by the join
+  // and claim nothing.
+  TaskGroup group(this);
   const uint64_t helpers = std::min<uint64_t>(n, num_threads()) - 1;
-  for (uint64_t h = 0; h < helpers; ++h) {
-    Enqueue([items, claim] { claim(items.get()); }, items.get());
-  }
-  claim(items.get());
-  std::unique_lock<std::mutex> lock(items->mu);
-  items->all_done.wait(lock, [&] { return items->done == n; });
-  if (items->failure != nullptr) std::rethrow_exception(items->failure);
+  for (uint64_t h = 0; h < helpers; ++h) group.Submit(claim);
+  claim();
+  group.Wait();
 }
 
 ThreadPoolStats ThreadPool::Stats() const {

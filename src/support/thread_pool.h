@@ -55,8 +55,8 @@ struct ThreadPoolStats {
 /// consumed are drained without running (so a poisoned batch ends
 /// promptly); Wait() rethrows the captured exception and leaves the pool
 /// fully reusable for subsequent batches. An unconsumed exception is
-/// discarded by the destructor. TaskGroup tasks and ParallelFor items
-/// capture their own failures and are never drained.
+/// discarded by the destructor. TaskGroup tasks, ParallelFor's helpers
+/// among them, capture their own failures and are never drained.
 class ThreadPool {
  public:
   /// A pool of `num_threads` (>= 1) threads: starts num_threads − 1
@@ -90,12 +90,11 @@ class ThreadPool {
 
   /// Runs `fn(i)` for i in [0, n) on the caller and up to num_threads() − 1
   /// helper tasks, and returns once every item is done. `fn` must be safe
-  /// to invoke concurrently for distinct i. Only this call's items are
-  /// joined, so it may run inside a pool task or next to unrelated
-  /// queued work; a helper that starts after the items ran out returns
-  /// at once and is not waited for. The first exception an item throws
-  /// is rethrown here once the claimed items finish; unclaimed items are
-  /// skipped.
+  /// to invoke concurrently for distinct i. The helpers are a TaskGroup,
+  /// so only they are joined: it may run inside a pool task or next to
+  /// unrelated queued work, and a helper no worker started is run by the
+  /// join, claiming nothing. An item's exception is rethrown here once
+  /// the claimed items finish; unclaimed items are skipped.
   void ParallelFor(uint64_t n, const std::function<void(uint64_t)>& fn);
 
   /// Snapshot of lifetime counters (consistent under the pool mutex).
@@ -119,8 +118,8 @@ class ThreadPool {
 
   struct QueuedTask {
     std::function<void()> fn;
-    /// The TaskGroup or ParallelFor call the task belongs to; null for
-    /// Submit tasks, the only ones a captured failure drains.
+    /// The TaskGroup the task belongs to; null for Submit tasks, the
+    /// only ones a captured failure drains.
     const void* owner = nullptr;
 #if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
     std::chrono::steady_clock::time_point enqueued;

@@ -4,9 +4,9 @@
 // ParallelGenerate with the same seeds and thread count; discarded
 // speculation never reaches the pools; the anytime floor only fires
 // after a trip; and the certificate is the Eq. (5) / upper-bound pair
-// the bounds module computes on the same pools. The engines here keep R2
-// unindexed, as RunOpimC does, so R2 is compared by its bytes and by the
-// coverage its judge scan reports against the indexed reference pool.
+// the bounds module computes on the same pools. The engine keeps R2
+// unindexed, so R2 is compared by its bytes and by the coverage its judge
+// scan reports against the indexed reference pool.
 
 #include "core/two_pool_engine.h"
 
@@ -27,8 +27,6 @@ namespace opim {
 namespace {
 
 constexpr RRStoreOptions kNoCosts{.retain_set_costs = false};
-constexpr RRStoreOptions kJudgeStore{.retain_set_costs = false,
-                                     .index = false};
 
 enum class Roots { kUniform, kWeighted };
 
@@ -98,7 +96,7 @@ TEST_P(TwoPoolEngineStreamTest, StagedBatchesMatchParallelGenerate) {
   RRCollection want2(g_.num_nodes(), kNoCosts);
   Reference(&want1, &want2);
 
-  TwoPoolEngine engine(g_, model(), weights_, threads(), kJudgeStore);
+  TwoPoolEngine engine(g_, model(), weights_, threads());
   uint64_t merged = 0;
   for (const auto& [count1, seed1, count2, seed2] : kBatches) {
     engine.Stage(count1, seed1, count2, seed2, nullptr,
@@ -120,7 +118,7 @@ TEST_P(TwoPoolEngineStreamTest, EagerAndSpeculativeBatchesMatchToo) {
   // First batch as two one-pool stages, second as speculation merged
   // after a selection ran on the pools in between (the pipelined loop's
   // order).
-  TwoPoolEngine engine(g_, model(), weights_, threads(), kJudgeStore);
+  TwoPoolEngine engine(g_, model(), weights_, threads());
   const auto& [c1, s1, c2, s2] = kBatches[0];
   engine.Stage(c1, s1, 0, 0, nullptr, /*speculative=*/false);
   EXPECT_EQ(engine.Merge(nullptr), c1);
@@ -159,8 +157,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TwoPoolEngineTest, DiscardedSpeculationNeverReachesThePools) {
   const Graph g = GenerateBarabasiAlbert(400, 4);
-  TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {}, 4,
-                       kJudgeStore);
+  TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {}, 4);
   engine.Stage(500, 1, 500, 2, nullptr, /*speculative=*/false);
   engine.Merge(nullptr);
   const uint64_t bytes = engine.r1().CompressedMemberBytes() +
@@ -180,8 +177,7 @@ TEST(TwoPoolEngineTest, DiscardedSpeculationNeverReachesThePools) {
 
 TEST(TwoPoolEngineTest, FloorFillsEmptyPoolsOnlyAfterATrip) {
   const Graph g = GenerateBarabasiAlbert(200, 3);
-  TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {}, 1,
-                       kJudgeStore);
+  TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {}, 1);
   auto seed_for = [](int pool) { return 100u + pool; };
   RunControl untripped;
   engine.FloorEmptyPools(&untripped, seed_for);
@@ -211,8 +207,7 @@ TEST(TwoPoolEngineTest, FloorFillsEmptyPoolsOnlyAfterATrip) {
 
 TEST(TwoPoolEngineTest, CertificateMatchesTheBoundsModule) {
   const Graph g = GenerateBarabasiAlbert(300, 4);
-  TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {}, 1,
-                       kJudgeStore);
+  TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {}, 1);
   engine.Stage(3000, 1, 3000, 2, nullptr, /*speculative=*/false);
   engine.Merge(nullptr);
   TwoPoolEngine::SelectOptions select;
