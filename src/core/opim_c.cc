@@ -55,9 +55,9 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
   OPIM_CHECK(eps > 0.0 && eps < 1.0);
   OPIM_CHECK(delta > 0.0 && delta < 1.0);
 
-  // One engine for the whole run: one worker pool and one sampling view
-  // serve every doubling of both pools, every index merge and every CELF
-  // pass (see core/two_pool_engine.h).
+  // One engine for the whole run: one worker pool and the graph's
+  // sampling view serve every doubling of both pools, every index merge
+  // and every CELF pass (see core/two_pool_engine.h).
   TwoPoolEngine engine(g, model, options.node_weights, options.num_threads);
 
   // Weighted objective: scale W = Σ w_v replaces n, and the trivial

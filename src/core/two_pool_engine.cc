@@ -44,7 +44,7 @@ TwoPoolEngine::TwoPoolEngine(const Graph& g, DiffusionModel model,
       threads_(ThreadPool::ResolveThreadCount(num_threads)),
       workers_(threads_ > 1 ? std::make_unique<ThreadPool>(threads_)
                             : nullptr),
-      view_(g, SamplingViewPartsFor(model), workers_.get()),
+      view_(SamplingView::For(g, SamplingViewPartsFor(model), workers_.get())),
       r1_(g.num_nodes(), kNominatorStore),
       r2_(g.num_nodes(), kJudgeStore) {
   if (!weights_.empty()) root_.Build(weights_);

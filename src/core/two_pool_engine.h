@@ -5,10 +5,11 @@
 // doubles them until α reaches its target). R2 is read once per
 // certificate, for Λ2(S*), so it keeps no inverted index: one judge scan
 // of its compressed sets answers each certificate (see RRStoreOptions::
-// index). The engine owns the pools, the SamplingView and weighted-root
-// table, one ThreadPool reused across calls, the SelectionState, the
-// bounds and the spill/snapshot hooks. Callers pass every batch seed, so
-// each keeps its own RR stream.
+// index). The engine owns the pools, the weighted-root table, one
+// ThreadPool reused across calls, the SelectionState, the bounds and the
+// spill/snapshot hooks; it borrows the graph's memoized SamplingView
+// (built on its workers when it is the graph's first user). Callers pass
+// every batch seed, so each keeps its own RR stream.
 
 #pragma once
 
@@ -70,7 +71,9 @@ class TwoPoolEngine {
   void SetThreads(unsigned num_threads);
 
   /// Both pools' heap footprint; plus the view, what a RunControl memory
-  /// budget is checked against.
+  /// budget is checked against. The view is the graph's and outlives the
+  /// engine, but every engine on the graph still counts it, so a budget
+  /// does not depend on whether an earlier run built it.
   uint64_t PoolBytes() const { return r1_.MemoryUsage() + r2_.MemoryUsage(); }
   uint64_t Footprint() const {
     return PoolBytes() + view_.MemoryFootprintBytes();
@@ -188,7 +191,7 @@ class TwoPoolEngine {
   unsigned threads_;
   std::unique_ptr<ThreadPool> workers_;  // null when threads_ == 1
   ThreadPoolStats reported_;
-  SamplingView view_;
+  const SamplingView& view_;  // the graph's memoized view
   AliasSampler root_;  // weighted roots; empty = uniform
   RRCollection r1_;
   RRCollection r2_;

@@ -3,10 +3,18 @@
 #include <algorithm>
 #include <utility>
 
+#include "graph/sampling_view.h"
 #include "support/mmap_arena.h"
 #include "support/random.h"
 
 namespace opim {
+
+Graph::Graph() = default;
+Graph::~Graph() = default;
+
+void Graph::DropViews() {
+  for (auto& view : views_) view.reset();
+}
 
 void Graph::BindOwned() {
   out_offsets_ = own_out_offsets_;
@@ -66,7 +74,9 @@ Graph::Graph(Graph&& other) noexcept
       own_in_weight_sum_(std::move(other.own_in_weight_sum_)),
       arena_(std::move(other.arena_)) {
   // Vector moves keep data pointers stable, so the copied spans still
-  // point at live storage. Reset the source to the empty graph.
+  // point at live storage. Reset the source to the empty graph, dropping
+  // its views (they name the source); this graph builds its own.
+  other.DropViews();
   other.num_nodes_ = 0;
   other.out_offsets_ = {};
   other.out_neighbors_ = {};
@@ -80,6 +90,7 @@ Graph::Graph(Graph&& other) noexcept
 Graph& Graph::operator=(Graph&& other) noexcept {
   if (this != &other) {
     Graph tmp(std::move(other));
+    DropViews();
     num_nodes_ = tmp.num_nodes_;
     out_offsets_ = tmp.out_offsets_;
     out_neighbors_ = tmp.out_neighbors_;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -25,6 +26,7 @@ inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 
 class GraphBuilder;
 class MmapArena;
+class SamplingView;
 
 /// Read-only view of a graph's seven CSR arrays. The `.opimg` codec
 /// serializes exactly these arrays in this order; WrapStorage rebuilds a
@@ -48,9 +50,18 @@ struct GraphStorageView {
 /// MmapArena (`.opimg` load path), so the engine above never sees the
 /// difference. Copying an arena-backed graph shares the mapping; copying
 /// a vector-backed graph deep-copies the CSR.
+///
+/// The graph also memoizes its SamplingViews (SamplingView::For): the
+/// first caller that needs a part builds it, and every later engine,
+/// sampler and ParallelGenerate call on this object borrows it. A view is
+/// derived from the CSR alone and never changes it, so the graph stays
+/// logically immutable; the memo is thread-safe. A copy or a moved-to
+/// graph starts with no view, and a moved-from or assigned-to graph drops
+/// its old ones: a view points into its own graph's reverse CSR.
 class Graph {
  public:
-  Graph() = default;
+  Graph();
+  ~Graph();
 
   Graph(const Graph& other);
   Graph& operator=(const Graph& other);
@@ -142,9 +153,13 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  friend class SamplingView;
 
   /// Rebinds the span members to the own_* vectors (heap-backed state).
   void BindOwned();
+
+  /// Drops the memoized views (the CSR they point into is going away).
+  void DropViews();
 
   uint32_t num_nodes_ = 0;
 
@@ -168,6 +183,11 @@ class Graph {
 
   // Keeps mapped pages alive for arena-backed graphs; null otherwise.
   std::shared_ptr<MmapArena> arena_;
+
+  // Memoized views, one slot per SamplingView::Parts value (kIc, kLt,
+  // kBoth), built under `views_mu_` by SamplingView::For.
+  mutable std::mutex views_mu_;
+  mutable std::unique_ptr<const SamplingView> views_[3];
 };
 
 /// Edge-weighting schemes applied at build time when edges were added

@@ -3,44 +3,83 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
+#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "support/thread_pool.h"
 
 namespace opim {
 
 namespace {
 
-constexpr uint32_t kChunk = 4096;
+// The build splits [0, n) into node ranges of about equal weight: at most
+// kMaxRanges of them, and none lighter than kMinRangeWeight unless the
+// whole graph is. A node weighs its in-degree plus kNodeWeight: writing
+// and classifying a record costs about as much as scanning that many
+// in-probabilities (node counts alone leave pokec-sim's first 4096 nodes,
+// 93.7 % of its in-edges at scale 17, to one thread; in-edges alone load
+// R-MAT's last ranges with thousands of low-degree nodes each).
+constexpr uint64_t kMaxRanges = 64;
+constexpr uint64_t kMinRangeWeight = uint64_t{1} << 15;
+constexpr uint64_t kNodeWeight = 32;
 
-/// Runs `fn(chunk, lo, hi)` over the kChunk-node ranges covering [0, n),
-/// across the pool when one is supplied and the graph is big enough to
-/// pay for the dispatch. Ranges are disjoint, so parallel construction
-/// writes each output slot exactly once and the result is identical for
-/// any worker count.
-void ForEachChunk(uint32_t n, ThreadPool* pool,
-                  const std::function<void(uint64_t, NodeId, NodeId)>& fn) {
-  const uint64_t chunks = (uint64_t{n} + kChunk - 1) / kChunk;
-  const auto run = [&](uint64_t c) {
-    const NodeId lo = static_cast<NodeId>(c * kChunk);
-    const NodeId hi = static_cast<NodeId>(
-        std::min<uint64_t>(n, c * kChunk + kChunk));
-    fn(c, lo, hi);
+/// Boundaries of the build's node ranges, range r being [b[r], b[r + 1]),
+/// cut from the reverse CSR's offsets alone: range r ends at the first
+/// node whose prefix weight reaches r / ranges of the total. A node
+/// heavier than a range's share gets a range to itself; empty ranges are
+/// dropped.
+std::vector<NodeId> BalancedRanges(std::span<const uint64_t> in_offsets) {
+  const uint64_t n = in_offsets.size() - 1;
+  const auto prefix_weight = [&](uint64_t v) {
+    return kNodeWeight * v + in_offsets[v];
   };
-  if (pool == nullptr || pool->num_threads() <= 1 || chunks < 2) {
-    for (uint64_t c = 0; c < chunks; ++c) run(c);
-    return;
+  const uint64_t total = prefix_weight(n);
+  const uint64_t ranges =
+      std::clamp<uint64_t>(total / kMinRangeWeight, 1, kMaxRanges);
+  std::vector<NodeId> bounds{0};
+  for (uint64_t r = 1; r < ranges; ++r) {
+    const uint64_t target = total * r / ranges;
+    uint64_t lo = bounds.back();
+    uint64_t hi = n;
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (prefix_weight(mid) < target) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo > bounds.back() && lo < n) bounds.push_back(static_cast<NodeId>(lo));
   }
-  pool->ParallelFor(chunks, run);
+  bounds.push_back(static_cast<NodeId>(n));
+  return bounds;
 }
 
-/// Turns per-chunk side-arena slot counts into each chunk's first slot
+/// Runs `fn(r, lo, hi)` over the node ranges `bounds` describes, across
+/// the pool when one is supplied and there is more than one range. Ranges
+/// are disjoint, so parallel construction writes each output slot exactly
+/// once and the result is identical for any worker count.
+void ForEachRange(std::span<const NodeId> bounds, ThreadPool* pool,
+                  const std::function<void(uint64_t, NodeId, NodeId)>& fn) {
+  const uint64_t ranges = bounds.size() - 1;
+  const auto run = [&](uint64_t r) { fn(r, bounds[r], bounds[r + 1]); };
+  if (pool == nullptr || pool->num_threads() <= 1 || ranges < 2) {
+    for (uint64_t r = 0; r < ranges; ++r) run(r);
+    return;
+  }
+  pool->ParallelFor(ranges, run);
+}
+
+/// Turns per-range side-arena slot counts into each range's first slot
 /// (in place) and returns the total, checked to fit the records' 32-bit
 /// offsets.
-uint64_t ExclusivePrefixSum(std::vector<uint64_t>* chunk_slots) {
+uint64_t ExclusivePrefixSum(std::vector<uint64_t>* range_slots) {
   uint64_t total = 0;
-  for (uint64_t& slots : *chunk_slots) {
+  for (uint64_t& slots : *range_slots) {
     const uint64_t first = total;
     total += slots;
     slots = first;
@@ -83,24 +122,41 @@ SamplingView::SamplingView(const Graph& g, Parts parts, ThreadPool* pool)
   // per member in the kernels); a 32-bit NodeId graph this size limit
   // would reject does not arise in practice.
   OPIM_CHECK_LE(g.num_edges(), 0xffffffffULL);
+  const std::vector<NodeId> ranges =
+      BalancedRanges(g.storage_view().in_offsets);
   const auto bits = static_cast<uint8_t>(parts);
-  if (bits & static_cast<uint8_t>(Parts::kIc)) BuildIc(pool);
-  if (bits & static_cast<uint8_t>(Parts::kLt)) BuildLt(pool);
+  if (bits & static_cast<uint8_t>(Parts::kIc)) BuildIc(ranges, pool);
+  if (bits & static_cast<uint8_t>(Parts::kLt)) BuildLt(ranges, pool);
 }
 
-void SamplingView::BuildIc(ThreadPool* pool) {
+const SamplingView& SamplingView::For(const Graph& g, Parts parts,
+                                      ThreadPool* pool) {
+  const auto bits = static_cast<uint8_t>(parts);
+  std::unique_ptr<const SamplingView>& slot = g.views_[bits - 1];
+  std::lock_guard<std::mutex> lock(g.views_mu_);
+  if (slot == nullptr) {
+    OPIM_TR_SPAN2("view_build", "graph", "parts", bits, "nodes",
+                  g.num_nodes());
+    OPIM_TM_SCOPED_TIMER("opim.graph.view_build_us");
+    slot = std::make_unique<const SamplingView>(g, parts, pool);
+    OPIM_TM_COUNTER_ADD("opim.graph.view_builds", 1);
+  }
+  return *slot;
+}
+
+void SamplingView::BuildIc(std::span<const NodeId> ranges, ThreadPool* pool) {
   const Graph& g = *graph_;
   const uint32_t n = g.num_nodes();
   const std::span<const uint64_t> in_offsets = g.storage_view().in_offsets;
   ic_nodes_.assign(n, IcNode{0, 0, 0});
-  std::vector<uint64_t> chunk_slots((uint64_t{n} + kChunk - 1) / kChunk, 0);
+  std::vector<uint64_t> range_slots(ranges.size() - 1, 0);
 
   // Pass 1: classify every node. A uniform node gets its final record,
   // pointing into the graph's reverse CSR. An explicit one (positive
   // in-edges that do not all share one bit pattern) is classified over
   // its kept p > 0 edges, exactly as if they were all there was, and
   // parks its run length (header + kept edges) in `offset` for pass 2.
-  ForEachChunk(n, pool, [&](uint64_t c, NodeId lo, NodeId hi) {
+  ForEachRange(ranges, pool, [&](uint64_t r, NodeId lo, NodeId hi) {
     for (NodeId v = lo; v < hi; ++v) {
       const auto probs = g.InProbs(v);
       OPIM_CHECK_MSG(probs.size() < kMaxIcInDegree,
@@ -136,19 +192,19 @@ void SamplingView::BuildIc(ThreadPool* pool) {
       if (!graph_backed && kind != IcNodeKind::kEmpty) {
         rec.indeg_kind |= kIcExplicit;
         rec.offset = static_cast<uint32_t>(kept + 1);
-        chunk_slots[c] += kept + 1;
+        range_slots[r] += kept + 1;
       }
     }
   });
-  ic_side_.resize(ExclusivePrefixSum(&chunk_slots));
+  ic_side_.resize(ExclusivePrefixSum(&range_slots));
 
   // Pass 2: lay out the explicit nodes' runs — a header slot holding the
   // kept-edge count, then the kept {neighbor, reject} pairs in
-  // reverse-CSR order. Chunks without explicit nodes are not touched.
-  ForEachChunk(n, pool, [&](uint64_t c, NodeId lo, NodeId hi) {
-    const uint64_t end = c + 1 < chunk_slots.size() ? chunk_slots[c + 1]
+  // reverse-CSR order. Ranges without explicit nodes are not touched.
+  ForEachRange(ranges, pool, [&](uint64_t r, NodeId lo, NodeId hi) {
+    const uint64_t end = r + 1 < range_slots.size() ? range_slots[r + 1]
                                                     : ic_side_.size();
-    uint64_t w = chunk_slots[c];
+    uint64_t w = range_slots[r];
     for (NodeId v = lo; v < hi && w < end; ++v) {
       IcNode& rec = ic_nodes_[v];
       if ((rec.indeg_kind & kIcExplicit) == 0) continue;
@@ -165,21 +221,21 @@ void SamplingView::BuildIc(ThreadPool* pool) {
   });
 }
 
-void SamplingView::BuildLt(ThreadPool* pool) {
+void SamplingView::BuildLt(std::span<const NodeId> ranges, ThreadPool* pool) {
   const Graph& g = *graph_;
   OPIM_CHECK_MSG(g.MaxInWeightSum() <= 1.0 + 1e-9,
                  "LT requires per-node incoming weights to sum to <= 1");
   const uint32_t n = g.num_nodes();
   const std::span<const uint64_t> in_offsets = g.storage_view().in_offsets;
   lt_nodes_.assign(n, LtNode{0, 0, kAlwaysReject, 0});
-  std::vector<uint64_t> chunk_slots((uint64_t{n} + kChunk - 1) / kChunk, 0);
+  std::vector<uint64_t> range_slots(ranges.size() - 1, 0);
 
   // Pass 1: stop thresholds and degrees for every node. A node whose walk
   // can continue and whose in-weights differ needs alias buckets; every
   // other node steps (if at all) to a uniformly drawn in-neighbor of the
   // graph — with equal weights every Vose bucket is full and keeps its
   // own neighbor, so the buckets would add nothing.
-  ForEachChunk(n, pool, [&](uint64_t c, NodeId lo, NodeId hi) {
+  ForEachRange(ranges, pool, [&](uint64_t r, NodeId lo, NodeId hi) {
     for (NodeId v = lo; v < hi; ++v) {
       const auto probs = g.InProbs(v);
       LtNode& rec = lt_nodes_[v];
@@ -191,20 +247,20 @@ void SamplingView::BuildLt(ThreadPool* pool) {
       rec.stop_rej = QuantizeRejectThreshold(stay);
       if (!AllBitwiseEqual(probs)) {
         rec.explicit_buckets = 1;
-        chunk_slots[c] += probs.size();
+        range_slots[r] += probs.size();
       }
     }
   });
-  lt_side_.resize(ExclusivePrefixSum(&chunk_slots));
+  lt_side_.resize(ExclusivePrefixSum(&range_slots));
 
   // Pass 2: one Vose alias build per explicit node, written straight into
   // its side-arena slice with both bucket outcomes stored as *resolved
-  // node ids*. Scratch lives per chunk: workers never contend and nodes
+  // node ids*. Scratch lives per range: workers never contend and nodes
   // never alias each other's buckets.
-  ForEachChunk(n, pool, [&](uint64_t c, NodeId lo, NodeId hi) {
-    const uint64_t end = c + 1 < chunk_slots.size() ? chunk_slots[c + 1]
+  ForEachRange(ranges, pool, [&](uint64_t r, NodeId lo, NodeId hi) {
+    const uint64_t end = r + 1 < range_slots.size() ? range_slots[r + 1]
                                                     : lt_side_.size();
-    uint64_t off = chunk_slots[c];
+    uint64_t off = range_slots[r];
     std::vector<double> scaled;
     std::vector<uint32_t> small, large;
     for (NodeId v = lo; v < hi && off < end; ++v) {

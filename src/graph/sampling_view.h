@@ -41,10 +41,14 @@
 // one random record load plus one run through its neighbors.
 //
 // A view is immutable after construction and shared read-only across
-// worker threads; ParallelGenerate builds one per call (or accepts a
-// caller-cached one) instead of letting every shard re-derive per-node
-// state. Construction parallelizes over nodes on an optional ThreadPool
-// and is deterministic for any worker count.
+// worker threads. Each Graph memoizes its views (SamplingView::For): the
+// first engine, sampler or ParallelGenerate call that needs a part builds
+// it, and every later one on the same Graph object borrows it, so a
+// loaded graph pays the O(n + m) pass once however many runs it serves.
+// Construction splits the nodes into ranges of about equal work (in-edges
+// plus a fixed cost per node), parallelizes over them on an optional
+// ThreadPool, and lays everything out in node order: the view is
+// byte-identical for any split and worker count.
 
 #pragma once
 
@@ -76,8 +80,9 @@ inline uint32_t QuantizeRejectThreshold(double keep_prob) {
   return static_cast<uint32_t>(r);
 }
 
-/// Read-only, shareable sampling state derived from a Graph. Build once,
-/// hand `const SamplingView&` to every sampler/worker.
+/// Read-only, shareable sampling state derived from a Graph. Get it from
+/// For(), which builds it once per graph, and hand `const SamplingView&`
+/// to every sampler/worker.
 class SamplingView {
  public:
   /// Which kernels' state to precompute.
@@ -159,9 +164,20 @@ class SamplingView {
 
   /// Builds the requested parts. `pool` (optional) parallelizes
   /// construction; the result is identical for any worker count. The LT
-  /// part requires per-node in-weights summing to <= 1 (checked).
+  /// part requires per-node in-weights summing to <= 1 (checked). Prefer
+  /// For(); a freshly built view is the reference it is tested against.
   explicit SamplingView(const Graph& g, Parts parts = Parts::kBoth,
                         ThreadPool* pool = nullptr);
+
+  /// `g`'s memoized view of `parts`. The first call for a part builds it
+  /// (on `pool`, when given) while concurrent callers wait, and every
+  /// later call returns the same object; it lives as long as `g` (see
+  /// Graph). A build that waits on `pool` cannot deadlock a worker that
+  /// waits here: a pool join runs its unstarted work on the caller.
+  /// Telemetry counts each build (opim.graph.view_builds, view_build_us)
+  /// and traces it as a `view_build` span.
+  static const SamplingView& For(const Graph& g, Parts parts,
+                                 ThreadPool* pool = nullptr);
 
   OPIM_DISALLOW_COPY(SamplingView);
 
@@ -247,8 +263,10 @@ class SamplingView {
   uint64_t LtSideSize() const { return lt_side_.size(); }
 
  private:
-  void BuildIc(ThreadPool* pool);
-  void BuildLt(ThreadPool* pool);
+  // Both passes of each build run over `ranges`, node-range boundaries
+  // of about equal work (see BalancedRanges in sampling_view.cc).
+  void BuildIc(std::span<const NodeId> ranges, ThreadPool* pool);
+  void BuildLt(std::span<const NodeId> ranges, ThreadPool* pool);
 
   const Graph* graph_;
   const NodeId* in_neighbors_;  // the graph's reverse CSR

@@ -162,7 +162,7 @@ void ParallelGenerate(const Graph& g, DiffusionModel model,
                       RRCollection* collection, uint64_t count,
                       uint64_t seed, unsigned num_threads,
                       std::span<const double> root_weights, ThreadPool* pool,
-                      const SamplingView* view, RunControl* control) {
+                      RunControl* control) {
   if (count == 0) return;
   OPIM_TR_SPAN1("generate", "rrset", "count", count);
   OPIM_TM_SCOPED_TIMER("opim.rrset.generate_us");
@@ -171,26 +171,17 @@ void ParallelGenerate(const Graph& g, DiffusionModel model,
   const unsigned shards = GenerateShardCount(count, num_threads);
 
   // A temporary pool is only created when the caller did not supply one
-  // (and more than one shard exists); it parallelizes the view build below,
-  // the shards, and the index merge inside AddCompressedShards, then
-  // reports its stats before destruction.
+  // (and more than one shard exists); it parallelizes the view build below
+  // (the graph's first), the shards, and the index merge inside
+  // AddCompressedShards, then reports its stats before destruction.
   std::unique_ptr<ThreadPool> local_pool;
   if (shards > 1 && pool == nullptr) {
     local_pool = std::make_unique<ThreadPool>(shards);
     pool = local_pool.get();
   }
 
-  // Shared read-only sampling state: built once here (not once per shard)
-  // unless the caller already cached a view across calls.
-  std::unique_ptr<const SamplingView> local_view;
-  if (view == nullptr) {
-    local_view = std::make_unique<const SamplingView>(
-        g, SamplingViewPartsFor(model), pool);
-    view = local_view.get();
-  } else {
-    OPIM_CHECK_MSG(&view->graph() == &g,
-                   "SamplingView was built for a different graph");
-  }
+  const SamplingView& view =
+      SamplingView::For(g, SamplingViewPartsFor(model), pool);
 
   // Weighted roots: one shared alias table instead of one copy per shard.
   AliasSampler root_table;
@@ -203,7 +194,7 @@ void ParallelGenerate(const Graph& g, DiffusionModel model,
 
   const uint64_t base_bytes =
       control != nullptr ? collection->MemoryUsage() : 0;
-  StagedGeneration stage(*view, model, count, seed, shards, shared_root,
+  StagedGeneration stage(view, model, count, seed, shards, shared_root,
                          control, base_bytes, /*speculative=*/false,
                          collection->indexed());
   StagedGeneration* const stages[] = {&stage};

@@ -61,12 +61,9 @@ class SamplingView;
 /// deterministic in (seed, pool->num_threads())) and no pool is
 /// constructed internally.
 ///
-/// Shared read-only sampling state (SamplingView + one weighted-root alias
-/// table) is built once per call and borrowed by every shard; callers that
-/// generate repeatedly on the same graph (a doubling loop) should build
-/// a SamplingView themselves and pass it as `view` to skip even that
-/// once-per-call cost. `view` must be for `g` with the part for `model`
-/// built (checked).
+/// Every shard borrows `g`'s memoized SamplingView (built on `pool` by the
+/// first call that needs it, then reused by every later call on the same
+/// Graph) and one weighted-root alias table built per call.
 ///
 /// Guardrails: when `control` is non-null, every shard polls it once per
 /// chunk of kControlPollStride samples (bounding cancellation latency to
@@ -86,7 +83,6 @@ void ParallelGenerate(const Graph& g, DiffusionModel model,
                       uint64_t seed, unsigned num_threads = 0,
                       std::span<const double> root_weights = {},
                       ThreadPool* pool = nullptr,
-                      const SamplingView* view = nullptr,
                       RunControl* control = nullptr);
 
 /// Samples between RunControl polls in each ParallelGenerate shard: the

@@ -51,9 +51,7 @@ NodeId PickRoot(const Graph& g, const AliasSampler* root, Rng& rng) {
 }  // namespace
 
 IcRRSampler::IcRRSampler(const Graph& g, std::span<const double> root_weights)
-    : owned_view_(std::make_unique<const SamplingView>(
-          g, SamplingView::Parts::kIc)),
-      view_(owned_view_.get()),
+    : view_(&SamplingView::For(g, SamplingView::Parts::kIc)),
       owned_root_(MakeRootSampler(g, root_weights)),
       root_(owned_root_.empty() ? nullptr : &owned_root_),
       visited_epoch_(g.num_nodes(), 0) {}
@@ -186,9 +184,7 @@ uint64_t IcRRSampler::SampleInto(Rng& rng, std::vector<NodeId>* out) {
 }
 
 LtRRSampler::LtRRSampler(const Graph& g, std::span<const double> root_weights)
-    : owned_view_(std::make_unique<const SamplingView>(
-          g, SamplingView::Parts::kLt)),
-      view_(owned_view_.get()),
+    : view_(&SamplingView::For(g, SamplingView::Parts::kLt)),
       owned_root_(MakeRootSampler(g, root_weights)),
       root_(owned_root_.empty() ? nullptr : &owned_root_),
       visited_epoch_(g.num_nodes(), 0) {}

@@ -15,10 +15,10 @@
 // 32-bit edge thresholds instead of double compares, geometric skipping
 // over high-degree uniform-probability nodes, and alias buckets for the
 // LT walk — with uniform-probability nodes read straight from the graph's
-// reverse CSR. A sampler either owns a private view (the Graph
-// constructors, convenient for one-off use) or borrows a caller-owned one
-// (the SamplingView constructors) so that parallel shards and repeated
-// doublings share one read-only preprocessing pass.
+// reverse CSR. A sampler always borrows its view: the Graph constructors
+// take the graph's memoized one (SamplingView::For), so every sampler,
+// shard and run on one Graph shares a single preprocessing pass; the
+// SamplingView constructors take any view the caller keeps alive.
 //
 // Both samplers report an `edges_examined` traversal cost per sample: the
 // total in-degree of the nodes placed in the RR set. For the IC reverse
@@ -44,8 +44,8 @@ namespace opim {
 /// The SamplingView part a sampler for `model` consumes.
 SamplingView::Parts SamplingViewPartsFor(DiffusionModel model);
 
-/// Abstract RR-set sampler. Implementations are stateful (they own scratch
-/// and preprocessing) but logically const per sample; not thread-safe.
+/// Abstract RR-set sampler. Implementations are stateful (they own
+/// scratch) but logically const per sample; not thread-safe.
 ///
 /// Roots are drawn ahead in blocks of kRootLookahead and their per-node
 /// records prefetched: a typical sample touches only a couple of random
@@ -90,7 +90,7 @@ class RRSampler {
 /// roots). Pass W as the `scale` of the bounds/ functions.
 class IcRRSampler final : public RRSampler {
  public:
-  /// Owns a private SamplingView built from `g` (IC part only).
+  /// Borrows `g`'s memoized view (IC part; built on first use).
   explicit IcRRSampler(const Graph& g,
                        std::span<const double> root_weights = {});
 
@@ -104,7 +104,6 @@ class IcRRSampler final : public RRSampler {
   const Graph& graph() const override { return view_->graph(); }
 
  private:
-  std::unique_ptr<const SamplingView> owned_view_;
   const SamplingView* view_;
   AliasSampler owned_root_;
   const AliasSampler* root_ = nullptr;  // nullptr => uniform roots
@@ -121,7 +120,7 @@ class IcRRSampler final : public RRSampler {
 /// per step).
 class LtRRSampler final : public RRSampler {
  public:
-  /// Owns a private SamplingView built from `g` (LT part only;
+  /// Borrows `g`'s memoized view (LT part; built on first use;
   /// `root_weights` as for IcRRSampler).
   explicit LtRRSampler(const Graph& g,
                        std::span<const double> root_weights = {});
@@ -134,7 +133,6 @@ class LtRRSampler final : public RRSampler {
   const Graph& graph() const override { return view_->graph(); }
 
  private:
-  std::unique_ptr<const SamplingView> owned_view_;
   const SamplingView* view_;
   AliasSampler owned_root_;
   const AliasSampler* root_ = nullptr;  // nullptr => uniform roots
@@ -144,15 +142,16 @@ class LtRRSampler final : public RRSampler {
   std::vector<uint32_t> visited_epoch_;
 };
 
-/// Factory keyed on the diffusion model. `root_weights` non-empty selects
-/// weighted-spread sampling (see IcRRSampler).
+/// Factory keyed on the diffusion model, on `g`'s memoized view.
+/// `root_weights` non-empty selects weighted-spread sampling (see
+/// IcRRSampler).
 std::unique_ptr<RRSampler> MakeRRSampler(
     const Graph& g, DiffusionModel model,
     std::span<const double> root_weights = {});
 
 /// Shared-state factory: the sampler borrows `view` (which must have the
-/// part for `model` built) and, when non-null and non-empty, `shared_root`.
-/// Use this to amortize preprocessing across shards / doublings.
+/// part for `model` built) and, when non-null and non-empty, `shared_root`,
+/// so parallel shards share one weighted-root table.
 std::unique_ptr<RRSampler> MakeRRSampler(
     const SamplingView& view, DiffusionModel model,
     const AliasSampler* shared_root = nullptr);

@@ -20,6 +20,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "gen/generators.h"
@@ -383,38 +384,88 @@ void ExpectSameView(const SamplingView& a, const SamplingView& b) {
   }
 }
 
+/// A graph whose node 0 holds most in-edges (with unequal weights, so it
+/// keeps side-arena state) and whose other nodes have a few each.
+Graph FirstNodeHeavyGraph() {
+  constexpr uint32_t kNodes = 3000;
+  constexpr uint32_t kHubEdges = 120000;
+  GraphBuilder b(kNodes);
+  Rng rng(41);
+  for (uint32_t i = 0; i < kHubEdges; ++i) {
+    b.AddEdge(1 + rng.UniformBelow(kNodes - 1), 0,
+              (1 + i % 3) * 0.5 / kHubEdges);
+  }
+  for (NodeId v = 1; v < kNodes; ++v) {
+    const uint32_t d = rng.UniformBelow(4);
+    for (uint32_t i = 0; i < d; ++i) {
+      b.AddEdge(rng.UniformBelow(kNodes), v, (1 + i) * 0.15);
+    }
+  }
+  return b.Build();
+}
+
+/// Eight nodes and many parallel edges: fewer nodes than the build's
+/// node ranges.
+Graph FewNodesManyEdgesGraph() {
+  constexpr uint32_t kNodes = 8;
+  constexpr uint32_t kEdgesPerNode = 50000;
+  GraphBuilder b(kNodes);
+  Rng rng(43);
+  for (NodeId v = 0; v < kNodes; ++v) {
+    for (uint32_t i = 0; i < kEdgesPerNode; ++i) {
+      const double p = v % 2 == 0 ? 0.9 / kEdgesPerNode
+                                  : (1 + i % 5) * 0.3 / kEdgesPerNode;
+      b.AddEdge(rng.UniformBelow(kNodes), v, p);
+    }
+  }
+  return b.Build();
+}
+
 TEST(SamplingViewTest, ParallelBuildMatchesSerialBuild) {
-  ThreadPool pool(4);
-  // Weighted cascade (every node uniform) and per-node random weights
-  // (every node with two or more in-edges explicit).
+  // Weighted cascade (every node uniform), per-node random weights (every
+  // node with two or more in-edges explicit), a graph whose first node
+  // holds most in-edges, one with fewer nodes than the build's ranges,
+  // and one with no edges at all.
   Graph wc = GenerateBarabasiAlbert(30000, 5);
   Graph random = ReweightPerNode(wc, 0.9, 29);
-  for (const Graph* g : {&wc, &random}) {
+  Graph heavy = FirstNodeHeavyGraph();
+  Graph few = FewNodesManyEdgesGraph();
+  Graph empty = GraphBuilder(500).Build();
+  for (const Graph* g : {&wc, &random, &heavy, &few, &empty}) {
     SamplingView serial(*g, SamplingView::Parts::kBoth);
-    SamplingView parallel(*g, SamplingView::Parts::kBoth, &pool);
-    ExpectSameView(serial, parallel);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      ThreadPool pool(threads);
+      SamplingView parallel(*g, SamplingView::Parts::kBoth, &pool);
+      ExpectSameView(serial, parallel);
+    }
   }
-  SamplingView random_view(random, SamplingView::Parts::kBoth, &pool);
-  EXPECT_GT(random_view.IcSideSize(), 0u);
-  EXPECT_GT(random_view.LtSideSize(), 0u);
+  ThreadPool pool(4);
+  for (const Graph* g : {&random, &heavy, &few}) {
+    SamplingView view(*g, SamplingView::Parts::kBoth, &pool);
+    EXPECT_GT(view.IcSideSize(), 0u);
+    EXPECT_GT(view.LtSideSize(), 0u);
+  }
+  EXPECT_TRUE(SamplingView(heavy, SamplingView::Parts::kBoth).IcExplicit(0));
 }
 
 // ---------------------------------------------------------------------------
-// Shared-view samplers must reproduce the owning samplers exactly.
+// Samplers on the graph's memoized view must reproduce samplers on a
+// freshly constructed view (the oracle) exactly.
 // ---------------------------------------------------------------------------
 
-TEST(SharedViewTest, BorrowedViewMatchesOwnedSamplerBitExactly) {
+TEST(SharedViewTest, GraphViewMatchesFreshViewBitExactly) {
   Graph g = GenerateBarabasiAlbert(500, 4);
-  SamplingView view(g);
+  SamplingView fresh(g);
   for (DiffusionModel model : {DiffusionModel::kIndependentCascade,
                                DiffusionModel::kLinearThreshold}) {
-    auto owned = MakeRRSampler(g, model);
-    auto borrowed = MakeRRSampler(view, model);
+    auto on_graph = MakeRRSampler(g, model);
+    auto on_fresh = MakeRRSampler(fresh, model);
     Rng rng_a(77), rng_b(77);
     std::vector<NodeId> a, b;
     for (int i = 0; i < 500; ++i) {
-      const uint64_t ca = owned->SampleInto(rng_a, &a);
-      const uint64_t cb = borrowed->SampleInto(rng_b, &b);
+      const uint64_t ca = on_graph->SampleInto(rng_a, &a);
+      const uint64_t cb = on_fresh->SampleInto(rng_b, &b);
       ASSERT_EQ(a, b);
       ASSERT_EQ(ca, cb);
     }
@@ -426,11 +477,11 @@ TEST(SharedViewTest, SharedRootTableMatchesOwnedWeights) {
   std::vector<double> weights(g.num_nodes());
   Rng wrng(5);
   for (double& w : weights) w = wrng.UniformDouble();
-  SamplingView view(g);
+  SamplingView fresh(g);
   AliasSampler root_table(weights);
   auto owned = MakeRRSampler(g, DiffusionModel::kIndependentCascade, weights);
   auto shared =
-      MakeRRSampler(view, DiffusionModel::kIndependentCascade, &root_table);
+      MakeRRSampler(fresh, DiffusionModel::kIndependentCascade, &root_table);
   Rng rng_a(13), rng_b(13);
   std::vector<NodeId> a, b;
   for (int i = 0; i < 500; ++i) {
