@@ -42,7 +42,6 @@
 #include "rrset/parallel_generate.h"
 #include "rrset/rr_collection.h"
 #include "select/greedy.h"
-#include "select/selection_state.h"
 #include "support/random.h"
 #include "support/stopwatch.h"
 
@@ -53,8 +52,7 @@ struct Config {
   // n is deliberately large relative to θ's touched-node footprint: the
   // paper's regime (and the engine's doubling cadence) selects over
   // pools whose distinct members are a small fraction of the graph, and
-  // the incremental-vs-scratch headline below measures exactly the
-  // per-node work that footprint gap saves.
+  // the doubling replay below times selection in exactly that regime.
   uint32_t n = 300000;
   uint32_t edges_per_node = 10;
   uint64_t theta = 200000;
@@ -108,20 +106,6 @@ Config ParseArgs(int argc, char** argv) {
 double MedianUs(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2] * 1e6;
-}
-
-uint64_t CounterValue(const MetricsSnapshot& snap, const std::string& name) {
-  for (const CounterSample& c : snap.counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
-double TimerSumUs(const MetricsSnapshot& snap, const std::string& name) {
-  for (const HistogramSample& h : snap.histograms) {
-    if (h.name == name) return h.sum;
-  }
-  return 0.0;
 }
 
 /// Times `fn` cfg.reps times and returns the median wall time in us.
@@ -316,19 +300,15 @@ int Run(const Config& cfg) {
     generate_sink += tmp.total_size();
   });
 
-  // --- Incremental vs from-scratch selection across a doubling run: the
-  // engine's actual cadence. The stream is replayed as kDoublings batches
-  // (θ/256, then doubling up to θ — matching the engine's small-θ0
-  // start, where most selections run over a pool that touches only a
-  // small fraction of n); after each batch one traced CELF
-  // selection runs. "scratch" re-derives the initial gains from the
-  // posting index every time (the pre-PR behavior); "incremental" keeps a
-  // SelectionState across the doublings, so each selection's initial
-  // gains are an O(n) copy of the pool's incrementally maintained
-  // membership counts. Only the selections are timed (ingest excluded);
-  // each mode's number is the min over reps of its summed selection time
-  // — min, not median, because the quantity is a fixed amount of work
-  // and the only variance is interference noise.
+  // --- Selection across a doubling run: the engine's actual cadence. The
+  // stream is replayed as kDoublings batches (θ/256, then doubling up to
+  // θ — matching the engine's small-θ0 start, where most selections run
+  // over a pool that touches only a small fraction of n); after each
+  // batch one traced CELF selection runs, starting from the pool's
+  // maintained member counts. Only the selections are timed (ingest
+  // excluded); the number is the min over reps of the summed selection
+  // time — min, not median, because the quantity is a fixed amount of
+  // work and the only variance is interference noise.
   constexpr int kDoublings = 9;
   std::vector<size_t> doubling_targets;
   for (int d = kDoublings - 1; d >= 0; --d) {
@@ -340,70 +320,29 @@ int Run(const Config& cfg) {
     }
   }
   uint64_t doubling_sink = 0;
-  auto run_doubling = [&](bool incremental, std::vector<NodeId>* final_seeds) {
+  double doubling_us = 0.0;
+  for (int r = 0; r < cfg.reps; ++r) {
     RRCollection c(cfg.n, kEngineStore);
-    SelectionState state;
-    CelfOptions opts;
-    if (incremental) opts.state = &state;
     double select_seconds = 0.0;
+    std::vector<NodeId> final_seeds;
     size_t done = 0;
     for (size_t target : doubling_targets) {
       IngestSlice(&c, pool, sets, set_offsets, done, target);
       done = target;
       Stopwatch watch;
-      GreedyResult r = SelectGreedyCelf(c, cfg.k, /*with_trace=*/true, opts);
+      GreedyResult result = SelectGreedyCelf(c, cfg.k, /*with_trace=*/true);
       select_seconds += watch.ElapsedSeconds();
-      doubling_sink += r.coverage;
-      if (final_seeds != nullptr) *final_seeds = std::move(r.seeds);
+      doubling_sink += result.coverage;
+      final_seeds = std::move(result.seeds);
     }
-    return select_seconds;
-  };
-  double doubling_scratch_us = 0.0;
-  double doubling_incremental_us = 0.0;
-  uint64_t warm_hits_delta = 0;
-  uint64_t postings_delta = 0;
-  uint64_t warm_fallbacks_delta = 0;
-  double warm_sync_us_delta = 0.0;
-  {
-    std::vector<NodeId> scratch_seeds, incremental_seeds;
-    double scratch_best = 0.0, incremental_best = 0.0;
-    // The two modes alternate inside every rep, so cache state and
-    // CPU-frequency drift hit both equally. The telemetry delta brackets
-    // the first incremental pass: with kDoublings selections it must show
-    // kDoublings warm-sync calls, kDoublings - 1 of them warm hits, and
-    // a postings_delta equal to the stream mass past the first batch.
-    for (int r = 0; r < cfg.reps; ++r) {
-      const double scratch = run_doubling(false, &scratch_seeds);
-      MetricsSnapshot before, after;
-      if (r == 0) before = MetricsRegistry::Default().Snapshot();
-      const double incremental = run_doubling(true, &incremental_seeds);
-      if (r == 0) {
-        after = MetricsRegistry::Default().Snapshot();
-        warm_hits_delta =
-            CounterValue(after, "opim.select.warm_start_hits") -
-            CounterValue(before, "opim.select.warm_start_hits");
-        postings_delta =
-            CounterValue(after, "opim.select.postings_delta_ingested") -
-            CounterValue(before, "opim.select.postings_delta_ingested");
-        warm_fallbacks_delta =
-            CounterValue(after, "opim.select.warm_start_fallbacks") -
-            CounterValue(before, "opim.select.warm_start_fallbacks");
-        warm_sync_us_delta =
-            TimerSumUs(after, "opim.select.warm_sync_us") -
-            TimerSumUs(before, "opim.select.warm_sync_us");
-      }
-      if (r == 0 || scratch < scratch_best) scratch_best = scratch;
-      if (r == 0 || incremental < incremental_best) {
-        incremental_best = incremental;
-      }
-      if (scratch_seeds != incremental_seeds) {
-        std::fprintf(stderr,
-                     "FATAL: incremental/scratch seed sets diverge\n");
-        return 1;
-      }
+    // The last doubling holds the whole stream, as `rr` does.
+    if (final_seeds != auto_seeds) {
+      std::fprintf(stderr, "FATAL: doubling/one-shot seed sets diverge\n");
+      return 1;
     }
-    doubling_scratch_us = scratch_best * 1e6;
-    doubling_incremental_us = incremental_best * 1e6;
+    if (r == 0 || select_seconds * 1e6 < doubling_us) {
+      doubling_us = select_seconds * 1e6;
+    }
   }
 
   JsonWriter w;
@@ -427,26 +366,14 @@ int Run(const Config& cfg) {
   w.Key("select_celf_trace").Value(celf_trace_us);
   w.Key("bounds_x100").Value(bounds_us);
   w.Key("generate_ingest").Value(generate_us);
-  w.Key("select_doubling_scratch").Value(doubling_scratch_us);
-  w.Key("select_doubling_incremental").Value(doubling_incremental_us);
+  // Keyed as in earlier baselines, when a from-scratch replay ran beside it.
+  w.Key("select_doubling_incremental").Value(doubling_us);
   w.EndObject();
-  // The doubling-run breakdown: schedule shape, the headline speedup, and
-  // the telemetry delta of the first incremental pass (what the warm
-  // starts actually did).
+  // The doubling replay's schedule shape.
   w.Key("doubling").BeginObject();
   w.Key("doublings").Value(static_cast<uint64_t>(doubling_targets.size()));
   w.Key("theta_start").Value(static_cast<uint64_t>(doubling_targets.front()));
   w.Key("theta_final").Value(static_cast<uint64_t>(doubling_targets.back()));
-  w.Key("incremental_speedup")
-      .Value(doubling_incremental_us > 0.0
-                 ? doubling_scratch_us / doubling_incremental_us
-                 : 0.0);
-  w.Key("telemetry_delta").BeginObject();
-  w.Key("opim.select.warm_start_hits").Value(warm_hits_delta);
-  w.Key("opim.select.warm_start_fallbacks").Value(warm_fallbacks_delta);
-  w.Key("opim.select.postings_delta_ingested").Value(postings_delta);
-  w.Key("opim.select.warm_sync_us").Value(warm_sync_us_delta);
-  w.EndObject();
   w.EndObject();
   // Storage + kernel ablation: peak_rr_bytes is MemoryUsage(), what a
   // RunControl memory budget meters.

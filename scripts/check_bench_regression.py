@@ -14,14 +14,7 @@ headline timing regressed by more than the threshold:
                       must use the same --threads)
   bench_select_ingest timings_us: ingest, select_celf_trace,
                                   generate_ingest,
-                                  select_doubling_scratch,
                                   select_doubling_incremental
-                      plus the incremental-selection headline ratio
-                      doubling.incremental_speedup, which must stay at or
-                      above MIN_DOUBLING_SPEEDUP in the fresh run (a
-                      higher-is-better gate, separate from the
-                      lower-is-better timing comparisons; a missing key
-                      on either side is a hard failure, not a skip)
   bench_load          timings_us: text_parse_load, opimg_mmap_cold,
                                   opimg_mmap_warm, opimg_heap_load
   bench_snapshot      timings_us: checkpoint_write, resume_load
@@ -65,13 +58,8 @@ SELECT_METRICS = [
     "ingest",
     "select_celf_trace",
     "generate_ingest",
-    "select_doubling_scratch",
     "select_doubling_incremental",
 ]
-# Floor for the incremental-selection headline: the warm-started doubling
-# run must beat the from-scratch one by at least this factor (the PR that
-# introduced persistent selection state committed a >= 1.5x artifact).
-MIN_DOUBLING_SPEEDUP = 1.5
 LOAD_METRICS = [
     "text_parse_load",
     "opimg_mmap_cold",
@@ -135,33 +123,6 @@ def compare(name, baseline, fresh, metrics, threshold_pct, baseline_path):
         if verdict == "FAIL":
             failures.append(metric)
     return failures
-
-
-def check_doubling_speedup(name, baseline, fresh, baseline_path):
-    """Gates the higher-is-better incremental-selection headline; returns
-    the failed metric names (at most one)."""
-    metric = "doubling.incremental_speedup"
-    base_v = baseline.get("doubling", {}).get("incremental_speedup")
-    fresh_v = fresh.get("doubling", {}).get("incremental_speedup")
-    if base_v is None:
-        # Same policy as a missing timing key: a silent skip would let the
-        # incremental path rot away unnoticed.
-        print(
-            f"{name}.{metric}: FAIL (baseline {baseline_path} has no "
-            f"{metric}; regenerate the artifact with "
-            "scripts/run_perf_baseline.sh)"
-        )
-        return [metric]
-    if fresh_v is None:
-        print(f"{name}.{metric}: FAIL (missing from fresh run)")
-        return [metric]
-    fresh_v = float(fresh_v)
-    verdict = "FAIL" if fresh_v < MIN_DOUBLING_SPEEDUP else "ok"
-    print(
-        f"{name}.{metric}: {float(base_v):.2f}x -> {fresh_v:.2f}x "
-        f"(floor {MIN_DOUBLING_SPEEDUP:g}x) {verdict}"
-    )
-    return [metric] if verdict == "FAIL" else []
 
 
 def warn_on_threads_mismatch(name, baseline, fresh):
@@ -258,9 +219,6 @@ def main():
             warn_on_threads_mismatch(name, baseline, fresh)
         failed = compare(name, baseline, fresh, metrics,
                          args.threshold_pct, baseline_path)
-        if name == "select":
-            failed += check_doubling_speedup(name, baseline, fresh,
-                                             baseline_path)
         all_failures += [f"{name}.{m}" for m in failed]
 
     if all_failures:

@@ -41,8 +41,9 @@ ctest --test-dir build-fi --output-on-failure \
   | tee "$OUT/test_output_faultinject.txt"
 
 # Sanitized build (ASan + UBSan) over the memory-heavy engine subset:
-# sampling kernels, RR-set storage (the judge scan included), parallel
-# generation, and selection.
+# sampling kernels, RR-set storage (the judge scan and restored pools
+# included), parallel generation, and selection (CELF from maintained
+# member counts against the postings oracle, across doublings).
 # These are the paths with raw index arithmetic (quantized thresholds,
 # geometric skips, flattened alias arena, CSR rebuilds), so UB or
 # out-of-bounds access must fail loudly here even when the plain build
@@ -55,7 +56,7 @@ cmake -B build-asan -G Ninja -DOPIM_SANITIZE=ON -DOPIM_FAULT_INJECT=ON \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|ParallelGenerate|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|SimdDifferential|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine|JudgeScan' 2>&1 \
+  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|ParallelGenerate|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|SimdDifferential|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine|JudgeScan|SelectionState' 2>&1 \
   | tee "$OUT/test_output_sanitized.txt"
 
 # TSan build over the concurrency-heavy subset: the thread pool and the
@@ -85,7 +86,7 @@ cmake -B build-nosimd -G Ninja -DOPIM_SIMD=OFF \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-nosimd
 ctest --test-dir build-nosimd --output-on-failure \
-  -R 'VarintCodec|CoverBitset|CoverKernel|SimdDifferential|RRCollection|ParallelGenerate|Greedy|Celf|Golden' 2>&1 \
+  -R 'VarintCodec|CoverBitset|CoverKernel|SimdDifferential|RRCollection|ParallelGenerate|Greedy|Celf|Golden|SelectionState' 2>&1 \
   | tee "$OUT/test_output_nosimd.txt"
 
 # Live signal handling: SIGINT a real CLI run, expect a clean degraded

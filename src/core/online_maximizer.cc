@@ -71,12 +71,9 @@ OnlineSnapshot OnlineMaximizer::QueryWithDelta(BoundKind kind,
   OPIM_TM_COUNTER_ADD("opim.online.queries", 1);
   OPIM_CHECK_MSG(engine_.r1().num_sets() > 0 && engine_.r2().num_sets() > 0,
                  "Query before any RR sets were generated; call Advance()");
-  // CELF with the engine's persistent selection state: across the
-  // Advance/Query cadence only the new sets' postings are folded into
-  // the initial gains (bit-identical to SelectGreedy).
-  TwoPoolEngine::SelectOptions select;
-  select.with_trace = kind != BoundKind::kBasic;
-  GreedyResult greedy = engine_.Select(k_, select);
+  // CELF starts from R1's member counts, which each Advance's appends
+  // keep current, so a query never recounts the pool.
+  GreedyResult greedy = engine_.Select(k_, kind != BoundKind::kBasic);
   const TwoPoolEngine::Certificate cert =
       engine_.Certify(greedy, kind, delta_each, delta_each);
 
@@ -120,9 +117,7 @@ OnlineSnapshotAll OnlineMaximizer::QueryAll() const {
   OPIM_CHECK_MSG(engine_.r1().num_sets() > 0 && engine_.r2().num_sets() > 0,
                  "QueryAll before any RR sets were generated; call Advance()");
   const double delta_each = delta_ / 2.0;
-  TwoPoolEngine::SelectOptions select;
-  select.with_trace = true;
-  GreedyResult greedy = engine_.Select(k_, select);
+  GreedyResult greedy = engine_.Select(k_, /*with_trace=*/true);
   const TwoPoolEngine::Certificate basic =
       engine_.Certify(greedy, BoundKind::kBasic, delta_each, delta_each);
 

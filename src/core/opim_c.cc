@@ -169,17 +169,14 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
                    "query_ks entries must satisfy 1 <= k' <= k");
   }
   // The Eq. (10) trace is needed for the improved/Leskovec bounds, and —
-  // prefix-complete — for any query answering. The engine's persistent
-  // selection state warm-starts CELF every doubling (a resumed run's
-  // first selection rebuilds it from the restored pools) with
-  // bit-identical output; see selection_state.h. The SeedTrace is
-  // re-armed per traced selection, so the one the exiting iteration
-  // recorded is the one queries are answered from.
+  // prefix-complete — for any query answering. Every doubling's CELF
+  // starts from R1's maintained member counts (a resumed run's from the
+  // counts Restore rebuilt with R1's index). The SeedTrace is re-armed
+  // per traced selection, so the one the exiting iteration recorded is
+  // the one queries are answered from.
   SeedTrace seed_trace;
-  TwoPoolEngine::SelectOptions select;
-  select.with_trace = options.bound != BoundKind::kBasic || query_mode;
-  select.incremental = options.incremental_selection;
-  if (query_mode) select.seed_trace = &seed_trace;
+  const bool with_trace = options.bound != BoundKind::kBasic || query_mode;
+  SeedTrace* const select_trace = query_mode ? &seed_trace : nullptr;
 
   // Periodic checkpointing: `write_checkpoint(next, clean)` captures
   // the pools plus the exact loop position needed to re-enter iteration
@@ -252,24 +249,20 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
     engine.MaybeSpill(control);
     Stopwatch phase_watch;
 
-    // Pipelined schedule: CELF parallelizes its initial marginal-gain pass
-    // on the run pool, and — right after that pass, the last pool use
-    // inside selection — launches the *next* doubling's two batches as
-    // speculative staging work on the same workers. The serial recount
-    // phase of CELF, Λ2, and the bounds then overlap with sampling. The
-    // staged batches use exactly the seeds the eager schedule would derive
-    // (batch_counter + 1, + 2, consumed only on merge), so the RR stream
-    // is byte-identical; only the final iteration's speculation is wasted.
-    select.after_initial_gains = nullptr;
+    // Pipelined schedule: the *next* doubling's two batches are staged as
+    // speculative work on the run pool just before CELF, which runs on
+    // the calling thread, so CELF, Λ2 and the bounds overlap with
+    // sampling. The staged batches use exactly the seeds the eager
+    // schedule would derive (batch_counter + 1, + 2, consumed only on
+    // merge), so the RR stream is byte-identical; only the final
+    // iteration's speculation is wasted.
     if (pipelined && i < i_max &&
         !(control != nullptr && control->Stopped())) {
-      select.after_initial_gains = [&] {
-        engine.Stage(engine.r1().num_sets(), batch_seed(batch_counter + 1),
-                     engine.r2().num_sets(), batch_seed(batch_counter + 2),
-                     control, /*speculative=*/true);
-      };
+      engine.Stage(engine.r1().num_sets(), batch_seed(batch_counter + 1),
+                   engine.r2().num_sets(), batch_seed(batch_counter + 2),
+                   control, /*speculative=*/true);
     }
-    GreedyResult greedy = engine.Select(k, select);
+    GreedyResult greedy = engine.Select(k, with_trace, select_trace);
     const double greedy_seconds = phase_watch.ElapsedSeconds();
 
     phase_watch.Restart();

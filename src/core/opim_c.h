@@ -95,14 +95,6 @@ struct OpimCOptions {
   /// selection + bound evaluation at k' over the same final pools would
   /// produce. Empty = no queries (no trace matrix is recorded).
   std::vector<uint32_t> query_ks;
-  /// Incremental cross-iteration selection (default on): CELF warm-starts
-  /// each doubling from a persistent SelectionState — exact initial
-  /// gains synced in O(n) from the pools' incrementally maintained
-  /// membership counts instead of a full O(Σ|R|) recount, and a covered
-  /// bitset arena reused across iterations. Output is bit-identical
-  /// either way (differential tests pin it); `false` keeps the
-  /// from-scratch path as the oracle for tests and benchmarks.
-  bool incremental_selection = true;
 };
 
 /// Per-iteration record, for tests and diagnostics. The *_seconds phase

@@ -179,14 +179,9 @@ void TwoPoolEngine::FloorEmptyPools(
   Merge(nullptr);
 }
 
-GreedyResult TwoPoolEngine::Select(uint32_t k,
-                                   const SelectOptions& options) const {
-  CelfOptions celf;
-  celf.pool = workers_.get();
-  celf.after_initial_gains = options.after_initial_gains;
-  if (options.incremental) celf.state = &state_;
-  celf.seed_trace = options.seed_trace;
-  return SelectGreedyCelf(r1_, k, options.with_trace, celf);
+GreedyResult TwoPoolEngine::Select(uint32_t k, bool with_trace,
+                                   SeedTrace* seed_trace) const {
+  return SelectGreedyCelf(r1_, k, with_trace, seed_trace);
 }
 
 TwoPoolEngine::Certificate TwoPoolEngine::Certify(
@@ -253,11 +248,9 @@ void TwoPoolEngine::Restore(RRPoolSnapshot* snapshot) {
   OPIM_CHECK_EQ(snapshot->r2.num_nodes(), r2_.num_nodes());
   r1_ = std::move(snapshot->r1);
   r2_ = std::move(snapshot->r2);
-  r2_.DropIndex();
-  // Snapshots store no index; build R1's now, on the workers, so the
-  // first CELF pass starts from the state a live run would have and later
-  // concurrent reads never build it lazily.
-  r1_.EnsureIndex(workers_.get());
+  // Snapshots store no index; R1 gets its own now, on the workers, so the
+  // first CELF pass starts from the counts a live run would have.
+  r1_.BuildIndex(workers_.get());
 }
 
 void TwoPoolEngine::ReportPoolStats() {

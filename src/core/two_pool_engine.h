@@ -1,15 +1,15 @@
 // TwoPoolEngine: what OPIM (§4) and OPIM-C (§6) share. Both stream RR
-// sets into two pools — R1 nominates S* by greedy max-coverage, R2
-// judges it — and certify α = σ_l(S*) / σ_upper(S°); they differ only in
-// the schedule (OnlineMaximizer grows the pools on request, RunOpimC
-// doubles them until α reaches its target). R2 is read once per
-// certificate, for Λ2(S*), so it keeps no inverted index: one judge scan
-// of its compressed sets answers each certificate (see RRStoreOptions::
-// index). The engine owns the pools, the weighted-root table, one
-// ThreadPool reused across calls, the SelectionState, the bounds and the
-// spill/snapshot hooks; it borrows the graph's memoized SamplingView
-// (built on its workers when it is the graph's first user). Callers pass
-// every batch seed, so each keeps its own RR stream.
+// sets into two pools — R1 nominates S* by greedy max-coverage, R2 judges
+// it — and certify α = σ_l(S*) / σ_upper(S°); they differ only in the
+// schedule (OnlineMaximizer grows the pools on request, RunOpimC doubles
+// them until α reaches its target). R2 is read once per certificate, for
+// Λ2(S*), so it keeps no inverted index: one judge scan of its compressed
+// sets answers each certificate (see RRStoreOptions::index). The engine
+// owns the pools, the weighted-root table, one ThreadPool reused across
+// calls, the bounds and the spill/snapshot hooks; it borrows the graph's
+// memoized SamplingView (built on its workers when it is the graph's
+// first user). Callers pass every batch seed, so each keeps its own RR
+// stream.
 
 #pragma once
 
@@ -29,7 +29,6 @@
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "select/greedy.h"
-#include "select/selection_state.h"
 #include "support/alias_sampler.h"
 #include "support/random.h"
 #include "support/run_control.h"
@@ -121,21 +120,13 @@ class TwoPoolEngine {
 
   // --- Selection and certification ---------------------------------------
 
-  struct SelectOptions {
-    /// Record the greedy trace the kImproved / kLeskovec bounds need.
-    bool with_trace = false;
-    /// Warm-start CELF from the persistent SelectionState; false runs the
-    /// from-scratch pass (the test oracle). Output is identical.
-    bool incremental = true;
-    /// Runs right after CELF's initial-gain pass (see Stage).
-    std::function<void()> after_initial_gains;
-    /// Records the prefix-complete trace for k' <= k queries.
-    SeedTrace* seed_trace = nullptr;
-  };
-
-  /// CELF greedy on R1; the workers parallelize the cold initial-gain
-  /// pass. Const: the selection state is an output-neutral cache.
-  GreedyResult Select(uint32_t k, const SelectOptions& options) const;
+  /// CELF greedy on R1, starting from R1's maintained member counts. With
+  /// `with_trace`, records the greedy trace the kImproved / kLeskovec
+  /// bounds need, and with `seed_trace` too, the prefix-complete trace for
+  /// k' <= k queries. Reads R1 only, so it may run while batches are
+  /// staged (Merge is what writes the pools).
+  GreedyResult Select(uint32_t k, bool with_trace,
+                      SeedTrace* seed_trace = nullptr) const;
 
   /// A selection's certificate at the current pools.
   struct Certificate {
@@ -171,8 +162,8 @@ class TwoPoolEngine {
   Result<uint64_t> Save(const SnapshotRunState& run,
                         const std::string& path) const;
 
-  /// Adopts a loaded snapshot's pools and builds R1's index on the
-  /// workers; R2 stays unindexed and builds none.
+  /// Adopts a loaded snapshot's pools, which are unindexed, and builds
+  /// R1's index on the workers; R2 stays unindexed.
   void Restore(RRPoolSnapshot* snapshot);
 
  private:
@@ -195,7 +186,6 @@ class TwoPoolEngine {
   AliasSampler root_;  // weighted roots; empty = uniform
   RRCollection r1_;
   RRCollection r2_;
-  mutable SelectionState state_;
   std::unique_ptr<RRSampler> serial_sampler_;  // built by SampleSerial
   std::vector<NodeId> serial_scratch_;
   // Batches in flight; the run joins its shards on destruction, so it is

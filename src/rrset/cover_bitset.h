@@ -14,7 +14,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -28,7 +27,8 @@ namespace opim {
 /// the one rr_collection.h declares).
 using RRId = uint32_t;
 
-/// Bitset over RR-set ids; bit i set means RR set i is covered.
+/// Bitset over RR-set ids; bit i set means RR set i is covered. Each
+/// CELF run sizes a fresh one for its pool: θ/8 bytes.
 class CoverBitset {
  public:
   /// Sizes for `num_bits` ids and clears every bit.
@@ -36,19 +36,6 @@ class CoverBitset {
     words_.assign((num_bits + 63) / 64, 0);
     num_bits_ = num_bits;
   }
-
-  /// Grows to `num_bits` ids, preserving every existing bit; the new tail
-  /// bits are clear. `num_bits` must not shrink the bitset — append-only
-  /// RR pools only ever grow, and the incremental selection state relies
-  /// on the old prefix staying intact across doublings.
-  void Extend(uint64_t num_bits) {
-    OPIM_DCHECK_LE(num_bits_, num_bits);
-    words_.resize((num_bits + 63) / 64, 0);
-    num_bits_ = num_bits;
-  }
-
-  /// Clears every bit without releasing the word arena.
-  void ClearAll() { std::fill(words_.begin(), words_.end(), 0); }
 
   bool Test(uint64_t i) const {
     OPIM_DCHECK_LT(i, num_bits_);

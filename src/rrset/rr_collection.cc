@@ -187,15 +187,16 @@ void ShardEncoder::Finalize(CompressedRRShard* shard, uint32_t num_nodes,
 RRCollection::RRCollection(uint32_t num_nodes, RRStoreOptions options)
     : num_nodes_(num_nodes),
       retain_costs_(options.retain_set_costs),
-      indexed_(options.index),
-      index_built_(options.index) {
+      indexed_(options.index) {
   // One slot bit tags inline sets, so ids must fit in 31 bits.
   OPIM_CHECK_LT(num_nodes, kSlotInlineTag);
-  if (indexed_) {
-    parts_.resize(rrpart::Count(num_nodes));
-    extents_.resize(num_nodes);
-    counts_.assign(num_nodes, 0);
-  }
+  if (indexed_) AllocateIndex();
+}
+
+void RRCollection::AllocateIndex() {
+  parts_.resize(rrpart::Count(num_nodes_));
+  extents_.resize(num_nodes_);
+  counts_.assign(num_nodes_, 0);
 }
 
 RRCollection::~RRCollection() = default;
@@ -238,7 +239,6 @@ void RRCollection::AppendEncodedSet(std::vector<NodeId>* nodes) {
 
 RRId RRCollection::AddSet(std::span<const NodeId> nodes,
                           uint64_t edges_examined) {
-  EnsureIndex();  // a restored collection builds before its first append
   const RRId id = num_sets_;
   for (NodeId v : nodes) {
     OPIM_CHECK_LT(v, num_nodes_);
@@ -347,7 +347,6 @@ void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,
     add_sets += shard.sets.size();
   }
   if (add_sets == 0) return;
-  EnsureIndex(pool);  // a restored collection builds before its first append
 
   // Serial assembly: each shard's byte stream is appended in contiguous
   // runs split only at chunk boundaries (sets are consecutive within a
@@ -401,7 +400,7 @@ void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,
 
 void RRCollection::AppendShardPostings(
     std::span<const CompressedRRShard> shards,
-    std::span<const RRId> shard_bases, ThreadPool* pool) const {
+    std::span<const RRId> shard_bases, ThreadPool* pool) {
   const uint32_t num_parts = static_cast<uint32_t>(parts_.size());
   // Nodes whose count leaves zero, per partition; appended to the
   // nonzero list in partition order below.
@@ -429,7 +428,7 @@ void RRCollection::AppendShardPostings(
 void RRCollection::RewritePartition(uint32_t p,
                                     std::span<const CompressedRRShard> shards,
                                     std::span<const RRId> shard_bases,
-                                    std::vector<NodeId>* fresh) const {
+                                    std::vector<NodeId>* fresh) {
   const NodeId lo = p << kPartShift;
   const uint32_t width = PartitionEnd(p) - lo;
   IndexPart& part = parts_[p];
@@ -556,10 +555,10 @@ void RRCollection::RewritePartition(uint32_t p,
   part.dead_blocks = 0;
 }
 
-void RRCollection::BuildIndex(ThreadPool* pool) const {
-  OPIM_CHECK_MSG(indexed_,
-                 "index read on an RR collection that keeps no index "
-                 "(RRStoreOptions::index)");
+void RRCollection::BuildIndex(ThreadPool* pool) {
+  OPIM_CHECK_MSG(!indexed_, "BuildIndex on an indexed RR collection");
+  indexed_ = true;
+  AllocateIndex();
   OPIM_TR_SPAN1("index_rebuild", "rrset", "sets", num_sets_);
   OPIM_TM_SCOPED_TIMER("opim.rrset.index_rebuild_us");
   OPIM_TM_COUNTER_ADD("opim.rrset.index_rebuilds", 1);
@@ -594,7 +593,6 @@ void RRCollection::BuildIndex(ThreadPool* pool) const {
     decode(0);
   }
   AppendShardPostings(shards, bases, ranges > 1 ? pool : nullptr);
-  index_built_ = true;
 }
 
 /// Spill-file bookkeeping behind unique_ptr so the collection stays
@@ -885,21 +883,13 @@ std::span<const uint8_t> RRCollection::ChunkRun(uint32_t chunk) const {
   return {data, c.encoded_bytes};
 }
 
-void RRCollection::DropIndex() {
-  indexed_ = false;
-  index_built_ = false;
-  std::vector<IndexPart>().swap(parts_);
-  std::vector<Extent>().swap(extents_);
-  std::vector<uint64_t>().swap(counts_);
-  std::vector<NodeId>().swap(member_nonzero_);
-  cover_scratch_ = CoverBitset();
-}
-
 RRCollection RRCollection::RestoreFromSnapshotParts(
     uint32_t num_nodes, RRStoreOptions options,
     std::vector<std::vector<uint8_t>> chunk_runs, std::vector<uint32_t> slots,
     std::vector<uint64_t> costs, uint64_t total_members,
     uint64_t total_edges_examined) {
+  OPIM_CHECK_MSG(!options.index,
+                 "a restored RR collection is unindexed (BuildIndex)");
   RRCollection rr(num_nodes, options);
   const size_t sets = slots.size();
   const size_t expected_chunks =
@@ -924,9 +914,6 @@ RRCollection RRCollection::RestoreFromSnapshotParts(
   rr.set_cost_ = std::move(costs);
   rr.total_members_ = total_members;
   rr.total_edges_examined_ = total_edges_examined;
-  // The index is a function of the pool; build it on EnsureIndex or the
-  // first read instead of shipping it through the snapshot.
-  rr.index_built_ = rr.indexed_ && rr.num_sets_ == 0;
   return rr;
 }
 

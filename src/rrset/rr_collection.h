@@ -51,26 +51,26 @@
 // A posting list's contents never depend on ingest history; only its
 // layout (representation, position, slack) does.
 //
-// Index validity contract: the index and MemberCounts() are current after
-// every append, so reads may interleave with appends freely, and
-// concurrent index reads (all but CoverageOf and CoverageByPrefix, which
-// borrow a scratch bitset) need no synchronization. The one exception is
-// a collection restored from a snapshot (RestoreFromSnapshotParts), whose
-// index is built by EnsureIndex — TwoPoolEngine::Restore does so on its
-// workers — or else by the first read or append, which must then not race
-// with other readers.
+// Index validity contract: an indexed collection's index and
+// MemberCounts() are current after every append, so reads may interleave
+// with appends freely, and concurrent index reads (all but CoverageOf and
+// CoverageByPrefix, which borrow a scratch bitset) need no
+// synchronization. A collection restored from a snapshot
+// (RestoreFromSnapshotParts) is unindexed until BuildIndex indexes it —
+// TwoPoolEngine::Restore does so for R1 on its workers.
 //
 // Judge scan. An unindexed collection (RRStoreOptions::index = false, or
-// after DropIndex) allocates no extents, counts, partitions or arenas,
-// and reading its index (Covering, MemberCounts, MemberNonzero and what
-// builds on them) fails a check. CoverageOf and CoverageByPrefix answer
-// from one pass over the pool instead, chunk by chunk: each set counts
-// at the position of its earliest member in the seed list, found by
-// testing members against an n-bit seed bitmap and looking a position up
-// only on a hit (so a duplicate seed counts once), and the prefix sums of
-// those counts are Λ of every seed prefix. O(θ + Σ|R|) per call, against
-// the indexed path's O(θ/64 + Σ_{v∈S} postings); it pays off for a pool
-// queried once per doubling, whose index would be rewritten every time.
+// restored and not yet built) allocates no extents, counts, partitions or
+// arenas, and reading its index (Covering, MemberCounts, MemberNonzero
+// and what builds on them) fails a check. CoverageOf and CoverageByPrefix
+// answer from one pass over the pool instead, chunk by chunk: each set
+// counts at the position of its earliest member in the seed list, found
+// by testing members against an n-bit seed bitmap and looking a position
+// up only on a hit (so a duplicate seed counts once), and the prefix sums
+// of those counts are Λ of every seed prefix. O(θ + Σ|R|) per call,
+// against the indexed path's O(θ/64 + Σ_{v∈S} postings); it pays off for
+// a pool queried once per doubling, whose index would be rewritten every
+// time.
 
 // Out-of-core spill tier. The pool is chunked (4096 sets per chunk);
 // each chunk's encoded bytes are an independent byte run, so a sealed
@@ -282,7 +282,7 @@ class RRCollection {
   uint32_t num_nodes() const { return num_nodes_; }
 
   /// Whether the collection keeps an inverted index (RRStoreOptions::
-  /// index, until DropIndex).
+  /// index, or since BuildIndex).
   bool indexed() const { return indexed_; }
 
   /// Member count of RR set `id`.
@@ -321,7 +321,7 @@ class RRCollection {
   };
   CoverPostings Covering(NodeId v) const {
     OPIM_DCHECK_LT(v, num_nodes_);
-    if (!index_built_) BuildIndex(nullptr);
+    CheckIndexed();
     return PostingsOf(v);
   }
 
@@ -336,26 +336,25 @@ class RRCollection {
 
   /// Per-node membership counts: MemberCounts()[v] == CoveringCount(v)
   /// for every node, maintained by the same appends that write the
-  /// postings, so always current — which is what makes warm-started
-  /// selection's initial-gain pass an O(n) copy instead of an O(Σ|R|)
-  /// recount. The span is invalidated by any mutation.
+  /// postings, so always current — which is what lets CELF take its
+  /// initial gains in O(n) instead of an O(Σ|R|) recount. The span is
+  /// invalidated by any mutation.
   std::span<const uint64_t> MemberCounts() const {
-    if (!index_built_) BuildIndex(nullptr);
+    CheckIndexed();
     return counts_;
   }
 
   /// Nodes with MemberCounts()[v] > 0, each exactly once (a node is
   /// appended when its count first leaves zero; counts never decrease).
-  /// Warm-started selection iterates this instead of all n nodes when
-  /// building its CELF heap and gain histogram — at small θ the touched
-  /// nodes are a small fraction of n, and the selection output cannot
-  /// depend on the iteration order (the CELF comparator is a strict
-  /// total order over (gain, node)). AddSet appends nodes in first-touch
-  /// order; a batch appends its new nodes in ascending id order, so the
-  /// list is the same for any worker count. The span is invalidated by
-  /// any mutation.
+  /// CELF iterates this instead of all n nodes when building its heap
+  /// and gain histogram — at small θ the touched nodes are a small
+  /// fraction of n, and the selection output cannot depend on the
+  /// iteration order (the CELF comparator is a strict total order over
+  /// (gain, node)). AddSet appends nodes in first-touch order; a batch
+  /// appends its new nodes in ascending id order, so the list is the
+  /// same for any worker count. The span is invalidated by any mutation.
   std::span<const NodeId> MemberNonzero() const {
-    if (!index_built_) BuildIndex(nullptr);
+    CheckIndexed();
     return member_nonzero_;
   }
 
@@ -465,8 +464,8 @@ class RRCollection {
   // The snapshot container serializes exactly the canonical storage —
   // per-chunk byte runs, slot words, optional cost column, and the
   // member/γ totals. The inverted index is NOT serialized: its contents
-  // are a function of the pool, so restore leaves it unbuilt and an
-  // explicit EnsureIndex — or the first read or append — builds it.
+  // are a function of the pool, so a restored collection is unindexed
+  // and BuildIndex indexes it.
 
   /// Number of pool chunks (ceil(num_sets / 4096); 0 when empty).
   uint32_t num_pool_chunks() const {
@@ -484,17 +483,12 @@ class RRCollection {
   /// Per-set cost column; empty unless retains_set_costs().
   std::span<const uint64_t> set_costs() const { return set_cost_; }
 
-  /// Builds the inverted index and member counts of a restored
-  /// collection now (decoding in parallel when `pool` is given and spill
-  /// is not armed); no-op once built, and on an unindexed collection.
-  void EnsureIndex(ThreadPool* pool = nullptr) const {
-    if (indexed_ && !index_built_) BuildIndex(pool);
-  }
-
-  /// Frees the inverted index and member counts for good: the collection
-  /// continues as if built with RRStoreOptions::index = false. A restored
-  /// judge pool takes this path, so it never builds the index.
-  void DropIndex();
+  /// Indexes an unindexed collection (checked): decodes the pool into
+  /// per-set-range posting shards — one range per worker of `pool`,
+  /// serial once spill is armed — and appends them as one batch, so the
+  /// index and member counts equal those of a collection that was
+  /// indexed all along. Later appends keep them current.
+  void BuildIndex(ThreadPool* pool = nullptr);
 
   /// Reassembles a collection from snapshot parts. `chunk_runs` are the
   /// slack-free per-chunk byte runs (ChunkRun output); `slots`, `costs`,
@@ -503,8 +497,9 @@ class RRCollection {
   /// member totals — so violations here are programmer errors
   /// (OPIM_CHECK). The restored collection is byte-identical to the
   /// saved one: further appends, spills, and index reads behave as if
-  /// the sets had been added directly. The index is not built here (see
-  /// EnsureIndex), so loading a snapshot pays only for its bytes.
+  /// the sets had been added directly, except that it is unindexed:
+  /// `options.index` must be false (checked), and BuildIndex indexes it,
+  /// so loading a snapshot pays only for its bytes.
   static RRCollection RestoreFromSnapshotParts(
       uint32_t num_nodes, RRStoreOptions options,
       std::vector<std::vector<uint8_t>> chunk_runs,
@@ -625,7 +620,7 @@ class RRCollection {
   /// member counts and the nonzero list.
   void AppendShardPostings(std::span<const CompressedRRShard> shards,
                            std::span<const RRId> shard_bases,
-                           ThreadPool* pool) const;
+                           ThreadPool* pool);
 
   /// Rewrites partition `p`'s arenas tightly: each node's old list, then
   /// its postings from `shards` (re-choosing the representation of every
@@ -635,7 +630,7 @@ class RRCollection {
   /// written as two bulk copies. With no shards this is the compaction.
   void RewritePartition(uint32_t p, std::span<const CompressedRRShard> shards,
                         std::span<const RRId> shard_bases,
-                        std::vector<NodeId>* fresh) const;
+                        std::vector<NodeId>* fresh);
 
   /// One past partition `p`'s last node.
   NodeId PartitionEnd(uint32_t p) const {
@@ -643,12 +638,15 @@ class RRCollection {
         num_nodes_, (uint64_t{p} + 1) << kPartShift));
   }
 
-  /// Builds the index of a restored collection: decodes the pool into
-  /// per-set-range posting shards (one range per worker; serial once
-  /// spill is armed) and appends them through AppendShardPostings.
-  /// Fails a check on an unindexed collection, which is how its index
-  /// reads fail.
-  void BuildIndex(ThreadPool* pool) const;
+  /// Sizes the empty index: partitions, extents and zero counts.
+  void AllocateIndex();
+
+  /// The check every index read makes.
+  void CheckIndexed() const {
+    OPIM_CHECK_MSG(indexed_,
+                   "index read on an RR collection that keeps no index "
+                   "(RRStoreOptions::index)");
+  }
 
   /// Marks each seed's postings in the scratch bitset, in seed order;
   /// with `prefix`, prefix[i] is the coverage after seeds[0..i]. Returns
@@ -679,15 +677,11 @@ class RRCollection {
   uint64_t total_members_ = 0;
   uint64_t total_edges_examined_ = 0;
   // Hybrid inverted index (see the file comment); empty when unindexed.
-  // Mutable only so a restored collection can build it on first read.
-  mutable std::vector<IndexPart> parts_;  // ceil(num_nodes / 4096)
-  mutable std::vector<Extent> extents_;   // per node
-  mutable std::vector<uint64_t> counts_;  // per node: postings (MemberCounts)
+  std::vector<IndexPart> parts_;  // ceil(num_nodes / 4096)
+  std::vector<Extent> extents_;   // per node
+  std::vector<uint64_t> counts_;  // per node: postings (MemberCounts)
   // Nodes whose count left zero (see MemberNonzero).
-  mutable std::vector<NodeId> member_nonzero_;
-  // False after a restore until the index is built, and always when
-  // unindexed (index reads then reach BuildIndex's check).
-  mutable bool index_built_ = true;
+  std::vector<NodeId> member_nonzero_;
   // Scratch for indexed CoverageOf / CoverageByPrefix (covered-set
   // bitset, reset per call).
   mutable CoverBitset cover_scratch_;

@@ -253,6 +253,7 @@ Result<RRCollection> LoadPool(const std::string& path, PayloadCursor* cur,
 
   RRStoreOptions store;
   store.retain_set_costs = h.retain_costs != 0;
+  store.index = false;  // the index is not serialized; BuildIndex rebuilds it
   return RRCollection::RestoreFromSnapshotParts(
       h.num_nodes, store, std::move(runs), std::move(slots), std::move(costs),
       h.total_members, h.total_edges_examined);

@@ -89,8 +89,8 @@ struct SnapshotRunState {
 static_assert(sizeof(SnapshotRunState) == 88,
               ".opimss run-state record is part of the wire format");
 
-/// A loaded snapshot: the run position plus both restored pools (index
-/// not built yet; EnsureIndex or the first read or append builds it).
+/// A loaded snapshot: the run position plus both restored pools, each
+/// unindexed (RRCollection::BuildIndex indexes one).
 struct RRPoolSnapshot {
   SnapshotRunState run;
   RRCollection r1{0};

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <queue>
+#include <span>
 
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "rrset/cover_bitset.h"
 #include "select/greedy_core.h"
 #include "select/seed_trace.h"
-#include "select/selection_state.h"
-#include "support/thread_pool.h"
 
 namespace opim {
 
@@ -25,11 +24,11 @@ GreedyResult SelectGreedy(const RRCollection& collection, uint32_t k,
   GreedyResult result;
   result.seeds.reserve(k);
 
-  // Λ(v | S_i*) for the current prefix; the initial pass is the shared
-  // cold one (serial: no options), so oracle and CELF start from the
-  // same numbers by construction.
-  std::vector<uint64_t> counts;
-  InitialGains(collection, CelfOptions{}, &counts);
+  // Λ(v | S_i*) for the current prefix, counted from the postings rather
+  // than read from MemberCounts(), so the oracle stays independent of
+  // the maintained counts CELF starts from.
+  std::vector<uint64_t> counts(n);
+  for (NodeId v = 0; v < n; ++v) counts[v] = collection.CoveringCount(v);
   CoverBitset covered;
   covered.Reset(theta);
   std::vector<char> selected(n, 0);
@@ -94,7 +93,7 @@ GreedyResult SelectGreedy(const RRCollection& collection, uint32_t k,
 }
 
 GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
-                              bool with_trace, const CelfOptions& options) {
+                              bool with_trace, SeedTrace* seed_trace) {
   OPIM_TR_SPAN2("celf", "select", "theta", collection.num_sets(), "k", k);
   OPIM_TM_SCOPED_TIMER("opim.select.celf_us");
   OPIM_TM_COUNTER_ADD("opim.select.celf_runs", 1);
@@ -106,18 +105,8 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
 
   GreedyResult result;
   result.seeds.reserve(k);
-  // The covered bitset comes from the persistent state when one is
-  // given: its word arena survives across doublings (extended, cleared)
-  // instead of being reallocated per selection. Same bits either way.
-  CoverBitset local_covered;
-  CoverBitset* covered_bits;
-  if (options.state != nullptr) {
-    covered_bits = options.state->PrepareCovered(theta);
-  } else {
-    local_covered.Reset(theta);
-    covered_bits = &local_covered;
-  }
-  CoverBitset& covered = *covered_bits;
+  CoverBitset covered;
+  covered.Reset(theta);
   std::vector<char> selected(n, 0);
 
   uint64_t coverage = 0;
@@ -126,44 +115,27 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
   uint64_t rescans = 0;
   uint64_t words_scanned = 0;  // bitset words the counting kernels touched
 
-  // Initial marginal gains Λ({v}) for every node — warm-synced from the
-  // persistent state when options.state is set, else the cold pass
-  // (parallel over node ranges when options.pool is set). Identical
-  // values either way; everything after is serial and bit-identical.
-  std::vector<uint64_t> gains;
-  AcquireInitialGains(collection, options, &gains);
-
-  // After a successful warm sync the collection's nonzero-membership
-  // node list is current, and only those nodes can hold a positive gain:
-  // the heap / histogram builds below iterate it instead of all n nodes.
-  // At the doubling loop's early iterations the pool touches a small
-  // fraction of n, so this removes the remaining O(n) passes from the
-  // warm path. Output is unaffected by the iteration order or by the
-  // absent zero-gain entries: the CELF comparator is a strict total
-  // order, and a zero-gain entry can never be selected (it either
-  // re-enqueues at zero and breaks the pop loop, or the queue simply
-  // drains — the seeds are identical either way, which the warm-vs-cold
-  // differential tests pin).
-  std::span<const NodeId> nonzero;
-  const bool use_nonzero =
-      options.state != nullptr && options.state->WarmFor(collection);
-  if (use_nonzero) nonzero = collection.MemberNonzero();
+  // The initial marginal gains Λ({v}) are the collection's member
+  // counts, which every append keeps exact, so a doubling run pays O(n)
+  // for them instead of an O(Σ|R|) recount. Only the nodes some set
+  // contains (MemberNonzero) can hold a positive gain, so the heap and
+  // histogram builds below iterate those alone. Neither the order nor
+  // the absent zero-gain nodes can change the output: the CELF
+  // comparator is a strict total order, and a zero-gain entry is never
+  // selected (the pop loop stops at gain 0, or the queue drains first).
+  const std::span<const uint64_t> gains = collection.MemberCounts();
+  const std::span<const NodeId> nonzero = collection.MemberNonzero();
 
   if (!with_trace) {
     // Classic CELF: no marginal bookkeeping at all — a stale entry's gain
     // is recomputed on demand by intersecting the node's postings with
     // the uncovered bitset (whole 64-bit words; AVX2 when dispatched).
-    // O(n) heap build (make_heap via the container ctor) instead of n
-    // pushes; pop order — and therefore the seed set — only depends on
-    // the comparator, not the heap's internal layout.
+    // Linear heap build (make_heap via the container ctor) instead of one
+    // push per node; pop order — and therefore the seed set — only
+    // depends on the comparator, not the heap's internal layout.
     std::vector<CelfEntry> entries;
-    if (use_nonzero) {
-      entries.reserve(nonzero.size());
-      for (NodeId v : nonzero) entries.push_back({gains[v], v, 0});
-    } else {
-      entries.reserve(n);
-      for (NodeId v = 0; v < n; ++v) entries.push_back({gains[v], v, 0});
-    }
+    entries.reserve(nonzero.size());
+    for (NodeId v : nonzero) entries.push_back({gains[v], v, 0});
     std::priority_queue<CelfEntry> queue(std::less<CelfEntry>{},
                                          std::move(entries));
     auto fresh_gain = [&](NodeId v) {
@@ -211,46 +183,31 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
   // SeedTrace is attached, the same walk also writes the prefix's full
   // top-j sums (j = 1..k) into its matrix row — the per-prefix Eq. (10)
   // summands any later k' <= k query needs — at O(k) extra per prefix.
-  SeedTrace* strace = options.seed_trace;
-  if (strace != nullptr) strace->Begin(k);
-  std::vector<uint64_t> counts = std::move(gains);
+  if (seed_trace != nullptr) seed_trace->Begin(k);
+  std::vector<uint64_t> counts(gains.begin(), gains.end());
   uint64_t max_count = 0;
-  std::vector<CelfEntry> entries;  // heapified in one O(n) make_heap below
-  if (use_nonzero) {
-    entries.reserve(nonzero.size());
-    for (NodeId v : nonzero) {
-      const uint64_t g = counts[v];  // >= 1: membership never decreases
-      entries.push_back({g, v, 0});
-      max_count = std::max(max_count, g);
-    }
-  } else {
-    entries.reserve(n);
-    for (NodeId v = 0; v < n; ++v) {
-      const uint64_t g = counts[v];
-      if (g > 0) entries.push_back({g, v, 0});
-      max_count = std::max(max_count, g);
-    }
+  std::vector<CelfEntry> entries;  // heapified in one make_heap below
+  entries.reserve(nonzero.size());
+  for (NodeId v : nonzero) {
+    const uint64_t g = counts[v];  // >= 1: membership never decreases
+    entries.push_back({g, v, 0});
+    max_count = std::max(max_count, g);
   }
   std::priority_queue<CelfEntry> queue(std::less<CelfEntry>{},
                                        std::move(entries));
   std::vector<uint32_t> hist(max_count + 1, 0);  // hist[c] = #nodes, c > 0
-  if (use_nonzero) {
-    for (NodeId v : nonzero) ++hist[counts[v]];
-  } else {
-    for (NodeId v = 0; v < n; ++v) {
-      if (counts[v] > 0) ++hist[counts[v]];
-    }
-  }
+  for (NodeId v : nonzero) ++hist[counts[v]];
   uint64_t cover_updates = 0;
 
   auto record_prefix = [&] {
     const uint32_t prefix = static_cast<uint32_t>(result.coverage_at.size());
     result.coverage_at.push_back(coverage);
-    if (strace != nullptr) strace->RecordCoverage(prefix, coverage);
+    if (seed_trace != nullptr) seed_trace->RecordCoverage(prefix, coverage);
     // The maximum only decreases (all updates are decrements), so the
     // cursor moves monotonically: O(initial max) total over the whole run.
     while (max_count > 0 && hist[max_count] == 0) --max_count;
-    uint64_t* row = strace != nullptr ? strace->PrefixRow(prefix) : nullptr;
+    uint64_t* row =
+        seed_trace != nullptr ? seed_trace->PrefixRow(prefix) : nullptr;
     uint64_t sum = 0;
     uint64_t taken = 0;
     for (uint64_t value = max_count; value > 0 && taken < k; --value) {
@@ -310,9 +267,9 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
   }
   record_prefix();
   while (result.coverage_at.size() < static_cast<size_t>(k) + 1) {
-    if (strace != nullptr) {
-      strace->RecordCoverage(static_cast<uint32_t>(result.coverage_at.size()),
-                             coverage);
+    if (seed_trace != nullptr) {
+      seed_trace->RecordCoverage(
+          static_cast<uint32_t>(result.coverage_at.size()), coverage);
     }
     result.coverage_at.push_back(coverage);
     result.topk_marginal_at.push_back(0);
@@ -324,7 +281,7 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
   OPIM_TM_COUNTER_ADD("opim.select.words_scanned", words_scanned);
   FillWithUnselected(n, k, selected, &result.seeds);
   result.coverage = coverage;
-  if (strace != nullptr) strace->RecordSeeds(result.seeds);
+  if (seed_trace != nullptr) seed_trace->RecordSeeds(result.seeds);
   return result;
 }
 

@@ -6,15 +6,20 @@
 //    it can also capture the *greedy trace* that the improved bound of §5
 //    consumes: Λ1(S_i*) and Σ_{v ∈ maxMC(S_i*, k)} Λ1(v | S_i*) for every
 //    prefix i = 0..k (Eq. 10), in O(kn + Σ|R|) total. Kept as the
-//    reference oracle for differential tests.
+//    reference oracle for differential tests: it counts each node's
+//    Λ({v}) from its postings, so it also checks the member counts CELF
+//    starts from.
 //  * SelectGreedyCelf — CELF lazy-forward greedy (Leskovec et al. 2007),
-//    the selection path of the two-pool engine and of every baseline. Identical output to SelectGreedy
-//    (including tie-breaking and the trace arrays; the differential test
-//    in tests/select/ pins this). In trace mode it maintains exact
-//    marginals like SelectGreedy but replaces the O(n) argmax scan with
-//    the lazy queue and tracks a bucket histogram of the marginal values,
-//    so each prefix's top-k marginal sum is a walk down the histogram
-//    from the current maximum — no n-sized copy or sort per pick.
+//    the selection path of the two-pool engine and of every baseline.
+//    Identical output to SelectGreedy (including tie-breaking and the
+//    trace arrays; the differential tests in tests/select/ pin this). Its
+//    initial gains are the collection's maintained member counts, and its
+//    heap holds only the nodes some RR set contains. In trace mode it
+//    maintains exact marginals like SelectGreedy but replaces the O(n)
+//    argmax scan with the lazy queue and tracks a bucket histogram of the
+//    marginal values, so each prefix's top-k marginal sum is a walk down
+//    the histogram from the current maximum — no n-sized copy or sort per
+//    pick.
 //
 // Both return seed sets of exactly min(k, n) nodes; once every RR set is
 // covered, remaining slots are filled with the smallest-id unused nodes
@@ -23,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "rrset/rr_collection.h"
@@ -31,8 +35,6 @@
 namespace opim {
 
 class SeedTrace;
-class SelectionState;
-class ThreadPool;
 
 /// Output of greedy selection, including the per-prefix trace used by the
 /// Λ1ᵘ(S°) bound of Eq. (10).
@@ -57,32 +59,15 @@ struct GreedyResult {
 GreedyResult SelectGreedy(const RRCollection& collection, uint32_t k,
                           bool with_trace = false);
 
-/// Execution options for SelectGreedyCelf. None changes any output bit:
-/// `pool` only parallelizes the initial marginal-gain pass (one
-/// CoveringCount per node — the dominant CELF cost at large n) over node
-/// ranges; every recount stays serial. `after_initial_gains`, when set,
-/// runs on the calling thread right after that pass — the last pool use —
-/// and before the serial heap phase: the pipelined engine uses it to
-/// launch speculative sampling that overlaps the rest of selection.
-/// `state`, when set, replaces the initial-gain pass with the persistent
-/// SelectionState's incremental sync (select/selection_state.h) — exact
-/// gains, bit-identical output, warm across doublings; a failed sync
-/// falls back to the cold pass transparently. `seed_trace`, when set
-/// together with `with_trace`, additionally records the prefix-complete
-/// trace (select/seed_trace.h) that answers k' <= k queries without
-/// re-selection.
-struct CelfOptions {
-  ThreadPool* pool = nullptr;
-  std::function<void()> after_initial_gains;
-  SelectionState* state = nullptr;
-  SeedTrace* seed_trace = nullptr;
-};
-
 /// CELF lazy-forward greedy; identical output to SelectGreedy (seeds,
 /// coverage, and — with `with_trace` — the trace arrays), usually much
-/// faster. This is the engine selection path.
+/// faster. This is the engine selection path. Starts from the
+/// collection's MemberCounts(), so the collection must be indexed.
+/// `seed_trace`, when set together with `with_trace`, additionally
+/// records the prefix-complete trace (select/seed_trace.h) that answers
+/// k' <= k queries without re-selection.
 GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
                               bool with_trace = false,
-                              const CelfOptions& options = {});
+                              SeedTrace* seed_trace = nullptr);
 
 }  // namespace opim

@@ -3,15 +3,15 @@
 // SelectGreedy (the differential oracle) and SelectGreedyCelf must agree
 // on every output bit — seeds, tie-breaks, trace arrays — so the pieces
 // that define those bits live here, in exactly one translation unit:
-// the candidate ordering (BetterCandidate / CelfEntry), the initial
-// marginal-gain pass (cold and warm-started), the top-k marginal
-// machinery of the Eq. (10) trace, and the covered-bitset marking walk.
-// The differential tests in tests/select/ then exercise one
-// implementation of the invariants instead of two copies that could
-// drift apart.
+// the candidate ordering (BetterCandidate / CelfEntry), the top-k
+// marginal machinery of the Eq. (10) trace, and the covered-bitset
+// marking walk. The differential tests in tests/select/ then exercise
+// one implementation of the invariants instead of two copies that could
+// drift apart. The starting gains are the one input the two do not
+// share: CELF reads the pool's member counts, the oracle recounts them.
 //
 // Everything here is an implementation detail of select/: the header is
-// included by greedy.cc and the selection tests, not installed API.
+// included by greedy.cc alone, not installed API.
 
 #pragma once
 
@@ -20,7 +20,6 @@
 
 #include "rrset/cover_bitset.h"
 #include "rrset/rr_collection.h"
-#include "select/greedy.h"
 
 namespace opim {
 
@@ -46,27 +45,6 @@ struct CelfEntry {
     return BetterCandidate(other.gain, other.node, gain, node);
   }
 };
-
-/// Fills `gains[v] = CoveringCount(v)` for every node, over node ranges
-/// on `options.pool` when the posting mass warrants it; per-node results
-/// are independent, so the output is identical for any worker count.
-/// Runs `options.after_initial_gains` (if set) once the pass — the only
-/// pool use in CELF — is done.
-void InitialGains(const RRCollection& collection, const CelfOptions& options,
-                  std::vector<uint64_t>* gains);
-
-/// Initial-gain acquisition with the incremental fast path: when
-/// `options.state` is set, syncs the persistent SelectionState against
-/// `collection` (an O(n) copy of the collection's incrementally
-/// maintained membership counts instead of an O(Σ|R|) recount) and falls
-/// back to the cold InitialGains pass — invalidating the state — if the
-/// sync throws. Either way the resulting gains are bit-identical and
-/// `options.after_initial_gains` fires exactly once, at the same
-/// schedule point, so the pipelined engine's speculative RR streams are
-/// unaffected by which path ran.
-void AcquireInitialGains(const RRCollection& collection,
-                         const CelfOptions& options,
-                         std::vector<uint64_t>* gains);
 
 /// Sum of the k largest values of `scratch` (consumed: partially sorted).
 /// Zeros never contribute, so callers pass only nonzero entries.

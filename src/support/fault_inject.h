@@ -57,14 +57,6 @@
 //                        cannot protect against. The strict loader must
 //                        reject the result (checkpoint readers treat a
 //                        bad snapshot as "no snapshot", never as state).
-//   select.state_rebuild_throw
-//                        evaluated once per cold SelectionState sync (the
-//                        from-scratch rebuild on a pool not yet accounted
-//                        — first selection of a run, or the first after
-//                        --resume); firing throws from SyncGains. The
-//                        selection must fall back to from-scratch initial
-//                        gains (opim.select.warm_start_fallbacks) and the
-//                        run's output must be unchanged.
 //
 // The CLI arms sites from the OPIM_FAULT_INJECT environment variable
 // ("site=hit[,site=hit...]") so shell-level smoke tests can exercise the

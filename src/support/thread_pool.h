@@ -1,6 +1,6 @@
 // Fixed-size thread pool shared by every parallel phase: RR-set sampling
-// shards, index merges, the SamplingView build, CELF's initial-gain pass
-// and the Monte-Carlo spread estimator.
+// shards, index merges and builds, the SamplingView build and the
+// Monte-Carlo spread estimator.
 //
 // The calling thread is one of the pool's threads. ThreadPool(n) starts
 // n − 1 workers, and every join — ThreadPool::Wait, TaskGroup::Wait,

@@ -63,9 +63,7 @@ const QueryCase kCases[] = {
 SeedTrace MakeTrace(const RRCollection& r1, const RRCollection& r2,
                     uint32_t k, double scale, double delta) {
   SeedTrace trace;
-  CelfOptions opts;
-  opts.seed_trace = &trace;
-  SelectGreedyCelf(r1, k, /*with_trace=*/true, opts);
+  SelectGreedyCelf(r1, k, /*with_trace=*/true, &trace);
   trace.AttributeJudgeCoverage(r2);
   trace.SetBoundParams(r1.num_sets(), r2.num_sets(), scale, delta, delta);
   return trace;

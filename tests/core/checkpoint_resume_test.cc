@@ -255,27 +255,20 @@ TEST(CheckpointResumeTest, CancelTripCheckpointsAndResumes) {
 }
 
 TEST(CheckpointResumeTest, ResumeRebuildsSelectionStateBitIdentically) {
-  // A resumed run's first selection is a cold SelectionState rebuild
-  // from the restored pools (the warm counts died with the original
-  // process); everything after warm-starts again. Both the resumed run
-  // and a from-scratch-selection (incremental off) run must reproduce
-  // the uninterrupted incremental run exactly — including the query
-  // answers, which read the trace the rebuilt state's selections fed.
+  // A resumed run's first selection starts from the member counts that
+  // Restore rebuilt with R1's index (the maintained counts died with the
+  // original process). The resumed run must reproduce the uninterrupted
+  // run exactly — including the query answers, which read the trace
+  // those selections fed.
   Graph g = TestGraph();
   OpimCOptions base;
   base.seed = 29;
   base.num_threads = 1;
   base.query_ks = {1, kK};
-  ASSERT_TRUE(base.incremental_selection);  // the default under test
 
   const OpimCResult reference = RunWith(g, base);
   ASSERT_GT(reference.iterations, 1u);
   ASSERT_EQ(reference.queries.size(), 2u);
-
-  OpimCOptions scratch = base;
-  scratch.incremental_selection = false;
-  const OpimCResult oracle = RunWith(g, scratch);
-  ExpectSameRun(reference, oracle);
 
   OpimCOptions ck = base;
   ck.checkpoint_dir = FreshDir("ck_selstate");

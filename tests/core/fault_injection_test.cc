@@ -21,7 +21,6 @@
 #include "core/opim_c.h"
 #include "gen/generators.h"
 #include "graph/graph_mmap.h"
-#include "obs/metrics.h"
 #include "rrset/parallel_generate.h"
 #include "rrset/rr_collection.h"
 #include "support/random.h"
@@ -243,66 +242,6 @@ TEST_F(FaultInjectionTest, ShortWriteTripsSpillFailureInTheEngine) {
   EXPECT_EQ(r.seeds.size(), 8u);
   EXPECT_TRUE(std::isfinite(r.alpha));
   EXPECT_GE(r.alpha, 0.0);
-}
-
-TEST_F(FaultInjectionTest, StateRebuildThrowFallsBackToColdSelection) {
-  // select.state_rebuild_throw fails the persistent SelectionState's
-  // cold sync (the first selection's state rebuild). The run must fall
-  // back to from-scratch initial gains, count a warm-start fallback, and
-  // finish with output identical to the unfaulted run — the state is an
-  // execution cache, never behavior.
-  Graph g = TestGraph();
-  OpimCOptions o;
-  o.seed = 7;
-  o.num_threads = 1;
-  o.query_ks = {2, 5};
-  const OpimCResult reference =
-      RunOpimC(g, DiffusionModel::kIndependentCascade, 5, 0.3, 0.01, o);
-
-  fault::Reset();
-  fault::Arm("select.state_rebuild_throw", 1);
-  const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
-  const OpimCResult r =
-      RunOpimC(g, DiffusionModel::kIndependentCascade, 5, 0.3, 0.01, o);
-  const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();
-  EXPECT_GE(fault::Hits("select.state_rebuild_throw"), 1u);
-  EXPECT_EQ(r.guardrails.stop_reason, StopReason::kConverged);
-  EXPECT_EQ(r.seeds, reference.seeds);
-  EXPECT_EQ(r.alpha, reference.alpha);
-  EXPECT_EQ(r.num_rr_sets, reference.num_rr_sets);
-  EXPECT_EQ(r.iterations, reference.iterations);
-  ASSERT_EQ(r.queries.size(), reference.queries.size());
-  for (size_t i = 0; i < r.queries.size(); ++i) {
-    EXPECT_EQ(r.queries[i].seeds, reference.queries[i].seeds);
-    EXPECT_EQ(r.queries[i].alpha, reference.queries[i].alpha);
-  }
-  auto counter = [](const MetricsSnapshot& s, const char* name) -> uint64_t {
-    const CounterSample* c = s.FindCounter(name);
-    return c != nullptr ? c->value : 0;
-  };
-  // Counter is absent only when telemetry is compiled out of this
-  // configuration; when present, exactly the one injected failure fell
-  // back.
-  if (after.FindCounter("opim.select.warm_start_fallbacks") != nullptr) {
-    EXPECT_EQ(counter(after, "opim.select.warm_start_fallbacks") -
-                  counter(before, "opim.select.warm_start_fallbacks"),
-              1u);
-  }
-}
-
-TEST_F(FaultInjectionTest, StateRebuildSiteDeadOnFromScratchSelection) {
-  // With incremental_selection off there is no state sync at all, so the
-  // site must never be evaluated and the armed run completes untouched.
-  Graph g = TestGraph();
-  fault::Arm("select.state_rebuild_throw", 1);
-  OpimCOptions o;
-  o.seed = 7;
-  o.num_threads = 1;
-  o.incremental_selection = false;
-  OpimCResult r = RunOpimC(g, DiffusionModel::kIndependentCascade, 5, 0.3,
-                           0.01, o);
-  EXPECT_EQ(r.seeds.size(), 5u);
-  EXPECT_EQ(fault::Hits("select.state_rebuild_throw"), 0u);
 }
 
 TEST_F(FaultInjectionTest, ArmedSerialRunsAreDeterministic) {

@@ -1,12 +1,10 @@
-// Engine-level coverage for prefix queries (OpimCOptions::query_ks) and
-// the incremental-selection differential. One RunOpimC call with
-// query_ks = {1, k/2, k} must answer every requested size from its final
-// iteration's SeedTrace — seed prefixes of the returned set, α(k)
-// bitwise equal to the run's own certificate — on both diffusion models,
-// and the whole result (queries included) must be bit-identical across
-// incremental_selection on/off and eager/pipelined schedules: the
-// persistent SelectionState and the trace recording are execution
-// accelerators, never behavior.
+// Engine-level coverage for prefix queries (OpimCOptions::query_ks). One
+// RunOpimC call with query_ks = {1, k/2, k} must answer every requested
+// size from its final iteration's SeedTrace — seed prefixes of the
+// returned set, α(k) bitwise equal to the run's own certificate — on
+// both diffusion models, and the whole result (queries included) must be
+// bit-identical across eager and pipelined schedules: speculation and
+// the trace recording are execution accelerators, never behavior.
 
 #include <gtest/gtest.h>
 
@@ -101,51 +99,25 @@ TEST(QueryKsTest, QueriesAgreeAcrossBoundKinds) {
   }
 }
 
-TEST(QueryKsTest, IncrementalSelectionIsBitIdenticalEager) {
-  Graph g = TestGraph();
-  for (const DiffusionModel model : {DiffusionModel::kIndependentCascade,
-                                     DiffusionModel::kLinearThreshold}) {
-    OpimCOptions on;
-    on.seed = 3;
-    on.num_threads = 1;
-    on.query_ks = QueryKs();
-    on.incremental_selection = true;
-    OpimCOptions off = on;
-    off.incremental_selection = false;
-    const OpimCResult a = RunOpimC(g, model, kK, kEps, kDelta, on);
-    const OpimCResult b = RunOpimC(g, model, kK, kEps, kDelta, off);
-    ExpectSameRunWithQueries(a, b);
-  }
-}
-
 TEST(QueryKsTest, IncrementalSelectionIsBitIdenticalPipelined) {
-  // 4 threads, speculative sampling on: the warm-started selection must
-  // not perturb the speculation schedule (after_initial_gains fires at
-  // the same point on both paths), so the whole run stays identical.
+  // 4 threads, speculative sampling on: the pipelined run answers
+  // exactly what the eager schedule answers. Determinism is per (seed,
+  // num_threads) — the RR stream depends on the thread count — so only
+  // the schedule flips here.
   Graph g = TestGraph();
-  OpimCOptions on;
-  on.seed = 5;
-  on.num_threads = 4;
-  on.pipeline = true;
-  on.query_ks = QueryKs();
-  on.incremental_selection = true;
-  OpimCOptions off = on;
-  off.incremental_selection = false;
-  const OpimCResult a =
-      RunOpimC(g, DiffusionModel::kIndependentCascade, kK, kEps, kDelta, on);
-  const OpimCResult b =
-      RunOpimC(g, DiffusionModel::kIndependentCascade, kK, kEps, kDelta, off);
-  ExpectSameRunWithQueries(a, b);
-
-  // And the pipelined run answers exactly what the eager schedule
-  // answers. Determinism is per (seed, num_threads) — the RR stream
-  // depends on the thread count — so only the schedule flips here.
-  OpimCOptions eager = on;
+  OpimCOptions pipelined;
+  pipelined.seed = 5;
+  pipelined.num_threads = 4;
+  pipelined.pipeline = true;
+  pipelined.query_ks = QueryKs();
+  OpimCOptions eager = pipelined;
   eager.pipeline = false;
-  const OpimCResult c =
+  const OpimCResult a = RunOpimC(g, DiffusionModel::kIndependentCascade, kK,
+                                 kEps, kDelta, pipelined);
+  const OpimCResult b =
       RunOpimC(g, DiffusionModel::kIndependentCascade, kK, kEps, kDelta,
                eager);
-  ExpectSameRunWithQueries(a, c);
+  ExpectSameRunWithQueries(a, b);
 }
 
 TEST(QueryKsTest, NoQueriesMeansNoQuerySection) {

@@ -125,15 +125,8 @@ TEST_P(TwoPoolEngineStreamTest, EagerAndSpeculativeBatchesMatchToo) {
   engine.Stage(0, 0, c2, s2, nullptr, /*speculative=*/false);
   EXPECT_EQ(engine.Merge(nullptr), c2);
   const auto& [d1, t1, d2, t2] = kBatches[1];
-  TwoPoolEngine::SelectOptions select;
-  if (engine.has_workers()) {
-    select.after_initial_gains = [&] {
-      engine.Stage(d1, t1, d2, t2, nullptr, /*speculative=*/true);
-    };
-    engine.Select(5, select);
-  } else {
-    engine.Stage(d1, t1, d2, t2, nullptr, /*speculative=*/true);
-  }
+  engine.Stage(d1, t1, d2, t2, nullptr, /*speculative=*/true);
+  engine.Select(5, /*with_trace=*/false);
   EXPECT_EQ(engine.Merge(nullptr), d1 + d2);
   ExpectSamePool(engine.r1(), want1);
   ExpectSamePool(engine.r2(), want2);
@@ -210,9 +203,7 @@ TEST(TwoPoolEngineTest, CertificateMatchesTheBoundsModule) {
   TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {}, 1);
   engine.Stage(3000, 1, 3000, 2, nullptr, /*speculative=*/false);
   engine.Merge(nullptr);
-  TwoPoolEngine::SelectOptions select;
-  select.with_trace = true;
-  const GreedyResult greedy = engine.Select(5, select);
+  const GreedyResult greedy = engine.Select(5, /*with_trace=*/true);
   const double d1 = 0.01, d2 = 0.02;
   const TwoPoolEngine::Certificate cert =
       engine.Certify(greedy, BoundKind::kImproved, d1, d2);

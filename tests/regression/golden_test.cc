@@ -10,6 +10,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "baselines/borgs_online.h"
+#include "baselines/dssa_fix.h"
+#include "baselines/imm.h"
+#include "baselines/ssa_fix.h"
+#include "baselines/tim.h"
 #include "core/online_maximizer.h"
 #include "core/opim_c.h"
 #include "gen/generators.h"
@@ -185,6 +190,53 @@ TEST(GoldenTest, OpimCRun) {
   EXPECT_EQ(r.num_rr_sets, 6272u);
   EXPECT_EQ(r.seeds, (std::vector<NodeId>{206, 254, 224}));
   EXPECT_NEAR(r.alpha, 0.506283, 1e-5);
+}
+
+/// Seed sets of every baseline the paper compares against, each the CELF
+/// selection over the baseline's own RR pools.
+struct BaselineSeeds {
+  std::vector<NodeId> imm, tim, ssa_fix, dssa_fix, borgs;
+};
+
+BaselineSeeds RunBaselines(const Graph& g, DiffusionModel model) {
+  constexpr uint32_t kK = 5;
+  constexpr double kEps = 0.3;
+  constexpr double kDelta = 0.05;
+  constexpr uint64_t kSeed = 3;
+  BaselineSeeds s;
+  ImmOptions imm;
+  imm.seed = kSeed;
+  s.imm = RunImm(g, model, kK, kEps, kDelta, imm).seeds;
+  TimOptions tim;
+  tim.seed = kSeed;
+  s.tim = RunTim(g, model, kK, kEps, kDelta, tim).seeds;
+  SsaFixOptions ssa;
+  ssa.seed = kSeed;
+  s.ssa_fix = RunSsaFix(g, model, kK, kEps, kDelta, ssa).seeds;
+  DssaFixOptions dssa;
+  dssa.seed = kSeed;
+  s.dssa_fix = RunDssaFix(g, model, kK, kEps, kDelta, dssa).seeds;
+  BorgsOnline borgs(g, model, kK, kSeed);
+  borgs.Advance(4000);
+  s.borgs = borgs.Query().seeds;
+  return s;
+}
+
+TEST(GoldenTest, BaselineSeeds) {
+  Graph g = MakeTinyTestGraph(512, 2);
+  using Seeds = std::vector<NodeId>;
+  const BaselineSeeds ic = RunBaselines(g, DiffusionModel::kIndependentCascade);
+  EXPECT_EQ(ic.imm, (Seeds{509, 423, 316, 467, 502}));
+  EXPECT_EQ(ic.tim, (Seeds{509, 423, 316, 345, 467}));
+  EXPECT_EQ(ic.ssa_fix, (Seeds{509, 423, 345, 316, 467}));
+  EXPECT_EQ(ic.dssa_fix, (Seeds{509, 345, 316, 289, 423}));
+  EXPECT_EQ(ic.borgs, (Seeds{509, 345, 475, 383, 467}));
+  const BaselineSeeds lt = RunBaselines(g, DiffusionModel::kLinearThreshold);
+  EXPECT_EQ(lt.imm, (Seeds{509, 423, 316, 345, 467}));
+  EXPECT_EQ(lt.tim, (Seeds{509, 423, 316, 345, 467}));
+  EXPECT_EQ(lt.ssa_fix, (Seeds{509, 345, 423, 433, 467}));
+  EXPECT_EQ(lt.dssa_fix, (Seeds{509, 423, 316, 511, 345}));
+  EXPECT_EQ(lt.borgs, (Seeds{509, 345, 502, 292, 423}));
 }
 
 }  // namespace

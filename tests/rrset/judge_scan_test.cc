@@ -173,9 +173,7 @@ TEST_P(JudgeScanTest, Lambda2AtMatchesIndexedJudgeAtEveryPrefix) {
   const RRCollection scanned = FromShards(c.n, judge, kUnindexed);
   for (uint32_t k : {1u, 8u, 40u}) {
     SeedTrace trace;
-    CelfOptions celf;
-    celf.seed_trace = &trace;
-    SelectGreedyCelf(r1, k, /*with_trace=*/true, celf);
+    SelectGreedyCelf(r1, k, /*with_trace=*/true, &trace);
     trace.AttributeJudgeCoverage(indexed);
     std::vector<uint64_t> want(k + 1);
     for (uint32_t i = 0; i <= k; ++i) want[i] = trace.Lambda2At(i);
@@ -260,7 +258,7 @@ TEST(JudgeScanStorageTest, UnindexedPoolKeepsNoIndex) {
   EXPECT_DEATH(scanned.MemberNonzero(), "keeps no index");
 }
 
-TEST(JudgeScanStorageTest, DropIndexTurnsARestoredPoolIntoAJudgePool) {
+TEST(JudgeScanStorageTest, RestoredPoolIsAJudgePoolUntilBuilt) {
   constexpr uint32_t kN = 901;
   const Sets sets = RandomSets(kN - 1, 6000, 12);
   const RRCollection indexed = FromShards(kN, sets, kIndexed);
@@ -270,12 +268,11 @@ TEST(JudgeScanStorageTest, DropIndexTurnsARestoredPoolIntoAJudgePool) {
     runs.emplace_back(run.begin(), run.end());
   }
   RRCollection restored = RRCollection::RestoreFromSnapshotParts(
-      kN, kIndexed, std::move(runs),
+      kN, kUnindexed, std::move(runs),
       std::vector<uint32_t>(indexed.slots().begin(), indexed.slots().end()),
       {}, indexed.total_size(), indexed.total_edges_examined());
-  restored.DropIndex();
   EXPECT_FALSE(restored.indexed());
-  restored.EnsureIndex();  // a no-op now
+  EXPECT_DEATH(restored.MemberCounts(), "keeps no index");
   for (const std::vector<NodeId>& seeds : SeedLists(kN - 1, kN, 6)) {
     EXPECT_EQ(restored.CoverageByPrefix(seeds),
               indexed.CoverageByPrefix(seeds));
@@ -283,8 +280,15 @@ TEST(JudgeScanStorageTest, DropIndexTurnsARestoredPoolIntoAJudgePool) {
   // Appends keep it unindexed.
   restored.AddSet(std::vector<NodeId>{1, 2, 3}, 1);
   EXPECT_EQ(restored.num_sets(), indexed.num_sets() + 1);
+  EXPECT_FALSE(restored.indexed());
   EXPECT_EQ(restored.CoverageOf(std::vector<NodeId>{2}),
             indexed.CoverageOf(std::vector<NodeId>{2}) + 1);
+  // BuildIndex indexes it, once.
+  restored.BuildIndex();
+  EXPECT_TRUE(restored.indexed());
+  EXPECT_EQ(restored.CoveringCount(2), indexed.CoveringCount(2) + 1);
+  EXPECT_EQ(restored.MemberCounts()[5], indexed.MemberCounts()[5]);
+  EXPECT_DEATH(restored.BuildIndex(), "indexed RR collection");
 }
 
 }  // namespace

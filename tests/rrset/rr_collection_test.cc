@@ -386,7 +386,7 @@ RRCollection RestoredCopy(const RRCollection& rr) {
     runs.emplace_back(run.begin(), run.end());
   }
   return RRCollection::RestoreFromSnapshotParts(
-      rr.num_nodes(), {}, std::move(runs),
+      rr.num_nodes(), {.index = false}, std::move(runs),
       {rr.slots().begin(), rr.slots().end()},
       {rr.set_costs().begin(), rr.set_costs().end()}, rr.total_size(),
       rr.total_edges_examined());
@@ -603,10 +603,12 @@ TEST_P(RRCollectionIndexDiffTest, MatchesBruteForceIndex) {
                              rng() % 2 == 0 ? &pool : nullptr);
     } else {
       rr = RestoredCopy(rr);
-      // Build on the pool, serially, or lazily at the next read.
-      const uint64_t build = rng() % 3;
-      if (build == 0) rr.EnsureIndex(&pool);
-      if (build == 1) rr.EnsureIndex();
+      // Build on the pool (one draw in three) or serially.
+      if (rng() % 3 == 0) {
+        rr.BuildIndex(&pool);
+      } else {
+        rr.BuildIndex();
+      }
     }
     std::vector<NodeId> seeds = {kDense, random_node(), random_node()};
     ExpectIndexMatchesBruteForce(rr, seeds);

@@ -113,9 +113,11 @@ void ExpectPoolsEqual(const RRCollection& a, const RRCollection& b) {
   for (RRId id = 0; id < a.num_sets(); ++id) {
     ASSERT_EQ(a.DecodeSet(id), b.DecodeSet(id)) << "set " << id;
   }
-  // The index is rebuilt, not serialized; it must still agree.
+  // The index is not serialized, so a loaded pool is unindexed and
+  // answers coverage by judge scan; it must still agree.
   for (NodeId v : {NodeId{0}, NodeId{17}, NodeId{4242}, NodeId{kNodes - 1}}) {
-    EXPECT_EQ(a.CoveringCount(v), b.CoveringCount(v)) << "node " << v;
+    const std::vector<NodeId> seeds = {v};
+    EXPECT_EQ(a.CoverageOf(seeds), b.CoverageOf(seeds)) << "node " << v;
   }
 }
 

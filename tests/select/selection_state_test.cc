@@ -1,11 +1,12 @@
-// Differential coverage for the persistent SelectionState (warm-started
-// CELF): across simulated doubling runs, a selection that warm-syncs its
-// initial gains from the collection's incrementally maintained
-// membership counts must be bit-identical — seeds, coverage, trace
-// arrays — to the stateless CELF path and to the SelectGreedy oracle.
-// Also pins the MemberNonzero list (the warm path's heap/histogram
-// iteration domain) against the counts it summarizes, and the state's
-// rebind behavior when the bound collection changes.
+// Differential coverage for selection across a doubling run: CELF takes
+// its initial gains from the collection's maintained membership counts
+// (RRCollection::MemberCounts) and builds its heap over MemberNonzero,
+// while the SelectGreedy oracle recounts every node from its postings.
+// Every doubling's selection must match the oracle bit for bit — seeds,
+// coverage, trace arrays — across batch ingests and interleaved serial
+// appends, which checks the maintained counts too. Also pins the
+// MemberNonzero list against the counts it summarizes. (The suite is
+// named for the selection state these counts replaced.)
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,6 @@
 
 #include "rrset/rr_collection.h"
 #include "select/greedy.h"
-#include "select/selection_state.h"
 #include "support/random.h"
 
 namespace opim {
@@ -73,79 +73,58 @@ void ExpectSameSelection(const GreedyResult& a, const GreedyResult& b) {
   EXPECT_EQ(a.topk_marginal_at, b.topk_marginal_at);
 }
 
+/// CELF against the oracle on `c`, in both trace modes.
+void ExpectCelfMatchesOracle(const RRCollection& c, uint32_t k) {
+  for (const bool with_trace : {false, true}) {
+    ExpectSameSelection(SelectGreedy(c, k, with_trace),
+                        SelectGreedyCelf(c, k, with_trace));
+  }
+}
+
 TEST(SelectionStateTest, WarmSelectionsMatchColdAcrossDoublings) {
-  // Two independent replays of the same stream: one keeps a
-  // SelectionState across the doublings (first sync cold, the rest warm
-  // O(n) copies), the other re-derives gains from scratch every time.
-  // Every doubling's output must match bit for bit, in both trace modes.
+  // One replay of the stream in doublings: after each one, CELF starting
+  // from the maintained counts must match the oracle's recount.
   for (uint64_t seed : {1u, 9u, 42u}) {
     const uint32_t n = 400;
     const uint32_t k = 12;
     const Stream s = MakeStream(n, /*num_sets=*/2048, /*max_len=*/5, seed);
     const size_t targets[] = {128, 256, 512, 1024, 2048};
 
-    RRCollection warm_c(n);
-    RRCollection cold_c(n);
-    SelectionState state;
-    CelfOptions warm_opts;
-    warm_opts.state = &state;
+    RRCollection c(n);
     size_t done = 0;
     for (const size_t target : targets) {
-      AddSlice(&warm_c, s, done, target);
-      AddSlice(&cold_c, s, done, target);
+      AddSlice(&c, s, done, target);
       done = target;
-      for (const bool with_trace : {false, true}) {
-        const GreedyResult warm =
-            SelectGreedyCelf(warm_c, k, with_trace, warm_opts);
-        const GreedyResult cold = SelectGreedyCelf(cold_c, k, with_trace);
-        ExpectSameSelection(cold, warm);
-        if (with_trace) {
-          const GreedyResult oracle = SelectGreedy(cold_c, k, true);
-          ExpectSameSelection(oracle, warm);
-        }
-      }
-      EXPECT_TRUE(state.WarmFor(warm_c));
-      EXPECT_EQ(state.sets_accounted(), warm_c.num_sets());
+      ExpectCelfMatchesOracle(c, k);
     }
   }
 }
 
 TEST(SelectionStateTest, SerialAppendsBetweenSyncsStayExact) {
   // Serial AddSet appends update the membership counts one set at a
-  // time; the next warm sync must see exactly those counts and still
-  // match the cold path.
+  // time; the next selection must see exactly those counts.
   const uint32_t n = 120;
   const uint32_t k = 8;
   const Stream s = MakeStream(n, 600, 4, 7);
-  RRCollection warm_c(n);
-  RRCollection cold_c(n);
-  SelectionState state;
-  CelfOptions warm_opts;
-  warm_opts.state = &state;
+  RRCollection c(n);
 
-  AddSlice(&warm_c, s, 0, 200);
-  AddSlice(&cold_c, s, 0, 200);
-  ExpectSameSelection(SelectGreedyCelf(cold_c, k, true),
-                      SelectGreedyCelf(warm_c, k, true, warm_opts));
+  AddSlice(&c, s, 0, 200);
+  ExpectCelfMatchesOracle(c, k);
 
   // One-set-at-a-time appends (the non-batched ingest path).
   for (size_t i = 200; i < 260; ++i) {
     std::vector<NodeId> members(s.pool.begin() + s.offsets[i],
                                 s.pool.begin() + s.offsets[i + 1]);
-    warm_c.AddSet(members, s.sets[i].second);
-    cold_c.AddSet(members, s.sets[i].second);
+    c.AddSet(members, s.sets[i].second);
   }
-  ExpectSameSelection(SelectGreedyCelf(cold_c, k, true),
-                      SelectGreedyCelf(warm_c, k, true, warm_opts));
+  ExpectCelfMatchesOracle(c, k);
 
-  AddSlice(&warm_c, s, 260, 600);
-  AddSlice(&cold_c, s, 260, 600);
-  ExpectSameSelection(SelectGreedyCelf(cold_c, k, true),
-                      SelectGreedyCelf(warm_c, k, true, warm_opts));
+  AddSlice(&c, s, 260, 600);
+  ExpectCelfMatchesOracle(c, k);
 }
 
 TEST(SelectionStateTest, MemberNonzeroAgreesWithCounts) {
-  // The warm path's iteration domain: every node with a positive count,
+  // CELF's iteration domain: every node with a positive count,
   // exactly once, and nothing else — across batch ingest, serial
   // appends, and repeated folds.
   const uint32_t n = 300;
@@ -168,41 +147,6 @@ TEST(SelectionStateTest, MemberNonzeroAgreesWithCounts) {
     }
     EXPECT_EQ(expected, sorted);
   }
-}
-
-TEST(SelectionStateTest, RebindsToADifferentCollection) {
-  // A state synced against one collection must treat another as a cold
-  // rebuild (e.g. after --resume replaced the pools) and still produce
-  // the exact stateless output, including when the new pool is smaller
-  // than the covered-bitset arena the state already grew.
-  const uint32_t n = 200;
-  const uint32_t k = 6;
-  const Stream big = MakeStream(n, 1000, 4, 3);
-  const Stream small = MakeStream(n, 300, 4, 4);
-
-  RRCollection big_c(n);
-  AddSlice(&big_c, big, 0, 1000);
-  RRCollection small_c(n);
-  AddSlice(&small_c, small, 0, 300);
-
-  SelectionState state;
-  CelfOptions opts;
-  opts.state = &state;
-  ExpectSameSelection(SelectGreedyCelf(big_c, k, true),
-                      SelectGreedyCelf(big_c, k, true, opts));
-  EXPECT_TRUE(state.WarmFor(big_c));
-  EXPECT_FALSE(state.WarmFor(small_c));
-
-  ExpectSameSelection(SelectGreedyCelf(small_c, k, true),
-                      SelectGreedyCelf(small_c, k, true, opts));
-  EXPECT_TRUE(state.WarmFor(small_c));
-  EXPECT_FALSE(state.WarmFor(big_c));
-
-  state.Invalidate();
-  EXPECT_FALSE(state.WarmFor(small_c));
-  EXPECT_EQ(state.sets_accounted(), 0u);
-  ExpectSameSelection(SelectGreedyCelf(small_c, k, true),
-                      SelectGreedyCelf(small_c, k, true, opts));
 }
 
 }  // namespace

@@ -49,10 +49,6 @@
 //                        lines and recorded in the report's "queries"
 //                        section. Entries must be positive integers
 //                        <= --k with no duplicates.
-//   --incremental-selection=0
-//                        (run with opim-c*) disable the cross-iteration
-//                        warm-start (default on); output is bit-identical
-//                        either way — the switch exists for A/B timing
 //   --resume=<snapshot>  resume an opim-c* run from a .opimss checkpoint;
 //                        the snapshot's (k, eps, delta, seed, threads,
 //                        bound, model) override the flags, and the graph
@@ -468,7 +464,6 @@ int CmdRun(const Flags& flags) {
     o.seed = seed;
     o.num_threads = threads;
     o.query_ks = query_ks;
-    o.incremental_selection = flags.GetBool("incremental-selection", true);
     o.bound = algo == "opim-c0"   ? BoundKind::kBasic
               : algo == "opim-c'" ? BoundKind::kLeskovec
                                   : BoundKind::kImproved;
