@@ -214,10 +214,9 @@ int Run(const Config& cfg) {
   // engine's shard path (sort + compress + shard postings + hybrid index
   // merge), so the timing covers what a generation shard and
   // ParallelGenerate's ingest pay per batch.
-  // Collections are configured exactly as the engines configure theirs
-  // (no per-set cost column): peak_rr_bytes below is the quantity
-  // RunOpimC / OnlineMaximizer meter against a RunControl memory budget.
-  const RRStoreOptions kEngineStore{.retain_set_costs = false};
+  // Collections are configured exactly as the engines configure R1:
+  // peak_rr_bytes below is the quantity RunOpimC / OnlineMaximizer meter
+  // against a RunControl memory budget.
   std::vector<uint64_t> set_offsets(sets.size() + 1, 0);
   for (size_t i = 0; i < sets.size(); ++i) {
     set_offsets[i + 1] = set_offsets[i] + sets[i].first;
@@ -229,7 +228,7 @@ int Run(const Config& cfg) {
     std::vector<double> samples;
     samples.reserve(static_cast<size_t>(cfg.reps));
     for (int r = 0; r < cfg.reps; ++r) {
-      RRCollection fresh(cfg.n, kEngineStore);
+      RRCollection fresh(cfg.n);
       Stopwatch watch;
       IngestSlice(&fresh, pool, sets, set_offsets, 0, sets.size());
       ingest_sink += fresh.CoveringCount(0);
@@ -239,7 +238,7 @@ int Run(const Config& cfg) {
   }
 
   // One persistent collection for the selection/bounds timings.
-  RRCollection rr(cfg.n, kEngineStore);
+  RRCollection rr(cfg.n);
   IngestSlice(&rr, pool, sets, set_offsets, 0, sets.size());
 
   uint64_t select_sink = 0;
@@ -294,7 +293,7 @@ int Run(const Config& cfg) {
   // --- End-to-end engine path: sample + ingest via ParallelGenerate.
   uint64_t generate_sink = 0;
   const double generate_us = TimeMedianUs(cfg.reps, [&] {
-    RRCollection tmp(cfg.n, kEngineStore);
+    RRCollection tmp(cfg.n);
     ParallelGenerate(g, DiffusionModel::kIndependentCascade, &tmp, cfg.theta,
                      /*seed=*/11, /*num_threads=*/1);
     generate_sink += tmp.total_size();
@@ -322,7 +321,7 @@ int Run(const Config& cfg) {
   uint64_t doubling_sink = 0;
   double doubling_us = 0.0;
   for (int r = 0; r < cfg.reps; ++r) {
-    RRCollection c(cfg.n, kEngineStore);
+    RRCollection c(cfg.n);
     double select_seconds = 0.0;
     std::vector<NodeId> final_seeds;
     size_t done = 0;

@@ -102,9 +102,7 @@ int Run(const Config& cfg) {
                cfg.reps, cfg.label.c_str());
 
   const Graph g = GenerateBarabasiAlbert(cfg.n, 10);
-  RRStoreOptions store;
-  store.retain_set_costs = false;
-  RRCollection r1(g.num_nodes(), store), r2(g.num_nodes(), store);
+  RRCollection r1(g.num_nodes()), r2(g.num_nodes());
   ParallelGenerate(g, DiffusionModel::kIndependentCascade, &r1,
                    cfg.sets_per_pool, /*seed=*/1, /*num_threads=*/0);
   ParallelGenerate(g, DiffusionModel::kIndependentCascade, &r2,

@@ -38,7 +38,7 @@ done
 
 WORK="$(mktemp -d /tmp/opim_crash_XXXX)"
 trap 'rm -rf "$WORK"' EXIT
-GRAPH="$WORK/graph.bin"
+GRAPH="$WORK/graph.opimg"
 CKDIR="$WORK/checkpoints"
 SNAPSHOT="$CKDIR/opimc.opimss"
 REPORT="$WORK/resume_report.json"

@@ -37,7 +37,7 @@ build build-fi-on ON
 echo "building fault-inject OFF -> build-fi-off"
 build build-fi-off OFF
 
-GRAPH="$(mktemp /tmp/opim_guardrail_XXXX.bin)"
+GRAPH="$(mktemp /tmp/opim_guardrail_XXXX.opimg)"
 trap 'rm -f "$GRAPH"' EXIT
 build-fi-on/tools/opim_cli gen --dataset=pokec-sim --scale=$SCALE \
   --out="$GRAPH" >/dev/null

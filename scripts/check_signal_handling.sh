@@ -36,7 +36,7 @@ fi
 
 WORK="$(mktemp -d /tmp/opim_signal_XXXX)"
 trap 'rm -rf "$WORK"' EXIT
-GRAPH="$WORK/graph.bin"
+GRAPH="$WORK/graph.opimg"
 REPORT="$WORK/report.json"
 STDOUT="$WORK/stdout.txt"
 

@@ -38,7 +38,7 @@ build build-tm-on ON
 echo "building telemetry OFF -> build-tm-off"
 build build-tm-off OFF
 
-GRAPH="$(mktemp /tmp/opim_overhead_XXXX.bin)"
+GRAPH="$(mktemp /tmp/opim_overhead_XXXX.opimg)"
 trap 'rm -f "$GRAPH"' EXIT
 build-tm-on/tools/opim_cli gen --dataset=pokec-sim --scale=$SCALE \
   --out="$GRAPH" >/dev/null

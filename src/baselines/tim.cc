@@ -37,25 +37,27 @@ ImResult RunTim(const Graph& g, DiffusionModel model, uint32_t k, double eps,
   // --- Phase 1a: KPT* estimation (TIM Algorithm 2). ---
   double kpt = 1.0;
   {
-    RRCollection probe(n);
+    // Only each set's width (the traversal cost SampleInto returns) is
+    // read, so the sets themselves are not stored.
+    std::vector<uint64_t> widths;
     std::vector<NodeId> scratch;
     const int max_i = std::max(1, static_cast<int>(log2_n) - 1);
     for (int i = 1; i <= max_i; ++i) {
       uint64_t c_i = CeilToU64((6.0 * ell * ln_n + 6.0 * std::log(log2_n)) *
                                std::pow(2.0, i));
       if (capped(c_i)) c_i = options.max_rr_sets;
-      while (probe.num_sets() < c_i) {
-        uint64_t cost = sampler->SampleInto(rng, &scratch);
-        probe.AddSet(scratch, cost);
+      while (widths.size() < c_i) {
+        widths.push_back(sampler->SampleInto(rng, &scratch));
+        generated_size += scratch.size();
         ++generated;
       }
       double sum = 0.0;
-      for (RRId id = 0; id < probe.num_sets(); ++id) {
-        const double w = static_cast<double>(probe.SetCost(id));
+      for (uint64_t width : widths) {
+        const double w = static_cast<double>(width);
         sum += 1.0 - std::pow(1.0 - w / static_cast<double>(m),
                               static_cast<double>(k));
       }
-      const double kappa = sum / static_cast<double>(probe.num_sets());
+      const double kappa = sum / static_cast<double>(widths.size());
       if (kappa > 1.0 / std::pow(2.0, i)) {
         kpt = kappa * n / 2.0;
         break;
@@ -64,7 +66,6 @@ ImResult RunTim(const Graph& g, DiffusionModel model, uint32_t k, double eps,
         break;
       }
     }
-    generated_size += probe.total_size();
   }
   kpt = std::max(kpt, 1.0);
   if (stats != nullptr) {

@@ -14,11 +14,8 @@ namespace opim {
 
 namespace {
 
-/// Neither pool answers SetCost (only aggregate γ), so both drop the 8
-/// bytes/set cost column; R2, never selected on, keeps no index either.
-constexpr RRStoreOptions kNominatorStore{.retain_set_costs = false};
-constexpr RRStoreOptions kJudgeStore{.retain_set_costs = false,
-                                     .index = false};
+/// R2, never selected on, keeps no index.
+constexpr RRStoreOptions kJudgeStore{.index = false};
 
 /// Σ w_v over validated weights, or n for unit weights (empty span).
 double ObjectiveScale(uint32_t n, std::span<const double> weights) {
@@ -45,7 +42,7 @@ TwoPoolEngine::TwoPoolEngine(const Graph& g, DiffusionModel model,
       workers_(threads_ > 1 ? std::make_unique<ThreadPool>(threads_)
                             : nullptr),
       view_(SamplingView::For(g, SamplingViewPartsFor(model), workers_.get())),
-      r1_(g.num_nodes(), kNominatorStore),
+      r1_(g.num_nodes()),
       r2_(g.num_nodes(), kJudgeStore) {
   if (!weights_.empty()) root_.Build(weights_);
 }

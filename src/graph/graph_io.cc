@@ -46,36 +46,6 @@ void Tokenize(std::string_view line, size_t max_tokens,
   }
 }
 
-/// Strict node-id parse: every character a digit (so "-1", "+2", "3a" and
-/// empty all fail) and the value fits uint64 (ERANGE rejected).
-bool ParseNodeId(std::string_view tok, uint64_t* out) {
-  if (tok.empty()) return false;
-  for (char c : tok) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  std::string buf(tok);
-  errno = 0;
-  char* end = nullptr;
-  uint64_t v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno == ERANGE || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
-}
-
-/// Strict probability parse: strtod must consume the whole token and the
-/// value must be finite (no "nan"/"inf") and in [0, 1].
-bool ParseProb(std::string_view tok, double* out) {
-  if (tok.empty()) return false;
-  std::string buf(tok);
-  errno = 0;
-  char* end = nullptr;
-  double p = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
-  if (!std::isfinite(p) || p < 0.0 || p > 1.0) return false;
-  *out = p;
-  return true;
-}
-
 /// Parses the edge lines out of `text`. Returns raw (uncompacted) edges.
 ///
 /// Strict by design (see tests/graph/loader_robustness_test.cc): every
@@ -105,10 +75,11 @@ Status ParseLines(const std::string& text, std::vector<RawEdge>* edges) {
       return LineError(lineno, "trailing junk after edge", line);
     }
     RawEdge e{0, 0, -1.0};
-    if (!ParseNodeId(tokens[0], &e.u) || !ParseNodeId(tokens[1], &e.v)) {
+    if (!ParseDecimalU64(tokens[0], &e.u) ||
+        !ParseDecimalU64(tokens[1], &e.v)) {
       return LineError(lineno, "malformed node id", line);
     }
-    if (tokens.size() == 3 && !ParseProb(tokens[2], &e.p)) {
+    if (tokens.size() == 3 && !ParseProbability(tokens[2], &e.p)) {
       return LineError(lineno, "malformed probability (need finite [0,1])",
                        line);
     }
@@ -155,6 +126,32 @@ Result<Graph> BuildFromRaw(const std::vector<RawEdge>& raw,
 }
 
 }  // namespace
+
+bool ParseDecimalU64(std::string_view tok, uint64_t* out) {
+  if (tok.empty()) return false;
+  for (char c : tok) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+  }
+  std::string buf(tok);
+  errno = 0;
+  char* end = nullptr;
+  uint64_t v = std::strtoull(buf.c_str(), &end, 10);
+  if (errno == ERANGE || end != buf.c_str() + buf.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseProbability(std::string_view tok, double* out) {
+  if (tok.empty()) return false;
+  std::string buf(tok);
+  errno = 0;
+  char* end = nullptr;
+  double p = std::strtod(buf.c_str(), &end);
+  if (end != buf.c_str() + buf.size()) return false;
+  if (!std::isfinite(p) || p < 0.0 || p > 1.0) return false;
+  *out = p;
+  return true;
+}
 
 Result<Graph> ParseEdgeList(const std::string& text,
                             const EdgeListOptions& options) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "graph/graph.h"
 #include "support/status.h"
@@ -43,5 +44,13 @@ Result<Graph> ParseEdgeList(const std::string& text,
 /// Writes `g` as "u v p" lines with a `#` header. Inverse of LoadEdgeList
 /// with explicit probabilities.
 Status SaveEdgeList(const Graph& g, const std::string& path);
+
+/// The edge-list parser's strict token reads, for tools that take the
+/// same values as flags. ParseDecimalU64 accepts only an all-digit token
+/// that fits uint64 (so "-1", "+2", "3a" and "" fail: no sign can wrap);
+/// ParseProbability accepts a whole token that is a finite value in
+/// [0, 1] (no "nan"/"inf"). Both leave `*out` untouched on failure.
+bool ParseDecimalU64(std::string_view tok, uint64_t* out);
+bool ParseProbability(std::string_view tok, double* out);
 
 }  // namespace opim

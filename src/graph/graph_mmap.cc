@@ -1,5 +1,6 @@
 #include "graph/graph_mmap.h"
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -101,6 +102,13 @@ Status ValidateStructure(const std::string& path, uint32_t n, uint64_t m,
   };
   OPIM_RETURN_NOT_OK(check_edges(v.out_neighbors, v.out_probs, "out"));
   OPIM_RETURN_NOT_OK(check_edges(v.in_neighbors, v.in_probs, "in"));
+  for (uint32_t u = 0; u < n; ++u) {
+    if (!(std::isfinite(v.in_weight_sum[u]) && v.in_weight_sum[u] >= 0.0)) {
+      return Status::InvalidArgument(
+          path + ": in-weight sum not finite and >= 0 at node " +
+          std::to_string(u));
+    }
+  }
   return Status::OK();
 }
 
@@ -138,6 +146,13 @@ Status ValidateHeader(const std::string& path, const OpimgHeader& h,
     return Status::InvalidArgument(path +
                                    ": corrupt OPIMG header "
                                    "(unexpected header size or flags)");
+  }
+  // Larger edge counts overflow the 64-bit section sizes and can wrap
+  // to a plausible payload size.
+  if (h.num_edges > UINT64_MAX / 32) {
+    return Status::InvalidArgument(path +
+                                   ": corrupt OPIMG header (edge count " +
+                                   std::to_string(h.num_edges) + " too large)");
   }
   const SectionLayout layout = LayoutFor(h.num_nodes, h.num_edges);
   if (h.payload_bytes != layout.total) {

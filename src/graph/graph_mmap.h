@@ -1,9 +1,9 @@
-// Memory-mappable graph container (`.opimg`): the repo's fast load
-// path. Where the text loader parses and the OPIMGRB1 container
-// re-sorts an edge list into CSR on every load, an `.opimg` file stores
-// the seven CSR arrays exactly as Graph holds them in memory, 64-byte
-// aligned, behind a checksummed header — so loading is mmap(2) plus
-// validation, and the kernel pages the adjacency in on first touch.
+// Memory-mappable graph container (`.opimg`): the repo's binary graph
+// format. Where the text loader parses an edge list and builds the CSR
+// on every load, an `.opimg` file stores the seven CSR arrays exactly as
+// Graph holds them in memory, 64-byte aligned, behind a checksummed
+// header — so loading is mmap(2) plus validation, and the kernel pages
+// the adjacency in on first touch.
 //
 // Layout (all fields little-endian, the only byte order the project's
 // binary formats target):
@@ -33,7 +33,8 @@
 // rejection is a Status naming the file and the specific defect
 // (truncated header, wrong magic, unsupported version, truncated or
 // oversized payload, checksum mismatch, corrupt CSR offsets,
-// out-of-range endpoints or probabilities) — corrupt inputs never
+// out-of-range endpoints or probabilities, in-weight sums that are not
+// finite and >= 0) — corrupt inputs never
 // OPIM_CHECK-abort. When mmap itself fails (or the io.mmap_fail site
 // fires), LoadOpimg degrades to reading the file into heap vectors: the
 // result is bit-identical, just without shared pages.
@@ -54,7 +55,8 @@ struct OpimgLoadOptions {
   /// pure page-table path.
   bool verify_checksum = true;
   /// Validate CSR structure (offset monotonicity, endpoint and
-  /// probability ranges). Same cost shape as the checksum scan.
+  /// probability ranges, finite non-negative in-weight sums). Same cost
+  /// shape as the checksum scan.
   bool validate_structure = true;
   /// Skip mmap and read into heap vectors (the fallback path, forced).
   /// For tests and for callers that will mutate-free the file.

@@ -122,7 +122,8 @@ void ShardEncoder::Add(std::vector<NodeId>* members, uint64_t cost) {
     OPIM_CHECK_LT(len, rrslot::kInlineTag);
     rec = static_cast<uint32_t>(len);
   }
-  shard_.sets.push_back({rec, cost});
+  shard_.recs.push_back(rec);
+  shard_.edges_examined += cost;
 }
 
 CompressedRRShard ShardEncoder::Finish(uint32_t num_nodes, bool postings) {
@@ -138,8 +139,8 @@ void ShardEncoder::Finalize(CompressedRRShard* shard, uint32_t num_nodes,
   // Drop orphan trailing bytes (a worker that threw mid-Add may have
   // appended an encoding without its record).
   uint64_t used = 0;
-  for (const CompressedRRShard::SetRec& s : shard->sets) {
-    if (!(s.rec & rrslot::kInlineTag)) used += s.rec;
+  for (uint32_t rec : shard->recs) {
+    if (!(rec & rrslot::kInlineTag)) used += rec;
   }
   shard->bytes.resize(used);
   shard->sealed = true;
@@ -148,11 +149,11 @@ void ShardEncoder::Finalize(CompressedRRShard* shard, uint32_t num_nodes,
     // records: one header read per encoded set.
     uint64_t members = 0;
     const uint8_t* p = shard->bytes.data();
-    for (const CompressedRRShard::SetRec& s : shard->sets) {
-      if (!(s.rec & rrslot::kInlineTag)) {
+    for (uint32_t rec : shard->recs) {
+      if (!(rec & rrslot::kInlineTag)) {
         members += DecodedRRMemberCount(p);
-        p += s.rec;
-      } else if (s.rec != rrslot::kEmpty) {
+        p += rec;
+      } else if (rec != rrslot::kEmpty) {
         ++members;
       }
     }
@@ -163,11 +164,11 @@ void ShardEncoder::Finalize(CompressedRRShard* shard, uint32_t num_nodes,
   // fast decoder.
   shard->bytes.resize(used + kVarintDecodeSlackBytes, 0);
 
-  const uint32_t sets = static_cast<uint32_t>(shard->sets.size());
+  const uint32_t sets = static_cast<uint32_t>(shard->recs.size());
   auto for_each_member = [&](auto&& fn) {
     const uint8_t* p = shard->bytes.data();
     for (uint32_t local = 0; local < sets; ++local) {
-      const uint32_t rec = shard->sets[local].rec;
+      const uint32_t rec = shard->recs[local];
       if (rec & rrslot::kInlineTag) {
         if (rec != rrslot::kEmpty) {
           fn(static_cast<RRId>(local),
@@ -185,9 +186,7 @@ void ShardEncoder::Finalize(CompressedRRShard* shard, uint32_t num_nodes,
 }
 
 RRCollection::RRCollection(uint32_t num_nodes, RRStoreOptions options)
-    : num_nodes_(num_nodes),
-      retain_costs_(options.retain_set_costs),
-      indexed_(options.index) {
+    : num_nodes_(num_nodes), indexed_(options.index) {
   // One slot bit tags inline sets, so ids must fit in 31 bits.
   OPIM_CHECK_LT(num_nodes, kSlotInlineTag);
   if (indexed_) AllocateIndex();
@@ -248,7 +247,6 @@ RRId RRCollection::AddSet(std::span<const NodeId> nodes,
   if (indexed_) {
     for (NodeId v : addset_scratch_) AppendPosting(v, id);
   }
-  if (retain_costs_) set_cost_.push_back(edges_examined);
   total_edges_examined_ += edges_examined;
   return id;
 }
@@ -344,24 +342,23 @@ void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,
     if (indexed_) {
       OPIM_CHECK_EQ(shard.part_offsets.size(), parts_.size() + 1);
     }
-    add_sets += shard.sets.size();
+    add_sets += shard.recs.size();
   }
   if (add_sets == 0) return;
 
   // Serial assembly: each shard's byte stream is appended in contiguous
   // runs split only at chunk boundaries (sets are consecutive within a
-  // shard), slots/costs follow the record walk in shard-major,
-  // sample-minor append order.
+  // shard), slots follow the record walk in shard-major, sample-minor
+  // append order.
   std::vector<RRId> shard_bases;
   shard_bases.reserve(shards.size());
   slot_.reserve(slot_.size() + add_sets);
-  if (retain_costs_) set_cost_.reserve(set_cost_.size() + add_sets);
   for (const CompressedRRShard& shard : shards) {
     shard_bases.push_back(num_sets_);
     const uint8_t* src = shard.bytes.data();
     uint64_t src_pos = 0;  // bytes of this shard already flushed
     uint64_t run_len = 0;  // bytes pending for the open chunk
-    for (const auto& [rec, cost] : shard.sets) {
+    for (uint32_t rec : shard.recs) {
       const RRId id = num_sets_;
       if ((id & ((1u << kChunkShift) - 1)) == 0) {
         if (run_len > 0) {
@@ -380,8 +377,6 @@ void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,
         run_len += rec;
       }
       ++num_sets_;
-      if (retain_costs_) set_cost_.push_back(cost);
-      total_edges_examined_ += cost;
     }
     if (run_len > 0) {
       AppendRunToOpenChunk(src + src_pos, run_len);
@@ -389,6 +384,7 @@ void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,
     }
     OPIM_CHECK_EQ(src_pos, shard.bytes.size());
     total_members_ += shard.total_members;
+    total_edges_examined_ += shard.edges_examined;
   }
   OPIM_TM_GAUGE_SET("opim.rrset.compressed_bytes", pool_bytes_);
   if (!indexed_) return;
@@ -884,18 +880,14 @@ std::span<const uint8_t> RRCollection::ChunkRun(uint32_t chunk) const {
 }
 
 RRCollection RRCollection::RestoreFromSnapshotParts(
-    uint32_t num_nodes, RRStoreOptions options,
-    std::vector<std::vector<uint8_t>> chunk_runs, std::vector<uint32_t> slots,
-    std::vector<uint64_t> costs, uint64_t total_members,
+    uint32_t num_nodes, std::vector<std::vector<uint8_t>> chunk_runs,
+    std::vector<uint32_t> slots, uint64_t total_members,
     uint64_t total_edges_examined) {
-  OPIM_CHECK_MSG(!options.index,
-                 "a restored RR collection is unindexed (BuildIndex)");
-  RRCollection rr(num_nodes, options);
+  RRCollection rr(num_nodes, {.index = false});
   const size_t sets = slots.size();
   const size_t expected_chunks =
       sets == 0 ? 0 : (sets + ((1u << kChunkShift) - 1)) >> kChunkShift;
   OPIM_CHECK_EQ(chunk_runs.size(), expected_chunks);
-  OPIM_CHECK(options.retain_set_costs ? costs.size() == sets : costs.empty());
 
   rr.chunks_.reserve(chunk_runs.size());
   for (std::vector<uint8_t>& run : chunk_runs) {
@@ -911,7 +903,6 @@ RRCollection RRCollection::RestoreFromSnapshotParts(
   }
   rr.num_sets_ = static_cast<uint32_t>(sets);
   rr.slot_ = std::move(slots);
-  rr.set_cost_ = std::move(costs);
   rr.total_members_ = total_members;
   rr.total_edges_examined_ = total_edges_examined;
   return rr;

@@ -15,11 +15,10 @@
 // 4-byte slot: empty and singleton sets — the overwhelming majority on
 // sparse IC/LT pools — are tagged inline in the slot itself (no pool
 // bytes, no decode), larger sets store their byte offset relative to a
-// per-4096-set chunk base. Per-set traversal costs are optional
-// (RRStoreOptions::retain_set_costs); engine pools that never ask for
-// SetCost drop the 8 bytes/set. MemoryUsage() is therefore the
-// *compressed* footprint, and it is the quantity RunControl's memory
-// budget and the peak_rr_bytes telemetry are checked against.
+// per-4096-set chunk base. Traversal costs are kept only as their sum γ
+// (total_edges_examined). MemoryUsage() is therefore the *compressed*
+// footprint, and it is the quantity RunControl's memory budget and the
+// peak_rr_bytes telemetry are checked against.
 //
 // Inverted index. Each node's posting list (the ascending ids of the RR
 // sets containing it) is stored in one of two representations: raw RRId
@@ -134,7 +133,7 @@ inline uint32_t Count(uint32_t num_nodes) {
 /// One producer shard already in wire format: the concatenation of the
 /// sets' group-varint encodings (no tail slack), one record per set (an
 /// inline slot value for empty/singleton sets — tag bit set — or the
-/// set's encoded byte length, paired with its traversal cost), and —
+/// set's encoded byte length), the shard's summed traversal cost, and —
 /// for an indexed destination — the shard-local inverted postings
 /// grouped by index partition. Partition
 /// p's postings are entries [part_offsets[p], part_offsets[p + 1]) of
@@ -147,11 +146,10 @@ inline uint32_t Count(uint32_t num_nodes) {
 /// ones, without re-decoding any stored set.
 struct CompressedRRShard {
   std::vector<uint8_t> bytes;
-  struct SetRec {
-    uint32_t rec;    // inline slot (tag bit set) or encoded byte length
-    uint64_t cost;   // edges examined sampling this set
-  };
-  std::vector<SetRec> sets;
+  /// Per set: inline slot (tag bit set) or encoded byte length.
+  std::vector<uint32_t> recs;
+  /// Edges examined sampling the shard's sets (its share of γ).
+  uint64_t edges_examined = 0;
   std::vector<uint32_t> part_offsets;  // partitions + 1 once finalized
   std::vector<uint16_t> post_nodes;    // per posting: node within partition
   std::vector<RRId> post_sets;         // per posting: local set index
@@ -166,7 +164,7 @@ struct CompressedRRShard {
   /// metering charges for a speculatively sampled shard.
   uint64_t StagingBytes() const {
     return bytes.capacity() * sizeof(uint8_t) +
-           sets.capacity() * sizeof(SetRec) +
+           recs.capacity() * sizeof(uint32_t) +
            part_offsets.capacity() * sizeof(uint32_t) +
            post_nodes.capacity() * sizeof(uint16_t) +
            post_sets.capacity() * sizeof(RRId);
@@ -189,7 +187,8 @@ class ShardEncoder {
   ShardEncoder() = default;
 
   /// Sorts `*members` in place (distinct nodes by sampler contract) and
-  /// appends its encoding. `cost` is the traversal cost (γ accounting).
+  /// appends its encoding. `cost` is the traversal cost, added to the
+  /// shard's γ share.
   void Add(std::vector<NodeId>* members, uint64_t cost);
 
   /// Current heap footprint of the staged shard.
@@ -218,9 +217,6 @@ class ShardEncoder {
 
 /// Storage knobs fixed at construction.
 struct RRStoreOptions {
-  /// Keep the per-set traversal cost (8 bytes/set) so SetCost() answers.
-  /// Engine pools that only need aggregate γ turn this off.
-  bool retain_set_costs = true;
   /// Keep the inverted index and member counts. A pool that is never
   /// selected on — the engine's judge pool R2 — turns this off: its
   /// coverage queries scan the pool instead (see "Judge scan" in the
@@ -368,10 +364,10 @@ class RRCollection {
   /// Heap footprint of this collection in bytes (capacity-based, so it
   /// reflects what the allocator actually holds): the *resident* part of
   /// the compressed member pool (spilled chunks cost nothing), slots +
-  /// chunk records, optional per-set costs, the hybrid inverted index
-  /// (its arenas include AddSet slack and dead extents until the
-  /// partition is compacted or rewritten), the per-node extents and
-  /// counts, and the coverage scratch bitset. This is the quantity
+  /// chunk records, the hybrid inverted index (its arenas include AddSet
+  /// slack and dead extents until the partition is compacted or
+  /// rewritten), the per-node extents and counts, and the coverage
+  /// scratch bitset. This is the quantity
   /// RunControl's memory budget is checked against — which is exactly
   /// why spilling cold chunks lets a budgeted run continue.
   uint64_t MemoryUsage() const {
@@ -386,7 +382,6 @@ class RRCollection {
     }
     return bytes + chunks_.capacity() * sizeof(PoolChunk) +
            slot_.capacity() * sizeof(uint32_t) +
-           set_cost_.capacity() * sizeof(uint64_t) +
            parts_.capacity() * sizeof(IndexPart) +
            extents_.capacity() * sizeof(Extent) +
            counts_.capacity() * sizeof(uint64_t) +
@@ -431,18 +426,6 @@ class RRCollection {
   /// the pool compression ratio reported in telemetry.
   uint64_t RawMemberBytes() const { return total_members_ * sizeof(NodeId); }
 
-  /// Whether SetCost() is answerable (RRStoreOptions::retain_set_costs).
-  bool retains_set_costs() const { return retain_costs_; }
-
-  /// Traversal cost ("width" in TIM's terminology: total in-degree of the
-  /// set's members) of one RR set. Requires retain_set_costs.
-  uint64_t SetCost(RRId id) const {
-    OPIM_DCHECK_LT(id, num_sets_);
-    OPIM_CHECK_MSG(retain_costs_,
-                   "SetCost requires RRStoreOptions::retain_set_costs");
-    return set_cost_[id];
-  }
-
   /// Coverage Λ(S): number of RR sets intersecting S, counted by marking
   /// a scratch bitset with each seed's postings (O(θ/64 + Σ_{v∈S} work)),
   /// or by the judge scan on an unindexed collection. Duplicate nodes in
@@ -462,10 +445,10 @@ class RRCollection {
   // --- Snapshot support (rrset/snapshot.h) ------------------------------
   //
   // The snapshot container serializes exactly the canonical storage —
-  // per-chunk byte runs, slot words, optional cost column, and the
-  // member/γ totals. The inverted index is NOT serialized: its contents
-  // are a function of the pool, so a restored collection is unindexed
-  // and BuildIndex indexes it.
+  // per-chunk byte runs, slot words, and the member/γ totals. The
+  // inverted index is NOT serialized: its contents are a function of
+  // the pool, so a restored collection is unindexed and BuildIndex
+  // indexes it.
 
   /// Number of pool chunks (ceil(num_sets / 4096); 0 when empty).
   uint32_t num_pool_chunks() const {
@@ -480,9 +463,6 @@ class RRCollection {
   /// Per-set slot words (inline tag or chunk-relative byte offset).
   std::span<const uint32_t> slots() const { return slot_; }
 
-  /// Per-set cost column; empty unless retains_set_costs().
-  std::span<const uint64_t> set_costs() const { return set_cost_; }
-
   /// Indexes an unindexed collection (checked): decodes the pool into
   /// per-set-range posting shards — one range per worker of `pool`,
   /// serial once spill is armed — and appends them as one batch, so the
@@ -491,20 +471,19 @@ class RRCollection {
   void BuildIndex(ThreadPool* pool = nullptr);
 
   /// Reassembles a collection from snapshot parts. `chunk_runs` are the
-  /// slack-free per-chunk byte runs (ChunkRun output); `slots`, `costs`,
-  /// and the totals mirror the accessors above. The caller (the snapshot
+  /// slack-free per-chunk byte runs (ChunkRun output); `slots` and the
+  /// totals mirror the accessors above. The caller (the snapshot
   /// loader) has already validated structure — offsets, encodings, and
   /// member totals — so violations here are programmer errors
   /// (OPIM_CHECK). The restored collection is byte-identical to the
   /// saved one: further appends, spills, and index reads behave as if
   /// the sets had been added directly, except that it is unindexed:
-  /// `options.index` must be false (checked), and BuildIndex indexes it,
-  /// so loading a snapshot pays only for its bytes.
+  /// BuildIndex indexes it, so loading a snapshot pays only for its
+  /// bytes.
   static RRCollection RestoreFromSnapshotParts(
-      uint32_t num_nodes, RRStoreOptions options,
-      std::vector<std::vector<uint8_t>> chunk_runs,
-      std::vector<uint32_t> slots, std::vector<uint64_t> costs,
-      uint64_t total_members, uint64_t total_edges_examined);
+      uint32_t num_nodes, std::vector<std::vector<uint8_t>> chunk_runs,
+      std::vector<uint32_t> slots, uint64_t total_members,
+      uint64_t total_edges_examined);
 
  private:
   /// Slot tag for sets stored inline (empty or singleton); see rrslot.
@@ -663,7 +642,6 @@ class RRCollection {
 
   uint32_t num_nodes_ = 0;
   uint32_t num_sets_ = 0;
-  bool retain_costs_ = true;
   bool indexed_ = true;
   // Chunked compressed pool; each resident chunk's run ends with
   // kVarintDecodeSlackBytes zero bytes. Mutable: decodes fault spilled
@@ -671,7 +649,6 @@ class RRCollection {
   mutable std::vector<PoolChunk> chunks_;
   uint64_t pool_bytes_ = 0;          // Σ encoded_bytes, resident or not
   std::vector<uint32_t> slot_;       // per set: inline tag or chunk offset
-  std::vector<uint64_t> set_cost_;   // per-set cost iff retain_costs_
   std::unique_ptr<SpillState> spill_;  // armed by EnableSpill
   std::vector<NodeId> addset_scratch_;  // AddSet sort buffer (reused)
   uint64_t total_members_ = 0;

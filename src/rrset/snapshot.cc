@@ -41,7 +41,7 @@ struct PoolSectionHeader {
   uint32_t num_nodes;
   uint32_t num_sets;
   uint32_t num_chunks;
-  uint32_t retain_costs;
+  uint32_t reserved;  // must be 0
   uint64_t total_members;
   uint64_t total_edges_examined;
   uint64_t encoded_pool_bytes;
@@ -75,15 +75,12 @@ void AppendPool(std::vector<uint8_t>* out, const RRCollection& rr) {
   h.num_nodes = rr.num_nodes();
   h.num_sets = rr.num_sets();
   h.num_chunks = rr.num_pool_chunks();
-  h.retain_costs = rr.retains_set_costs() ? 1 : 0;
   h.total_members = rr.total_size();
   h.total_edges_examined = rr.total_edges_examined();
   h.encoded_pool_bytes = rr.CompressedMemberBytes();
   AppendPod(out, h);
   const std::span<const uint32_t> slots = rr.slots();
   AppendBytes(out, slots.data(), slots.size_bytes());
-  const std::span<const uint64_t> costs = rr.set_costs();
-  AppendBytes(out, costs.data(), costs.size_bytes());
   for (uint32_t c = 0; c < h.num_chunks; ++c) {
     // Copy immediately: with the spill tier armed, faulting chunk c+1
     // in may evict chunk c's buffer.
@@ -147,6 +144,10 @@ Result<RRCollection> LoadPool(const std::string& path, PayloadCursor* cur,
     return Status::InvalidArgument(path + ": snapshot pool " + pool_name +
                                    " declares out-of-range node count");
   }
+  if (h.reserved != 0) {
+    return Status::InvalidArgument(path + ": snapshot pool " + pool_name +
+                                   " has a nonzero reserved header word");
+  }
   const uint64_t expected_chunks =
       h.num_sets == 0 ? 0 : (uint64_t{h.num_sets} + kSetsPerChunk - 1) /
                                 kSetsPerChunk;
@@ -162,13 +163,6 @@ Result<RRCollection> LoadPool(const std::string& path, PayloadCursor* cur,
   OPIM_RETURN_NOT_OK(
       cur->Read(slots.data(), uint64_t{h.num_sets} * sizeof(uint32_t),
                 "pool slot array"));
-  std::vector<uint64_t> costs;
-  if (h.retain_costs != 0) {
-    costs.resize(h.num_sets);
-    OPIM_RETURN_NOT_OK(
-        cur->Read(costs.data(), uint64_t{h.num_sets} * sizeof(uint64_t),
-                  "pool cost column"));
-  }
 
   uint64_t members = 0;
   uint64_t encoded_total = 0;
@@ -251,12 +245,10 @@ Result<RRCollection> LoadPool(const std::string& path, PayloadCursor* cur,
         " decoded, " + std::to_string(h.total_members) + " declared)");
   }
 
-  RRStoreOptions store;
-  store.retain_set_costs = h.retain_costs != 0;
-  store.index = false;  // the index is not serialized; BuildIndex rebuilds it
+  // The index is not serialized; BuildIndex rebuilds it.
   return RRCollection::RestoreFromSnapshotParts(
-      h.num_nodes, store, std::move(runs), std::move(slots), std::move(costs),
-      h.total_members, h.total_edges_examined);
+      h.num_nodes, std::move(runs), std::move(slots), h.total_members,
+      h.total_edges_examined);
 }
 
 }  // namespace

@@ -25,18 +25,18 @@
 //             pool R2: PoolSection
 //
 //   PoolSection = header {num_nodes, num_sets, num_chunks,
-//                 retain_costs, total_members, total_edges_examined,
+//                 reserved (0), total_members, total_edges_examined,
 //                 encoded_pool_bytes}
 //               + slot words  (num_sets × u32)
-//               + cost column (num_sets × u64, iff retain_costs)
 //               + per chunk: u64 run length + the group-varint run
 //
 // LoadSnapshot is strict: truncation, trailing bytes, bad magic,
-// version skew, flag skew, checksum mismatch, declared lengths that
-// overflow the payload, and structurally invalid pools (slot offsets
-// out of order or range, undecodable set encodings, member totals that
-// do not add up) each fail with a distinct Status naming the file and
-// the defect — never UB, never a partial result. A checkpoint reader
+// version skew, flag skew, a nonzero reserved pool word, checksum
+// mismatch, declared lengths that overflow the payload, and
+// structurally invalid pools (slot offsets out of order or range,
+// undecodable set encodings, member totals that do not add up) each
+// fail with a distinct Status naming the file and the defect — never
+// UB, never a partial result. A checkpoint reader
 // treats any non-OK load as "no snapshot".
 //
 // Fault-injection sites snapshot.short_write / snapshot.rename_fail /

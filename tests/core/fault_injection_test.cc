@@ -177,7 +177,7 @@ TEST_F(FaultInjectionTest, MmapFailFallsBackToHeapLoad) {
 TEST_F(FaultInjectionTest, ShortWriteFailsTheSpillWithoutStateChange) {
   // io.short_write fires before any chunk is written: the spill call
   // reports IOError and the collection stays fully usable.
-  RRCollection rr(1000, RRStoreOptions{.retain_set_costs = false});
+  RRCollection rr(1000);
   Rng rng(3);
   std::vector<NodeId> members;
   for (uint32_t i = 0; i < 2 * 4096 + 10; ++i) {

@@ -26,8 +26,6 @@
 namespace opim {
 namespace {
 
-constexpr RRStoreOptions kNoCosts{.retain_set_costs = false};
-
 enum class Roots { kUniform, kWeighted };
 
 using Param = std::tuple<DiffusionModel, Roots, unsigned>;
@@ -92,8 +90,8 @@ class TwoPoolEngineStreamTest : public ::testing::TestWithParam<Param> {
 };
 
 TEST_P(TwoPoolEngineStreamTest, StagedBatchesMatchParallelGenerate) {
-  RRCollection want1(g_.num_nodes(), kNoCosts);
-  RRCollection want2(g_.num_nodes(), kNoCosts);
+  RRCollection want1(g_.num_nodes());
+  RRCollection want2(g_.num_nodes());
   Reference(&want1, &want2);
 
   TwoPoolEngine engine(g_, model(), weights_, threads());
@@ -111,8 +109,8 @@ TEST_P(TwoPoolEngineStreamTest, StagedBatchesMatchParallelGenerate) {
 }
 
 TEST_P(TwoPoolEngineStreamTest, EagerAndSpeculativeBatchesMatchToo) {
-  RRCollection want1(g_.num_nodes(), kNoCosts);
-  RRCollection want2(g_.num_nodes(), kNoCosts);
+  RRCollection want1(g_.num_nodes());
+  RRCollection want2(g_.num_nodes());
   Reference(&want1, &want2);
 
   // First batch as two one-pool stages, second as speculation merged
@@ -189,7 +187,7 @@ TEST(TwoPoolEngineTest, FloorFillsEmptyPoolsOnlyAfterATrip) {
   EXPECT_EQ(engine.r2().num_sets(), 1u);
   // Each floored set is the pool's one-set batch with its own seed.
   for (int pool : {0, 1}) {
-    RRCollection want(g.num_nodes(), kNoCosts);
+    RRCollection want(g.num_nodes());
     ParallelGenerate(g, DiffusionModel::kIndependentCascade, &want, 1,
                      seed_for(pool), 1);
     ExpectSamePool(pool == 0 ? engine.r1() : engine.r2(), want);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -39,8 +40,25 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 // Fixed header field offsets of the v1 format (pinned by the on-disk
 // contract, so tests may patch bytes directly).
 constexpr size_t kVersionOffset = 8;
+constexpr size_t kNumNodesOffset = 16;
+constexpr size_t kNumEdgesOffset = 24;
 constexpr size_t kChecksumOffset = 40;
 constexpr size_t kHeaderBytes = 64;
+
+/// File offset of payload section `index` (0 = out_offsets, 1 =
+/// out_neighbors, 2 = out_probs, ..., 6 = in_weight_sum): the v1 layout
+/// places the seven sections in order, each on a 64-byte boundary.
+size_t SectionOffset(const std::string& bytes, int index) {
+  uint32_t n = 0;
+  uint64_t m = 0;
+  std::memcpy(&n, bytes.data() + kNumNodesOffset, sizeof(n));
+  std::memcpy(&m, bytes.data() + kNumEdgesOffset, sizeof(m));
+  const uint64_t sizes[7] = {(n + 1) * 8ull, m * 4, m * 8, (n + 1) * 8ull,
+                             m * 4,          m * 8, n * 8ull};
+  uint64_t pos = 0;
+  for (int i = 0; i < index; ++i) pos = (pos + sizes[i] + 63) / 64 * 64;
+  return kHeaderBytes + pos;
+}
 
 /// Recomputes and patches the header checksum after a deliberate payload
 /// edit, so the edit reaches the structure validators.
@@ -131,7 +149,7 @@ class GraphMmapCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = TempPath("opimg_corrupt.opimg");
-    Graph g = GenerateBarabasiAlbert(120, 3);
+    Graph g = GenerateBarabasiAlbert(kNodes, 3);
     ASSERT_TRUE(SaveOpimg(g, path_).ok());
     bytes_ = ReadFile(path_);
     ASSERT_GT(bytes_.size(), kHeaderBytes);
@@ -149,6 +167,7 @@ class GraphMmapCorruptionTest : public ::testing::Test {
         << r.status().ToString();
   }
 
+  static constexpr uint32_t kNodes = 120;
   std::string path_;
   std::string bytes_;
 };
@@ -185,6 +204,59 @@ TEST_F(GraphMmapCorruptionTest, CorruptOffsetsRejected) {
   bytes_[kHeaderBytes] = 1;
   FixChecksum(&bytes_);
   ExpectRejected("corrupt out offsets");
+}
+
+TEST_F(GraphMmapCorruptionTest, OverflowingEdgeCountRejected) {
+  // m + 2^61 edges wrap the 64-bit section sizes back to m's payload
+  // size; with out_offsets[n] patched to match, only the header's edge
+  // count bound stands between this file and reads far past the mapping.
+  uint64_t m = 0;
+  std::memcpy(&m, bytes_.data() + kNumEdgesOffset, sizeof(m));
+  const uint64_t wrapped = m + (uint64_t{1} << 61);
+  std::memcpy(bytes_.data() + kNumEdgesOffset, &wrapped, sizeof(wrapped));
+  const size_t out_offsets_end = kHeaderBytes + kNodes * 8;
+  std::memcpy(bytes_.data() + out_offsets_end, &wrapped, sizeof(wrapped));
+  FixChecksum(&bytes_);
+  ExpectRejected("too large");
+}
+
+TEST_F(GraphMmapCorruptionTest, OutOfRangeNeighborRejected) {
+  // The first out-neighbour id names node n, one past the last node.
+  std::memcpy(bytes_.data() + SectionOffset(bytes_, 1), &kNodes,
+              sizeof(kNodes));
+  FixChecksum(&bytes_);
+  ExpectRejected("out neighbor id 120 out of range at edge 0");
+}
+
+TEST_F(GraphMmapCorruptionTest, OutOfRangeProbabilityRejected) {
+  const double p = 1.5;
+  std::memcpy(bytes_.data() + SectionOffset(bytes_, 2), &p, sizeof(p));
+  FixChecksum(&bytes_);
+  ExpectRejected("out probability out of [0, 1] at edge 0");
+}
+
+TEST_F(GraphMmapCorruptionTest, InWeightSumRejected) {
+  // LT reads a node's in-weight sum as its stop mass; a NaN there would
+  // reach a float-to-integer cast. Each bad entry is refused by node.
+  const std::string pristine = bytes_;
+  const struct {
+    uint32_t node;
+    double sum;
+    const char* message;
+  } cases[] = {
+      {0, std::numeric_limits<double>::quiet_NaN(),
+       "in-weight sum not finite and >= 0 at node 0"},
+      {7, -1.0, "in-weight sum not finite and >= 0 at node 7"},
+      {kNodes - 1, std::numeric_limits<double>::infinity(),
+       "in-weight sum not finite and >= 0 at node 119"},
+  };
+  for (const auto& c : cases) {
+    bytes_ = pristine;
+    std::memcpy(bytes_.data() + SectionOffset(bytes_, 6) + c.node * 8,
+                &c.sum, sizeof(c.sum));
+    FixChecksum(&bytes_);
+    ExpectRejected(c.message);
+  }
 }
 
 TEST_F(GraphMmapCorruptionTest, ChecksumScanCanBeDisabled) {

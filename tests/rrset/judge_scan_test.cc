@@ -24,9 +24,8 @@
 namespace opim {
 namespace {
 
-constexpr RRStoreOptions kIndexed{.retain_set_costs = false};
-constexpr RRStoreOptions kUnindexed{.retain_set_costs = false,
-                                    .index = false};
+constexpr RRStoreOptions kIndexed{};
+constexpr RRStoreOptions kUnindexed{.index = false};
 
 using Sets = std::vector<std::vector<NodeId>>;
 
@@ -230,7 +229,8 @@ TEST(JudgeScanShardTest, UnsealedShardsAreSealedAtIngest) {
   CompressedRRShard raw;
   raw.bytes = finished.bytes;
   raw.bytes.insert(raw.bytes.end(), {0x05, 0x01, 0x02});  // orphan bytes
-  raw.sets = finished.sets;
+  raw.recs = finished.recs;
+  raw.edges_examined = finished.edges_examined;
   std::vector<CompressedRRShard> shards;
   shards.push_back(std::move(raw));
   RRCollection scanned(kN, kUnindexed);
@@ -268,9 +268,9 @@ TEST(JudgeScanStorageTest, RestoredPoolIsAJudgePoolUntilBuilt) {
     runs.emplace_back(run.begin(), run.end());
   }
   RRCollection restored = RRCollection::RestoreFromSnapshotParts(
-      kN, kUnindexed, std::move(runs),
+      kN, std::move(runs),
       std::vector<uint32_t>(indexed.slots().begin(), indexed.slots().end()),
-      {}, indexed.total_size(), indexed.total_edges_examined());
+      indexed.total_size(), indexed.total_edges_examined());
   EXPECT_FALSE(restored.indexed());
   EXPECT_DEATH(restored.MemberCounts(), "keeps no index");
   for (const std::vector<NodeId>& seeds : SeedLists(kN - 1, kN, 6)) {

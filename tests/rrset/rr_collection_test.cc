@@ -35,7 +35,6 @@ TEST(RRCollectionTest, AddSetStoresNodesAndCost) {
   EXPECT_EQ(rr.total_edges_examined(), 7u);
   EXPECT_EQ(rr.SetSize(0), 3u);
   EXPECT_EQ(rr.DecodeSet(0), set1);
-  EXPECT_EQ(rr.SetCost(0), 7u);
 }
 
 TEST(RRCollectionTest, AddSetSortsAndDeduplicates) {
@@ -136,15 +135,6 @@ TEST(RRCollectionTest, EmptySetAllowed) {
   EXPECT_EQ(rr.CoverageOf(seeds), 0u);
 }
 
-TEST(RRCollectionTest, DroppedCostColumn) {
-  RRCollection rr(4, RRStoreOptions{.retain_set_costs = false});
-  EXPECT_FALSE(rr.retains_set_costs());
-  rr.AddSet(std::vector<NodeId>{0, 1}, 9);
-  // Aggregate γ survives even without the per-set column.
-  EXPECT_EQ(rr.total_edges_examined(), 9u);
-  EXPECT_EQ(rr.DecodeSet(0), (std::vector<NodeId>{0, 1}));
-}
-
 TEST(RRCollectionTest, ForEachAccessorsMatchDecode) {
   // ForEachMember / ForEachCovering are the zero-allocation hot-path
   // views; they must agree with the materializing helpers for both
@@ -173,7 +163,7 @@ TEST(RRCollectionTest, ForEachAccessorsMatchDecode) {
   }
 }
 
-/// Expects identical sets, costs, and inverted index in both collections,
+/// Expects identical sets, γ, and inverted index in both collections,
 /// down to the stored bytes (slot words and per-chunk encoded runs).
 void ExpectEquivalent(const RRCollection& a, const RRCollection& b) {
   ASSERT_EQ(a.num_sets(), b.num_sets());
@@ -187,9 +177,6 @@ void ExpectEquivalent(const RRCollection& a, const RRCollection& b) {
   }
   for (RRId id = 0; id < a.num_sets(); ++id) {
     EXPECT_EQ(a.DecodeSet(id), b.DecodeSet(id)) << "set " << id;
-    if (a.retains_set_costs() && b.retains_set_costs()) {
-      EXPECT_EQ(a.SetCost(id), b.SetCost(id));
-    }
   }
   for (NodeId v = 0; v < a.num_nodes(); ++v) {
     EXPECT_EQ(a.DecodeCovering(v), b.DecodeCovering(v)) << "node " << v;
@@ -386,9 +373,8 @@ RRCollection RestoredCopy(const RRCollection& rr) {
     runs.emplace_back(run.begin(), run.end());
   }
   return RRCollection::RestoreFromSnapshotParts(
-      rr.num_nodes(), {.index = false}, std::move(runs),
-      {rr.slots().begin(), rr.slots().end()},
-      {rr.set_costs().begin(), rr.set_costs().end()}, rr.total_size(),
+      rr.num_nodes(), std::move(runs),
+      {rr.slots().begin(), rr.slots().end()}, rr.total_size(),
       rr.total_edges_examined());
 }
 
@@ -408,7 +394,7 @@ void ExpectWellFormedShard(const CompressedRRShard& shard, uint32_t n) {
     for (uint32_t i = shard.part_offsets[p]; i < shard.part_offsets[p + 1];
          ++i) {
       EXPECT_LT(p * 4096 + shard.post_nodes[i], n);
-      EXPECT_LT(shard.post_sets[i], shard.sets.size());
+      EXPECT_LT(shard.post_sets[i], shard.recs.size());
       if (i > shard.part_offsets[p]) {
         EXPECT_LT(std::pair(shard.post_sets[i - 1], shard.post_nodes[i - 1]),
                   std::pair(shard.post_sets[i], shard.post_nodes[i]))

@@ -22,7 +22,7 @@ constexpr uint32_t kNodes = 50000;
 /// set has >= 2 members, so nothing is inline-tagged and each chunk
 /// carries real encoded bytes.
 RRCollection MultiChunkCollection(uint32_t num_sets, uint64_t seed) {
-  RRCollection rr(kNodes, RRStoreOptions{.retain_set_costs = false});
+  RRCollection rr(kNodes);
   Rng rng(seed);
   std::vector<NodeId> members;
   for (uint32_t i = 0; i < num_sets; ++i) {

@@ -61,9 +61,8 @@ constexpr uint32_t kNodes = 20000;
 
 /// A pool exercising every slot encoding: empty sets, inline singletons,
 /// and multi-member sets spanning several 4096-set chunks.
-RRCollection MixedCollection(uint32_t num_sets, uint64_t seed,
-                             bool retain_costs) {
-  RRCollection rr(kNodes, RRStoreOptions{.retain_set_costs = retain_costs});
+RRCollection MixedCollection(uint32_t num_sets, uint64_t seed) {
+  RRCollection rr(kNodes);
   Rng rng(seed);
   std::vector<NodeId> members;
   for (uint32_t i = 0; i < num_sets; ++i) {
@@ -109,7 +108,6 @@ void ExpectPoolsEqual(const RRCollection& a, const RRCollection& b) {
   EXPECT_EQ(a.total_size(), b.total_size());
   EXPECT_EQ(a.total_edges_examined(), b.total_edges_examined());
   EXPECT_EQ(a.CompressedMemberBytes(), b.CompressedMemberBytes());
-  EXPECT_EQ(a.retains_set_costs(), b.retains_set_costs());
   for (RRId id = 0; id < a.num_sets(); ++id) {
     ASSERT_EQ(a.DecodeSet(id), b.DecodeSet(id)) << "set " << id;
   }
@@ -123,8 +121,8 @@ void ExpectPoolsEqual(const RRCollection& a, const RRCollection& b) {
 
 TEST(SnapshotTest, RoundTripBitIdentity) {
   const std::string path = TempPath("roundtrip.opimss");
-  RRCollection r1 = MixedCollection(2 * 4096 + 333, /*seed=*/3, false);
-  RRCollection r2 = MixedCollection(4096 + 17, /*seed=*/5, false);
+  RRCollection r1 = MixedCollection(2 * 4096 + 333, /*seed=*/3);
+  RRCollection r2 = MixedCollection(4096 + 17, /*seed=*/5);
   const SnapshotRunState run = TestRunState();
 
   auto saved = SaveSnapshot(run, r1, r2, path);
@@ -146,20 +144,6 @@ TEST(SnapshotTest, RoundTripBitIdentity) {
   EXPECT_EQ(ReadAll(path), ReadAll(path2));
 }
 
-TEST(SnapshotTest, RoundTripWithCostColumn) {
-  const std::string path = TempPath("costs.opimss");
-  RRCollection r1 = MixedCollection(900, /*seed=*/11, true);
-  RRCollection r2 = MixedCollection(900, /*seed=*/13, true);
-  ASSERT_TRUE(SaveSnapshot(TestRunState(), r1, r2, path).ok());
-  auto loaded = LoadSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectPoolsEqual(r1, loaded.ValueOrDie().r1);
-  ASSERT_TRUE(loaded.ValueOrDie().r1.retains_set_costs());
-  for (RRId id = 0; id < r1.num_sets(); ++id) {
-    EXPECT_EQ(r1.SetCost(id), loaded.ValueOrDie().r1.SetCost(id));
-  }
-}
-
 TEST(SnapshotTest, EmptyPoolsRoundTrip) {
   const std::string path = TempPath("empty.opimss");
   RRCollection r1(kNodes), r2(kNodes);
@@ -175,8 +159,8 @@ TEST(SnapshotTest, SpilledPoolSerializesIdentically) {
   // container as its fully-resident twin (ChunkRun faults them in).
   const std::string resident_path = TempPath("resident.opimss");
   const std::string spilled_path = TempPath("spilled.opimss");
-  RRCollection resident = MixedCollection(3 * 4096 + 50, /*seed=*/29, false);
-  RRCollection spilled = MixedCollection(3 * 4096 + 50, /*seed=*/29, false);
+  RRCollection resident = MixedCollection(3 * 4096 + 50, /*seed=*/29);
+  RRCollection spilled = MixedCollection(3 * 4096 + 50, /*seed=*/29);
   ASSERT_TRUE(spilled.EnableSpill({.dir = ::testing::TempDir()}).ok());
   auto evicted = spilled.SpillColdChunks(/*target_resident_bytes=*/0);
   ASSERT_TRUE(evicted.ok()) << evicted.status().ToString();
@@ -196,8 +180,8 @@ class SnapshotCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = TempPath("corrupt.opimss");
-    RRCollection r1 = MixedCollection(700, /*seed=*/7, false);
-    RRCollection r2 = MixedCollection(300, /*seed=*/9, false);
+    RRCollection r1 = MixedCollection(700, /*seed=*/7);
+    RRCollection r2 = MixedCollection(300, /*seed=*/9);
     ASSERT_TRUE(SaveSnapshot(TestRunState(), r1, r2, path_).ok());
     bytes_ = ReadAll(path_);
     ASSERT_GT(bytes_.size(), kOpimssHeaderBytes + sizeof(SnapshotRunState));
@@ -288,6 +272,16 @@ TEST_F(SnapshotCorruptionTest, PoolNodeCountMismatch) {
   ExpectRejected("pool node count disagrees with run state");
 }
 
+TEST_F(SnapshotCorruptionTest, ReservedPoolWordRejected) {
+  // R1's pool-header word at offset 12 is reserved: a nonzero value is
+  // refused before any section is read.
+  const size_t pool_hdr = kOpimssHeaderBytes + sizeof(SnapshotRunState);
+  const uint32_t one = 1;
+  std::memcpy(bytes_.data() + pool_hdr + 12, &one, sizeof(one));
+  FixChecksum(&bytes_);
+  ExpectRejected("snapshot pool R1 has a nonzero reserved header word");
+}
+
 TEST_F(SnapshotCorruptionTest, RandomMutationFuzzNeverCrashes) {
   // 300 deterministic random mutations (bit flips, truncations, length
   // patches with fixed checksums). The loader may accept or reject each;
@@ -349,8 +343,8 @@ class SnapshotFaultTest : public ::testing::Test {
 
 TEST_F(SnapshotFaultTest, ShortWriteLeavesPreviousSnapshotIntact) {
   const std::string path = TempPath("atomic_short.opimss");
-  RRCollection a = MixedCollection(200, /*seed=*/1, false);
-  RRCollection b = MixedCollection(400, /*seed=*/2, false);
+  RRCollection a = MixedCollection(200, /*seed=*/1);
+  RRCollection b = MixedCollection(400, /*seed=*/2);
   ASSERT_TRUE(SaveSnapshot(TestRunState(), a, a, path).ok());
   const std::vector<uint8_t> before = ReadAll(path);
 
@@ -367,8 +361,8 @@ TEST_F(SnapshotFaultTest, ShortWriteLeavesPreviousSnapshotIntact) {
 
 TEST_F(SnapshotFaultTest, RenameFailLeavesPreviousSnapshotIntact) {
   const std::string path = TempPath("atomic_rename.opimss");
-  RRCollection a = MixedCollection(200, /*seed=*/3, false);
-  RRCollection b = MixedCollection(400, /*seed=*/4, false);
+  RRCollection a = MixedCollection(200, /*seed=*/3);
+  RRCollection b = MixedCollection(400, /*seed=*/4);
   ASSERT_TRUE(SaveSnapshot(TestRunState(), a, a, path).ok());
   const std::vector<uint8_t> before = ReadAll(path);
 
@@ -380,7 +374,7 @@ TEST_F(SnapshotFaultTest, RenameFailLeavesPreviousSnapshotIntact) {
 
 TEST_F(SnapshotFaultTest, CorruptHeaderIsRejectedOnLoad) {
   const std::string path = TempPath("atomic_corrupt.opimss");
-  RRCollection a = MixedCollection(200, /*seed=*/5, false);
+  RRCollection a = MixedCollection(200, /*seed=*/5);
   fault::Arm("snapshot.corrupt_header", 1);
   // The torn write itself "succeeds" — the corruption is only visible
   // to the reader, which must reject it cleanly.

@@ -38,7 +38,7 @@ std::string TmpFile(const char* name) {
 }
 
 TEST(CliSmokeTest, GenStatsRoundTrip) {
-  std::string bin = TmpFile("cli_smoke.bin");
+  std::string bin = TmpFile("cli_smoke.opimg");
   auto [rc1, out1] = RunCommand(Cli() + " gen --dataset=pokec-sim --scale=9 --out=" +
                          bin);
   ASSERT_EQ(rc1, 0) << out1;
@@ -52,7 +52,7 @@ TEST(CliSmokeTest, GenStatsRoundTrip) {
 }
 
 TEST(CliSmokeTest, RunOpimCAndEvaluate) {
-  std::string bin = TmpFile("cli_run.bin");
+  std::string bin = TmpFile("cli_run.opimg");
   ASSERT_EQ(RunCommand(Cli() + " gen --dataset=livejournal-sim --scale=9 --out=" +
                 bin).first, 0);
 
@@ -78,7 +78,7 @@ TEST(CliSmokeTest, ConvertWccTextToBinary) {
     fputs("0 1\n1 2\n3 4\n", f);
     fclose(f);
   }
-  std::string bin = TmpFile("cli_conv.bin");
+  std::string bin = TmpFile("cli_conv.opimg");
   auto [rc, out] = RunCommand(Cli() + " convert --in=" + txt + " --out=" + bin +
                        " --wcc=true");
   ASSERT_EQ(rc, 0) << out;
@@ -104,7 +104,7 @@ std::string ReadFile(const std::string& path) {
 }
 
 TEST(CliSmokeTest, RunWritesMetricsJsonReport) {
-  std::string bin = TmpFile("cli_metrics.bin");
+  std::string bin = TmpFile("cli_metrics.opimg");
   ASSERT_EQ(RunCommand(Cli() + " gen --dataset=pokec-sim --scale=9 --out=" +
                 bin).first, 0);
 
@@ -148,7 +148,7 @@ TEST(CliSmokeTest, RunWritesMetricsJsonReport) {
 }
 
 TEST(CliSmokeTest, OnlineWritesMetricsJsonReport) {
-  std::string bin = TmpFile("cli_online_metrics.bin");
+  std::string bin = TmpFile("cli_online_metrics.opimg");
   ASSERT_EQ(RunCommand(Cli() + " gen --dataset=pokec-sim --scale=9 --out=" +
                 bin).first, 0);
 
@@ -169,7 +169,7 @@ TEST(CliSmokeTest, OnlineWritesMetricsJsonReport) {
 TEST(CliSmokeTest, TelemetryFlagsDoNotPerturbResults) {
   // Same seed, with and without telemetry outputs / verbose logging:
   // the algorithmic stdout lines (seeds, alpha, ...) must be identical.
-  std::string bin = TmpFile("cli_determinism.bin");
+  std::string bin = TmpFile("cli_determinism.opimg");
   ASSERT_EQ(RunCommand(Cli() + " gen --dataset=pokec-sim --scale=9 --out=" +
                 bin).first, 0);
 
@@ -199,7 +199,7 @@ TEST(CliSmokeTest, TelemetryFlagsDoNotPerturbResults) {
 std::string ReportLint() { return OPIM_REPORT_LINT_PATH; }
 
 TEST(CliSmokeTest, RunWritesTraceJsonThatLintsClean) {
-  std::string bin = TmpFile("cli_trace.bin");
+  std::string bin = TmpFile("cli_trace.opimg");
   ASSERT_EQ(RunCommand(Cli() + " gen --dataset=pokec-sim --scale=9 --out=" +
                 bin).first, 0);
 
@@ -237,7 +237,7 @@ TEST(CliSmokeTest, RunWritesTraceJsonThatLintsClean) {
 }
 
 TEST(CliSmokeTest, OnlineWritesTraceJson) {
-  std::string bin = TmpFile("cli_online_trace.bin");
+  std::string bin = TmpFile("cli_online_trace.opimg");
   ASSERT_EQ(RunCommand(Cli() + " gen --dataset=pokec-sim --scale=9 --out=" +
                 bin).first, 0);
 
@@ -254,7 +254,7 @@ TEST(CliSmokeTest, OnlineWritesTraceJson) {
 }
 
 TEST(CliSmokeTest, ProgressFlagEmitsHeartbeatLine) {
-  std::string bin = TmpFile("cli_progress.bin");
+  std::string bin = TmpFile("cli_progress.opimg");
   ASSERT_EQ(RunCommand(Cli() + " gen --dataset=pokec-sim --scale=9 --out=" +
                 bin).first, 0);
 
@@ -291,7 +291,7 @@ TEST(CliSmokeTest, ReportLintRejectsBadArtifacts) {
 }
 
 TEST(CliGuardrailTest, ExpiredDeadlineDegradesGracefullyWithExitCode3) {
-  std::string bin = TmpFile("cli_deadline.bin");
+  std::string bin = TmpFile("cli_deadline.opimg");
   ASSERT_EQ(RunCommand(Cli() + " gen --dataset=pokec-sim --scale=9 --out=" +
                 bin).first, 0);
 
@@ -318,7 +318,7 @@ TEST(CliGuardrailTest, ExpiredDeadlineDegradesGracefullyWithExitCode3) {
 }
 
 TEST(CliGuardrailTest, TinyMemoryBudgetDegradesWithExitCode4) {
-  std::string bin = TmpFile("cli_membudget.bin");
+  std::string bin = TmpFile("cli_membudget.opimg");
   ASSERT_EQ(RunCommand(Cli() + " gen --dataset=pokec-sim --scale=9 --out=" +
                 bin).first, 0);
 
@@ -340,7 +340,7 @@ TEST(CliGuardrailTest, TinyMemoryBudgetDegradesWithExitCode4) {
 }
 
 TEST(CliGuardrailTest, ConvergedRunReportsStopReasonAndExitsZero) {
-  std::string bin = TmpFile("cli_converged.bin");
+  std::string bin = TmpFile("cli_converged.opimg");
   ASSERT_EQ(RunCommand(Cli() + " gen --dataset=pokec-sim --scale=9 --out=" +
                 bin).first, 0);
 
@@ -360,7 +360,7 @@ TEST(CliGuardrailTest, ConvergedRunReportsStopReasonAndExitsZero) {
 }
 
 TEST(CliGuardrailTest, OnlineSessionHonorsDeadline) {
-  std::string bin = TmpFile("cli_online_deadline.bin");
+  std::string bin = TmpFile("cli_online_deadline.opimg");
   ASSERT_EQ(RunCommand(Cli() + " gen --dataset=pokec-sim --scale=9 --out=" +
                 bin).first, 0);
 

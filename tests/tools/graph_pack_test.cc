@@ -1,7 +1,7 @@
 // End-to-end tests of the graph_pack converter binary: edge-list →
-// .opimg round trips (with --verify), the bin input path, and the
-// distinct exit codes for I/O failures vs. usage errors. Located via
-// the OPIM_GRAPH_PACK_PATH compile definition.
+// .opimg round trips (with --verify) and the distinct exit codes for I/O
+// failures vs. usage errors. Located via the OPIM_GRAPH_PACK_PATH
+// compile definition.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,6 @@
 #include <string>
 #include <utility>
 
-#include "gen/generators.h"
-#include "graph/graph_binary.h"
 #include "graph/graph_io.h"
 #include "graph/graph_mmap.h"
 
@@ -68,23 +66,6 @@ TEST(GraphPackTest, EdgeListToOpimgVerifiedRoundTrip) {
   std::remove(packed.c_str());
 }
 
-TEST(GraphPackTest, BinInputPacksAndVerifies) {
-  Graph g = GenerateBarabasiAlbert(200, 3);
-  const std::string bin = TmpFile("pack_in.bin");
-  ASSERT_TRUE(SaveBinaryGraph(g, bin).ok());
-  const std::string packed = TmpFile("pack_from_bin.opimg");
-  auto [rc, out] = RunCommand(Pack() + " --in=" + bin + " --in-format=bin" +
-                              " --out=" + packed + " --verify");
-  ASSERT_EQ(rc, 0) << out;
-
-  auto reload = LoadOpimg(packed);
-  ASSERT_TRUE(reload.ok()) << reload.status().ToString();
-  EXPECT_EQ(reload.ValueOrDie().num_nodes(), g.num_nodes());
-  EXPECT_EQ(reload.ValueOrDie().num_edges(), g.num_edges());
-  std::remove(bin.c_str());
-  std::remove(packed.c_str());
-}
-
 TEST(GraphPackTest, MissingInputIsExitOne) {
   auto [rc, out] = RunCommand(Pack() + " --in=/nonexistent/g.txt --out=" +
                               TmpFile("pack_never.opimg"));
@@ -97,11 +78,21 @@ TEST(GraphPackTest, UsageErrorsAreExitTwo) {
   EXPECT_EQ(rc1, 2) << out1;
   EXPECT_NE(out1.find("usage:"), std::string::npos) << out1;
 
-  auto [rc2, out2] = RunCommand(Pack() + " --in=a --out=b --in-format=zip");
+  // The input is always a text edge list; the old format flag is gone.
+  auto [rc2, out2] = RunCommand(Pack() + " --in=a --out=b --in-format=bin");
   EXPECT_EQ(rc2, 2) << out2;
 
   auto [rc3, out3] = RunCommand(Pack() + " --in=a --out=b --scheme=bogus");
   EXPECT_EQ(rc3, 2) << out3;
+
+  // Malformed numbers are usage errors, not uncaught exceptions; a
+  // negative seed is refused rather than wrapped to 2^64 - 1.
+  for (const char* flag : {"--p=abc", "--p=", "--seed=x", "--seed=-1"}) {
+    auto [rc, out] =
+        RunCommand(Pack() + " --in=a --out=b --scheme=const " + flag);
+    EXPECT_EQ(rc, 2) << flag << ": " << out;
+    EXPECT_NE(out.find("usage:"), std::string::npos) << flag << ": " << out;
+  }
 }
 
 }  // namespace

@@ -3,18 +3,17 @@
 // every subsequent load is mmap + checksum instead of text parsing.
 //
 // Usage:
-//   graph_pack --in=FILE --out=FILE.opimg [--in-format=edgelist|bin]
-//              [--undirected] [--scheme=wc|const|tri|uniform]
-//              [--p=0.1] [--seed=1] [--verify]
+//   graph_pack --in=FILE --out=FILE.opimg [--undirected]
+//              [--scheme=wc|const|tri|uniform] [--p=0.1] [--seed=1]
+//              [--verify]
 //
-//   --in-format   input container: "edgelist" (SNAP-style text, default)
-//                 or "bin" (the OPIMGRB1 edge-dump container)
+//   --in          SNAP-style text edge list
 //   --undirected  edge-list lines add both directions (e.g. Orkut)
-//   --scheme      weight scheme for edges without explicit probabilities
-//                 (edgelist input only): wc = weighted cascade (default),
-//                 const / tri / uniform as in graph_io
-//   --p           probability for const/uniform schemes
-//   --seed        seed for randomized schemes
+//   --scheme      weight scheme for edges without explicit probabilities:
+//                 wc = weighted cascade (default), const / tri / uniform
+//                 as in graph_io
+//   --p           probability in [0, 1] for const/uniform schemes
+//   --seed        unsigned seed for randomized schemes
 //   --verify      reload the written file (mmap path) and check it
 //                 matches the source graph array-for-array
 //
@@ -25,7 +24,6 @@
 #include <string>
 
 #include "graph/graph.h"
-#include "graph/graph_binary.h"
 #include "graph/graph_io.h"
 #include "graph/graph_mmap.h"
 #include "support/status.h"
@@ -43,8 +41,7 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: graph_pack --in=FILE --out=FILE.opimg\n"
-      "  [--in-format=edgelist|bin] [--undirected]\n"
+      "usage: graph_pack --in=FILE --out=FILE.opimg [--undirected]\n"
       "  [--scheme=wc|const|tri|uniform] [--p=P] [--seed=S] [--verify]\n");
   return 2;
 }
@@ -57,20 +54,25 @@ bool SpanEq(std::span<const T> a, std::span<const T> b) {
 }
 
 int Run(int argc, char** argv) {
-  std::string in, out, in_format = "edgelist", scheme = "wc", v;
+  std::string in, out, scheme = "wc", v;
   EdgeListOptions opts;
   bool verify = false;
   for (int i = 1; i < argc; ++i) {
     if (ParseFlag(argv[i], "--in=", &in)) {
     } else if (ParseFlag(argv[i], "--out=", &out)) {
-    } else if (ParseFlag(argv[i], "--in-format=", &in_format)) {
     } else if (std::strcmp(argv[i], "--undirected") == 0) {
       opts.undirected = true;
     } else if (ParseFlag(argv[i], "--scheme=", &scheme)) {
     } else if (ParseFlag(argv[i], "--p=", &v)) {
-      opts.constant_p = std::stod(v);
+      if (!ParseProbability(v, &opts.constant_p)) {
+        std::fprintf(stderr, "bad --p: %s\n", v.c_str());
+        return Usage();
+      }
     } else if (ParseFlag(argv[i], "--seed=", &v)) {
-      opts.seed = std::stoull(v);
+      if (!ParseDecimalU64(v, &opts.seed)) {
+        std::fprintf(stderr, "bad --seed: %s\n", v.c_str());
+        return Usage();
+      }
     } else if (std::strcmp(argv[i], "--verify") == 0) {
       verify = true;
     } else {
@@ -93,15 +95,11 @@ int Run(int argc, char** argv) {
     return Usage();
   }
 
-  Result<Graph> loaded = [&]() -> Result<Graph> {
-    if (in_format == "edgelist") return LoadEdgeList(in, opts);
-    if (in_format == "bin") return LoadBinaryGraph(in);
-    return Status::InvalidArgument("unknown --in-format: " + in_format);
-  }();
+  Result<Graph> loaded = LoadEdgeList(in, opts);
   if (!loaded.ok()) {
     std::fprintf(stderr, "graph_pack: %s\n",
                  loaded.status().ToString().c_str());
-    return in_format != "edgelist" && in_format != "bin" ? 2 : 1;
+    return 1;
   }
   const Graph& g = loaded.ValueOrDie();
 

@@ -2,7 +2,7 @@
 //
 // Subcommands:
 //   gen      --dataset=<name> --scale=<e> --out=<path>         make a
-//            synthetic dataset and save it (binary if *.bin, else text)
+//            synthetic dataset and save it (.opimg if *.opimg, else text)
 //   convert  --in=<edgelist> --out=<path> [--undirected] [--wcc]
 //            any -> any; --wcc keeps the largest weakly-connected
 //            component (the conventional SNAP preprocessing)
@@ -20,10 +20,9 @@
 //
 // Global flags: --log-level=debug|info|warn|error|off (default warn).
 //
-// Graph paths ending in .bin load/save the binary row format and .opimg
-// the memory-mapped binary format (graph/graph_mmap.h; build with
-// tools/graph_pack or `convert --out=x.opimg`); anything else is a text
-// edge list.
+// Graph paths ending in .opimg load/save the memory-mapped binary format
+// (graph/graph_mmap.h; build with tools/graph_pack or
+// `convert --out=x.opimg`); anything else is a text edge list.
 //
 // Run guardrails (run with opim-c*, and online; see docs/robustness.md):
 //   --deadline-ms=<ms>   wall-clock budget; the run degrades gracefully at
@@ -104,7 +103,6 @@
 #include "core/online_maximizer.h"
 #include "core/opim_c.h"
 #include "diffusion/cascade.h"
-#include "graph/graph_binary.h"
 #include "graph/graph_io.h"
 #include "graph/graph_mmap.h"
 #include "graph/transform.h"
@@ -134,7 +132,6 @@ bool HasSuffix(const std::string& s, const std::string& suffix) {
 
 Result<Graph> LoadAny(const std::string& path, bool undirected) {
   if (HasSuffix(path, ".opimg")) return LoadOpimg(path);
-  if (HasSuffix(path, ".bin")) return LoadBinaryGraph(path);
   EdgeListOptions opt;
   opt.undirected = undirected;
   return LoadEdgeList(path, opt);
@@ -142,7 +139,6 @@ Result<Graph> LoadAny(const std::string& path, bool undirected) {
 
 Status SaveAny(const Graph& g, const std::string& path) {
   if (HasSuffix(path, ".opimg")) return SaveOpimg(g, path);
-  if (HasSuffix(path, ".bin")) return SaveBinaryGraph(g, path);
   return SaveEdgeList(g, path);
 }
 

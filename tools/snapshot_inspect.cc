@@ -62,8 +62,6 @@ void DumpPool(const char* name, const opim::RRCollection& pool) {
   std::printf("%s.total_members=%" PRIu64 "\n", name, pool.total_size());
   std::printf("%s.compressed_bytes=%" PRIu64 "\n", name,
               pool.CompressedMemberBytes());
-  std::printf("%s.retains_costs=%d\n", name,
-              pool.retains_set_costs() ? 1 : 0);
 }
 
 }  // namespace
