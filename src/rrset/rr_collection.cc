@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -273,7 +274,10 @@ void RRCollection::AppendPosting(NodeId v, RRId id) {
   } else {
     GrowExtent(v, id);
   }
-  if (counts_[v]++ == 0) member_nonzero_.push_back(v);
+  const uint64_t count = ++counts_[v];
+  if (std::has_single_bit(count)) {
+    bands_[std::bit_width(count) - 1].push_back(v);
+  }
 }
 
 void RRCollection::GrowExtent(NodeId v, RRId id) {
@@ -398,13 +402,13 @@ void RRCollection::AppendShardPostings(
     std::span<const CompressedRRShard> shards,
     std::span<const RRId> shard_bases, ThreadPool* pool) {
   const uint32_t num_parts = static_cast<uint32_t>(parts_.size());
-  // Nodes whose count leaves zero, per partition; appended to the
-  // nonzero list in partition order below.
-  std::vector<std::vector<NodeId>> fresh(num_parts);
+  // The powers of two each partition's counts reach; appended to the
+  // bands in partition order below.
+  std::vector<std::vector<BandEvent>> events(num_parts);
   auto append = [&](uint32_t p) {
     for (const CompressedRRShard& shard : shards) {
       if (shard.part_offsets[p + 1] != shard.part_offsets[p]) {
-        RewritePartition(p, shards, shard_bases, &fresh[p]);
+        RewritePartition(p, shards, shard_bases, &events[p]);
         return;
       }
     }
@@ -416,15 +420,15 @@ void RRCollection::AppendShardPostings(
   } else {
     for (uint32_t p = 0; p < num_parts; ++p) append(p);
   }
-  for (const std::vector<NodeId>& nodes : fresh) {
-    member_nonzero_.insert(member_nonzero_.end(), nodes.begin(), nodes.end());
+  for (const std::vector<BandEvent>& part_events : events) {
+    for (const BandEvent& e : part_events) bands_[e.band].push_back(e.node);
   }
 }
 
 void RRCollection::RewritePartition(uint32_t p,
                                     std::span<const CompressedRRShard> shards,
                                     std::span<const RRId> shard_bases,
-                                    std::vector<NodeId>* fresh) {
+                                    std::vector<BandEvent>* events) {
   const NodeId lo = p << kPartShift;
   const uint32_t width = PartitionEnd(p) - lo;
   IndexPart& part = parts_[p];
@@ -537,8 +541,13 @@ void RRCollection::RewritePartition(uint32_t p,
       OPIM_DCHECK_EQ(writer.size, out.size());
     }
     if (!add.empty()) {
-      if (counts_[v] == 0) fresh->push_back(v);
-      counts_[v] += add.size();
+      // One event per power of two in (old count, new count].
+      const uint64_t count = counts_[v] + add.size();
+      for (auto b = static_cast<uint32_t>(std::bit_width(counts_[v]));
+           (uint64_t{1} << b) <= count; ++b) {
+        events->push_back({b, v});
+      }
+      counts_[v] = count;
     }
   }
   std::copy(plan.begin(), plan.end(), extents_.begin() + lo);

@@ -58,18 +58,27 @@
 // (RestoreFromSnapshotParts) is unindexed until BuildIndex indexes it —
 // TwoPoolEngine::Restore does so for R1 on its workers.
 //
+// Member-count bands. Beside each node's count, an indexed collection
+// keeps one append-only node list per power of two: MemberAtLeast(b)
+// holds the nodes whose count has reached 2^b. Counts never fall, so an
+// append that lifts a count onto a power of two adds the node to that
+// band, once. CELF starts from the highest band with enough candidates
+// and widens it a band at a time only when a pick could depend on the
+// rest (select/greedy.h), so a selection reads the top of the count
+// distribution instead of all n counts.
+//
 // Judge scan. An unindexed collection (RRStoreOptions::index = false, or
-// restored and not yet built) allocates no extents, counts, partitions or
-// arenas, and reading its index (Covering, MemberCounts, MemberNonzero
-// and what builds on them) fails a check. CoverageOf and CoverageByPrefix
-// answer from one pass over the pool instead, chunk by chunk: each set
-// counts at the position of its earliest member in the seed list, found
-// by testing members against an n-bit seed bitmap and looking a position
-// up only on a hit (so a duplicate seed counts once), and the prefix sums
-// of those counts are Λ of every seed prefix. O(θ + Σ|R|) per call,
-// against the indexed path's O(θ/64 + Σ_{v∈S} postings); it pays off for
-// a pool queried once per doubling, whose index would be rewritten every
-// time.
+// restored and not yet built) allocates no extents, counts, bands,
+// partitions or arenas, and reading its index (Covering, MemberCounts,
+// MemberAtLeast and what builds on them) fails a check. CoverageOf and
+// CoverageByPrefix answer from one pass over the pool instead, chunk by
+// chunk: each set counts at the position of its earliest member in the
+// seed list, found by testing members against an n-bit seed bitmap and
+// looking a position up only on a hit (so a duplicate seed counts once),
+// and the prefix sums of those counts are Λ of every seed prefix.
+// O(θ + Σ|R|) per call, against the indexed path's O(θ/64 + Σ_{v∈S}
+// postings); it pays off for a pool queried once per doubling, whose
+// index would be rewritten every time.
 
 // Out-of-core spill tier. The pool is chunked (4096 sets per chunk);
 // each chunk's encoded bytes are an independent byte run, so a sealed
@@ -90,6 +99,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -340,18 +351,25 @@ class RRCollection {
     return counts_;
   }
 
-  /// Nodes with MemberCounts()[v] > 0, each exactly once (a node is
-  /// appended when its count first leaves zero; counts never decrease).
-  /// CELF iterates this instead of all n nodes when building its heap
-  /// and gain histogram — at small θ the touched nodes are a small
-  /// fraction of n, and the selection output cannot depend on the
-  /// iteration order (the CELF comparator is a strict total order over
-  /// (gain, node)). AddSet appends nodes in first-touch order; a batch
-  /// appends its new nodes in ascending id order, so the list is the
-  /// same for any worker count. The span is invalidated by any mutation.
-  std::span<const NodeId> MemberNonzero() const {
+  /// Member-count bands: counts stay below 2^32 (θ < 2^32), so 32
+  /// powers of two cover them.
+  static constexpr uint32_t kMemberBands = 32;
+
+  /// Nodes with MemberCounts()[v] >= 2^b, each exactly once (a node is
+  /// appended when its count reaches 2^b; counts never decrease), for
+  /// b < kMemberBands. MemberAtLeast(0) is every node some set contains,
+  /// and bands past the largest count are empty. CELF builds its heap
+  /// from the highest band with enough candidates and admits lower bands
+  /// only when a pick could depend on them; the selection output cannot
+  /// depend on the order within a band (the CELF comparator is a strict
+  /// total order over (gain, node)). AddSet appends nodes in the order
+  /// their counts reach 2^b; a batch appends in partition order, then
+  /// ascending id, so every band is the same for any worker count. The
+  /// span is invalidated by any mutation.
+  std::span<const NodeId> MemberAtLeast(uint32_t b) const {
     CheckIndexed();
-    return member_nonzero_;
+    OPIM_DCHECK_LT(b, kMemberBands);
+    return bands_[b];
   }
 
   /// Total nodes across all sets, Σ_R |R|. The query-time complexity of the
@@ -366,8 +384,8 @@ class RRCollection {
   /// the compressed member pool (spilled chunks cost nothing), slots +
   /// chunk records, the hybrid inverted index (its arenas include AddSet
   /// slack and dead extents until the partition is compacted or
-  /// rewritten), the per-node extents and counts, and the coverage
-  /// scratch bitset. This is the quantity
+  /// rewritten), the per-node extents and counts, the member-count
+  /// bands, and the coverage scratch bitset. This is the quantity
   /// RunControl's memory budget is checked against — which is exactly
   /// why spilling cold chunks lets a budgeted run continue.
   uint64_t MemoryUsage() const {
@@ -384,8 +402,7 @@ class RRCollection {
            slot_.capacity() * sizeof(uint32_t) +
            parts_.capacity() * sizeof(IndexPart) +
            extents_.capacity() * sizeof(Extent) +
-           counts_.capacity() * sizeof(uint64_t) +
-           member_nonzero_.capacity() * sizeof(NodeId) +
+           counts_.capacity() * sizeof(uint64_t) + BandBytes() +
            cover_scratch_.MemoryUsage();
   }
 
@@ -509,6 +526,12 @@ class RRCollection {
   };
   static constexpr RRId kFreeId = ~RRId{0};  // never a set id (< 2^32 - 1)
 
+  /// A node's count reached 2^band in a batch (see MemberAtLeast).
+  struct BandEvent {
+    uint32_t band;
+    NodeId node;
+  };
+
   /// The arenas of one 4096-node partition. `words`/`masks` run in
   /// parallel. Dead entries are those of extents that moved away; free
   /// slack after a live extent counts as neither live nor dead.
@@ -596,20 +619,21 @@ class RRCollection {
   /// Appends shard s's postings (global id = shard_bases[s] + local
   /// index) to every node, rewriting each partition they touch;
   /// parallel over partitions when `pool` has > 1 worker. Maintains the
-  /// member counts and the nonzero list.
+  /// member counts and the bands.
   void AppendShardPostings(std::span<const CompressedRRShard> shards,
                            std::span<const RRId> shard_bases,
                            ThreadPool* pool);
 
   /// Rewrites partition `p`'s arenas tightly: each node's old list, then
   /// its postings from `shards` (re-choosing the representation of every
-  /// node that gains some), and records nodes whose count leaves zero in
-  /// `*fresh`. The new postings are gathered by one counting sort over
-  /// the partition's nodes, and a list that keeps its representation is
-  /// written as two bulk copies. With no shards this is the compaction.
+  /// node that gains some), and records in `*events` every power of two
+  /// a node's count reaches, in node order. The new postings are
+  /// gathered by one counting sort over the partition's nodes, and a list
+  /// that keeps its representation is written as two bulk copies. With no
+  /// shards this is the compaction.
   void RewritePartition(uint32_t p, std::span<const CompressedRRShard> shards,
                         std::span<const RRId> shard_bases,
-                        std::vector<NodeId>* fresh);
+                        std::vector<BandEvent>* events);
 
   /// One past partition `p`'s last node.
   NodeId PartitionEnd(uint32_t p) const {
@@ -619,6 +643,15 @@ class RRCollection {
 
   /// Sizes the empty index: partitions, extents and zero counts.
   void AllocateIndex();
+
+  /// Heap bytes of the member-count bands.
+  uint64_t BandBytes() const {
+    uint64_t bytes = 0;
+    for (const std::vector<NodeId>& band : bands_) {
+      bytes += band.capacity() * sizeof(NodeId);
+    }
+    return bytes;
+  }
 
   /// The check every index read makes.
   void CheckIndexed() const {
@@ -657,8 +690,8 @@ class RRCollection {
   std::vector<IndexPart> parts_;  // ceil(num_nodes / 4096)
   std::vector<Extent> extents_;   // per node
   std::vector<uint64_t> counts_;  // per node: postings (MemberCounts)
-  // Nodes whose count left zero (see MemberNonzero).
-  std::vector<NodeId> member_nonzero_;
+  // Nodes whose count reached each power of two (see MemberAtLeast).
+  std::array<std::vector<NodeId>, kMemberBands> bands_;
   // Scratch for indexed CoverageOf / CoverageByPrefix (covered-set
   // bitset, reset per call).
   mutable CoverBitset cover_scratch_;

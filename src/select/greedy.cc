@@ -1,6 +1,7 @@
 #include "select/greedy.h"
 
 #include <algorithm>
+#include <memory>
 #include <queue>
 #include <span>
 
@@ -11,6 +12,14 @@
 #include "select/seed_trace.h"
 
 namespace opim {
+
+namespace {
+
+/// A CELF pass starts from the highest member-count band that holds at
+/// least this many nodes per seed (see SelectGreedyCelf).
+constexpr uint64_t kCandidatesPerSeed = 4;
+
+}  // namespace
 
 GreedyResult SelectGreedy(const RRCollection& collection, uint32_t k,
                           bool with_trace) {
@@ -113,156 +122,222 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
   uint32_t round = 0;
   uint64_t pops = 0;
   uint64_t rescans = 0;
-  uint64_t words_scanned = 0;  // bitset words the counting kernels touched
+  uint64_t admissions = 0;     // bands admitted below the starting one
+  uint64_t words_scanned = 0;  // postings words the counting kernels read
+  uint64_t cover_updates = 0;  // marginal decrements (trace mode)
 
   // The initial marginal gains Λ({v}) are the collection's member
-  // counts, which every append keeps exact, so a doubling run pays O(n)
-  // for them instead of an O(Σ|R|) recount. Only the nodes some set
-  // contains (MemberNonzero) can hold a positive gain, so the heap and
-  // histogram builds below iterate those alone. Neither the order nor
-  // the absent zero-gain nodes can change the output: the CELF
-  // comparator is a strict total order, and a zero-gain entry is never
-  // selected (the pop loop stops at gain 0, or the queue drains first).
+  // counts, which every append keeps exact, so a doubling run pays
+  // nothing to recount them. The pass reads them band by band
+  // (RRCollection::MemberAtLeast), never all n: it starts from the
+  // highest band b holding kCandidatesPerSeed·k nodes and tracks only
+  // those. With T = 2^b, every other node starts below T, and marginals
+  // only shrink, so a fresh heap top with gain >= T beats every
+  // untracked node strictly: it is the oracle's argmax. A fresh top
+  // below T (an untracked node could tie or beat it) or an empty heap
+  // admits the next band down and halves T. Band 0 holds every node some
+  // set contains, so the pass ends with the oracle's answer. Neither the
+  // order within a band nor the absent zero-gain nodes can change the
+  // output: the CELF comparator is a strict total order, and a zero-gain
+  // entry is never selected.
   const std::span<const uint64_t> gains = collection.MemberCounts();
-  const std::span<const NodeId> nonzero = collection.MemberNonzero();
-
-  if (!with_trace) {
-    // Classic CELF: no marginal bookkeeping at all — a stale entry's gain
-    // is recomputed on demand by intersecting the node's postings with
-    // the uncovered bitset (whole 64-bit words; AVX2 when dispatched).
-    // Linear heap build (make_heap via the container ctor) instead of one
-    // push per node; pop order — and therefore the seed set — only
-    // depends on the comparator, not the heap's internal layout.
-    std::vector<CelfEntry> entries;
-    entries.reserve(nonzero.size());
-    for (NodeId v : nonzero) entries.push_back({gains[v], v, 0});
-    std::priority_queue<CelfEntry> queue(std::less<CelfEntry>{},
-                                         std::move(entries));
-    auto fresh_gain = [&](NodeId v) {
-      const RRCollection::CoverPostings p = collection.Covering(v);
-      words_scanned += p.ids.size() + p.words.size();
-      return CountUncoveredIds(p.ids, covered.words()) +
-             CountUncoveredBlocks(p.words, p.masks, covered.words());
-    };
-    while (result.seeds.size() < k && !queue.empty()) {
-      CelfEntry top = queue.top();
-      queue.pop();
-      ++pops;
-      if (selected[top.node]) continue;
-      if (top.round != round) {
-        // Stale: recompute (submodularity guarantees it only shrinks).
-        top.gain = fresh_gain(top.node);
-        top.round = round;
-        queue.push(top);
-        ++rescans;
-        continue;
-      }
-      if (top.gain == 0) break;  // coverage saturated
-      selected[top.node] = 1;
-      result.seeds.push_back(top.node);
-      coverage += top.gain;
-      MarkCoveredBy(collection, top.node, &covered, [](RRId) {});
-      ++round;
+  uint32_t band = 0;
+  if (k > 0) {
+    band = RRCollection::kMemberBands - 1;
+    while (band > 0 &&
+           collection.MemberAtLeast(band).size() < kCandidatesPerSeed * k) {
+      --band;
     }
-    OPIM_TM_COUNTER_ADD("opim.select.celf_pops", pops);
-    OPIM_TM_COUNTER_ADD("opim.select.celf_rescans", rescans);
-    OPIM_TM_COUNTER_ADD("opim.select.words_scanned", words_scanned);
-    FillWithUnselected(n, k, selected, &result.seeds);
-    result.coverage = coverage;
-    return result;
   }
-
-  // Trace mode (what OPIM⁺'s Eq. (10) bound consumes): maintain the exact
-  // marginals Λ(v | S_i*) like SelectGreedy — a stale queue entry then
-  // refreshes with an O(1) lookup — plus a bucket histogram over the
-  // marginal values. Every update is a decrement, so it moves one node
-  // down one bucket in O(1), and each prefix's top-k marginal sum is a
-  // walk down the histogram from the current maximum: the only sum the
-  // bound needs is Σ value·|bucket| over the k largest entries, so no
-  // per-pick O(n) scan, copy, or nth_element happens at all. When a
-  // SeedTrace is attached, the same walk also writes the prefix's full
-  // top-j sums (j = 1..k) into its matrix row — the per-prefix Eq. (10)
-  // summands any later k' <= k query needs — at O(k) extra per prefix.
-  if (seed_trace != nullptr) seed_trace->Begin(k);
-  std::vector<uint64_t> counts(gains.begin(), gains.end());
-  uint64_t max_count = 0;
-  std::vector<CelfEntry> entries;  // heapified in one make_heap below
-  entries.reserve(nonzero.size());
-  for (NodeId v : nonzero) {
-    const uint64_t g = counts[v];  // >= 1: membership never decreases
-    entries.push_back({g, v, 0});
-    max_count = std::max(max_count, g);
-  }
+  // T: a node is tracked (in the heap, with a kept marginal in trace
+  // mode) iff gains[v] >= T.
+  uint64_t threshold = uint64_t{1} << band;
+  const std::span<const NodeId> start = collection.MemberAtLeast(band);
+  std::vector<CelfEntry> entries;
+  entries.reserve(start.size());
+  for (NodeId v : start) entries.push_back({gains[v], v, 0});
+  // Linear heap build (make_heap via the container ctor) instead of one
+  // push per node; pop order — and therefore the seed set — only depends
+  // on the comparator, not the heap's internal layout.
   std::priority_queue<CelfEntry> queue(std::less<CelfEntry>{},
                                        std::move(entries));
-  std::vector<uint32_t> hist(max_count + 1, 0);  // hist[c] = #nodes, c > 0
-  for (NodeId v : nonzero) ++hist[counts[v]];
-  uint64_t cover_updates = 0;
 
-  auto record_prefix = [&] {
-    const uint32_t prefix = static_cast<uint32_t>(result.coverage_at.size());
-    result.coverage_at.push_back(coverage);
-    if (seed_trace != nullptr) seed_trace->RecordCoverage(prefix, coverage);
-    // The maximum only decreases (all updates are decrements), so the
-    // cursor moves monotonically: O(initial max) total over the whole run.
-    while (max_count > 0 && hist[max_count] == 0) --max_count;
-    uint64_t* row =
-        seed_trace != nullptr ? seed_trace->PrefixRow(prefix) : nullptr;
-    uint64_t sum = 0;
-    uint64_t taken = 0;
-    for (uint64_t value = max_count; value > 0 && taken < k; --value) {
-      const uint64_t take = std::min<uint64_t>(hist[value], k - taken);
-      if (row != nullptr) {
-        for (uint64_t t = 1; t <= take; ++t) row[taken + t] = sum + value * t;
-      }
-      sum += value * take;
-      taken += take;
-    }
-    if (row != nullptr) {
-      // Fewer than j nonzero marginals means the top-j sum is the total.
-      for (uint64_t j = taken + 1; j <= k; ++j) row[j] = sum;
-    }
-    result.topk_marginal_at.push_back(sum);
+  // Λ(v | S_i*) from v's postings against the covered bitset (whole
+  // 64-bit words; AVX2 when dispatched).
+  auto uncovered_gain = [&](NodeId v) {
+    const RRCollection::CoverPostings p = collection.Covering(v);
+    words_scanned += p.ids.size() + p.words.size();
+    return CountUncoveredIds(p.ids, covered.words()) +
+           CountUncoveredBlocks(p.words, p.masks, covered.words());
   };
-
-  result.coverage_at.reserve(k + 1);
-  result.topk_marginal_at.reserve(k + 1);
-  for (uint32_t i = 0; i < k; ++i) {
-    record_prefix();
-
-    NodeId best = kInvalidNode;
-    uint64_t best_gain = 0;
-    while (!queue.empty()) {
+  // Lowers the band by one and calls admit(v) for each node it adds:
+  // those whose initial gain lies in [T/2, T).
+  auto widen = [&](auto&& admit) {
+    OPIM_DCHECK_LT(0u, band);
+    const uint64_t old_threshold = threshold;
+    --band;
+    threshold >>= 1;
+    ++admissions;
+    for (NodeId v : collection.MemberAtLeast(band)) {
+      if (gains[v] < old_threshold) admit(v);
+    }
+  };
+  // Pops the next pick: a fresh entry with gain >= T. `refresh(v)` gives
+  // a stale entry's current gain (submodularity guarantees it only
+  // shrinks; a zero leaves the queue for good) and `admit_band()` widens
+  // the band. Returns node kInvalidNode once every RR set is covered.
+  auto pop_best = [&](auto&& refresh, auto&& admit_band) -> CelfEntry {
+    for (;;) {
+      if (queue.empty()) {
+        if (band == 0) return {0, kInvalidNode, 0};
+        admit_band();
+        continue;
+      }
       CelfEntry top = queue.top();
       queue.pop();
       ++pops;
       if (selected[top.node]) continue;
       if (top.round != round) {
-        top.gain = counts[top.node];
+        top.gain = refresh(top.node);
         top.round = round;
         ++rescans;
         if (top.gain > 0) queue.push(top);
         continue;
       }
-      best = top.node;
-      best_gain = top.gain;
-      break;
+      // Every queued gain is positive, so this falls through only while
+      // band > 0 (T > 1).
+      if (top.gain >= threshold) return top;
+      queue.push(top);
+      admit_band();
     }
-    if (best == kInvalidNode) break;  // all RR sets covered
+  };
+  auto finish = [&] {
+    OPIM_TM_COUNTER_ADD("opim.select.celf_pops", pops);
+    OPIM_TM_COUNTER_ADD("opim.select.celf_rescans", rescans);
+    OPIM_TM_COUNTER_ADD("opim.select.celf_admissions", admissions);
+    OPIM_TM_COUNTER_ADD("opim.select.cover_updates", cover_updates);
+    OPIM_TM_COUNTER_ADD("opim.select.words_scanned", words_scanned);
+    FillWithUnselected(n, k, selected, &result.seeds);
+    result.coverage = coverage;
+  };
 
-    selected[best] = 1;
-    result.seeds.push_back(best);
-    coverage += best_gain;
-    MarkCoveredBy(collection, best, &covered, [&](RRId id) {
+  if (!with_trace) {
+    // Classic CELF: no marginal bookkeeping at all — a stale entry's gain
+    // is recomputed on demand from its postings, and an admitted node
+    // enters with its initial gain as a stale upper bound (exact while
+    // nothing is covered).
+    auto admit_band = [&] {
+      widen([&](NodeId v) { queue.push({gains[v], v, 0}); });
+    };
+    while (result.seeds.size() < k) {
+      const CelfEntry best = pop_best(uncovered_gain, admit_band);
+      if (best.node == kInvalidNode) break;  // coverage saturated
+      selected[best.node] = 1;
+      result.seeds.push_back(best.node);
+      coverage += best.gain;
+      MarkCoveredBy(collection, best.node, &covered, [](RRId) {});
+      ++round;
+    }
+    finish();
+    return result;
+  }
+
+  // Trace mode (what OPIM⁺'s Eq. (10) bound consumes): maintain the exact
+  // marginals Λ(v | S_i*) of the tracked nodes — a stale queue entry then
+  // refreshes with an O(1) lookup — plus a bucket histogram over their
+  // values. Every update is a decrement, so it moves one node down one
+  // bucket in O(1), and each prefix's top-k marginal sum is a walk down
+  // the histogram from the current maximum: no per-pick O(n) scan, copy,
+  // or nth_element happens at all. The walk is exact once the k-th
+  // largest tracked marginal is at least T − 1, the most an untracked
+  // node can hold; until then it admits the next band and walks again.
+  // When a SeedTrace is attached, the same walk also writes the prefix's
+  // full top-j sums (j = 1..k) into its matrix row — the per-prefix
+  // Eq. (10) summands any later k' <= k query needs — at O(k) extra per
+  // prefix.
+  if (seed_trace != nullptr) seed_trace->Begin(k);
+  // Read and written for tracked nodes only, so left uninitialized (and
+  // 32-bit, as counts stay below 2^32: half the pages to fault in).
+  const auto marginal = std::make_unique_for_overwrite<uint32_t[]>(n);
+  uint64_t max_count = 0;
+  for (NodeId v : start) {
+    marginal[v] = static_cast<uint32_t>(gains[v]);
+    max_count = std::max(max_count, gains[v]);
+  }
+  // hist[c] = #tracked nodes with marginal c, c > 0. An admitted marginal
+  // is below T <= every starting gain, so the size holds.
+  std::vector<uint32_t> hist(max_count + 1, 0);
+  for (NodeId v : start) ++hist[gains[v]];
+  // An admitted node enters with its exact current marginal.
+  auto admit_band = [&] {
+    widen([&](NodeId v) {
+      const uint64_t m = uncovered_gain(v);
+      marginal[v] = static_cast<uint32_t>(m);
+      if (m == 0) return;
+      ++hist[m];
+      max_count = std::max(max_count, m);
+      queue.push({m, v, round});
+    });
+  };
+
+  auto record_prefix = [&] {
+    const uint32_t prefix = static_cast<uint32_t>(result.coverage_at.size());
+    result.coverage_at.push_back(coverage);
+    if (seed_trace != nullptr) seed_trace->RecordCoverage(prefix, coverage);
+    uint64_t* row =
+        seed_trace != nullptr ? seed_trace->PrefixRow(prefix) : nullptr;
+    for (;;) {
+      // The maximum only decreases between admissions (all updates are
+      // decrements), so the cursor moves monotonically.
+      while (max_count > 0 && hist[max_count] == 0) --max_count;
+      uint64_t sum = 0;
+      uint64_t taken = 0;
+      uint64_t kth = 0;  // the k-th largest tracked marginal, once taken
+      for (uint64_t value = max_count; value > 0 && taken < k; --value) {
+        const uint64_t take = std::min<uint64_t>(hist[value], k - taken);
+        if (take == 0) continue;
+        if (row != nullptr) {
+          for (uint64_t t = 1; t <= take; ++t) row[taken + t] = sum + value * t;
+        }
+        sum += value * take;
+        taken += take;
+        kth = value;
+      }
+      if (band > 0 && (taken < k || kth + 1 < threshold)) {
+        admit_band();
+        continue;
+      }
+      if (row != nullptr) {
+        // Fewer than j nonzero marginals means the top-j sum is the total.
+        for (uint64_t j = taken + 1; j <= k; ++j) row[j] = sum;
+      }
+      result.topk_marginal_at.push_back(sum);
+      return;
+    }
+  };
+
+  result.coverage_at.reserve(k + 1);
+  result.topk_marginal_at.reserve(k + 1);
+  auto tracked_marginal = [&](NodeId v) { return marginal[v]; };
+  for (uint32_t i = 0; i < k; ++i) {
+    record_prefix();
+    const CelfEntry best = pop_best(tracked_marginal, admit_band);
+    if (best.node == kInvalidNode) break;  // all RR sets covered
+
+    selected[best.node] = 1;
+    result.seeds.push_back(best.node);
+    coverage += best.gain;
+    MarkCoveredBy(collection, best.node, &covered, [&](RRId id) {
       collection.ForEachMember(id, [&](NodeId w) {
-        // w belongs to a set that was uncovered, so counts[w] >= 1 here.
+        if (gains[w] < threshold) return;  // untracked: no marginal kept
+        // w belongs to a set that was uncovered, so marginal[w] >= 1.
         ++cover_updates;
-        const uint64_t c = counts[w]--;
+        const uint64_t c = marginal[w]--;
         --hist[c];
         if (c > 1) ++hist[c - 1];
       });
     });
-    OPIM_DCHECK_EQ(counts[best], 0u);
+    OPIM_DCHECK_EQ(marginal[best.node], 0u);
     ++round;
   }
   record_prefix();
@@ -275,12 +350,7 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
     result.topk_marginal_at.push_back(0);
   }
 
-  OPIM_TM_COUNTER_ADD("opim.select.celf_pops", pops);
-  OPIM_TM_COUNTER_ADD("opim.select.celf_rescans", rescans);
-  OPIM_TM_COUNTER_ADD("opim.select.cover_updates", cover_updates);
-  OPIM_TM_COUNTER_ADD("opim.select.words_scanned", words_scanned);
-  FillWithUnselected(n, k, selected, &result.seeds);
-  result.coverage = coverage;
+  finish();
   if (seed_trace != nullptr) seed_trace->RecordSeeds(result.seeds);
   return result;
 }

@@ -13,13 +13,17 @@
 //    the selection path of the two-pool engine and of every baseline.
 //    Identical output to SelectGreedy (including tie-breaking and the
 //    trace arrays; the differential tests in tests/select/ pin this). Its
-//    initial gains are the collection's maintained member counts, and its
-//    heap holds only the nodes some RR set contains. In trace mode it
-//    maintains exact marginals like SelectGreedy but replaces the O(n)
-//    argmax scan with the lazy queue and tracks a bucket histogram of the
-//    marginal values, so each prefix's top-k marginal sum is a walk down
-//    the histogram from the current maximum — no n-sized copy or sort per
-//    pick.
+//    initial gains are the collection's maintained member counts, read
+//    one member-count band at a time (RRCollection::MemberAtLeast): the
+//    heap starts from the highest band holding 4k nodes, whose threshold
+//    T = 2^b bounds every other node's marginal from above, and the next
+//    band down is admitted only when a pick or a prefix's top-k sum could
+//    depend on it. So a pass costs its picks and the bands it reads, not
+//    n. In trace mode it maintains exact marginals for the tracked nodes
+//    like SelectGreedy but replaces the O(n) argmax scan with the lazy
+//    queue and tracks a bucket histogram of those marginals, so each
+//    prefix's top-k marginal sum is a walk down the histogram from the
+//    current maximum — no n-sized copy or sort per pick.
 //
 // Both return seed sets of exactly min(k, n) nodes; once every RR set is
 // covered, remaining slots are filled with the smallest-id unused nodes
@@ -62,7 +66,8 @@ GreedyResult SelectGreedy(const RRCollection& collection, uint32_t k,
 /// CELF lazy-forward greedy; identical output to SelectGreedy (seeds,
 /// coverage, and — with `with_trace` — the trace arrays), usually much
 /// faster. This is the engine selection path. Starts from the
-/// collection's MemberCounts(), so the collection must be indexed.
+/// collection's MemberCounts() and MemberAtLeast() bands, so the
+/// collection must be indexed.
 /// `seed_trace`, when set together with `with_trace`, additionally
 /// records the prefix-complete trace (select/seed_trace.h) that answers
 /// k' <= k queries without re-selection.

@@ -255,7 +255,7 @@ TEST(JudgeScanStorageTest, UnindexedPoolKeepsNoIndex) {
   EXPECT_GT(indexed.MemoryUsage(), scanned.MemoryUsage() + 16 * kN);
   EXPECT_DEATH(scanned.Covering(0), "keeps no index");
   EXPECT_DEATH(scanned.MemberCounts(), "keeps no index");
-  EXPECT_DEATH(scanned.MemberNonzero(), "keeps no index");
+  EXPECT_DEATH(scanned.MemberAtLeast(0), "keeps no index");
 }
 
 TEST(JudgeScanStorageTest, RestoredPoolIsAJudgePoolUntilBuilt) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 #include <random>
 #include <span>
@@ -336,25 +337,39 @@ std::vector<std::vector<RRId>> BruteForceIndex(const RRCollection& rr) {
   return index;
 }
 
-/// Checks every node's postings, count and membership count, the nonzero
-/// list, and the coverage of `seeds` against the brute-force index.
+/// Checks every member-count band against the postings: band b lists
+/// exactly the nodes some 2^b sets contain, each once, so the bands past
+/// the largest count are empty.
+void ExpectBandsMatchCounts(const RRCollection& rr) {
+  for (uint32_t b = 0; b < RRCollection::kMemberBands; ++b) {
+    const std::span<const NodeId> band = rr.MemberAtLeast(b);
+    std::vector<NodeId> listed(band.begin(), band.end());
+    std::sort(listed.begin(), listed.end());
+    EXPECT_TRUE(std::adjacent_find(listed.begin(), listed.end()) ==
+                listed.end())
+        << "band " << b << " lists a node twice";
+    std::vector<NodeId> expected;
+    for (NodeId v = 0; v < rr.num_nodes(); ++v) {
+      if (rr.CoveringCount(v) >= uint64_t{1} << b) expected.push_back(v);
+    }
+    EXPECT_EQ(listed, expected) << "band " << b;
+  }
+}
+
+/// Checks every node's postings, count and membership count, the
+/// member-count bands, and the coverage of `seeds` against the
+/// brute-force index.
 void ExpectIndexMatchesBruteForce(const RRCollection& rr,
                                   std::span<const NodeId> seeds) {
   const std::vector<std::vector<RRId>> index = BruteForceIndex(rr);
   const std::span<const uint64_t> counts = rr.MemberCounts();
   ASSERT_EQ(counts.size(), rr.num_nodes());
-  std::vector<char> nonzero(rr.num_nodes(), 0);
-  for (NodeId v : rr.MemberNonzero()) {
-    ASSERT_LT(v, rr.num_nodes());
-    EXPECT_FALSE(nonzero[v]) << "node " << v << " listed twice";
-    nonzero[v] = 1;
-  }
   for (NodeId v = 0; v < rr.num_nodes(); ++v) {
     ASSERT_EQ(rr.DecodeCovering(v), index[v]) << "node " << v;
     EXPECT_EQ(rr.CoveringCount(v), index[v].size()) << "node " << v;
     EXPECT_EQ(counts[v], index[v].size()) << "node " << v;
-    EXPECT_EQ(nonzero[v] != 0, !index[v].empty()) << "node " << v;
   }
+  ExpectBandsMatchCounts(rr);
   std::vector<RRId> covered;
   for (NodeId v : seeds) {
     covered.insert(covered.end(), index[v].begin(), index[v].end());
@@ -631,6 +646,93 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<IndexDiffCase>& info) {
       return std::string(info.param.name);
     });
+
+/// Expects the same member-count bands, entry for entry and in order.
+void ExpectSameBands(const RRCollection& a, const RRCollection& b) {
+  for (uint32_t band = 0; band < RRCollection::kMemberBands; ++band) {
+    EXPECT_TRUE(
+        std::ranges::equal(a.MemberAtLeast(band), b.MemberAtLeast(band)))
+        << "band " << band;
+  }
+}
+
+TEST(RRCollectionBandTest, MemberAtLeastTracksEveryIngestPath) {
+  // Skewed membership over three partitions: low ids sit in many sets,
+  // so the counts span a dozen powers of two.
+  const uint32_t n = 2 * 4096 + 300;
+  std::mt19937_64 rng(21);
+  auto draw = [&] {
+    std::vector<NodeId> s;
+    const uint64_t size = 1 + rng() % 6;
+    for (uint64_t i = 0; i < size; ++i) {
+      const uint64_t u = rng() % n;
+      s.push_back(static_cast<NodeId>(u * u / n * (rng() % n) / n));
+    }
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+    return s;
+  };
+  std::vector<std::vector<NodeId>> sets(40000);  // > 2^16 postings
+  for (std::vector<NodeId>& s : sets) s = draw();
+  // The sets as four shards, the engine's batch shape.
+  auto shards_of = [&](size_t from, size_t to) {
+    std::vector<CompressedRRShard> shards;
+    for (size_t q = 0; q < 4; ++q) {
+      ShardEncoder encoder;
+      for (size_t i = from + (to - from) * q / 4;
+           i < from + (to - from) * (q + 1) / 4; ++i) {
+        std::vector<NodeId> s = sets[i];
+        encoder.Add(&s, 1);
+      }
+      shards.push_back(encoder.Finish(n));
+    }
+    return shards;
+  };
+  ThreadPool pool(4);
+
+  // AddSet appends.
+  RRCollection added(n);
+  for (size_t i = 0; i < 3000; ++i) added.AddSet(sets[i], 1);
+  ExpectBandsMatchCounts(added);
+
+  // One batch, at 1 and at 4 workers: the same lists.
+  RRCollection serial(n);
+  RRCollection parallel(n);
+  serial.AddCompressedShards(shards_of(0, sets.size()));
+  parallel.AddCompressedShards(shards_of(0, sets.size()), &pool);
+  ExpectBandsMatchCounts(serial);
+  ExpectSameBands(serial, parallel);
+
+  // A restored pool's BuildIndex, serial and on the pool.
+  RRCollection restored = RestoredCopy(serial);
+  restored.BuildIndex();
+  ExpectBandsMatchCounts(restored);
+  RRCollection restored4 = RestoredCopy(serial);
+  restored4.BuildIndex(&pool);
+  ExpectSameBands(restored, restored4);
+
+  // Mixed: AddSet on top of a batch, then another batch.
+  for (int i = 0; i < 5000; ++i) parallel.AddSet(draw(), 1);
+  parallel.AddCompressedShards(shards_of(0, 20000), &pool);
+  ExpectBandsMatchCounts(parallel);
+
+  // The top band holds the hub alone; the ones above it are empty.
+  uint64_t max_count = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    max_count = std::max<uint64_t>(max_count, parallel.CoveringCount(v));
+  }
+  const auto top = static_cast<uint32_t>(std::bit_width(max_count)) - 1;
+  ASSERT_GE(top, 12u);
+  EXPECT_FALSE(parallel.MemberAtLeast(top).empty());
+  for (uint32_t b = top + 1; b < RRCollection::kMemberBands; ++b) {
+    EXPECT_TRUE(parallel.MemberAtLeast(b).empty()) << "band " << b;
+  }
+  // The bands are part of the metered footprint.
+  RRCollection empty(n);
+  EXPECT_GE(parallel.MemoryUsage(),
+            empty.MemoryUsage() +
+                parallel.MemberAtLeast(0).size() * sizeof(NodeId));
+}
 
 TEST(RRCollectionTest, ManySetsStressInvertedIndex) {
   const uint32_t n = 50;

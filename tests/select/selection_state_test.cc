@@ -1,12 +1,14 @@
 // Differential coverage for selection across a doubling run: CELF takes
 // its initial gains from the collection's maintained membership counts
-// (RRCollection::MemberCounts) and builds its heap over MemberNonzero,
-// while the SelectGreedy oracle recounts every node from its postings.
-// Every doubling's selection must match the oracle bit for bit — seeds,
-// coverage, trace arrays — across batch ingests and interleaved serial
-// appends, which checks the maintained counts too. Also pins the
-// MemberNonzero list against the counts it summarizes. (The suite is
-// named for the selection state these counts replaced.)
+// (RRCollection::MemberCounts) and builds its heap from the member-count
+// bands (MemberAtLeast), while the SelectGreedy oracle recounts every
+// node from its postings. Every doubling's selection must match the
+// oracle bit for bit — seeds, coverage, trace arrays — across batch
+// ingests and interleaved serial appends, which checks the maintained
+// counts too. Also pins every band against the counts it summarizes.
+// (The suite is named for the selection state these counts replaced;
+// MemberNonzeroAgreesWithCounts keeps the name of the band-0 list it
+// first checked.)
 
 #include <gtest/gtest.h>
 
@@ -124,28 +126,40 @@ TEST(SelectionStateTest, SerialAppendsBetweenSyncsStayExact) {
 }
 
 TEST(SelectionStateTest, MemberNonzeroAgreesWithCounts) {
-  // CELF's iteration domain: every node with a positive count,
-  // exactly once, and nothing else — across batch ingest, serial
-  // appends, and repeated folds.
+  // CELF's iteration domains: band b lists every node whose count
+  // reached 2^b, exactly once, and nothing else — band 0 is every node
+  // with a positive count — across batch ingest, serial appends, and
+  // repeated folds.
   const uint32_t n = 300;
   const Stream s = MakeStream(n, 900, 3, 13);
   RRCollection c(n);
   size_t done = 0;
-  for (const size_t target : {150u, 300u, 900u}) {
-    AddSlice(&c, s, done, target);
-    done = target;
-    const std::span<const uint64_t> counts = c.MemberCounts();
-    const std::span<const NodeId> nonzero = c.MemberNonzero();
-    std::vector<NodeId> sorted(nonzero.begin(), nonzero.end());
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
-                sorted.end())
-        << "duplicate node in MemberNonzero";
-    std::vector<NodeId> expected;
-    for (NodeId v = 0; v < n; ++v) {
-      if (counts[v] > 0) expected.push_back(v);
+  for (const size_t target : {150u, 300u, 600u, 900u}) {
+    if (target == 600u) {
+      // One-set-at-a-time appends between batches.
+      for (; done < target; ++done) {
+        std::vector<NodeId> members(s.pool.begin() + s.offsets[done],
+                                    s.pool.begin() + s.offsets[done + 1]);
+        c.AddSet(members, s.sets[done].second);
+      }
+    } else {
+      AddSlice(&c, s, done, target);
+      done = target;
     }
-    EXPECT_EQ(expected, sorted);
+    const std::span<const uint64_t> counts = c.MemberCounts();
+    for (uint32_t b = 0; b < RRCollection::kMemberBands; ++b) {
+      const std::span<const NodeId> band = c.MemberAtLeast(b);
+      std::vector<NodeId> sorted(band.begin(), band.end());
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                  sorted.end())
+          << "duplicate node in MemberAtLeast(" << b << ")";
+      std::vector<NodeId> expected;
+      for (NodeId v = 0; v < n; ++v) {
+        if (counts[v] >= uint64_t{1} << b) expected.push_back(v);
+      }
+      EXPECT_EQ(expected, sorted) << "band " << b;
+    }
   }
 }
 

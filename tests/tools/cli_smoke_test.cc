@@ -372,6 +372,41 @@ TEST(CliGuardrailTest, OnlineSessionHonorsDeadline) {
   std::remove(bin.c_str());
 }
 
+/// A three-edge text graph whose node 2 has in-weights 0.9 + 0.9: LT
+/// defines no spread on it. The loader compacts ids in first-appearance
+/// order (0, 2, 1, 3), so the graph calls that node 1.
+std::string WriteLtInfeasibleGraph(const char* name) {
+  const std::string txt = TmpFile(name);
+  FILE* f = fopen(txt.c_str(), "w");
+  if (f == nullptr) return txt;
+  fputs("0 2 0.9\n1 2 0.9\n2 3 0.5\n", f);
+  fclose(f);
+  return txt;
+}
+
+TEST(CliSmokeTest, LtCommandsRefuseInWeightsPastOne) {
+  const std::string txt = WriteLtInfeasibleGraph("cli_lt_bad.txt");
+  const std::string graph = " --graph=" + txt + " --model=LT";
+  const std::string commands[] = {
+      "run" + graph + " --algo=opim-c+ --k=1 --eps=0.5",
+      "run" + graph + " --algo=imm --k=1 --eps=0.5",
+      "run" + graph + " --algo=mc-greedy --k=1 --mc=10",
+      "online" + graph + " --k=1 --rounds=1 --batch=64",
+      "evaluate" + graph + " --mc=10 0",
+  };
+  for (const std::string& command : commands) {
+    auto [rc, out] = RunCommand(Cli() + " " + command);
+    EXPECT_EQ(ExitCode(rc), 1) << command << "\n" << out;
+    EXPECT_NE(out.find("node 1 sums to 1.8"), std::string::npos)
+        << command << "\n" << out;
+  }
+  // The same graph is fine under IC.
+  auto [rc, out] = RunCommand(Cli() + " evaluate --graph=" + txt +
+                              " --mc=10 0");
+  EXPECT_EQ(ExitCode(rc), 0) << out;
+  std::remove(txt.c_str());
+}
+
 TEST(CliSmokeTest, BadLogLevelIsCleanError) {
   auto [rc, out] = RunCommand(Cli() + " run --log-level=shout");
   EXPECT_NE(rc, 0);

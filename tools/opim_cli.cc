@@ -20,6 +20,9 @@
 //
 // Global flags: --log-level=debug|info|warn|error|off (default warn).
 //
+// --model=LT (run, evaluate, online) refuses, with exit 1, a graph where
+// some node's in-weights sum past 1: LT defines no spread there.
+//
 // Graph paths ending in .opimg load/save the memory-mapped binary format
 // (graph/graph_mmap.h; build with tools/graph_pack or
 // `convert --out=x.opimg`); anything else is a text edge list.
@@ -151,6 +154,25 @@ DiffusionModel ModelFromFlags(const Flags& flags) {
 int Fail(const Status& st) {
   std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
   return 1;
+}
+
+/// LT defines a spread only when every node's in-weights sum to at most
+/// 1 (the library's samplers check it as an API contract and abort), so
+/// each LT command refuses such a graph once it is loaded, naming the
+/// first node past the bound and its sum.
+Status CheckModelWeights(const Graph& g, DiffusionModel model) {
+  if (model != DiffusionModel::kLinearThreshold) return Status::OK();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const double sum = g.InWeightSum(v);
+    if (sum > 1.0 + 1e-9) {
+      char text[32];
+      std::snprintf(text, sizeof(text), "%.9g", sum);
+      return Status::InvalidArgument(
+          "--model=LT needs every node's in-weights to sum to at most 1; "
+          "node " + std::to_string(v) + " sums to " + text);
+    }
+  }
+  return Status::OK();
 }
 
 /// Strict --query-ks parse, in graph_io's entry-precise error style:
@@ -423,6 +445,9 @@ int CmdRun(const Flags& flags) {
     Status st = ParseQueryKs(flags.GetString("query-ks", ""), k, &query_ks);
     if (!st.ok()) return Fail(st);
   }
+  // After the resume block: a snapshot's model overrides the flag.
+  Status weights_st = CheckModelWeights(g, model);
+  if (!weights_st.ok()) return Fail(weights_st);
 
   RunReport report;
   report.AddInfo("command", "run");
@@ -612,6 +637,8 @@ int CmdEvaluate(const Flags& flags) {
   if (!graph_or.ok()) return Fail(graph_or.status());
   const Graph& g = graph_or.ValueOrDie();
   const DiffusionModel model = ModelFromFlags(flags);
+  Status weights_st = CheckModelWeights(g, model);
+  if (!weights_st.ok()) return Fail(weights_st);
 
   // Seeds come as positional node ids.
   std::vector<NodeId> seeds;
@@ -644,6 +671,8 @@ int CmdOnline(const Flags& flags) {
   if (!graph_or.ok()) return Fail(graph_or.status());
   const Graph& g = graph_or.ValueOrDie();
   const DiffusionModel model = ModelFromFlags(flags);
+  Status weights_st = CheckModelWeights(g, model);
+  if (!weights_st.ok()) return Fail(weights_st);
   const uint32_t k = static_cast<uint32_t>(flags.GetUint("k", 50));
   const double delta = flags.GetDouble("delta", 1.0 / g.num_nodes());
   const uint64_t batch = flags.GetUint("batch", 10000);
