@@ -23,8 +23,7 @@
 // verify that before comparing timings.
 //
 // The compression block reports the collection's compressed footprint
-// against the raw uint32 bytes of the same members, plus CELF timings for
-// the scalar and SIMD coverage kernels on the identical stream.
+// against the raw uint32 bytes of the same members.
 
 #include <algorithm>
 #include <cstdio>
@@ -38,7 +37,6 @@
 #include "gen/generators.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "rrset/cover_bitset.h"
 #include "rrset/parallel_generate.h"
 #include "rrset/rr_collection.h"
 #include "select/greedy.h"
@@ -211,7 +209,7 @@ int Run(const Config& cfg) {
                pool.size(), static_cast<unsigned long long>(pool_checksum));
 
   // --- Ingestion: replay the stream into a fresh collection via the
-  // engine's shard path (sort + compress + shard postings + hybrid index
+  // engine's shard path (sort + compress + shard postings + index
   // merge), so the timing covers what a generation shard and
   // ParallelGenerate's ingest pay per batch.
   // Collections are configured exactly as the engines configure R1:
@@ -257,26 +255,10 @@ int Run(const Config& cfg) {
     select_sink += SelectGreedyCelf(rr, cfg.k, /*with_trace=*/true).coverage;
   });
 
-  // --- Kernel ablation: the same selection under forced scalar and (when
-  // available) forced AVX2 kernels.
-  SetCoverageSimdMode(SimdMode::kScalar);
-  const double celf_scalar_us = TimeMedianUs(cfg.reps, [&] {
-    select_sink += SelectGreedyCelf(rr, cfg.k).coverage;
-  });
-  const double celf_trace_scalar_us = TimeMedianUs(cfg.reps, [&] {
-    select_sink += SelectGreedyCelf(rr, cfg.k, /*with_trace=*/true).coverage;
-  });
-  const std::vector<NodeId> scalar_seeds = SelectGreedyCelf(rr, cfg.k).seeds;
-  SetCoverageSimdMode(SimdMode::kAuto);
-  const std::vector<NodeId> auto_seeds = SelectGreedyCelf(rr, cfg.k).seeds;
-  if (scalar_seeds != auto_seeds) {
-    std::fprintf(stderr, "FATAL: scalar/simd seed sets diverge\n");
-    return 1;
-  }
-
   // The engines run a Λ2 coverage query every iteration; run one so the
   // footprint below includes the coverage scratch.
-  select_sink += rr.CoverageOf(auto_seeds);
+  const std::vector<NodeId> celf_seeds = SelectGreedyCelf(rr, cfg.k).seeds;
+  select_sink += rr.CoverageOf(celf_seeds);
 
   // --- Bounds: trace-bound assembly from a cached greedy trace.
   GreedyResult traced = SelectGreedy(rr, cfg.k, /*with_trace=*/true);
@@ -335,7 +317,7 @@ int Run(const Config& cfg) {
       final_seeds = std::move(result.seeds);
     }
     // The last doubling holds the whole stream, as `rr` does.
-    if (final_seeds != auto_seeds) {
+    if (final_seeds != celf_seeds) {
       std::fprintf(stderr, "FATAL: doubling/one-shot seed sets diverge\n");
       return 1;
     }
@@ -374,15 +356,12 @@ int Run(const Config& cfg) {
   w.Key("theta_start").Value(static_cast<uint64_t>(doubling_targets.front()));
   w.Key("theta_final").Value(static_cast<uint64_t>(doubling_targets.back()));
   w.EndObject();
-  // Storage + kernel ablation: peak_rr_bytes is MemoryUsage(), what a
-  // RunControl memory budget meters.
+  // Storage: peak_rr_bytes is MemoryUsage(), what a RunControl memory
+  // budget meters.
   w.Key("compression").BeginObject();
   w.Key("peak_rr_bytes").Value(rr.MemoryUsage());
   w.Key("compressed_member_bytes").Value(rr.CompressedMemberBytes());
   w.Key("raw_member_bytes").Value(rr.RawMemberBytes());
-  w.Key("simd_kernel").Value(ActiveCoverageKernelName());
-  w.Key("select_celf_scalar").Value(celf_scalar_us);
-  w.Key("select_celf_trace_scalar").Value(celf_trace_scalar_us);
   w.EndObject();
   // The telemetry the acceptance criteria reference: per-phase counters
   // and timer sums recorded by the engine itself during the runs above.

@@ -56,7 +56,7 @@ cmake -B build-asan -G Ninja -DOPIM_SANITIZE=ON -DOPIM_FAULT_INJECT=ON \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|ParallelGenerate|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|SimdDifferential|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine|JudgeScan|SelectionState' 2>&1 \
+  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|ParallelGenerate|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine|JudgeScan|SelectionState' 2>&1 \
   | tee "$OUT/test_output_sanitized.txt"
 
 # TSan build over the concurrency-heavy subset: the thread pool and the
@@ -77,17 +77,6 @@ cmake --build build-tsan
 ctest --test-dir build-tsan --output-on-failure \
   -R 'ThreadPool|ParallelGenerate|AdvanceParallel|OpimCPipeline|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState|TwoPoolEngine|SamplingView|RRCollection|SpreadEstimator|EstimateWithError|QueryKs|OpimCDeterminism' 2>&1 \
   | tee "$OUT/test_output_tsan.txt"
-
-# OPIM_SIMD=OFF build: the portable scalar coverage kernels alone must
-# carry the codec, coverage, selection, and golden suites — this is the
-# configuration every non-x86-64 target gets, and the golden pins prove
-# the scalar path produces the exact published outputs.
-cmake -B build-nosimd -G Ninja -DOPIM_SIMD=OFF \
-  -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
-cmake --build build-nosimd
-ctest --test-dir build-nosimd --output-on-failure \
-  -R 'VarintCodec|CoverBitset|CoverKernel|SimdDifferential|RRCollection|ParallelGenerate|Greedy|Celf|Golden|SelectionState' 2>&1 \
-  | tee "$OUT/test_output_nosimd.txt"
 
 # Live signal handling: SIGINT a real CLI run, expect a clean degraded
 # exit (code 5, seeds + alpha on stdout, complete JSON report); a second

@@ -89,13 +89,16 @@ Status ParseLines(const std::string& text, std::vector<RawEdge>* edges) {
 }
 
 Result<Graph> BuildFromRaw(const std::vector<RawEdge>& raw,
-                           const EdgeListOptions& options) {
-  // Compact sparse ids to [0, n) in first-appearance order.
+                           const EdgeListOptions& options,
+                           std::vector<uint64_t>* file_ids) {
+  // Compact sparse ids to [0, n) in first-appearance order; `ids` maps
+  // them back.
   std::unordered_map<uint64_t, NodeId> remap;
   remap.reserve(raw.size() * 2);
+  std::vector<uint64_t> ids;
   auto intern = [&](uint64_t id) {
     auto [it, inserted] = remap.emplace(id, static_cast<NodeId>(remap.size()));
-    (void)inserted;
+    if (inserted) ids.push_back(id);
     return it->second;
   };
   std::vector<std::pair<NodeId, NodeId>> compact;
@@ -122,7 +125,10 @@ Result<Graph> BuildFromRaw(const std::vector<RawEdge>& raw,
       if (options.undirected) builder.AddEdge(v, u);
     }
   }
-  return builder.Build(options.scheme, options.constant_p, options.seed);
+  Result<Graph> g =
+      builder.Build(options.scheme, options.constant_p, options.seed);
+  if (g.ok() && file_ids != nullptr) *file_ids = std::move(ids);
+  return g;
 }
 
 }  // namespace
@@ -154,21 +160,23 @@ bool ParseProbability(std::string_view tok, double* out) {
 }
 
 Result<Graph> ParseEdgeList(const std::string& text,
-                            const EdgeListOptions& options) {
+                            const EdgeListOptions& options,
+                            std::vector<uint64_t>* file_ids) {
   std::vector<RawEdge> raw;
   Status st = ParseLines(text, &raw);
   if (!st.ok()) return st;
-  return BuildFromRaw(raw, options);
+  return BuildFromRaw(raw, options, file_ids);
 }
 
 Result<Graph> LoadEdgeList(const std::string& path,
-                           const EdgeListOptions& options) {
+                           const EdgeListOptions& options,
+                           std::vector<uint64_t>* file_ids) {
   std::ifstream f(path);
   if (!f.is_open()) return Status::IOError("cannot open: " + path);
   std::ostringstream buf;
   buf << f.rdbuf();
   if (f.bad()) return Status::IOError("read failed: " + path);
-  return ParseEdgeList(buf.str(), options);
+  return ParseEdgeList(buf.str(), options, file_ids);
 }
 
 Status SaveEdgeList(const Graph& g, const std::string& path) {

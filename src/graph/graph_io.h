@@ -5,8 +5,10 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "graph/graph.h"
 #include "support/status.h"
@@ -29,17 +31,21 @@ struct EdgeListOptions {
 /// Loads a SNAP-style edge list: one "u v" or "u v p" per line, `#` starts
 /// a comment (full-line or trailing), arbitrary whitespace separation, CRLF
 /// accepted. Node ids may be sparse; they are compacted to [0, n)
-/// preserving first-appearance order. Parsing is strict: truncated lines,
-/// negative/non-numeric/overflowing ids, non-finite or out-of-[0,1]
-/// probabilities, and trailing junk return InvalidArgument with the
-/// offending line number rather than mis-parsing.
+/// preserving first-appearance order, and on success `file_ids` (when
+/// set) receives each node's id in the file, indexed by node id. Parsing
+/// is strict: truncated lines, negative/non-numeric/overflowing ids,
+/// non-finite or out-of-[0,1] probabilities, and trailing junk return
+/// InvalidArgument with the offending line number rather than
+/// mis-parsing.
 Result<Graph> LoadEdgeList(const std::string& path,
-                           const EdgeListOptions& options = {});
+                           const EdgeListOptions& options = {},
+                           std::vector<uint64_t>* file_ids = nullptr);
 
 /// Parses an edge list from an in-memory string (same format as
 /// LoadEdgeList). Useful for tests and docs.
 Result<Graph> ParseEdgeList(const std::string& text,
-                            const EdgeListOptions& options = {});
+                            const EdgeListOptions& options = {},
+                            std::vector<uint64_t>* file_ids = nullptr);
 
 /// Writes `g` as "u v p" lines with a `#` header. Inverse of LoadEdgeList
 /// with explicit probabilities.

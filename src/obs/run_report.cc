@@ -56,7 +56,7 @@ std::string RunReport::ToJson() const {
       w.Key("sigma_lower").Value(q.sigma_lower);
       w.Key("sigma_upper").Value(q.sigma_upper);
       w.Key("seeds").BeginArray();
-      for (uint32_t v : q.seeds) w.Value(static_cast<double>(v));
+      for (uint64_t v : q.seeds) w.Value(v);
       w.EndArray();
       w.EndObject();
     }

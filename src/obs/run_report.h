@@ -50,7 +50,7 @@ class RunReport {
     double alpha = 0.0;
     double sigma_lower = 0.0;
     double sigma_upper = 0.0;
-    std::vector<uint32_t> seeds;
+    std::vector<uint64_t> seeds;
   };
 
   void AddInfo(std::string key, std::string value) {

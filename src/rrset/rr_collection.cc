@@ -24,49 +24,6 @@ namespace {
 /// overhead.
 constexpr uint64_t kParallelIndexMinPostings = 1u << 16;
 
-/// A block representation entry costs 12 bytes (uint32 word + uint64
-/// mask) against 4 per raw posting: blocks win iff 3·blocks <= postings.
-constexpr uint64_t kBlockCostRatio = 3;
-
-/// Counts the blocks an ascending id list occupies.
-struct BlockCounter {
-  uint64_t blocks = 0;
-  uint32_t last = 0;  // word of the last id added
-  void Add(RRId id) {
-    const uint32_t word = id >> 6;
-    if (blocks == 0 || word != last) {
-      ++blocks;
-      last = word;
-    }
-  }
-};
-
-/// Writes ascending ids as one list from entry `begin` of an arena, in a
-/// fixed representation: raw ids into `ids`, or blocks into
-/// `words`/`masks` (merging ids of one word). Only the chosen arena is
-/// indexed.
-struct ListWriter {
-  RRId* ids;
-  uint32_t* words;
-  uint64_t* masks;
-  uint64_t begin;
-  bool blocks;
-  uint32_t size = 0;  // entries written
-  void Add(RRId id) {
-    if (!blocks) {
-      ids[begin + size++] = id;
-      return;
-    }
-    const uint32_t word = id >> 6;
-    if (size == 0 || words[begin + size - 1] != word) {
-      words[begin + size] = word;
-      masks[begin + size] = 0;
-      ++size;
-    }
-    masks[begin + size - 1] |= uint64_t{1} << (id & 63);
-  }
-};
-
 /// Counting-sorts members into `shard`'s postings by index partition:
 /// `for_each_member(fn)` calls fn(local set index, node) in ascending set
 /// order, so each partition's postings come out in ascending local set
@@ -196,7 +153,6 @@ RRCollection::RRCollection(uint32_t num_nodes, RRStoreOptions options)
 void RRCollection::AllocateIndex() {
   parts_.resize(rrpart::Count(num_nodes_));
   extents_.resize(num_nodes_);
-  counts_.assign(num_nodes_, 0);
 }
 
 RRCollection::~RRCollection() = default;
@@ -255,28 +211,16 @@ RRId RRCollection::AddSet(std::span<const NodeId> nodes,
 void RRCollection::AppendPosting(NodeId v, RRId id) {
   Extent& e = extents_[v];
   IndexPart& part = parts_[v >> kPartShift];
-  const uint64_t end = uint64_t{e.begin} + e.size();
-  if (!e.blocks()) {
-    if (e.size() != 0 && end < part.ids.size() && part.ids[end] == kFreeId) {
-      part.ids[end] = id;
-      ++e.tagged_size;
-      ++part.live_ids;
-    } else {
-      GrowExtent(v, id);
-    }
-  } else if (part.words[end - 1] == id >> 6) {
-    part.masks[end - 1] |= uint64_t{1} << (id & 63);
-  } else if (end < part.masks.size() && part.masks[end] == 0) {
-    part.words[end] = id >> 6;
-    part.masks[end] = uint64_t{1} << (id & 63);
-    ++e.tagged_size;
-    ++part.live_blocks;
+  const uint64_t end = uint64_t{e.begin} + e.size;
+  if (e.size != 0 && end < part.ids.size() && part.ids[end] == kFreeId) {
+    part.ids[end] = id;
+    ++e.size;
+    ++part.live;
   } else {
     GrowExtent(v, id);
   }
-  const uint64_t count = ++counts_[v];
-  if (std::has_single_bit(count)) {
-    bands_[std::bit_width(count) - 1].push_back(v);
+  if (std::has_single_bit(e.size)) {
+    bands_[std::bit_width(e.size) - 1].push_back(v);
   }
 }
 
@@ -284,55 +228,27 @@ void RRCollection::GrowExtent(NodeId v, RRId id) {
   Extent& e = extents_[v];
   const uint32_t p = v >> kPartShift;
   IndexPart& part = parts_[p];
-  const uint32_t size = e.size();
-  const uint64_t posts = counts_[v] + 1;
-  // A block extent only grows when `id` opens a new word.
-  uint64_t blocks = uint64_t{size} + 1;
-  if (!e.blocks()) {
-    BlockCounter counter;
-    for (RRId r : PostingsOf(v).ids) counter.Add(r);
-    counter.Add(id);
-    blocks = counter.blocks;
-  }
-  const bool to_blocks = kBlockCostRatio * blocks <= posts;
-  const uint64_t new_size = to_blocks ? blocks : posts;
-  const uint64_t arena = to_blocks ? part.masks.size() : part.ids.size();
-  // Extend in place when the extent already ends at its arena's tail.
-  const bool in_place = to_blocks == e.blocks() && size != 0 &&
-                        uint64_t{e.begin} + size == arena;
-  const uint64_t begin = in_place ? e.begin : arena;
+  const uint64_t size = e.size;
+  // Extend in place when the extent already ends at the arena's tail.
+  const bool in_place =
+      size != 0 && uint64_t{e.begin} + size == part.ids.size();
+  const uint64_t begin = in_place ? e.begin : part.ids.size();
   // Twice the size; the minimum spares the many short lists a second move.
-  const uint64_t cap = std::max<uint64_t>(2 * new_size, 4);
+  const uint64_t cap = std::max<uint64_t>(2 * (size + 1), 4);
   OPIM_CHECK_LE(begin + cap, uint64_t{kFreeId});
-  if (to_blocks) {
-    part.words.resize(begin + cap, 0);
-    part.masks.resize(begin + cap, 0);
-  } else {
-    part.ids.resize(begin + cap, kFreeId);
+  part.ids.resize(begin + cap, kFreeId);
+  // The new extent starts past the old one, so the two never overlap.
+  if (!in_place) {
+    std::copy_n(part.ids.begin() + e.begin, size, part.ids.begin() + begin);
+    part.dead += size;
   }
-  // The resize may have moved the arena, so read the old list afresh;
-  // the new extent starts past it, so the two never overlap.
-  ListWriter out{part.ids.data(), part.words.data(), part.masks.data(),
-                 begin, to_blocks};
-  if (in_place) {
-    out.size = size;
-  } else {
-    ForEachPosting(PostingsOf(v), [&](RRId r) { out.Add(r); });
-  }
-  out.Add(id);
-  OPIM_DCHECK_EQ(out.size, new_size);
-  const bool from_blocks = e.blocks();
-  (to_blocks ? part.live_blocks : part.live_ids) += new_size;
-  (from_blocks ? part.live_blocks : part.live_ids) -= size;
-  if (!in_place) (from_blocks ? part.dead_blocks : part.dead_ids) += size;
+  part.ids[begin + size] = id;
+  ++part.live;
   e.begin = static_cast<uint32_t>(begin);
-  e.tagged_size = static_cast<uint32_t>(new_size) |
-                  (to_blocks ? Extent::kBlocksBit : 0);
+  e.size = static_cast<uint32_t>(size + 1);
   // Compact: a rewrite with nothing to append writes the partition
   // tightly, dropping dead entries and slack alike.
-  if (part.dead_ids > part.live_ids || part.dead_blocks > part.live_blocks) {
-    RewritePartition(p, {}, {}, nullptr);
-  }
+  if (part.dead > part.live) RewritePartition(p, {}, {}, nullptr);
 }
 
 void RRCollection::AddCompressedShards(std::vector<CompressedRRShard> shards,
@@ -460,104 +376,35 @@ void RRCollection::RewritePartition(uint32_t p,
           shard_bases[s] + shard.post_sets[i];
     }
   }
-  auto new_of = [&](uint32_t w) {
-    return std::span<const RRId>(new_ids.data() + new_at[w],
-                                 new_at[w + 1] - new_at[w]);
-  };
 
-  // Plan: each node's grown extent. An untouched node keeps its
-  // representation; a touched one is re-chosen by the 3·blocks <=
-  // postings rule.
-  std::vector<Extent> plan(width);
-  uint64_t raw_total = 0;
-  uint64_t block_total = 0;
-  for (uint32_t w = 0; w < width; ++w) {
-    const Extent e = extents_[lo + w];
-    const std::span<const RRId> add = new_of(w);
-    Extent& out = plan[w];
-    out.tagged_size = e.tagged_size;
-    if (!add.empty()) {
-      const uint64_t posts = counts_[lo + w] + add.size();
-      out.tagged_size = static_cast<uint32_t>(posts);
-      // The new ids' blocks bound the grown list's from below, which
-      // settles most nodes as raw without reading their old postings.
-      BlockCounter counter;
-      for (RRId r : add) counter.Add(r);
-      if (kBlockCostRatio * counter.blocks <= posts) {
-        counter = {};
-        if (e.blocks()) {
-          counter = {e.size(), part.words[e.begin + e.size() - 1]};
-        } else {
-          for (RRId r : PostingsOf(lo + w).ids) counter.Add(r);
-        }
-        for (RRId r : add) counter.Add(r);
-        if (kBlockCostRatio * counter.blocks <= posts) {
-          out.tagged_size =
-              static_cast<uint32_t>(counter.blocks) | Extent::kBlocksBit;
-        }
-      }
-    }
-    (out.blocks() ? block_total : raw_total) += out.size();
-  }
-  OPIM_CHECK_LT(raw_total, uint64_t{kFreeId});
-  OPIM_CHECK_LT(block_total, uint64_t{kFreeId});
-
-  // Write every extent tightly into fresh arenas — old list first, then
-  // the new ids, so each list comes out ascending without a sort. A list
-  // that keeps its representation is copied as runs; only a raw <-> blocks
-  // crossing re-encodes it id by id.
-  std::vector<RRId> ids(raw_total);
-  std::vector<uint32_t> words(block_total);
-  std::vector<uint64_t> masks(block_total);
-  uint32_t raw_at = 0;
-  uint32_t block_at = 0;
+  // Write every list tightly into a fresh arena — old run first, then
+  // the new ids, so each list comes out ascending without a sort.
+  const uint64_t total = part.live + added;
+  OPIM_CHECK_LT(total, uint64_t{kFreeId});
+  std::vector<RRId> ids(total);
+  uint32_t at = 0;
   for (uint32_t w = 0; w < width; ++w) {
     const NodeId v = lo + w;
-    Extent& out = plan[w];
-    if (out.size() == 0) continue;
-    uint32_t& at = out.blocks() ? block_at : raw_at;
-    out.begin = at;
-    at += out.size();
-    const Extent e = extents_[v];
-    const std::span<const RRId> add = new_of(w);
-    if (!out.blocks() && !e.blocks()) {
-      std::copy_n(part.ids.begin() + e.begin, e.size(),
-                  ids.begin() + out.begin);
-      std::copy(add.begin(), add.end(), ids.begin() + out.begin + e.size());
-    } else {
-      ListWriter writer{ids.data(), words.data(), masks.data(), out.begin,
-                        out.blocks()};
-      if (e.blocks() && out.blocks()) {
-        // Whole blocks carry over; only the last may merge a new id.
-        std::copy_n(part.words.begin() + e.begin, e.size(),
-                    words.begin() + out.begin);
-        std::copy_n(part.masks.begin() + e.begin, e.size(),
-                    masks.begin() + out.begin);
-        writer.size = e.size();
-      } else {
-        ForEachPosting(PostingsOf(v), [&](RRId r) { writer.Add(r); });
-      }
-      for (RRId r : add) writer.Add(r);
-      OPIM_DCHECK_EQ(writer.size, out.size());
-    }
-    if (!add.empty()) {
-      // One event per power of two in (old count, new count].
-      const uint64_t count = counts_[v] + add.size();
-      for (auto b = static_cast<uint32_t>(std::bit_width(counts_[v]));
-           (uint64_t{1} << b) <= count; ++b) {
-        events->push_back({b, v});
-      }
-      counts_[v] = count;
+    Extent& e = extents_[v];
+    const uint32_t old_size = e.size;
+    const uint32_t add = new_at[w + 1] - new_at[w];
+    std::copy_n(part.ids.begin() + e.begin, old_size, ids.begin() + at);
+    std::copy_n(new_ids.begin() + new_at[w], add,
+                ids.begin() + at + old_size);
+    e.begin = at;
+    e.size = old_size + add;
+    at += e.size;
+    // One event per power of two in (old size, new size]; none when the
+    // list gained nothing, as in a compaction.
+    for (auto b = static_cast<uint32_t>(std::bit_width(old_size));
+         (uint64_t{1} << b) <= e.size; ++b) {
+      events->push_back({b, v});
     }
   }
-  std::copy(plan.begin(), plan.end(), extents_.begin() + lo);
+  OPIM_DCHECK_EQ(uint64_t{at}, total);
   part.ids = std::move(ids);
-  part.words = std::move(words);
-  part.masks = std::move(masks);
-  part.live_ids = raw_total;
-  part.live_blocks = block_total;
-  part.dead_ids = 0;
-  part.dead_blocks = 0;
+  part.live = total;
+  part.dead = 0;
 }
 
 void RRCollection::BuildIndex(ThreadPool* pool) {
@@ -772,17 +619,9 @@ std::vector<NodeId> RRCollection::DecodeSet(RRId id) const {
   return out;
 }
 
-uint32_t RRCollection::CoveringCount(NodeId v) const {
-  const CoverPostings p = Covering(v);
-  uint64_t count = p.ids.size();
-  for (uint64_t mask : p.masks) count += std::popcount(mask);
-  return static_cast<uint32_t>(count);
-}
-
 std::vector<RRId> RRCollection::DecodeCovering(NodeId v) const {
-  std::vector<RRId> out;
-  ForEachCovering(v, [&](RRId id) { out.push_back(id); });
-  return out;
+  const std::span<const RRId> ids = Covering(v);
+  return {ids.begin(), ids.end()};
 }
 
 uint64_t RRCollection::CoverageOf(std::span<const NodeId> seeds) const {
@@ -808,13 +647,8 @@ uint64_t RRCollection::MarkCovered(std::span<const NodeId> seeds,
   uint64_t* words = cover_scratch_.words();
   uint64_t covered = 0;
   for (size_t s = 0; s < seeds.size(); ++s) {
-    const CoverPostings p = Covering(seeds[s]);
-    ForEachNewlyCoveredIds(p.ids, words, [&](RRId) { ++covered; });
-    for (size_t i = 0; i < p.words.size(); ++i) {
-      const uint64_t fresh = p.masks[i] & ~words[p.words[i]];
-      covered += std::popcount(fresh);
-      words[p.words[i]] |= fresh;
-    }
+    ForEachNewlyCoveredIds(Covering(seeds[s]), words,
+                           [&](RRId) { ++covered; });
     if (prefix != nullptr) prefix[s] = covered;
   }
   return covered;

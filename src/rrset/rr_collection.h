@@ -1,5 +1,5 @@
 // Compressed pooled storage for random reverse-reachable (RR) sets with an
-// optional hybrid inverted node -> RR-set index (paper §3.1).
+// optional inverted node -> RR-set index (paper §3.1).
 //
 // An RR set is a set of nodes; a collection R of them supports the two
 // operations every RIS algorithm needs:
@@ -20,20 +20,14 @@
 // footprint, and it is the quantity RunControl's memory budget and the
 // peak_rr_bytes telemetry are checked against.
 //
-// Inverted index. Each node's posting list (the ascending ids of the RR
-// sets containing it) is stored in one of two representations: raw RRId
-// postings, or (word index, 64-bit mask) blocks over the RR-id space for
-// dense nodes. A block costs 12 bytes against 4 per raw posting, so
-// blocks win exactly when 3·blocks <= postings — hub nodes collapse to
-// ~θ/64 words that the bitset coverage kernels (rrset/cover_bitset.h)
-// AND + popcount whole words at a time. The rule picks the
-// representation whenever an extent is written.
+// Inverted index. Each node's posting list is the ascending raw ids of
+// the RR sets containing it, and its length is the node's member count
+// Λ({v}): 4 bytes per posting, nothing else per entry.
 //
 // Node ids are split into fixed 4096-node partitions. Each partition owns
-// two arenas (raw ids; parallel block words and masks) that hold its
-// nodes' extents, and each node keeps one 8-byte extent record (arena
-// offset, size, representation) next to its 8-byte membership count. The
-// index is append-only: an ingest writes only the new sets' postings.
+// one id arena that holds its nodes' lists, and each node keeps one
+// 8-byte extent record (arena offset, size). The index is append-only:
+// an ingest writes only the new sets' postings.
 //   * AddSet appends each member's new id in place. An extent that is
 //     full moves to its partition's tail at twice its size (free slots
 //     hold a sentinel, so capacity is implicit), and a partition arena
@@ -48,29 +42,29 @@
 //     postings plus one copy of the partition, with nothing per shard
 //     proportional to n.
 // A posting list's contents never depend on ingest history; only its
-// layout (representation, position, slack) does.
+// position and slack do.
 //
-// Index validity contract: an indexed collection's index and
-// MemberCounts() are current after every append, so reads may interleave
-// with appends freely, and concurrent index reads (all but CoverageOf and
+// Index validity contract: an indexed collection's index and member
+// counts are current after every append, so reads may interleave with
+// appends freely, and concurrent index reads (all but CoverageOf and
 // CoverageByPrefix, which borrow a scratch bitset) need no
 // synchronization. A collection restored from a snapshot
 // (RestoreFromSnapshotParts) is unindexed until BuildIndex indexes it —
 // TwoPoolEngine::Restore does so for R1 on its workers.
 //
-// Member-count bands. Beside each node's count, an indexed collection
-// keeps one append-only node list per power of two: MemberAtLeast(b)
-// holds the nodes whose count has reached 2^b. Counts never fall, so an
-// append that lifts a count onto a power of two adds the node to that
-// band, once. CELF starts from the highest band with enough candidates
-// and widens it a band at a time only when a pick could depend on the
-// rest (select/greedy.h), so a selection reads the top of the count
+// Member-count bands. Beside the extents, an indexed collection keeps
+// one append-only node list per power of two: MemberAtLeast(b) holds the
+// nodes whose count has reached 2^b. Counts never fall, so an append
+// that lifts a count onto a power of two adds the node to that band,
+// once. CELF starts from the highest band with enough candidates and
+// widens it a band at a time only when a pick could depend on the rest
+// (select/greedy.h), so a selection reads the top of the count
 // distribution instead of all n counts.
 //
 // Judge scan. An unindexed collection (RRStoreOptions::index = false, or
-// restored and not yet built) allocates no extents, counts, bands,
-// partitions or arenas, and reading its index (Covering, MemberCounts,
-// MemberAtLeast and what builds on them) fails a check. CoverageOf and
+// restored and not yet built) allocates no extents, bands, partitions or
+// arenas, and reading its index (Covering, CoveringCount, MemberAtLeast
+// and what builds on them) fails a check. CoverageOf and
 // CoverageByPrefix answer from one pass over the pool instead, chunk by
 // chunk: each set counts at the position of its earliest member in the
 // seed list, found by testing members against an n-bit seed bitmap and
@@ -100,7 +94,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -228,7 +221,7 @@ class ShardEncoder {
 
 /// Storage knobs fixed at construction.
 struct RRStoreOptions {
-  /// Keep the inverted index and member counts. A pool that is never
+  /// Keep the inverted index and member-count bands. A pool that is never
   /// selected on — the engine's judge pool R2 — turns this off: its
   /// coverage queries scan the pool instead (see "Judge scan" in the
   /// file comment).
@@ -315,47 +308,38 @@ class RRCollection {
   /// Members of RR set `id`, decoded into a fresh vector (ascending).
   std::vector<NodeId> DecodeSet(RRId id) const;
 
-  /// Number of RR sets containing `v` — Λ({v}).
-  uint32_t CoveringCount(NodeId v) const;
-
-  /// One node's posting list in whichever representation it is stored;
-  /// exactly one of {ids} / {words, masks} is non-empty (both empty when
-  /// no RR set contains `v`).
-  struct CoverPostings {
-    std::span<const RRId> ids;
-    std::span<const uint32_t> words;
-    std::span<const uint64_t> masks;
-  };
-  CoverPostings Covering(NodeId v) const {
+  /// Number of RR sets containing `v` — Λ({v}), the length of its
+  /// posting list. Every append keeps it current, which is what lets CELF
+  /// take its initial gains without an O(Σ|R|) recount.
+  uint32_t CoveringCount(NodeId v) const {
     OPIM_DCHECK_LT(v, num_nodes_);
     CheckIndexed();
-    return PostingsOf(v);
+    return extents_[v].size;
+  }
+
+  /// Ids of the RR sets containing `v`, ascending. The span is
+  /// invalidated by any mutation.
+  std::span<const RRId> Covering(NodeId v) const {
+    OPIM_DCHECK_LT(v, num_nodes_);
+    CheckIndexed();
+    const Extent e = extents_[v];
+    return {parts_[v >> kPartShift].ids.data() + e.begin, e.size};
   }
 
   /// Calls `fn(RRId)` for each RR set containing `v`, ascending.
   template <typename Fn>
   void ForEachCovering(NodeId v, Fn&& fn) const {
-    ForEachPosting(Covering(v), fn);
+    for (RRId id : Covering(v)) fn(id);
   }
 
-  /// Ids of the RR sets containing `v`, decoded into a fresh vector.
+  /// Ids of the RR sets containing `v`, copied into a fresh vector.
   std::vector<RRId> DecodeCovering(NodeId v) const;
-
-  /// Per-node membership counts: MemberCounts()[v] == CoveringCount(v)
-  /// for every node, maintained by the same appends that write the
-  /// postings, so always current — which is what lets CELF take its
-  /// initial gains in O(n) instead of an O(Σ|R|) recount. The span is
-  /// invalidated by any mutation.
-  std::span<const uint64_t> MemberCounts() const {
-    CheckIndexed();
-    return counts_;
-  }
 
   /// Member-count bands: counts stay below 2^32 (θ < 2^32), so 32
   /// powers of two cover them.
   static constexpr uint32_t kMemberBands = 32;
 
-  /// Nodes with MemberCounts()[v] >= 2^b, each exactly once (a node is
+  /// Nodes with CoveringCount(v) >= 2^b, each exactly once (a node is
   /// appended when its count reaches 2^b; counts never decrease), for
   /// b < kMemberBands. MemberAtLeast(0) is every node some set contains,
   /// and bands past the largest count are empty. CELF builds its heap
@@ -382,10 +366,10 @@ class RRCollection {
   /// Heap footprint of this collection in bytes (capacity-based, so it
   /// reflects what the allocator actually holds): the *resident* part of
   /// the compressed member pool (spilled chunks cost nothing), slots +
-  /// chunk records, the hybrid inverted index (its arenas include AddSet
-  /// slack and dead extents until the partition is compacted or
-  /// rewritten), the per-node extents and counts, the member-count
-  /// bands, and the coverage scratch bitset. This is the quantity
+  /// chunk records, the inverted index (its arenas include AddSet slack
+  /// and dead extents until the partition is compacted or rewritten),
+  /// the per-node extents, the member-count bands, and the coverage
+  /// scratch bitset. This is the quantity
   /// RunControl's memory budget is checked against — which is exactly
   /// why spilling cold chunks lets a budgeted run continue.
   uint64_t MemoryUsage() const {
@@ -394,15 +378,12 @@ class RRCollection {
       bytes += c.bytes.capacity() * sizeof(uint8_t);
     }
     for (const IndexPart& part : parts_) {
-      bytes += part.ids.capacity() * sizeof(RRId) +
-               part.words.capacity() * sizeof(uint32_t) +
-               part.masks.capacity() * sizeof(uint64_t);
+      bytes += part.ids.capacity() * sizeof(RRId);
     }
     return bytes + chunks_.capacity() * sizeof(PoolChunk) +
            slot_.capacity() * sizeof(uint32_t) +
            parts_.capacity() * sizeof(IndexPart) +
-           extents_.capacity() * sizeof(Extent) +
-           counts_.capacity() * sizeof(uint64_t) + BandBytes() +
+           extents_.capacity() * sizeof(Extent) + BandBytes() +
            cover_scratch_.MemoryUsage();
   }
 
@@ -483,8 +464,8 @@ class RRCollection {
   /// Indexes an unindexed collection (checked): decodes the pool into
   /// per-set-range posting shards — one range per worker of `pool`,
   /// serial once spill is armed — and appends them as one batch, so the
-  /// index and member counts equal those of a collection that was
-  /// indexed all along. Later appends keep them current.
+  /// index and bands equal those of a collection that was indexed all
+  /// along. Later appends keep them current.
   void BuildIndex(ThreadPool* pool = nullptr);
 
   /// Reassembles a collection from snapshot parts. `chunk_runs` are the
@@ -513,16 +494,12 @@ class RRCollection {
   /// Nodes per index partition.
   static constexpr uint32_t kPartShift = rrpart::kShift;
 
-  /// One node's posting list: `size` entries from `begin` in its
-  /// partition's raw arena, or in its block arena when the blocks bit is
-  /// set. The capacity is implicit: the free slots after an extent hold
-  /// the arena's free sentinel (kFreeId, or a zero mask).
+  /// One node's posting list: `size` ids from `begin` in its
+  /// partition's arena. The capacity is implicit: the free slots after an
+  /// extent hold kFreeId.
   struct Extent {
-    static constexpr uint32_t kBlocksBit = 0x80000000u;
     uint32_t begin = 0;
-    uint32_t tagged_size = 0;  // size | kBlocksBit for block extents
-    uint32_t size() const { return tagged_size & ~kBlocksBit; }
-    bool blocks() const { return (tagged_size & kBlocksBit) != 0; }
+    uint32_t size = 0;
   };
   static constexpr RRId kFreeId = ~RRId{0};  // never a set id (< 2^32 - 1)
 
@@ -532,17 +509,13 @@ class RRCollection {
     NodeId node;
   };
 
-  /// The arenas of one 4096-node partition. `words`/`masks` run in
-  /// parallel. Dead entries are those of extents that moved away; free
-  /// slack after a live extent counts as neither live nor dead.
+  /// The id arena of one 4096-node partition. `live` counts the ids of
+  /// its extents, `dead` those of extents that moved away; free slack
+  /// after a live extent counts as neither.
   struct IndexPart {
     std::vector<RRId> ids;
-    std::vector<uint32_t> words;
-    std::vector<uint64_t> masks;
-    uint64_t live_ids = 0;
-    uint64_t dead_ids = 0;
-    uint64_t live_blocks = 0;
-    uint64_t dead_blocks = 0;
+    uint64_t live = 0;
+    uint64_t dead = 0;
   };
 
   /// One pool chunk: the group-varint byte run of its non-inline sets.
@@ -560,32 +533,6 @@ class RRCollection {
   };
 
   struct SpillState;
-
-  /// Node `v`'s extent as spans (no build check).
-  CoverPostings PostingsOf(NodeId v) const {
-    const Extent e = extents_[v];
-    const IndexPart& part = parts_[v >> kPartShift];
-    if (e.blocks()) {
-      return {{},
-              {part.words.data() + e.begin, e.size()},
-              {part.masks.data() + e.begin, e.size()}};
-    }
-    return {{part.ids.data() + e.begin, e.size()}, {}, {}};
-  }
-
-  /// Calls `fn(RRId)` for each id of `p`, ascending.
-  template <typename Fn>
-  static void ForEachPosting(const CoverPostings& p, Fn&& fn) {
-    for (RRId id : p.ids) fn(id);
-    for (size_t i = 0; i < p.words.size(); ++i) {
-      uint64_t mask = p.masks[i];
-      const uint64_t base = uint64_t{p.words[i]} << 6;
-      while (mask != 0) {
-        fn(static_cast<RRId>(base + std::countr_zero(mask)));
-        mask &= mask - 1;
-      }
-    }
-  }
 
   const uint8_t* SetBytes(RRId id, uint32_t slot) const {
     const PoolChunk& c = chunks_[id >> kChunkShift];
@@ -609,28 +556,25 @@ class RRCollection {
   /// full extent to its partition's tail at twice its size.
   void AppendPosting(NodeId v, RRId id);
 
-  /// AppendPosting's slow path: re-chooses the representation for the
-  /// grown list, writes it at the arena tail with twice its size as
-  /// capacity (extending in place when the extent already ends there),
-  /// and compacts the partition once an arena's dead entries outnumber
-  /// its live ones.
+  /// AppendPosting's slow path: writes the grown list at the arena tail
+  /// with twice its size as capacity (extending in place when the extent
+  /// already ends there), and compacts the partition once its dead
+  /// entries outnumber its live ones.
   void GrowExtent(NodeId v, RRId id);
 
   /// Appends shard s's postings (global id = shard_bases[s] + local
   /// index) to every node, rewriting each partition they touch;
   /// parallel over partitions when `pool` has > 1 worker. Maintains the
-  /// member counts and the bands.
+  /// bands.
   void AppendShardPostings(std::span<const CompressedRRShard> shards,
                            std::span<const RRId> shard_bases,
                            ThreadPool* pool);
 
-  /// Rewrites partition `p`'s arenas tightly: each node's old list, then
-  /// its postings from `shards` (re-choosing the representation of every
-  /// node that gains some), and records in `*events` every power of two
-  /// a node's count reaches, in node order. The new postings are
-  /// gathered by one counting sort over the partition's nodes, and a list
-  /// that keeps its representation is written as two bulk copies. With no
-  /// shards this is the compaction.
+  /// Rewrites partition `p`'s arena tightly: each node's old list, then
+  /// its postings from `shards`, as two bulk copies, and records in
+  /// `*events` every power of two a node's count reaches, in node order.
+  /// The new postings are gathered by one counting sort over the
+  /// partition's nodes. With no shards this is the compaction.
   void RewritePartition(uint32_t p, std::span<const CompressedRRShard> shards,
                         std::span<const RRId> shard_bases,
                         std::vector<BandEvent>* events);
@@ -641,7 +585,7 @@ class RRCollection {
         num_nodes_, (uint64_t{p} + 1) << kPartShift));
   }
 
-  /// Sizes the empty index: partitions, extents and zero counts.
+  /// Sizes the empty index: partitions and empty extents.
   void AllocateIndex();
 
   /// Heap bytes of the member-count bands.
@@ -686,10 +630,9 @@ class RRCollection {
   std::vector<NodeId> addset_scratch_;  // AddSet sort buffer (reused)
   uint64_t total_members_ = 0;
   uint64_t total_edges_examined_ = 0;
-  // Hybrid inverted index (see the file comment); empty when unindexed.
+  // Inverted index (see the file comment); empty when unindexed.
   std::vector<IndexPart> parts_;  // ceil(num_nodes / 4096)
   std::vector<Extent> extents_;   // per node
-  std::vector<uint64_t> counts_;  // per node: postings (MemberCounts)
   // Nodes whose count reached each power of two (see MemberAtLeast).
   std::array<std::vector<NodeId>, kMemberBands> bands_;
   // Scratch for indexed CoverageOf / CoverageByPrefix (covered-set

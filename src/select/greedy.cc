@@ -33,9 +33,9 @@ GreedyResult SelectGreedy(const RRCollection& collection, uint32_t k,
   GreedyResult result;
   result.seeds.reserve(k);
 
-  // Λ(v | S_i*) for the current prefix, counted from the postings rather
-  // than read from MemberCounts(), so the oracle stays independent of
-  // the maintained counts CELF starts from.
+  // Λ(v | S_i*) for the current prefix, starting from each node's
+  // posting-list length: the same Λ({v}) CELF starts from, which the
+  // index tests check against the decoded sets (tests/rrset).
   std::vector<uint64_t> counts(n);
   for (NodeId v = 0; v < n; ++v) counts[v] = collection.CoveringCount(v);
   CoverBitset covered;
@@ -106,8 +106,6 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
   OPIM_TR_SPAN2("celf", "select", "theta", collection.num_sets(), "k", k);
   OPIM_TM_SCOPED_TIMER("opim.select.celf_us");
   OPIM_TM_COUNTER_ADD("opim.select.celf_runs", 1);
-  OPIM_TM_GAUGE_SET("opim.select.simd_dispatch",
-                    EffectiveCoverageSimd() == SimdMode::kAvx2 ? 2 : 1);
   const uint32_t n = collection.num_nodes();
   const uint32_t theta = collection.num_sets();
   k = std::min(k, n);
@@ -123,11 +121,11 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
   uint64_t pops = 0;
   uint64_t rescans = 0;
   uint64_t admissions = 0;     // bands admitted below the starting one
-  uint64_t words_scanned = 0;  // postings words the counting kernels read
+  uint64_t words_scanned = 0;  // posting ids the counting kernel reads
   uint64_t cover_updates = 0;  // marginal decrements (trace mode)
 
-  // The initial marginal gains Λ({v}) are the collection's member
-  // counts, which every append keeps exact, so a doubling run pays
+  // The initial marginal gains Λ({v}) are the nodes' posting-list
+  // lengths, which every append keeps exact, so a doubling run pays
   // nothing to recount them. The pass reads them band by band
   // (RRCollection::MemberAtLeast), never all n: it starts from the
   // highest band b holding kCandidatesPerSeed·k nodes and tracks only
@@ -140,7 +138,9 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
   // order within a band nor the absent zero-gain nodes can change the
   // output: the CELF comparator is a strict total order, and a zero-gain
   // entry is never selected.
-  const std::span<const uint64_t> gains = collection.MemberCounts();
+  auto gain0 = [&](NodeId v) -> uint64_t {
+    return collection.CoveringCount(v);
+  };
   uint32_t band = 0;
   if (k > 0) {
     band = RRCollection::kMemberBands - 1;
@@ -150,25 +150,23 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
     }
   }
   // T: a node is tracked (in the heap, with a kept marginal in trace
-  // mode) iff gains[v] >= T.
+  // mode) iff gain0(v) >= T.
   uint64_t threshold = uint64_t{1} << band;
   const std::span<const NodeId> start = collection.MemberAtLeast(band);
   std::vector<CelfEntry> entries;
   entries.reserve(start.size());
-  for (NodeId v : start) entries.push_back({gains[v], v, 0});
+  for (NodeId v : start) entries.push_back({gain0(v), v, 0});
   // Linear heap build (make_heap via the container ctor) instead of one
   // push per node; pop order — and therefore the seed set — only depends
   // on the comparator, not the heap's internal layout.
   std::priority_queue<CelfEntry> queue(std::less<CelfEntry>{},
                                        std::move(entries));
 
-  // Λ(v | S_i*) from v's postings against the covered bitset (whole
-  // 64-bit words; AVX2 when dispatched).
+  // Λ(v | S_i*) from v's postings against the covered bitset.
   auto uncovered_gain = [&](NodeId v) {
-    const RRCollection::CoverPostings p = collection.Covering(v);
-    words_scanned += p.ids.size() + p.words.size();
-    return CountUncoveredIds(p.ids, covered.words()) +
-           CountUncoveredBlocks(p.words, p.masks, covered.words());
+    const std::span<const RRId> ids = collection.Covering(v);
+    words_scanned += ids.size();
+    return CountUncoveredIds(ids, covered.words());
   };
   // Lowers the band by one and calls admit(v) for each node it adds:
   // those whose initial gain lies in [T/2, T).
@@ -179,7 +177,7 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
     threshold >>= 1;
     ++admissions;
     for (NodeId v : collection.MemberAtLeast(band)) {
-      if (gains[v] < old_threshold) admit(v);
+      if (gain0(v) < old_threshold) admit(v);
     }
   };
   // Pops the next pick: a fresh entry with gain >= T. `refresh(v)` gives
@@ -227,7 +225,7 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
     // enters with its initial gain as a stale upper bound (exact while
     // nothing is covered).
     auto admit_band = [&] {
-      widen([&](NodeId v) { queue.push({gains[v], v, 0}); });
+      widen([&](NodeId v) { queue.push({gain0(v), v, 0}); });
     };
     while (result.seeds.size() < k) {
       const CelfEntry best = pop_best(uncovered_gain, admit_band);
@@ -261,13 +259,13 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
   const auto marginal = std::make_unique_for_overwrite<uint32_t[]>(n);
   uint64_t max_count = 0;
   for (NodeId v : start) {
-    marginal[v] = static_cast<uint32_t>(gains[v]);
-    max_count = std::max(max_count, gains[v]);
+    marginal[v] = static_cast<uint32_t>(gain0(v));
+    max_count = std::max(max_count, gain0(v));
   }
   // hist[c] = #tracked nodes with marginal c, c > 0. An admitted marginal
   // is below T <= every starting gain, so the size holds.
   std::vector<uint32_t> hist(max_count + 1, 0);
-  for (NodeId v : start) ++hist[gains[v]];
+  for (NodeId v : start) ++hist[gain0(v)];
   // An admitted node enters with its exact current marginal.
   auto admit_band = [&] {
     widen([&](NodeId v) {
@@ -329,7 +327,7 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
     coverage += best.gain;
     MarkCoveredBy(collection, best.node, &covered, [&](RRId id) {
       collection.ForEachMember(id, [&](NodeId w) {
-        if (gains[w] < threshold) return;  // untracked: no marginal kept
+        if (gain0(w) < threshold) return;  // untracked: no marginal kept
         // w belongs to a set that was uncovered, so marginal[w] >= 1.
         ++cover_updates;
         const uint64_t c = marginal[w]--;

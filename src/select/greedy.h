@@ -6,9 +6,9 @@
 //    it can also capture the *greedy trace* that the improved bound of §5
 //    consumes: Λ1(S_i*) and Σ_{v ∈ maxMC(S_i*, k)} Λ1(v | S_i*) for every
 //    prefix i = 0..k (Eq. 10), in O(kn + Σ|R|) total. Kept as the
-//    reference oracle for differential tests: it counts each node's
-//    Λ({v}) from its postings, so it also checks the member counts CELF
-//    starts from.
+//    reference oracle for differential tests. It starts from the same
+//    Λ({v}) as CELF, each node's posting-list length, which the index
+//    tests check against the decoded sets.
 //  * SelectGreedyCelf — CELF lazy-forward greedy (Leskovec et al. 2007),
 //    the selection path of the two-pool engine and of every baseline.
 //    Identical output to SelectGreedy (including tie-breaking and the
@@ -66,7 +66,7 @@ GreedyResult SelectGreedy(const RRCollection& collection, uint32_t k,
 /// CELF lazy-forward greedy; identical output to SelectGreedy (seeds,
 /// coverage, and — with `with_trace` — the trace arrays), usually much
 /// faster. This is the engine selection path. Starts from the
-/// collection's MemberCounts() and MemberAtLeast() bands, so the
+/// collection's CoveringCount() and MemberAtLeast() bands, so the
 /// collection must be indexed.
 /// `seed_trace`, when set together with `with_trace`, additionally
 /// records the prefix-complete trace (select/seed_trace.h) that answers

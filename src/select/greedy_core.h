@@ -7,8 +7,8 @@
 // marginal machinery of the Eq. (10) trace, and the covered-bitset
 // marking walk. The differential tests in tests/select/ then exercise
 // one implementation of the invariants instead of two copies that could
-// drift apart. The starting gains are the one input the two do not
-// share: CELF reads the pool's member counts, the oracle recounts them.
+// drift apart. Both start from the same gains, the nodes' posting-list
+// lengths.
 //
 // Everything here is an implementation detail of select/: the header is
 // included by greedy.cc alone, not installed API.
@@ -63,14 +63,11 @@ void FillWithUnselected(uint32_t n, uint32_t k,
                         std::vector<NodeId>* seeds);
 
 /// Marks every RR set containing `v` covered and calls `fn(RRId)` once
-/// for each set that was not already covered (ascending ids — identical
-/// traversal order for both posting representations).
+/// for each set that was not already covered, in ascending id order.
 template <typename Fn>
 void MarkCoveredBy(const RRCollection& collection, NodeId v,
                    CoverBitset* covered, Fn&& fn) {
-  const RRCollection::CoverPostings p = collection.Covering(v);
-  ForEachNewlyCoveredIds(p.ids, covered->words(), fn);
-  ForEachNewlyCoveredBlocks(p.words, p.masks, covered->words(), fn);
+  ForEachNewlyCoveredIds(collection.Covering(v), covered->words(), fn);
 }
 
 }  // namespace opim

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 namespace opim {
 namespace {
@@ -38,6 +40,20 @@ TEST(GraphIoTest, SparseIdsCompacted) {
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.OutNeighbors(0)[0], 1u);
   EXPECT_EQ(g.OutNeighbors(1)[0], 2u);
+}
+
+TEST(GraphIoTest, FileIdsMapNodesBack) {
+  std::vector<uint64_t> ids;
+  auto r = ParseEdgeList(
+      "10 20 0.9\n30 20 0.9\n20 40 0.5\n18446744073709551615 10\n", {},
+      &ids);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ids, (std::vector<uint64_t>{10, 20, 30, 40, UINT64_MAX}));
+  EXPECT_EQ(ids.size(), r.ValueOrDie().num_nodes());
+  // A failed parse leaves the table as it was.
+  std::vector<uint64_t> kept = {7};
+  EXPECT_FALSE(ParseEdgeList("0 1\nnot an edge\n", {}, &kept).ok());
+  EXPECT_EQ(kept, (std::vector<uint64_t>{7}));
 }
 
 TEST(GraphIoTest, UndirectedOptionDoublesEdges) {

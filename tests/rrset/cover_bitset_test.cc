@@ -1,6 +1,5 @@
-// CoverBitset semantics plus bit-identity of the scalar and AVX2 counting
-// kernels on randomized postings — the differential guarantee that lets
-// runtime dispatch pick either path without changing any selection result.
+// CoverBitset semantics plus the counting kernel against a brute-force
+// count on randomized postings.
 
 #include "rrset/cover_bitset.h"
 
@@ -14,11 +13,6 @@
 
 namespace opim {
 namespace {
-
-/// Restores kAuto dispatch even when an assertion fails mid-test.
-struct SimdModeGuard {
-  ~SimdModeGuard() { SetCoverageSimdMode(SimdMode::kAuto); }
-};
 
 TEST(CoverBitsetTest, ResetClearsAndSizes) {
   CoverBitset bits;
@@ -55,26 +49,6 @@ TEST(CoverBitsetTest, ForEachNewlyCoveredIdsReportsOnlyFreshBits) {
   EXPECT_TRUE(fresh.empty());
 }
 
-TEST(CoverBitsetTest, ForEachNewlyCoveredBlocksMatchesIdSemantics) {
-  CoverBitset a, b;
-  a.Reset(256);
-  b.Reset(256);
-  a.Set(65);
-  b.Set(65);
-  // Ids 64..66 and 130 as one mask per word.
-  const std::vector<RRId> ids = {64, 65, 66, 130};
-  const std::vector<uint32_t> block_words = {1, 2};
-  const std::vector<uint64_t> block_masks = {0x7ull, 0x4ull};
-  std::vector<RRId> fresh_ids, fresh_blocks;
-  ForEachNewlyCoveredIds(ids, a.words(),
-                         [&](RRId id) { fresh_ids.push_back(id); });
-  ForEachNewlyCoveredBlocks(block_words, block_masks, b.words(),
-                            [&](RRId id) { fresh_blocks.push_back(id); });
-  EXPECT_EQ(fresh_ids, fresh_blocks);
-  EXPECT_EQ(fresh_blocks, (std::vector<RRId>{64, 66, 130}));
-  for (uint64_t i = 0; i < 256; ++i) EXPECT_EQ(a.Test(i), b.Test(i));
-}
-
 /// Brute-force oracle for CountUncoveredIds.
 uint64_t BruteCountIds(const std::vector<RRId>& ids, const CoverBitset& bits) {
   uint64_t c = 0;
@@ -82,22 +56,9 @@ uint64_t BruteCountIds(const std::vector<RRId>& ids, const CoverBitset& bits) {
   return c;
 }
 
-/// Brute-force oracle for CountUncoveredBlocks.
-uint64_t BruteCountBlocks(const std::vector<uint32_t>& words,
-                          const std::vector<uint64_t>& masks,
-                          const CoverBitset& bits) {
-  uint64_t c = 0;
-  for (size_t i = 0; i < words.size(); ++i) {
-    c += std::popcount(masks[i] & ~bits.words()[words[i]]);
-  }
-  return c;
-}
-
 struct RandomCase {
   CoverBitset bits;
   std::vector<RRId> ids;
-  std::vector<uint32_t> block_words;
-  std::vector<uint64_t> block_masks;
 };
 
 RandomCase MakeRandomCase(Rng& rng, uint64_t num_bits) {
@@ -113,58 +74,20 @@ RandomCase MakeRandomCase(Rng& rng, uint64_t num_bits) {
   }
   std::sort(c.ids.begin(), c.ids.end());
   c.ids.erase(std::unique(c.ids.begin(), c.ids.end()), c.ids.end());
-  uint32_t prev = UINT32_MAX;
-  for (RRId id : c.ids) {  // derive the block rep from the same ids
-    const uint32_t w = id >> 6;
-    if (w != prev) {
-      c.block_words.push_back(w);
-      c.block_masks.push_back(0);
-      prev = w;
-    }
-    c.block_masks.back() |= uint64_t{1} << (id & 63);
-  }
   return c;
 }
 
 TEST(CoverKernelTest, ScalarMatchesBruteForce) {
-  SimdModeGuard guard;
-  SetCoverageSimdMode(SimdMode::kScalar);
   Rng rng(11, 0x5ca1a);
   for (int trial = 0; trial < 200; ++trial) {
     RandomCase c = MakeRandomCase(rng, 64 + rng.UniformBelow(2048));
     EXPECT_EQ(CountUncoveredIds(c.ids, c.bits.words()),
               BruteCountIds(c.ids, c.bits));
-    EXPECT_EQ(CountUncoveredBlocks(c.block_words, c.block_masks,
-                                   c.bits.words()),
-              BruteCountBlocks(c.block_words, c.block_masks, c.bits));
-  }
-}
-
-TEST(CoverKernelTest, Avx2BitIdenticalToScalar) {
-  if (!CoverageSimdAvailable()) {
-    GTEST_SKIP() << "AVX2 kernels not compiled in or not supported";
-  }
-  SimdModeGuard guard;
-  Rng rng(13, 0xa5b2);
-  for (int trial = 0; trial < 400; ++trial) {
-    RandomCase c = MakeRandomCase(rng, 64 + rng.UniformBelow(4096));
-    SetCoverageSimdMode(SimdMode::kScalar);
-    const uint64_t ids_scalar = CountUncoveredIds(c.ids, c.bits.words());
-    const uint64_t blk_scalar =
-        CountUncoveredBlocks(c.block_words, c.block_masks, c.bits.words());
-    SetCoverageSimdMode(SimdMode::kAvx2);
-    EXPECT_EQ(CountUncoveredIds(c.ids, c.bits.words()), ids_scalar)
-        << "trial " << trial;
-    EXPECT_EQ(CountUncoveredBlocks(c.block_words, c.block_masks,
-                                   c.bits.words()),
-              blk_scalar)
-        << "trial " << trial;
   }
 }
 
 TEST(CoverKernelTest, TailLengthsCovered) {
-  // 0..12 ids hit every remainder of the 4-wide AVX2 main loop.
-  SimdModeGuard guard;
+  // Short lists, including the empty one.
   CoverBitset bits;
   bits.Reset(256);
   for (uint64_t i = 0; i < 256; i += 3) bits.Set(i);
@@ -174,35 +97,8 @@ TEST(CoverKernelTest, TailLengthsCovered) {
     for (uint32_t i = 0; i < len; ++i) ids.push_back(i * 17 % 256);
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    SetCoverageSimdMode(SimdMode::kScalar);
-    const uint64_t scalar = CountUncoveredIds(ids, bits.words());
-    EXPECT_EQ(scalar, BruteCountIds(ids, bits));
-    if (CoverageSimdAvailable()) {
-      SetCoverageSimdMode(SimdMode::kAvx2);
-      EXPECT_EQ(CountUncoveredIds(ids, bits.words()), scalar)
-          << "len " << len;
-    }
-  }
-}
-
-TEST(CoverKernelTest, DispatchReportsConsistentState) {
-  SimdModeGuard guard;
-  SetCoverageSimdMode(SimdMode::kScalar);
-  EXPECT_EQ(EffectiveCoverageSimd(), SimdMode::kScalar);
-  EXPECT_STREQ(ActiveCoverageKernelName(), "scalar");
-  SetCoverageSimdMode(SimdMode::kAuto);
-  const SimdMode eff = EffectiveCoverageSimd();
-  EXPECT_NE(eff, SimdMode::kAuto);
-  if (CoverageSimdAvailable()) {
-    EXPECT_EQ(eff, SimdMode::kAvx2);
-    EXPECT_STREQ(ActiveCoverageKernelName(), "avx2");
-  } else {
-    EXPECT_EQ(eff, SimdMode::kScalar);
-  }
-  // Forcing kAvx2 without support degrades to scalar instead of crashing.
-  SetCoverageSimdMode(SimdMode::kAvx2);
-  if (!CoverageSimdAvailable()) {
-    EXPECT_EQ(EffectiveCoverageSimd(), SimdMode::kScalar);
+    EXPECT_EQ(CountUncoveredIds(ids, bits.words()), BruteCountIds(ids, bits))
+        << "len " << len;
   }
 }
 

@@ -1,6 +1,6 @@
 // Differential coverage for selection across a doubling run: CELF takes
 // its initial gains from the collection's maintained membership counts
-// (RRCollection::MemberCounts) and builds its heap from the member-count
+// (RRCollection::CoveringCount) and builds its heap from the member-count
 // bands (MemberAtLeast), while the SelectGreedy oracle recounts every
 // node from its postings. Every doubling's selection must match the
 // oracle bit for bit — seeds, coverage, trace arrays — across batch
@@ -146,7 +146,6 @@ TEST(SelectionStateTest, MemberNonzeroAgreesWithCounts) {
       AddSlice(&c, s, done, target);
       done = target;
     }
-    const std::span<const uint64_t> counts = c.MemberCounts();
     for (uint32_t b = 0; b < RRCollection::kMemberBands; ++b) {
       const std::span<const NodeId> band = c.MemberAtLeast(b);
       std::vector<NodeId> sorted(band.begin(), band.end());
@@ -156,7 +155,7 @@ TEST(SelectionStateTest, MemberNonzeroAgreesWithCounts) {
           << "duplicate node in MemberAtLeast(" << b << ")";
       std::vector<NodeId> expected;
       for (NodeId v = 0; v < n; ++v) {
-        if (counts[v] >= uint64_t{1} << b) expected.push_back(v);
+        if (c.CoveringCount(v) >= uint64_t{1} << b) expected.push_back(v);
       }
       EXPECT_EQ(expected, sorted) << "band " << b;
     }

@@ -372,16 +372,54 @@ TEST(CliGuardrailTest, OnlineSessionHonorsDeadline) {
   std::remove(bin.c_str());
 }
 
-/// A three-edge text graph whose node 2 has in-weights 0.9 + 0.9: LT
-/// defines no spread on it. The loader compacts ids in first-appearance
-/// order (0, 2, 1, 3), so the graph calls that node 1.
-std::string WriteLtInfeasibleGraph(const char* name) {
+/// Writes `text` to a temp file and returns its path.
+std::string WriteTextGraph(const char* name, const char* text) {
   const std::string txt = TmpFile(name);
   FILE* f = fopen(txt.c_str(), "w");
   if (f == nullptr) return txt;
-  fputs("0 2 0.9\n1 2 0.9\n2 3 0.5\n", f);
+  fputs(text, f);
   fclose(f);
   return txt;
+}
+
+/// A three-edge text graph whose node 2 has in-weights 0.9 + 0.9: LT
+/// defines no spread on it. The loader compacts ids in first-appearance
+/// order (0, 2, 1, 3), so the graph calls that node 1; the CLI names it
+/// by its id in the file.
+std::string WriteLtInfeasibleGraph(const char* name) {
+  return WriteTextGraph(name, "0 2 0.9\n1 2 0.9\n2 3 0.5\n");
+}
+
+TEST(CliSmokeTest, TextGraphKeepsFileNodeIds) {
+  // The loader numbers these nodes 0..3 in order of first appearance;
+  // every id the CLI prints or takes is the file's: 10 is the best seed.
+  const std::string txt = WriteTextGraph(
+      "cli_file_ids.txt", "10 20 0.9\n30 20 0.9\n20 40 0.5\n");
+  const std::string json = TmpFile("cli_file_ids.json");
+  auto [rc, out] = RunCommand(Cli() + " run --graph=" + txt +
+                              " --algo=opim-c+ --k=1 --eps=0.5 --mc=0"
+                              " --query-ks=1 --metrics-json=" + json);
+  ASSERT_EQ(ExitCode(rc), 0) << out;
+  EXPECT_NE(out.find("\nseeds: 10\n"), std::string::npos) << out;
+  const size_t query = out.find("query k=1 ");
+  ASSERT_NE(query, std::string::npos) << out;
+  const std::string line = out.substr(query, out.find('\n', query) - query);
+  EXPECT_TRUE(line.ends_with(" seeds: 10")) << line;
+  EXPECT_NE(ReadFile(json).find("\"seeds\":[10]"), std::string::npos);
+
+  const std::string evaluate =
+      Cli() + " evaluate --graph=" + txt + " --mc=10 ";
+  auto [rc_ok, out_ok] = RunCommand(evaluate + "10");
+  EXPECT_EQ(ExitCode(rc_ok), 0) << out_ok;
+  for (const char* bad : {"1", "+1"}) {
+    auto [rc_bad, out_bad] = RunCommand(evaluate + bad);
+    EXPECT_EQ(ExitCode(rc_bad), 1) << bad << "\n" << out_bad;
+    EXPECT_NE(out_bad.find(std::string("bad seed id: ") + bad),
+              std::string::npos)
+        << out_bad;
+  }
+  std::remove(txt.c_str());
+  std::remove(json.c_str());
 }
 
 TEST(CliSmokeTest, LtCommandsRefuseInWeightsPastOne) {
@@ -397,7 +435,7 @@ TEST(CliSmokeTest, LtCommandsRefuseInWeightsPastOne) {
   for (const std::string& command : commands) {
     auto [rc, out] = RunCommand(Cli() + " " + command);
     EXPECT_EQ(ExitCode(rc), 1) << command << "\n" << out;
-    EXPECT_NE(out.find("node 1 sums to 1.8"), std::string::npos)
+    EXPECT_NE(out.find("node 2 sums to 1.8"), std::string::npos)
         << command << "\n" << out;
   }
   // The same graph is fine under IC.

@@ -25,7 +25,10 @@
 //
 // Graph paths ending in .opimg load/save the memory-mapped binary format
 // (graph/graph_mmap.h; build with tools/graph_pack or
-// `convert --out=x.opimg`); anything else is a text edge list.
+// `convert --out=x.opimg`); anything else is a text edge list. On a text
+// edge list every node id run and evaluate print or take (seeds, query
+// answers, the LT refusal) is the file's own; convert and graph_pack
+// renumber nodes in order of first appearance.
 //
 // Run guardrails (run with opim-c*, and online; see docs/robustness.md):
 //   --deadline-ms=<ms>   wall-clock budget; the run degrades gracefully at
@@ -94,6 +97,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -133,11 +137,21 @@ bool HasSuffix(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-Result<Graph> LoadAny(const std::string& path, bool undirected) {
+/// Loads a graph; for a text edge list, `file_ids` (when set) receives
+/// each node's id in the file. An .opimg graph's node ids are its own, so
+/// it leaves `file_ids` empty.
+Result<Graph> LoadAny(const std::string& path, bool undirected,
+                      std::vector<uint64_t>* file_ids = nullptr) {
   if (HasSuffix(path, ".opimg")) return LoadOpimg(path);
   EdgeListOptions opt;
   opt.undirected = undirected;
-  return LoadEdgeList(path, opt);
+  return LoadEdgeList(path, opt, file_ids);
+}
+
+/// The id the input file gives node `v` (LoadAny's `file_ids`; empty
+/// means the ids are the node ids).
+uint64_t FileId(const std::vector<uint64_t>& file_ids, NodeId v) {
+  return file_ids.empty() ? v : file_ids[v];
 }
 
 Status SaveAny(const Graph& g, const std::string& path) {
@@ -159,8 +173,9 @@ int Fail(const Status& st) {
 /// LT defines a spread only when every node's in-weights sum to at most
 /// 1 (the library's samplers check it as an API contract and abort), so
 /// each LT command refuses such a graph once it is loaded, naming the
-/// first node past the bound and its sum.
-Status CheckModelWeights(const Graph& g, DiffusionModel model) {
+/// first node past the bound (by its id in the file) and its sum.
+Status CheckModelWeights(const Graph& g, DiffusionModel model,
+                         const std::vector<uint64_t>& file_ids) {
   if (model != DiffusionModel::kLinearThreshold) return Status::OK();
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const double sum = g.InWeightSum(v);
@@ -169,7 +184,8 @@ Status CheckModelWeights(const Graph& g, DiffusionModel model) {
       std::snprintf(text, sizeof(text), "%.9g", sum);
       return Status::InvalidArgument(
           "--model=LT needs every node's in-weights to sum to at most 1; "
-          "node " + std::to_string(v) + " sums to " + text);
+          "node " + std::to_string(FileId(file_ids, v)) + " sums to " +
+          text);
     }
   }
   return Status::OK();
@@ -373,8 +389,9 @@ int CmdStats(const Flags& flags) {
 }
 
 int CmdRun(const Flags& flags) {
+  std::vector<uint64_t> file_ids;
   auto graph_or = LoadAny(flags.GetString("graph", ""),
-                          flags.GetBool("undirected", false));
+                          flags.GetBool("undirected", false), &file_ids);
   if (!graph_or.ok()) return Fail(graph_or.status());
   const Graph& g = graph_or.ValueOrDie();
   DiffusionModel model = ModelFromFlags(flags);
@@ -446,7 +463,7 @@ int CmdRun(const Flags& flags) {
     if (!st.ok()) return Fail(st);
   }
   // After the resume block: a snapshot's model overrides the flag.
-  Status weights_st = CheckModelWeights(g, model);
+  Status weights_st = CheckModelWeights(g, model, file_ids);
   if (!weights_st.ok()) return Fail(weights_st);
 
   RunReport report;
@@ -505,14 +522,16 @@ int CmdRun(const Flags& flags) {
       std::printf("query k=%u alpha=%.4f sigma_lower=%.2f sigma_upper=%.2f"
                   " seeds:",
                   q.k, q.alpha, q.sigma_lower, q.sigma_upper);
-      for (NodeId v : q.seeds) std::printf(" %u", v);
-      std::printf("\n");
       RunReport::QueryAnswer row;
+      for (NodeId v : q.seeds) row.seeds.push_back(FileId(file_ids, v));
+      for (uint64_t id : row.seeds) {
+        std::printf(" %llu", static_cast<unsigned long long>(id));
+      }
+      std::printf("\n");
       row.k = q.k;
       row.alpha = q.alpha;
       row.sigma_lower = q.sigma_lower;
       row.sigma_upper = q.sigma_upper;
-      row.seeds.assign(q.seeds.begin(), q.seeds.end());
       report.AddQuery(std::move(row));
     }
     ReportGuardrails(r.guardrails, &report);
@@ -607,7 +626,10 @@ int CmdRun(const Flags& flags) {
   std::printf("time_seconds=%.3f rr_sets=%llu\n", elapsed,
               static_cast<unsigned long long>(rr_sets));
   std::printf("seeds:");
-  for (NodeId v : seeds) std::printf(" %u", v);
+  for (NodeId v : seeds) {
+    std::printf(" %llu",
+                static_cast<unsigned long long>(FileId(file_ids, v)));
+  }
   std::printf("\n");
   report.AddResult("time_seconds", elapsed);
   report.AddResult("rr_sets", static_cast<double>(rr_sets));
@@ -632,23 +654,33 @@ int CmdRun(const Flags& flags) {
 }
 
 int CmdEvaluate(const Flags& flags) {
+  std::vector<uint64_t> file_ids;
   auto graph_or = LoadAny(flags.GetString("graph", ""),
-                          flags.GetBool("undirected", false));
+                          flags.GetBool("undirected", false), &file_ids);
   if (!graph_or.ok()) return Fail(graph_or.status());
   const Graph& g = graph_or.ValueOrDie();
   const DiffusionModel model = ModelFromFlags(flags);
-  Status weights_st = CheckModelWeights(g, model);
+  Status weights_st = CheckModelWeights(g, model, file_ids);
   if (!weights_st.ok()) return Fail(weights_st);
 
-  // Seeds come as positional node ids.
+  // Seeds come as positional ids, as the input file names its nodes.
+  std::unordered_map<uint64_t, NodeId> node_of;
+  for (NodeId v = 0; v < file_ids.size(); ++v) node_of.emplace(file_ids[v], v);
   std::vector<NodeId> seeds;
   for (const std::string& arg : flags.positional()) {
-    char* end = nullptr;
-    unsigned long v = std::strtoul(arg.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v >= g.num_nodes()) {
+    uint64_t id = 0;
+    NodeId v = kInvalidNode;
+    if (ParseDecimalU64(arg, &id)) {
+      if (file_ids.empty()) {
+        if (id < g.num_nodes()) v = static_cast<NodeId>(id);
+      } else if (const auto it = node_of.find(id); it != node_of.end()) {
+        v = it->second;
+      }
+    }
+    if (v == kInvalidNode) {
       return Fail(Status::InvalidArgument("bad seed id: " + arg));
     }
-    seeds.push_back(static_cast<NodeId>(v));
+    seeds.push_back(v);
   }
   if (seeds.empty()) {
     return Fail(Status::InvalidArgument(
@@ -666,12 +698,13 @@ int CmdEvaluate(const Flags& flags) {
 }
 
 int CmdOnline(const Flags& flags) {
+  std::vector<uint64_t> file_ids;
   auto graph_or = LoadAny(flags.GetString("graph", ""),
-                          flags.GetBool("undirected", false));
+                          flags.GetBool("undirected", false), &file_ids);
   if (!graph_or.ok()) return Fail(graph_or.status());
   const Graph& g = graph_or.ValueOrDie();
   const DiffusionModel model = ModelFromFlags(flags);
-  Status weights_st = CheckModelWeights(g, model);
+  Status weights_st = CheckModelWeights(g, model, file_ids);
   if (!weights_st.ok()) return Fail(weights_st);
   const uint32_t k = static_cast<uint32_t>(flags.GetUint("k", 50));
   const double delta = flags.GetDouble("delta", 1.0 / g.num_nodes());
