@@ -1,8 +1,9 @@
 // Ablation — parallel RR-set generation scaling.
 //
 // RR sampling dominates every RIS algorithm's cost; this bench measures
-// ParallelGenerate throughput versus worker count under both diffusion
-// models, and the end-to-end effect on OPIM-C. Not a paper experiment
+// the throughput of one engine batch (TwoPoolEngine::Stage + Merge, the
+// engine built outside the timer) versus thread count under both
+// diffusion models, and the end-to-end effect on OPIM-C. Not a paper experiment
 // (the authors' code is single-threaded) — it documents the headroom the
 // library's parallel path provides.
 //
@@ -11,9 +12,9 @@
 #include <cstdio>
 
 #include "core/opim_c.h"
+#include "core/two_pool_engine.h"
 #include "harness/datasets.h"
 #include "harness/flags.h"
-#include "rrset/parallel_generate.h"
 #include "support/stopwatch.h"
 #include "support/table_printer.h"
 #include "support/thread_pool.h"
@@ -42,21 +43,15 @@ int main(int argc, char** argv) {
   double base_ic = 0.0;
   for (unsigned t : {1u, 2u, 4u, 8u}) {
     if (t > 2 * hw) break;
-    double rate_ic, rate_lt;
-    {
-      opim::RRCollection rr(g.num_nodes());
+    auto rate = [&](opim::DiffusionModel model) {
+      opim::TwoPoolEngine engine(g, model, {}, t);
       opim::Stopwatch sw;
-      opim::ParallelGenerate(g, opim::DiffusionModel::kIndependentCascade,
-                             &rr, count, 1, t);
-      rate_ic = count / sw.ElapsedSeconds();
-    }
-    {
-      opim::RRCollection rr(g.num_nodes());
-      opim::Stopwatch sw;
-      opim::ParallelGenerate(g, opim::DiffusionModel::kLinearThreshold, &rr,
-                             count, 1, t);
-      rate_lt = count / sw.ElapsedSeconds();
-    }
+      engine.Stage(count, /*seed1=*/1, 0, 0, nullptr, /*speculative=*/false);
+      engine.Merge(nullptr);
+      return count / sw.ElapsedSeconds();
+    };
+    const double rate_ic = rate(opim::DiffusionModel::kIndependentCascade);
+    const double rate_lt = rate(opim::DiffusionModel::kLinearThreshold);
     if (t == 1) base_ic = rate_ic;
     table.AddRow({opim::TablePrinter::Cell(uint64_t{t}),
                   opim::TablePrinter::Cell(rate_ic, 5),

@@ -1,22 +1,23 @@
 // Perf baseline for RR-set *generation*: the sampling kernel itself (a
-// serial SampleInto loop, no collection) and the end-to-end
-// ParallelGenerate path (sample + ingest), for both diffusion models under
-// weighted-cascade weights at 1 and N threads. Emits one JSON object
+// serial SampleInto loop, no collection) and the end-to-end engine batch
+// (TwoPoolEngine::Stage + Merge into R1: sample + ingest), for both
+// diffusion models under weighted-cascade weights at 1 and N threads. Emits one JSON object
 // (median-of-R kernel timings, min-of-R end-to-end timings) so
 // scripts/run_perf_baseline.sh can track before/after numbers
 // (BENCH_generate.json).
 //
 // Two end-to-end configurations:
-//   *_generate_1t — cold path: the graph's first SamplingView build +
-//                   temporary pool, the historical headline (comparable
-//                   across all committed baseline labels). Each rep
-//                   samples a fresh copy of the graph, made outside the
-//                   timed region, so each rep builds the view.
-//   *_generate_nt — engine path at `threads_n` threads: run-owned pool
-//                   and the graph's memoized SamplingView, i.e. exactly
-//                   what RunOpimC pays per doubling once the graph has
-//                   served a run. Falls back to the 1t number when
-//                   threads_n == 1.
+//   *_generate_1t — cold path: a one-thread engine on a graph without a
+//                   view, so the timed region builds the SamplingView
+//                   too; the historical headline (comparable across all
+//                   committed baseline labels). Each rep samples a fresh
+//                   copy of the graph, made outside the timed region.
+//   *_generate_nt — engine path at `threads_n` threads: an engine built
+//                   outside the timed region (its pool and the graph's
+//                   memoized SamplingView), then one timed batch, i.e.
+//                   exactly what RunOpimC pays per doubling once the
+//                   graph has served a run. Falls back to the 1t number
+//                   when threads_n == 1.
 // Each end-to-end run also reports an ingest-phase breakdown
 // (ingest_breakdown_us) assembled from telemetry histogram deltas:
 // sample+fused sort/compress in the workers (opim.rrset.shard_us),
@@ -39,11 +40,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/two_pool_engine.h"
 #include "gen/generators.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "rrset/parallel_generate.h"
-#include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "support/random.h"
 #include "support/stopwatch.h"
@@ -226,18 +226,19 @@ int Run(const Config& cfg) {
     timings.emplace_back(std::string(tag) + "_kernel_1t", kernel_us);
 
     // Cold end-to-end path at 1 thread: the graph's first SamplingView
-    // build + temporary pool + sampling + ingestion + index build. The
-    // historical headline, comparable across every committed baseline
-    // label. A fresh copy has no view yet, so each rep builds one.
+    // build + sampling + ingestion + index build. The historical
+    // headline, comparable across every committed baseline label. A fresh
+    // copy has no view yet, so each rep's engine builds one.
     MetricsSnapshot snap0 = MetricsRegistry::Default().Snapshot();
     std::optional<Graph> fresh;
     const double gen1_us = TimeMinUs(
         cfg.reps, [&] { fresh.emplace(g); },
         [&] {
-          RRCollection rr(cfg.n);
-          ParallelGenerate(*fresh, model, &rr, cfg.theta, /*seed=*/11,
-                           /*num_threads=*/1);
-          sink += rr.total_size();
+          TwoPoolEngine engine(*fresh, model, {}, /*num_threads=*/1);
+          engine.Stage(cfg.theta, /*seed1=*/11, 0, 0, nullptr,
+                       /*speculative=*/false);
+          engine.Merge(nullptr);
+          sink += engine.r1().total_size();
         });
     fresh.reset();
     timings.emplace_back(std::string(tag) + "_generate_1t", gen1_us);
@@ -245,7 +246,7 @@ int Run(const Config& cfg) {
     breakdowns.emplace_back(std::string(tag) + "_1t",
                             BreakdownBetween(snap0, snap1, cfg.reps));
 
-    // Engine end-to-end path at `nt` threads: run-owned pool and the
+    // Engine end-to-end path at `nt` threads: the engine's pool and the
     // graph's memoized SamplingView (both built outside the timed region;
     // the kernel sampler above built the view), matching what RunOpimC
     // pays per doubling on a graph that has served a run. The view build
@@ -258,13 +259,16 @@ int Run(const Config& cfg) {
     double genN_us = gen1_us;
     StageBreakdown bn = breakdowns.back().second;
     if (nt > 1) {
-      ThreadPool pool(nt);
-      genN_us = TimeMinUs(cfg.reps, [&] {
-        RRCollection rr(cfg.n);
-        ParallelGenerate(g, model, &rr, cfg.theta, /*seed=*/11,
-                         /*num_threads=*/nt, {}, &pool);
-        sink += rr.total_size();
-      });
+      std::optional<TwoPoolEngine> engine;
+      const std::vector<double> unit_weights;
+      genN_us = TimeMinUs(
+          cfg.reps, [&] { engine.emplace(g, model, unit_weights, nt); },
+          [&] {
+            engine->Stage(cfg.theta, /*seed1=*/11, 0, 0, nullptr,
+                          /*speculative=*/false);
+            engine->Merge(nullptr);
+            sink += engine->r1().total_size();
+          });
       bn = BreakdownBetween(snap1, MetricsRegistry::Default().Snapshot(),
                             cfg.reps);
     }

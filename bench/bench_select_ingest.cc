@@ -9,8 +9,8 @@
 //
 // Sampling is excluded from the ingest timing: RR sets are materialized
 // once up front and replayed into a fresh collection per rep, so the
-// number isolates storage + inverted-index build cost exactly as
-// ParallelGenerate pays it.
+// number isolates storage + inverted-index build cost exactly as an
+// engine batch pays it.
 //
 // Seed plumbing: the RR-set stream is produced by a self-contained
 // reference sampler (plain reverse BFS, one UniformDouble draw per
@@ -34,10 +34,10 @@
 #include <vector>
 
 #include "bounds/bounds.h"
+#include "core/two_pool_engine.h"
 #include "gen/generators.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "rrset/parallel_generate.h"
 #include "rrset/rr_collection.h"
 #include "select/greedy.h"
 #include "support/random.h"
@@ -172,7 +172,7 @@ uint64_t PoolChecksum(const std::vector<NodeId>& pool,
 /// Encodes stream sets [from, to) — offsets[i] is where set i starts in
 /// `pool` — into one compressed shard and ingests it into `c`: the
 /// sort + compress + postings work a generation shard does, then the
-/// shard-order merge ParallelGenerate ends with.
+/// shard-order merge an engine batch ends with.
 void IngestSlice(RRCollection* c, const std::vector<NodeId>& pool,
                  const std::vector<std::pair<uint32_t, uint64_t>>& sets,
                  const std::vector<uint64_t>& offsets, size_t from,
@@ -210,8 +210,8 @@ int Run(const Config& cfg) {
 
   // --- Ingestion: replay the stream into a fresh collection via the
   // engine's shard path (sort + compress + shard postings + index
-  // merge), so the timing covers what a generation shard and
-  // ParallelGenerate's ingest pay per batch.
+  // merge), so the timing covers what a generation shard and an engine
+  // batch's ingest pay per batch.
   // Collections are configured exactly as the engines configure R1:
   // peak_rr_bytes below is the quantity RunOpimC / OnlineMaximizer meter
   // against a RunControl memory budget.
@@ -272,13 +272,16 @@ int Run(const Config& cfg) {
     }
   });
 
-  // --- End-to-end engine path: sample + ingest via ParallelGenerate.
+  // --- End-to-end engine path: sample + ingest as one engine batch into
+  // R1 at one thread.
   uint64_t generate_sink = 0;
   const double generate_us = TimeMedianUs(cfg.reps, [&] {
-    RRCollection tmp(cfg.n);
-    ParallelGenerate(g, DiffusionModel::kIndependentCascade, &tmp, cfg.theta,
-                     /*seed=*/11, /*num_threads=*/1);
-    generate_sink += tmp.total_size();
+    TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {},
+                         /*num_threads=*/1);
+    engine.Stage(cfg.theta, /*seed1=*/11, 0, 0, nullptr,
+                 /*speculative=*/false);
+    engine.Merge(nullptr);
+    generate_sink += engine.r1().total_size();
   });
 
   // --- Selection across a doubling run: the engine's actual cadence. The

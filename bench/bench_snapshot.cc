@@ -5,7 +5,7 @@
 // (BENCH_snapshot.json).
 //
 // Timed configurations (min over reps; the pools are a realistic
-// two-pool OPIM-C state sampled with ParallelGenerate):
+// two-pool OPIM-C state, both pools filled by one engine stage):
 //   checkpoint_write — SaveSnapshot of both pools: payload assembly,
 //                      FNV-1a checksum, write-to-temp + fsync + rename.
 //                      This is the per-cadence overhead a run with
@@ -30,10 +30,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/two_pool_engine.h"
 #include "gen/generators.h"
 #include "graph/graph.h"
 #include "obs/json.h"
-#include "rrset/parallel_generate.h"
 #include "rrset/rr_collection.h"
 #include "rrset/snapshot.h"
 #include "support/stopwatch.h"
@@ -102,11 +102,13 @@ int Run(const Config& cfg) {
                cfg.reps, cfg.label.c_str());
 
   const Graph g = GenerateBarabasiAlbert(cfg.n, 10);
-  RRCollection r1(g.num_nodes()), r2(g.num_nodes());
-  ParallelGenerate(g, DiffusionModel::kIndependentCascade, &r1,
-                   cfg.sets_per_pool, /*seed=*/1, /*num_threads=*/0);
-  ParallelGenerate(g, DiffusionModel::kIndependentCascade, &r2,
-                   cfg.sets_per_pool, /*seed=*/2, /*num_threads=*/0);
+  TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {},
+                       /*num_threads=*/0);
+  engine.Stage(cfg.sets_per_pool, /*seed1=*/1, cfg.sets_per_pool,
+               /*seed2=*/2, nullptr, /*speculative=*/false);
+  engine.Merge(nullptr);
+  const RRCollection& r1 = engine.r1();
+  const RRCollection& r2 = engine.r2();
 
   SnapshotRunState rs;
   rs.run_seed = 1;

@@ -50,19 +50,19 @@ ctest --test-dir build-fi --output-on-failure \
 # happens to pass (the configuration also defines _GLIBCXX_ASSERTIONS, so
 # a vector indexed past size() but inside its capacity fails too). Fault
 # sites are compiled in too: the injected-failure unwind paths (shard
-# buffers dropped mid-batch, pool drain, trip bookkeeping) are exactly
-# where leaks or use-after-free would hide.
+# buffers dropped mid-batch, trip bookkeeping) are exactly where leaks or
+# use-after-free would hide.
 cmake -B build-asan -G Ninja -DOPIM_SANITIZE=ON -DOPIM_FAULT_INJECT=ON \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|ParallelGenerate|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine|JudgeScan|SelectionState' 2>&1 \
+  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine|JudgeScan|SelectionState' 2>&1 \
   | tee "$OUT/test_output_sanitized.txt"
 
 # TSan build over the concurrency-heavy subset: the thread pool and the
-# joins that run queued work on the calling thread (the spread
-# estimator's Submit + Wait, TaskGroup and ParallelFor), parallel RR
-# generation, the two-pool engine's staged and speculative batches
+# joins that run queued work on the calling thread (TaskGroup and
+# ParallelFor, the spread estimator's shards among them), the two-pool
+# engine's staged and speculative batches
 # (TwoPoolEngine, AdvanceParallel, OpimCPipeline, and 4-thread RunOpimC
 # through the judge scan in OpimCDeterminism and QueryKs), batch index
 # appends (RRCollection: one task per index partition, all writing the
@@ -75,7 +75,7 @@ cmake -B build-tsan -G Ninja -DOPIM_SANITIZE=thread \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-tsan
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ThreadPool|ParallelGenerate|AdvanceParallel|OpimCPipeline|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState|TwoPoolEngine|SamplingView|RRCollection|SpreadEstimator|EstimateWithError|QueryKs|OpimCDeterminism' 2>&1 \
+  -R 'ThreadPool|AdvanceParallel|OpimCPipeline|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState|TwoPoolEngine|SamplingView|RRCollection|SpreadEstimator|EstimateWithError|QueryKs|OpimCDeterminism' 2>&1 \
   | tee "$OUT/test_output_tsan.txt"
 
 # Live signal handling: SIGINT a real CLI run, expect a clean degraded

@@ -2,7 +2,7 @@
 # RR-set engine perf baselines: runs bench_select_ingest (batch ingestion,
 # greedy/CELF selection with and without the §5 trace, bound assembly, and
 # the end-to-end generate+ingest path), bench_generate (the sampling
-# kernel itself plus ParallelGenerate at 1 and N threads, IC and LT under
+# kernel itself plus one engine batch at 1 and N threads, IC and LT under
 # weighted-cascade weights), and bench_load (text parsing vs the
 # memory-mapped .opimg container, plus the out-of-core spill smoke),
 # recording each run under its label in BENCH_select_ingest.json,

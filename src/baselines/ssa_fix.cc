@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/opim_c.h"
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "select/greedy.h"
@@ -41,14 +42,10 @@ ImResult RunSsaFix(const Graph& g, DiffusionModel model, uint32_t k,
   const double eps_s = SolveEpsSplit(eps);
   OPIM_CHECK_GT(eps_s, 0.0);
 
-  // θ_max cap from Lemma 6.1 at failure budget δ/3 (same worst case the
-  // other doubling algorithms use), and the round budget it implies.
-  const double lognk = LogBinomial(n, k);
-  const double ln6d = std::log(6.0 / delta);
-  const double lm_inner = kOneMinusInvE * std::sqrt(ln6d) +
-                          std::sqrt(kOneMinusInvE * (lognk + ln6d));
-  const double theta_max =
-      2.0 * n * lm_inner * lm_inner / (eps * eps * k);
+  // θ_max cap from Lemma 6.1 at failure budget δ/3 (OPIM-C's Eq. (16),
+  // the same worst case the other doubling algorithms use), and the round
+  // budget it implies.
+  const double theta_max = OpimCThetaMax(n, k, eps, delta, n, k);
   const uint64_t theta_start = std::max<uint64_t>(
       1, CeilToU64((2.0 + 2.0 * eps_s / 3.0) * std::log(3.0 / delta) /
                    (eps_s * eps_s)));

@@ -34,8 +34,8 @@ void OnlineMaximizer::AdvanceParallel(uint64_t count,
   const uint64_t seed2 = rng_.NextU64();
   // Both batches share one stage: their shards interleave on the engine's
   // workers (a straggler shard of one batch no longer idles threads the
-  // other could use). Per-batch seeds and shard counts are those of two
-  // sequential ParallelGenerate calls, so the RR streams are too.
+  // other could use). Each batch keeps its own seed and shard count, so
+  // its RR stream does not depend on the other's.
   engine_.SetThreads(num_threads);
   engine_.Stage(to_r1, seed1, count - to_r1, seed2, control_,
                 /*speculative=*/false);

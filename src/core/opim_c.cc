@@ -15,7 +15,8 @@
 
 namespace opim {
 
-double OpimCThetaMax(uint32_t n, uint32_t k, double eps, double delta) {
+double OpimCThetaMax(uint32_t n, uint32_t k, double eps, double delta,
+                     double scale, double opt_lb) {
   OPIM_CHECK_GE(k, 1u);
   OPIM_CHECK(eps > 0.0 && eps < 1.0);
   OPIM_CHECK(delta > 0.0 && delta < 1.0);
@@ -23,11 +24,7 @@ double OpimCThetaMax(uint32_t n, uint32_t k, double eps, double delta) {
   const double lognk = LogBinomial(n, k);
   const double inner = kOneMinusInvE * std::sqrt(ln6d) +
                        std::sqrt(kOneMinusInvE * (lognk + ln6d));
-  return 2.0 * n * inner * inner / (eps * eps * k);
-}
-
-double OpimCTheta0(uint32_t n, uint32_t k, double eps, double delta) {
-  return OpimCThetaMax(n, k, eps, delta) * eps * eps * k / n;
+  return 2.0 * scale * inner * inner / (eps * eps * opt_lb);
 }
 
 OpimCGuardrails SummarizeGuardrails(const RunControl& control) {
@@ -65,11 +62,7 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
   // activates itself) instead of k. Unit weights recover Eqs. (16)/(17).
   const double scale = engine.scale();
   const double opt_lb = engine.MinSpread(k);
-  const double ln6d = std::log(6.0 / delta);
-  const double lm_inner = kOneMinusInvE * std::sqrt(ln6d) +
-                          std::sqrt(kOneMinusInvE * (LogBinomial(n, k) + ln6d));
-  const double theta_max =
-      2.0 * scale * lm_inner * lm_inner / (eps * eps * opt_lb);
+  const double theta_max = OpimCThetaMax(n, k, eps, delta, scale, opt_lb);
   const uint64_t theta0 = std::max<uint64_t>(
       1, CeilToU64(theta_max * eps * eps * opt_lb / scale));
   const uint32_t i_max = std::max<uint32_t>(

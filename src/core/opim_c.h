@@ -217,11 +217,12 @@ struct OpimCResult {
 OpimCGuardrails SummarizeGuardrails(const RunControl& control);
 
 /// θ_max of Eq. (16): worst-case RR sets needed for the final iteration's
-/// unconditional Lemma 6.1 guarantee at failure budget δ/3.
-double OpimCThetaMax(uint32_t n, uint32_t k, double eps, double delta);
-
-/// θ0 of Eq. (17): the starting pool size, θ_max · ε²k/n.
-double OpimCTheta0(uint32_t n, uint32_t k, double eps, double delta);
+/// unconditional Lemma 6.1 guarantee at failure budget δ/3, for k seeds
+/// on n nodes. `scale` and `opt_lb` are the σ scale and a lower bound on
+/// the optimum: n and k for unit weights, Σ w_v and the top-k weight sum
+/// for weighted spread (TwoPoolEngine::scale / MinSpread).
+double OpimCThetaMax(uint32_t n, uint32_t k, double eps, double delta,
+                     double scale, double opt_lb);
 
 /// Runs OPIM-C on `g`. Requires 1 <= k <= n, ε ∈ (0, 1), δ ∈ (0, 1).
 OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,

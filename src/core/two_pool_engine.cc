@@ -38,9 +38,8 @@ TwoPoolEngine::TwoPoolEngine(const Graph& g, DiffusionModel model,
     : model_(model),
       weights_(node_weights.begin(), node_weights.end()),
       scale_(ObjectiveScale(g.num_nodes(), node_weights)),
-      threads_(ThreadPool::ResolveThreadCount(num_threads)),
-      workers_(threads_ > 1 ? std::make_unique<ThreadPool>(threads_)
-                            : nullptr),
+      workers_(std::make_unique<ThreadPool>(
+          ThreadPool::ResolveThreadCount(num_threads))),
       view_(SamplingView::For(g, SamplingViewPartsFor(model), workers_.get())),
       r1_(g.num_nodes()),
       r2_(g.num_nodes(), kJudgeStore) {
@@ -48,7 +47,7 @@ TwoPoolEngine::TwoPoolEngine(const Graph& g, DiffusionModel model,
 }
 
 TwoPoolEngine::~TwoPoolEngine() {
-  if (run_) Discard();
+  if (shards_) Discard();
   ReportPoolStats();
 }
 
@@ -64,41 +63,48 @@ double TwoPoolEngine::MinSpread(uint32_t k) const {
 }
 
 void TwoPoolEngine::SetThreads(unsigned num_threads) {
-  OPIM_CHECK(!run_);
-  threads_ = ThreadPool::ResolveThreadCount(num_threads);
-  const unsigned have = workers_ != nullptr ? workers_->num_threads() : 1;
-  if (have == threads_) return;
+  OPIM_CHECK(!shards_);
+  const unsigned threads = ThreadPool::ResolveThreadCount(num_threads);
+  if (threads == this->num_threads()) return;
   ReportPoolStats();
   workers_.reset();
   reported_ = {};
-  if (threads_ > 1) workers_ = std::make_unique<ThreadPool>(threads_);
+  workers_ = std::make_unique<ThreadPool>(threads);
 }
 
 void TwoPoolEngine::Stage(uint64_t count1, uint64_t seed1, uint64_t count2,
                           uint64_t seed2, RunControl* control,
                           bool speculative) {
-  OPIM_CHECK(!run_);
+  OPIM_CHECK(!shards_);
   const uint64_t count[2] = {count1, count2};
   const uint64_t seed[2] = {seed1, seed2};
   const uint64_t base_bytes = control != nullptr ? PoolBytes() : 0;
-  std::vector<StagedGeneration*> stages;
+  // One group for both batches, joined by Merge or Discard alone: no other
+  // fan-out on the pool waits for the shards, and a shard's exception
+  // reaches only that join.
+  shards_.emplace(workers_.get());
   for (int i : {0, 1}) {
     if (count[i] == 0) continue;
-    staged_[i].emplace(view_, model_, count[i], seed[i],
-                       GenerateShardCount(count[i], threads_), root(),
-                       control, base_bytes, speculative, pool(i).indexed());
-    stages.push_back(&*staged_[i]);
+    StagedGeneration& stage = staged_[i].emplace(
+        view_, model_, count[i], seed[i],
+        GenerateShardCount(count[i], num_threads()), root(), control,
+        base_bytes, speculative, pool(i).indexed());
+    for (unsigned s = 0; s < stage.shards(); ++s) {
+      shards_->Submit([&stage, s] { stage.RunShard(s); });
+    }
   }
-  run_.emplace(stages, workers_.get());
 }
 
 uint64_t TwoPoolEngine::Merge(RunControl* control) {
-  OPIM_CHECK(run_);
+  OPIM_CHECK(shards_);
   try {
-    run_->Finish(control);
+    shards_->Wait();
   } catch (...) {
-    ClearStage();
-    throw;
+    if (control == nullptr) {
+      ClearStage();
+      throw;
+    }
+    control->TripWorkerFailure();
   }
   uint64_t sets = 0;
   for (int i : {0, 1}) {
@@ -110,12 +116,12 @@ uint64_t TwoPoolEngine::Merge(RunControl* control) {
 }
 
 uint64_t TwoPoolEngine::Discard() {
-  OPIM_CHECK(run_);
+  OPIM_CHECK(shards_);
   for (auto& stage : staged_) {
     if (stage) stage->Abort();
   }
   try {
-    run_->Finish(nullptr);
+    shards_->Wait();
   } catch (...) {
   }
   uint64_t discarded = 0;
@@ -127,7 +133,7 @@ uint64_t TwoPoolEngine::Discard() {
 }
 
 void TwoPoolEngine::ClearStage() {
-  run_.reset();
+  shards_.reset();
   for (auto& stage : staged_) stage.reset();
 }
 
@@ -254,16 +260,14 @@ void TwoPoolEngine::ReportPoolStats() {
   OPIM_TM_STMT({
     // tasks_run growing across batches under one pool is the observable
     // signature of worker reuse (no per-call pool churn).
-    if (workers_ != nullptr) {
-      const ThreadPoolStats stats = workers_->Stats();
-      OPIM_TM_COUNTER_ADD("opim.pool.tasks_run",
-                          stats.tasks_run - reported_.tasks_run);
-      OPIM_TM_COUNTER_ADD("opim.pool.queue_wait_us",
-                          stats.queue_wait_us - reported_.queue_wait_us);
-      OPIM_TM_COUNTER_ADD("opim.pool.idle_wait_us",
-                          stats.idle_wait_us - reported_.idle_wait_us);
-      reported_ = stats;
-    }
+    const ThreadPoolStats stats = workers_->Stats();
+    OPIM_TM_COUNTER_ADD("opim.pool.tasks_run",
+                        stats.tasks_run - reported_.tasks_run);
+    OPIM_TM_COUNTER_ADD("opim.pool.queue_wait_us",
+                        stats.queue_wait_us - reported_.queue_wait_us);
+    OPIM_TM_COUNTER_ADD("opim.pool.idle_wait_us",
+                        stats.idle_wait_us - reported_.idle_wait_us);
+    reported_ = stats;
   });
 }
 

@@ -8,7 +8,8 @@
 // owns the pools, the weighted-root table, one ThreadPool reused across
 // calls, the bounds and the spill/snapshot hooks; it borrows the graph's
 // memoized SamplingView (built on its workers when it is the graph's
-// first user). Callers pass every batch seed, so each keeps its own RR
+// first user). Its staged batches are the library's one parallel RR
+// generator. Callers pass every batch seed, so each keeps its own RR
 // stream.
 
 #pragma once
@@ -25,9 +26,9 @@
 #include "diffusion/cascade.h"
 #include "graph/graph.h"
 #include "graph/sampling_view.h"
-#include "rrset/parallel_generate.h"
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
+#include "rrset/staged_generation.h"
 #include "select/greedy.h"
 #include "support/alias_sampler.h"
 #include "support/random.h"
@@ -45,7 +46,7 @@ class TwoPoolEngine {
  public:
   /// Empty `node_weights` selects unit weights, else every σ is the
   /// weighted spread σ_w (weights checked). `num_threads` (0 = hardware
-  /// default) fixes each batch's shard count; > 1 builds the workers.
+  /// default) sizes the engine's pool and fixes each batch's shard count.
   TwoPoolEngine(const Graph& g, DiffusionModel model,
                 std::span<const double> node_weights, unsigned num_threads);
   ~TwoPoolEngine();
@@ -62,11 +63,13 @@ class TwoPoolEngine {
   /// least activates itself): k, or the top-k weight sum (checked > 0).
   double MinSpread(uint32_t k) const;
 
-  unsigned num_threads() const { return threads_; }
-  bool has_workers() const { return workers_ != nullptr; }
+  unsigned num_threads() const { return workers_->num_threads(); }
+  /// Whether the pool has worker threads, so a staged batch can run
+  /// while the caller does other work.
+  bool has_workers() const { return num_threads() > 1; }
 
-  /// Sets the thread count of later batches, rebuilding the workers only
-  /// when their number changes. Requires no staged batches.
+  /// Sets the thread count of later batches, rebuilding the pool only
+  /// when its size changes. Requires no staged batches.
   void SetThreads(unsigned num_threads);
 
   /// Both pools' heap footprint; plus the view, what a RunControl memory
@@ -80,22 +83,29 @@ class TwoPoolEngine {
 
   // --- Sampling ----------------------------------------------------------
 
-  /// Stages one batch per pool (a count may be 0), their shards
-  /// interleaved on the workers, and returns at once; Merge ingests the
-  /// batches, Discard drops them. This is the engine's only batch path:
-  /// an eager batch is a Stage followed at once by Merge, so both pools'
-  /// shards share one fan-out, one join and one ingest. Each pool's
-  /// batch is byte-identical to ParallelGenerate with the same count,
-  /// seed and thread count. Shards poll with both pools' footprint plus
-  /// their staging bytes. `speculative` batches may turn out unneeded
-  /// (the pipelined loop stages the next doubling while selection runs);
+  /// Stages one batch per pool (a count may be 0) and returns at once:
+  /// both batches' shards are one TaskGroup on the engine's pool, which
+  /// its workers start on. Merge ingests the batches, Discard drops them.
+  /// This is the engine's only batch path: an eager batch is a Stage
+  /// followed at once by Merge, so both pools' shards share one fan-out,
+  /// one join and one ingest. Each pool's batch has
+  /// GenerateShardCount(count, num_threads()) shards (StagedGeneration
+  /// fixes their RNG streams), so it is deterministic in (count, seed,
+  /// thread count). Shards poll with both pools' footprint plus their
+  /// staging bytes. `speculative` batches may turn out unneeded (the
+  /// pipelined loop stages the next doubling while selection runs);
   /// their shards evaluate the rrset.speculation_throw site.
   void Stage(uint64_t count1, uint64_t seed1, uint64_t count2,
              uint64_t seed2, RunControl* control, bool speculative);
-  bool staging() const { return run_.has_value(); }
+  bool staging() const { return shards_.has_value(); }
 
-  /// Joins and ingests the staged batches under ParallelGenerate's
-  /// failure contract. Returns the sets merged.
+  /// Joins the staged shards, running any no worker started on the
+  /// caller, and ingests both batches. A shard failure (fault injection
+  /// or allocation failure) trips control->TripWorkerFailure() and every
+  /// completed set is still ingested; with control == nullptr it is
+  /// rethrown instead, and nothing is ingested. Once a control trips,
+  /// shards stop at the next whole set, so the number merged depends on
+  /// timing only after a trip. Returns the sets merged.
   uint64_t Merge(RunControl* control);
 
   /// Aborts, joins and drops the staged batches, swallowing any exception
@@ -179,8 +189,7 @@ class TwoPoolEngine {
   DiffusionModel model_;
   std::vector<double> weights_;  // empty = unit weights
   double scale_;
-  unsigned threads_;
-  std::unique_ptr<ThreadPool> workers_;  // null when threads_ == 1
+  std::unique_ptr<ThreadPool> workers_;  // rebuilt by SetThreads
   ThreadPoolStats reported_;
   const SamplingView& view_;  // the graph's memoized view
   AliasSampler root_;  // weighted roots; empty = uniform
@@ -188,10 +197,10 @@ class TwoPoolEngine {
   RRCollection r2_;
   std::unique_ptr<RRSampler> serial_sampler_;  // built by SampleSerial
   std::vector<NodeId> serial_scratch_;
-  // Batches in flight; the run joins its shards on destruction, so it is
-  // declared after the stages it samples into.
+  // Batches in flight. The group joins their shards on destruction, so it
+  // is declared after the stages it samples into.
   std::optional<StagedGeneration> staged_[2];
-  std::optional<ShardRun> run_;
+  std::optional<TaskGroup> shards_;
 };
 
 }  // namespace opim

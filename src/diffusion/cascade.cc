@@ -141,7 +141,7 @@ double SpreadEstimator::Estimate(std::span<const NodeId> seeds,
   const unsigned shards = static_cast<unsigned>(
       std::min<uint64_t>(num_samples, num_threads_));
   std::vector<uint64_t> partial(shards, 0);
-  auto run_shard = [&](unsigned s) {
+  auto run_shard = [&](uint64_t s) {
     CascadeSimulator sim(graph_);
     Rng rng(seed, 0x73696d00ULL + s);  // "sim"+shard
     uint64_t lo = num_samples * s / shards;
@@ -153,15 +153,7 @@ double SpreadEstimator::Estimate(std::span<const NodeId> seeds,
     partial[s] = total;
   };
 
-  if (shards == 1) {
-    run_shard(0);
-  } else {
-    ThreadPool pool(shards);
-    for (unsigned s = 0; s < shards; ++s) {
-      pool.Submit([&, s] { run_shard(s); });
-    }
-    pool.Wait();
-  }
+  ThreadPool(shards).ParallelFor(shards, run_shard);
 
   uint64_t total = 0;
   for (uint64_t p : partial) total += p;
@@ -178,7 +170,7 @@ SpreadEstimator::EstimateResult SpreadEstimator::EstimateWithError(
   const unsigned shards = static_cast<unsigned>(
       std::min<uint64_t>(num_samples, num_threads_));
   std::vector<double> sum(shards, 0.0), sumsq(shards, 0.0);
-  auto run_shard = [&](unsigned s) {
+  auto run_shard = [&](uint64_t s) {
     CascadeSimulator sim(graph_);
     // Same stream derivation as Estimate(): identical seeds give the
     // identical mean.
@@ -191,15 +183,7 @@ SpreadEstimator::EstimateResult SpreadEstimator::EstimateWithError(
       sumsq[s] += x * x;
     }
   };
-  if (shards == 1) {
-    run_shard(0);
-  } else {
-    ThreadPool pool(shards);
-    for (unsigned s = 0; s < shards; ++s) {
-      pool.Submit([&, s] { run_shard(s); });
-    }
-    pool.Wait();
-  }
+  ThreadPool(shards).ParallelFor(shards, run_shard);
 
   double total = 0.0, total_sq = 0.0;
   for (unsigned s = 0; s < shards; ++s) {
@@ -227,7 +211,7 @@ double SpreadEstimator::EstimateWeighted(std::span<const NodeId> seeds,
   const unsigned shards = static_cast<unsigned>(
       std::min<uint64_t>(num_samples, num_threads_));
   std::vector<double> partial(shards, 0.0);
-  auto run_shard = [&](unsigned s) {
+  auto run_shard = [&](uint64_t s) {
     CascadeSimulator sim(graph_);
     Rng rng(seed, 0x77736d00ULL + s);  // "wsm"+shard
     uint64_t lo = num_samples * s / shards;
@@ -241,15 +225,7 @@ double SpreadEstimator::EstimateWeighted(std::span<const NodeId> seeds,
     partial[s] = total;
   };
 
-  if (shards == 1) {
-    run_shard(0);
-  } else {
-    ThreadPool pool(shards);
-    for (unsigned s = 0; s < shards; ++s) {
-      pool.Submit([&, s] { run_shard(s); });
-    }
-    pool.Wait();
-  }
+  ThreadPool(shards).ParallelFor(shards, run_shard);
   double total = 0.0;
   for (double p : partial) total += p;
   return total / static_cast<double>(num_samples);

@@ -52,12 +52,12 @@ struct GraphStorageView {
 /// a vector-backed graph deep-copies the CSR.
 ///
 /// The graph also memoizes its SamplingViews (SamplingView::For): the
-/// first caller that needs a part builds it, and every later engine,
-/// sampler and ParallelGenerate call on this object borrows it. A view is
-/// derived from the CSR alone and never changes it, so the graph stays
-/// logically immutable; the memo is thread-safe. A copy or a moved-to
-/// graph starts with no view, and a moved-from or assigned-to graph drops
-/// its old ones: a view points into its own graph's reverse CSR.
+/// first caller that needs a part builds it, and every later engine and
+/// sampler on this object borrows it. A view is derived from the CSR
+/// alone and never changes it, so the graph stays logically immutable;
+/// the memo is thread-safe. A copy or a moved-to graph starts with no
+/// view, and a moved-from or assigned-to graph drops its old ones: a view
+/// points into its own graph's reverse CSR.
 class Graph {
  public:
   Graph();

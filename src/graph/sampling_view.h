@@ -42,9 +42,9 @@
 //
 // A view is immutable after construction and shared read-only across
 // worker threads. Each Graph memoizes its views (SamplingView::For): the
-// first engine, sampler or ParallelGenerate call that needs a part builds
-// it, and every later one on the same Graph object borrows it, so a
-// loaded graph pays the O(n + m) pass once however many runs it serves.
+// first engine or sampler that needs a part builds it, and every later
+// one on the same Graph object borrows it, so a loaded graph pays the
+// O(n + m) pass once however many runs it serves.
 // Construction splits the nodes into ranges of about equal work (in-edges
 // plus a fixed cost per node), parallelizes over them on an optional
 // ThreadPool, and lays everything out in node order: the view is

@@ -1,11 +1,7 @@
-// Scoped and phase timers built on support/Stopwatch, feeding Histograms.
-//
-//   * ScopedTimer — RAII: records the scope's wall time, in microseconds,
-//     into a Histogram on destruction (nullptr histogram = measure only).
-//   * PhaseTimer — a run-scoped accumulator of named, non-overlapping
-//     phases ("generate", "greedy", "bounds", ...): Start(p) closes the
-//     current phase and opens p; per-phase totals come back in first-use
-//     order and can be published into a registry as histograms.
+// ScopedTimer, built on support/Stopwatch: RAII timing of a scope, whose
+// wall time is recorded, in microseconds, into a Histogram on destruction
+// (nullptr histogram = measure only). The telemetry macros
+// (OPIM_TM_SCOPED_TIMER, obs/telemetry.h) are built on it.
 //
 // Timers observe, never steer: elapsed times must not influence any
 // algorithmic choice (see obs/metrics.h).
@@ -13,10 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "support/stopwatch.h"
@@ -42,45 +34,6 @@ class ScopedTimer {
  private:
   Stopwatch watch_;
   Histogram* histogram_;
-};
-
-/// Wall-time accumulator over a sequence of named phases.
-class PhaseTimer {
- public:
-  /// Closes the current phase (if any) and starts accumulating `phase`.
-  /// Re-entering a name resumes its running total.
-  void Start(std::string_view phase);
-
-  /// Closes the current phase; further time is unattributed until the
-  /// next Start().
-  void Stop();
-
-  /// Accumulated seconds for `phase` (0 for an unknown name). Includes
-  /// the in-flight segment if `phase` is currently open.
-  double Seconds(std::string_view phase) const;
-
-  /// (phase, seconds) in first-start order; excludes any in-flight
-  /// segment (call Stop() first for final numbers).
-  const std::vector<std::pair<std::string, double>>& phases() const {
-    return phases_;
-  }
-
-  /// Sum over all closed phases.
-  double TotalSeconds() const;
-
-  /// Records each phase total into `registry` as a histogram named
-  /// "<prefix><phase>_us", one sample per phase, in microseconds.
-  void PublishTo(MetricsRegistry& registry, std::string_view prefix) const;
-
- private:
-  /// Returns the index of `phase` in phases_, appending it if new.
-  size_t FindOrAdd(std::string_view phase);
-
-  std::vector<std::pair<std::string, double>> phases_;
-  Stopwatch watch_;
-  // Index of the open phase in phases_, or npos when stopped.
-  size_t current_ = kNone;
-  static constexpr size_t kNone = static_cast<size_t>(-1);
 };
 
 }  // namespace opim

@@ -1,6 +1,5 @@
-#include "rrset/parallel_generate.h"
+#include "rrset/staged_generation.h"
 
-#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "support/random.h"
 #include "support/run_control.h"
 #include "support/stopwatch.h"
-#include "support/thread_pool.h"
 
 namespace opim {
 
@@ -37,6 +35,9 @@ StagedGeneration::StagedGeneration(const SamplingView& view,
 }
 
 void StagedGeneration::RunShard(unsigned s) {
+  // A shard of a discarded batch that has not started yet returns before
+  // its sampler allocates per-node scratch.
+  if (abort_.load(std::memory_order_relaxed)) return;
   OPIM_TR_SPAN1(speculative_ ? "speculate_shard" : "shard", "rrset", "shard",
                 s);
   Stopwatch shard_watch;
@@ -120,98 +121,6 @@ uint64_t StagedGeneration::IngestInto(RRCollection* collection,
   OPIM_TM_COUNTER_ADD("opim.rrset.edges_examined", total.edges);
   OPIM_TM_COUNTER_ADD("opim.rrset.alias_draws", total.alias);
   return total.sets;
-}
-
-ShardRun::ShardRun(std::span<StagedGeneration* const> stages,
-                   ThreadPool* pool)
-    : stages_(stages.begin(), stages.end()) {
-  unsigned shards = 0;
-  for (const StagedGeneration* stage : stages_) shards += stage->shards();
-  if (pool == nullptr || shards <= 1) return;
-  // A TaskGroup (not the pool's global barrier) tracks the shards: their
-  // completion — and any exception they raise — stays out of foreground
-  // Wait()/ParallelFor calls that CELF, CoverBitset kernels or an index
-  // merge may issue on the same pool while the batches run.
-  group_.emplace(pool);
-  for (StagedGeneration* stage : stages_) {
-    for (unsigned s = 0; s < stage->shards(); ++s) {
-      group_->Submit([stage, s] { stage->RunShard(s); });
-    }
-  }
-}
-
-void ShardRun::Finish(RunControl* control) {
-  // With a control we degrade — record the failure, keep every completed
-  // staged shard — and without one we propagate, preserving the
-  // uncontrolled contract.
-  try {
-    if (group_) {
-      group_->Wait();
-    } else {
-      for (StagedGeneration* stage : stages_) {
-        for (unsigned s = 0; s < stage->shards(); ++s) stage->RunShard(s);
-      }
-    }
-  } catch (...) {
-    if (control == nullptr) throw;
-    control->TripWorkerFailure();
-  }
-}
-
-void ParallelGenerate(const Graph& g, DiffusionModel model,
-                      RRCollection* collection, uint64_t count,
-                      uint64_t seed, unsigned num_threads,
-                      std::span<const double> root_weights, ThreadPool* pool,
-                      RunControl* control) {
-  if (count == 0) return;
-  OPIM_TR_SPAN1("generate", "rrset", "count", count);
-  OPIM_TM_SCOPED_TIMER("opim.rrset.generate_us");
-  num_threads = pool != nullptr ? pool->num_threads()
-                                : ThreadPool::ResolveThreadCount(num_threads);
-  const unsigned shards = GenerateShardCount(count, num_threads);
-
-  // A temporary pool is only created when the caller did not supply one
-  // (and more than one shard exists); it parallelizes the view build below
-  // (the graph's first), the shards, and the index merge inside
-  // AddCompressedShards, then reports its stats before destruction.
-  std::unique_ptr<ThreadPool> local_pool;
-  if (shards > 1 && pool == nullptr) {
-    local_pool = std::make_unique<ThreadPool>(shards);
-    pool = local_pool.get();
-  }
-
-  const SamplingView& view =
-      SamplingView::For(g, SamplingViewPartsFor(model), pool);
-
-  // Weighted roots: one shared alias table instead of one copy per shard.
-  AliasSampler root_table;
-  if (!root_weights.empty()) {
-    OPIM_CHECK_EQ(root_weights.size(), g.num_nodes());
-    root_table.Build(
-        std::vector<double>(root_weights.begin(), root_weights.end()));
-  }
-  const AliasSampler* shared_root = root_table.empty() ? nullptr : &root_table;
-
-  const uint64_t base_bytes =
-      control != nullptr ? collection->MemoryUsage() : 0;
-  StagedGeneration stage(view, model, count, seed, shards, shared_root,
-                         control, base_bytes, /*speculative=*/false,
-                         collection->indexed());
-  StagedGeneration* const stages[] = {&stage};
-  ShardRun(stages, pool).Finish(control);
-  stage.IngestInto(collection, pool);
-
-  OPIM_TM_STMT({
-    // Caller-owned pools accumulate lifetime stats the caller reports once
-    // (e.g. RunOpimC after its final doubling); report here only for the
-    // pool this call created and is about to destroy.
-    if (local_pool != nullptr) {
-      const ThreadPoolStats stats = local_pool->Stats();
-      OPIM_TM_COUNTER_ADD("opim.pool.tasks_run", stats.tasks_run);
-      OPIM_TM_COUNTER_ADD("opim.pool.queue_wait_us", stats.queue_wait_us);
-      OPIM_TM_COUNTER_ADD("opim.pool.idle_wait_us", stats.idle_wait_us);
-    }
-  });
 }
 
 }  // namespace opim

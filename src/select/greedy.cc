@@ -1,14 +1,15 @@
 #include "select/greedy.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <queue>
 #include <span>
+#include <vector>
 
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "rrset/cover_bitset.h"
-#include "select/greedy_core.h"
 #include "select/seed_trace.h"
 
 namespace opim {
@@ -18,6 +19,72 @@ namespace {
 /// A CELF pass starts from the highest member-count band that holds at
 /// least this many nodes per seed (see SelectGreedyCelf).
 constexpr uint64_t kCandidatesPerSeed = 4;
+
+// SelectGreedy (the differential oracle) and SelectGreedyCelf must agree
+// on every output bit — seeds, tie-breaks, trace arrays — so both use the
+// pieces below: the candidate ordering, the top-k marginal sum of the
+// Eq. (10) trace, the saturation fill and the covered-bitset marking walk.
+
+/// The one candidate-ordering rule both selectors share: a candidate
+/// (gain, node) beats the incumbent (best_gain, best_node) iff its gain
+/// is strictly larger, or equal with a smaller node id. Smallest id wins
+/// ties so CELF's pop order matches SelectGreedy's ascending argmax scan
+/// exactly.
+bool BetterCandidate(uint64_t gain, NodeId node, uint64_t best_gain,
+                     NodeId best_node) {
+  if (gain != best_gain) return gain > best_gain;
+  return node < best_node;
+}
+
+/// Lazy-forward queue entry: a (possibly stale) upper bound on a node's
+/// marginal gain. The heap comparator is BetterCandidate, so the queue
+/// pops candidates in exactly the oracle's argmax order.
+struct CelfEntry {
+  uint64_t gain;
+  NodeId node;
+  uint32_t round;  // selection round the gain was computed in
+  bool operator<(const CelfEntry& other) const {
+    return BetterCandidate(other.gain, other.node, gain, node);
+  }
+};
+
+/// Sum of the k largest values in `counts`: copies only the nonzero
+/// entries into `scratch` and partial-sorts those.
+uint64_t TopKSum(const std::vector<uint64_t>& counts, uint32_t k,
+                 std::vector<uint64_t>* scratch) {
+  if (k == 0) return 0;
+  scratch->clear();
+  for (uint64_t c : counts) {
+    if (c > 0) scratch->push_back(c);
+  }
+  uint64_t total = 0;
+  if (k >= scratch->size()) {
+    for (uint64_t c : *scratch) total += c;
+    return total;
+  }
+  std::nth_element(scratch->begin(), scratch->begin() + (k - 1),
+                   scratch->end(), std::greater<uint64_t>());
+  for (uint32_t i = 0; i < k; ++i) total += (*scratch)[i];
+  return total;
+}
+
+/// Appends the smallest-id nodes not yet selected until `seeds` has k
+/// entries (used when coverage saturates before k picks).
+void FillWithUnselected(uint32_t n, uint32_t k,
+                        const std::vector<char>& selected,
+                        std::vector<NodeId>* seeds) {
+  for (NodeId v = 0; v < n && seeds->size() < k; ++v) {
+    if (!selected[v]) seeds->push_back(v);
+  }
+}
+
+/// Marks every RR set containing `v` covered and calls `fn(RRId)` once
+/// for each set that was not already covered, in ascending id order.
+template <typename Fn>
+void MarkCoveredBy(const RRCollection& collection, NodeId v,
+                   CoverBitset* covered, Fn&& fn) {
+  ForEachNewlyCoveredIds(collection.Covering(v), covered->words(), fn);
+}
 
 }  // namespace
 

@@ -15,9 +15,9 @@
 // registry between tests.
 //
 // Known sites (see docs/robustness.md):
-//   rrset.worker_throw   evaluated once per RR sample inside each
-//                        ParallelGenerate shard; firing throws from the
-//                        worker task (exercises ThreadPool exception
+//   rrset.worker_throw   evaluated once per RR sample inside each staged
+//                        shard of an engine batch; firing throws from the
+//                        shard task (exercises TaskGroup exception
 //                        capture and StopReason::kWorkerFailure).
 //   rrset.speculation_throw
 //                        evaluated once per RR sample inside *speculative*

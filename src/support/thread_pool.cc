@@ -49,11 +49,7 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  Enqueue(std::move(task), nullptr);
-}
-
-void ThreadPool::Enqueue(std::function<void()> fn, const void* owner) {
+void ThreadPool::Enqueue(std::function<void()> fn, const TaskGroup* owner) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     OPIM_CHECK_MSG(!shutting_down_, "Submit after shutdown");
@@ -64,13 +60,11 @@ void ThreadPool::Enqueue(std::function<void()> fn, const void* owner) {
     queued.enqueued = std::chrono::steady_clock::now();
 #endif
     tasks_.push_back(std::move(queued));
-    ++in_flight_;
   }
   task_ready_.notify_one();
 }
 
-bool ThreadPool::TakeQueued(const void* owner, QueuedTask* task,
-                            bool* drain) {
+bool ThreadPool::TakeQueued(const TaskGroup* owner, QueuedTask* task) {
   auto it = tasks_.begin();
   if (owner != nullptr) {
     it = std::find_if(tasks_.begin(), tasks_.end(),
@@ -79,10 +73,6 @@ bool ThreadPool::TakeQueued(const void* owner, QueuedTask* task,
   if (it == tasks_.end()) return false;
   *task = std::move(*it);
   tasks_.erase(it);
-  // A captured failure poisons the batch: drain the remaining queued
-  // Submit tasks without running them so Wait() can rethrow promptly.
-  // Owned tasks report to their own join, which must see them finish.
-  *drain = failure_ != nullptr && task->owner == nullptr;
   ++stats_.tasks_run;
 #if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
   stats_.queue_wait_us += MicrosSince(task->enqueued);
@@ -90,53 +80,27 @@ bool ThreadPool::TakeQueued(const void* owner, QueuedTask* task,
   return true;
 }
 
-void ThreadPool::Execute(QueuedTask* task, bool drain) {
-  if (!drain) {
+void ThreadPool::Execute(QueuedTask* task) {
 #if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
-    const TaskSpanHook hook = task_span_hook.load(std::memory_order_acquire);
-    const auto task_start = hook != nullptr
-                                ? std::chrono::steady_clock::now()
-                                : std::chrono::steady_clock::time_point{};
+  const TaskSpanHook hook = task_span_hook.load(std::memory_order_acquire);
+  const auto task_start = hook != nullptr
+                              ? std::chrono::steady_clock::now()
+                              : std::chrono::steady_clock::time_point{};
 #endif
-    try {
-      task->fn();
-    } catch (...) {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (failure_ == nullptr) failure_ = std::current_exception();
-    }
+  task->fn();
 #if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
-    if (hook != nullptr) {
-      hook(task_start, std::chrono::steady_clock::now());
-    }
+  if (hook != nullptr) hook(task_start, std::chrono::steady_clock::now());
 #endif
-  }
-  // Release the callable (and whatever it captured) before the task
-  // counts as finished.
-  task->fn = nullptr;
-  std::unique_lock<std::mutex> lock(mu_);
-  if (--in_flight_ == 0) all_done_.notify_all();
 }
 
-void ThreadPool::RunQueued(const void* owner) {
+void ThreadPool::RunQueued(const TaskGroup* owner) {
   for (;;) {
     QueuedTask task;
-    bool drain = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (!TakeQueued(owner, &task, &drain)) return;
+      if (!TakeQueued(owner, &task)) return;
     }
-    Execute(&task, drain);
-  }
-}
-
-void ThreadPool::Wait() {
-  RunQueued(nullptr);
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-  if (failure_ != nullptr) {
-    std::exception_ptr failure = std::exchange(failure_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(failure);
+    Execute(&task);
   }
 }
 
@@ -182,7 +146,6 @@ ThreadPoolStats ThreadPool::Stats() const {
 void ThreadPool::WorkerLoop() {
   for (;;) {
     QueuedTask task;
-    bool drain = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
 #if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
@@ -193,12 +156,12 @@ void ThreadPool::WorkerLoop() {
 #if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
       stats_.idle_wait_us += MicrosSince(idle_start);
 #endif
-      if (!TakeQueued(nullptr, &task, &drain)) {
+      if (!TakeQueued(nullptr, &task)) {
         if (shutting_down_) return;
         continue;
       }
     }
-    Execute(&task, drain);
+    Execute(&task);
   }
 }
 

@@ -2,13 +2,16 @@
 // shards, index merges and builds, the SamplingView build and the
 // Monte-Carlo spread estimator.
 //
-// The calling thread is one of the pool's threads. ThreadPool(n) starts
-// n − 1 workers, and every join — ThreadPool::Wait, TaskGroup::Wait,
-// ParallelFor — runs not-yet-started work of its own on the caller
-// instead of sleeping until a worker gets to it. On a host whose
-// scheduler does not spread threads across CPUs (docs/performance.md,
-// "Engine-owned thread pool"), a fan-out therefore starts at least one
-// task at once, on a CPU that is already running.
+// Work reaches the pool in one way: as the tasks of a TaskGroup, which
+// ParallelFor also uses for its helpers. The calling thread is one of
+// the pool's threads. ThreadPool(n) starts n − 1 workers, and every join
+// — TaskGroup::Wait, ParallelFor — runs not-yet-started work of its own
+// on the caller instead of sleeping until a worker gets to it. So
+// ThreadPool(1) starts no worker, and a group's tasks run on the caller
+// that joins it. On a host whose scheduler does not spread threads
+// across CPUs (docs/performance.md, "Engine-owned thread pool"), a
+// fan-out therefore starts at least one task at once, on a CPU that is
+// already running.
 
 #pragma once
 
@@ -26,14 +29,15 @@
 
 namespace opim {
 
+class TaskGroup;
+
 /// Lifetime counters for a ThreadPool. `queue_wait_us` / `idle_wait_us` are
 /// only maintained when the build compiles telemetry in
 /// (OPIM_TELEMETRY_ENABLED); `tasks_run` is always exact.
 struct ThreadPoolStats {
-  /// Queued tasks dequeued, by a worker or by a joining caller: Submit
-  /// and TaskGroup tasks, and ParallelFor's helper tasks (the caller's
-  /// own share of a ParallelFor is not a task). Tasks drained after a
-  /// failure count too.
+  /// Queued tasks dequeued, by a worker or by a joining caller: TaskGroup
+  /// tasks, ParallelFor's helpers among them (the caller's own share of a
+  /// ParallelFor is not a task).
   uint64_t tasks_run = 0;
   /// Total microseconds tasks spent queued before a worker or a joining
   /// caller picked them up.
@@ -44,19 +48,10 @@ struct ThreadPoolStats {
 };
 
 /// Fixed-size pool executing std::function<void()> tasks on
-/// num_threads() − 1 workers plus the thread that joins them.
-/// Submit work with Submit(); Wait() runs queued tasks on the calling
-/// thread, then blocks until every submitted task has finished.
-/// Destruction runs or waits for outstanding tasks.
-///
-/// Exception safety: a throwing task no longer escapes through the bare
-/// std::function call (which used to land in std::terminate). The first
-/// exception is captured; queued tasks submitted before the failure is
-/// consumed are drained without running (so a poisoned batch ends
-/// promptly); Wait() rethrows the captured exception and leaves the pool
-/// fully reusable for subsequent batches. An unconsumed exception is
-/// discarded by the destructor. TaskGroup tasks, ParallelFor's helpers
-/// among them, capture their own failures and are never drained.
+/// num_threads() − 1 workers plus the thread that joins them. Tasks are
+/// submitted and joined through a TaskGroup (or ParallelFor), which also
+/// captures their failures; the pool itself only queues and runs them.
+/// Destruction runs any task still queued, then stops the workers.
 class ThreadPool {
  public:
   /// A pool of `num_threads` (>= 1) threads: starts num_threads − 1
@@ -66,26 +61,15 @@ class ThreadPool {
 
   OPIM_DISALLOW_COPY(ThreadPool);
 
-  /// Enqueues a task for execution on some worker (or on the caller of
-  /// the next Wait()).
-  void Submit(std::function<void()> task);
-
-  /// Runs queued tasks on the calling thread until none is left, then
-  /// blocks until every submitted task has completed (or was drained
-  /// after a failure). Rethrows the first exception any task threw since
-  /// the last Wait(); the pool stays usable afterwards. Must not be
-  /// called from inside a task of this pool.
-  void Wait();
-
   /// Number of threads, the caller included: the worker count plus one.
   unsigned num_threads() const { return num_threads_; }
 
   /// A reasonable default: hardware concurrency, at least 1.
   static unsigned DefaultThreadCount();
 
-  /// Canonical "0 means auto" thread-count resolution shared by OPIM-C, the
-  /// parallel RR generator, and the CLI: 0 -> DefaultThreadCount(), anything
-  /// else is taken literally.
+  /// Canonical "0 means auto" thread-count resolution shared by the
+  /// engine, the spread estimator and the CLI: 0 -> DefaultThreadCount(),
+  /// anything else is taken literally.
   static unsigned ResolveThreadCount(unsigned requested);
 
   /// Runs `fn(i)` for i in [0, n) on the caller and up to num_threads() − 1
@@ -118,28 +102,26 @@ class ThreadPool {
 
   struct QueuedTask {
     std::function<void()> fn;
-    /// The TaskGroup the task belongs to; null for Submit tasks, the
-    /// only ones a captured failure drains.
-    const void* owner = nullptr;
+    const TaskGroup* owner = nullptr;
 #if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
     std::chrono::steady_clock::time_point enqueued;
 #endif
   };
 
-  void Enqueue(std::function<void()> fn, const void* owner);
+  void Enqueue(std::function<void()> fn, const TaskGroup* owner);
 
   /// Moves the oldest queued task of `owner` (of any owner when null)
-  /// into `*task`, counts it, and decides whether a captured failure
-  /// drains it. Returns false when none is queued. Requires mu_ held.
-  bool TakeQueued(const void* owner, QueuedTask* task, bool* drain);
+  /// into `*task` and counts it. Returns false when none is queued.
+  /// Requires mu_ held.
+  bool TakeQueued(const TaskGroup* owner, QueuedTask* task);
 
-  /// Runs (or drains) a dequeued task on the calling thread, captures a
-  /// Submit task's exception, and retires it from in_flight_.
-  void Execute(QueuedTask* task, bool drain);
+  /// Runs a dequeued task on the calling thread. The task is a TaskGroup
+  /// wrapper, which catches its own exception.
+  void Execute(QueuedTask* task);
 
   /// Runs `owner`'s queued tasks (every queued task when null) on the
   /// calling thread until none is left.
-  void RunQueued(const void* owner);
+  void RunQueued(const TaskGroup* owner);
 
   void WorkerLoop();
 
@@ -148,28 +130,18 @@ class ThreadPool {
   std::deque<QueuedTask> tasks_;
   mutable std::mutex mu_;
   std::condition_variable task_ready_;
-  std::condition_variable all_done_;
-  uint64_t in_flight_ = 0;
   bool shutting_down_ = false;
-  /// First exception thrown by a Submit task since the last Wait();
-  /// guarded by mu_. While set, dequeued Submit tasks are drained without
-  /// running.
-  std::exception_ptr failure_;
   ThreadPoolStats stats_;
 };
 
-/// Completion tracking for a subset of a pool's tasks, independent of the
-/// pool-global Wait(): each submission is wrapped so the group keeps its
-/// own pending count and captures its own first exception — a throwing
-/// group task never reaches the pool's failure slot, so it cannot poison
-/// an unrelated Wait() or cause queued foreground tasks to be drained.
-/// The pipelined engine uses this to overlap speculative sampling with
-/// serial selection and join only the speculative tasks at the merge
-/// point. Wait() runs the group's not-yet-started tasks on the caller,
-/// then waits for the ones a worker started. Note the asymmetry: the
-/// pool-global Wait() still counts group tasks (and runs queued ones on
-/// its caller), while group Wait() never counts foreground tasks;
-/// ParallelFor joins only its own items and is no pool-wide barrier.
+/// A set of tasks on a pool, joined together: each submission is wrapped
+/// so the group keeps its own pending count and captures its own first
+/// exception, and a join sees only the group's tasks, never another
+/// group's. Several groups may share a pool: the pipelined engine
+/// overlaps a group of speculative sampling shards with selection work
+/// and joins only the shards at the merge point. Wait() runs the group's
+/// not-yet-started tasks on the caller, in submit order, then waits for
+/// the ones a worker started.
 ///
 /// The group must outlive its tasks; Wait() — or destruction, which joins
 /// the same way and discards any unconsumed exception — must complete

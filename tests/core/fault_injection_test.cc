@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "core/opim_c.h"
+#include "core/two_pool_engine.h"
 #include "gen/generators.h"
 #include "graph/graph_mmap.h"
-#include "rrset/parallel_generate.h"
 #include "rrset/rr_collection.h"
 #include "support/random.h"
 #include "support/run_control.h"
@@ -49,11 +49,31 @@ TEST_F(FaultInjectionTest, RegistryCountsAndFiresOnce) {
 
 TEST_F(FaultInjectionTest, WorkerThrowWithoutControlPropagates) {
   Graph g = TestGraph();
-  RRCollection rr(g.num_nodes());
+  TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {},
+                       /*num_threads=*/2);
   fault::Arm("rrset.worker_throw", 5);
-  EXPECT_THROW(ParallelGenerate(g, DiffusionModel::kIndependentCascade, &rr,
-                                100, /*seed=*/1, /*num_threads=*/2),
-               std::runtime_error);
+  engine.Stage(100, /*seed1=*/1, 0, 0, nullptr, /*speculative=*/false);
+  EXPECT_THROW(engine.Merge(nullptr), std::runtime_error);
+  EXPECT_FALSE(engine.staging());
+  EXPECT_EQ(engine.r1().num_sets(), 0u);
+}
+
+TEST_F(FaultInjectionTest, WorkerThrowOnOneThreadStillRunsTheOtherShards) {
+  // On a one-thread engine both pools' shards run on the caller at the
+  // join, in submit order. R1's shard throws at its fifth sample; R2's,
+  // queued after it, still runs to completion, and with a control both
+  // are ingested.
+  Graph g = TestGraph();
+  TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {},
+                       /*num_threads=*/1);
+  fault::Arm("rrset.worker_throw", 5);
+  RunControl control;
+  engine.Stage(100, /*seed1=*/1, 60, /*seed2=*/2, &control,
+               /*speculative=*/false);
+  EXPECT_EQ(engine.Merge(&control), 4u + 60u);
+  EXPECT_EQ(control.reason(), StopReason::kWorkerFailure);
+  EXPECT_EQ(engine.r1().num_sets(), 4u);
+  EXPECT_EQ(engine.r2().num_sets(), 60u);
 }
 
 TEST_F(FaultInjectionTest, WorkerThrowWithControlTripsWorkerFailure) {

@@ -12,18 +12,25 @@ namespace opim {
 namespace {
 
 TEST(OpimCFormulaTest, ThetaMaxPositiveAndScalesWithEps) {
-  double loose = OpimCThetaMax(10000, 50, 0.5, 0.01);
-  double tight = OpimCThetaMax(10000, 50, 0.05, 0.01);
+  double loose = OpimCThetaMax(10000, 50, 0.5, 0.01, 10000, 50);
+  double tight = OpimCThetaMax(10000, 50, 0.05, 0.01, 10000, 50);
   EXPECT_GT(loose, 0.0);
   // θ_max ~ ε^-2: a 10x smaller ε needs 100x more samples.
   EXPECT_NEAR(tight / loose, 100.0, 1.0);
 }
 
 TEST(OpimCFormulaTest, Theta0IsThetaMaxScaled) {
-  const uint32_t n = 4096, k = 10;
+  // RunOpimC's first iteration holds θ0 = ⌈θ_max · ε²k/n⌉ sets in R1
+  // (Eq. (17)).
+  const Graph g = GenerateBarabasiAlbert(4096, 3);
+  const uint32_t n = g.num_nodes(), k = 10;
   const double eps = 0.1, delta = 0.01;
-  EXPECT_NEAR(OpimCTheta0(n, k, eps, delta),
-              OpimCThetaMax(n, k, eps, delta) * eps * eps * k / n, 1e-6);
+  const OpimCResult r =
+      RunOpimC(g, DiffusionModel::kIndependentCascade, k, eps, delta);
+  ASSERT_FALSE(r.trace.empty());
+  EXPECT_EQ(r.trace[0].theta1,
+            CeilToU64(OpimCThetaMax(n, k, eps, delta, n, k) * eps * eps * k /
+                      n));
 }
 
 TEST(OpimCFormulaTest, ThetaMaxGrowsWithK) {
@@ -31,7 +38,7 @@ TEST(OpimCFormulaTest, ThetaMaxGrowsWithK) {
   // moderate k is roughly flat-to-growing numerator — just check finiteness
   // and positivity across k.
   for (uint32_t k : {1u, 10u, 100u, 1000u}) {
-    double v = OpimCThetaMax(100000, k, 0.1, 0.001);
+    double v = OpimCThetaMax(100000, k, 0.1, 0.001, 100000, k);
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_GT(v, 0.0);
   }

@@ -1,10 +1,11 @@
 // TwoPoolEngine contracts: every way the engine samples a batch — one
 // Stage of both pools merged at once, a Stage filling one pool only, a
-// speculative Stage merged later — produces pools byte-identical to
-// ParallelGenerate with the same seeds and thread count; discarded
-// speculation never reaches the pools; the anytime floor only fires
-// after a trip; and the certificate is the Eq. (5) / upper-bound pair
-// the bounds module computes on the same pools. The engine keeps R2
+// speculative Stage merged later — produces the pools a serial oracle
+// builds from the same seeds and thread count; batches are deterministic,
+// append in order, and sample the same distribution at any thread count;
+// discarded speculation never reaches the pools; the anytime floor only
+// fires after a trip; and the certificate is the Eq. (5) / upper-bound
+// pair the bounds module computes on the same pools. The engine keeps R2
 // unindexed, so R2 is compared by its bytes and by the coverage its judge
 // scan reports against the indexed reference pool.
 
@@ -19,7 +20,7 @@
 
 #include "bounds/bounds.h"
 #include "gen/generators.h"
-#include "rrset/parallel_generate.h"
+#include "obs/metrics.h"
 #include "support/random.h"
 #include "support/run_control.h"
 
@@ -38,9 +39,37 @@ std::vector<double> RootWeights(const Graph& g, Roots roots) {
   return w;
 }
 
+/// The engine's batch schedule written out serially, sharing no code with
+/// StagedGeneration, ShardEncoder or AddCompressedShards: a batch of
+/// `count` sets on `threads` threads has GenerateShardCount(count,
+/// threads) shards, and shard s samples sets [count·s/shards,
+/// count·(s+1)/shards) from Rng(seed, 0x70617267 + s) and appends them
+/// to `out` with AddSet. Empty `weights` selects uniform roots.
+void SerialOracle(const Graph& g, DiffusionModel model,
+                  std::span<const double> weights, unsigned threads,
+                  uint64_t count, uint64_t seed, RRCollection* out) {
+  if (count == 0) return;
+  const SamplingView& view =
+      SamplingView::For(g, SamplingViewPartsFor(model), nullptr);
+  AliasSampler root;
+  if (!weights.empty()) {
+    root.Build(std::vector<double>(weights.begin(), weights.end()));
+  }
+  const unsigned shards = GenerateShardCount(count, threads);
+  std::vector<NodeId> members;
+  for (unsigned s = 0; s < shards; ++s) {
+    auto sampler = MakeRRSampler(view, model, root.empty() ? nullptr : &root);
+    Rng rng(seed, 0x70617267ULL + s);
+    for (uint64_t i = count * s / shards; i < count * (s + 1) / shards; ++i) {
+      const uint64_t cost = sampler->SampleInto(rng, &members);
+      out->AddSet(members, cost);
+    }
+  }
+}
+
 /// Same stored bytes: slot words, per-chunk encoded runs, compressed
-/// size, totals, and membership counts — or, when `got` keeps no index,
-/// the coverage of a few seed lists (every prefix).
+/// size, totals and γ, and every node's posting list — or, when `got`
+/// keeps no index, the coverage of a few seed lists (every prefix).
 void ExpectSamePool(const RRCollection& got, const RRCollection& want) {
   ASSERT_EQ(got.num_sets(), want.num_sets());
   EXPECT_EQ(got.total_size(), want.total_size());
@@ -54,7 +83,8 @@ void ExpectSamePool(const RRCollection& got, const RRCollection& want) {
   }
   if (got.indexed()) {
     for (NodeId v = 0; v < got.num_nodes(); ++v) {
-      EXPECT_EQ(got.CoveringCount(v), want.CoveringCount(v)) << "node " << v;
+      EXPECT_TRUE(std::ranges::equal(got.Covering(v), want.Covering(v)))
+          << "node " << v;
     }
     return;
   }
@@ -76,11 +106,11 @@ class TwoPoolEngineStreamTest : public ::testing::TestWithParam<Param> {
   DiffusionModel model() const { return std::get<0>(GetParam()); }
   unsigned threads() const { return std::get<2>(GetParam()); }
 
-  /// Pools built by plain ParallelGenerate calls, one per (pool, batch).
+  /// Pools built by the serial oracle, one call per (pool, batch).
   void Reference(RRCollection* r1, RRCollection* r2) const {
     for (const auto& [count1, seed1, count2, seed2] : kBatches) {
-      ParallelGenerate(g_, model(), r1, count1, seed1, threads(), weights_);
-      ParallelGenerate(g_, model(), r2, count2, seed2, threads(), weights_);
+      SerialOracle(g_, model(), weights_, threads(), count1, seed1, r1);
+      SerialOracle(g_, model(), weights_, threads(), count2, seed2, r2);
     }
   }
 
@@ -148,6 +178,127 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param)) + "Threads";
     });
 
+/// One eager batch of `count` sets with `seed` into R1 of `engine`.
+void FillR1(TwoPoolEngine* engine, uint64_t count, uint64_t seed) {
+  engine->Stage(count, seed, 0, 0, nullptr, /*speculative=*/false);
+  engine->Merge(nullptr);
+}
+
+/// Both pools hold the same sets in the same order with the same γ.
+void ExpectSameSets(const RRCollection& a, const RRCollection& b) {
+  ASSERT_EQ(a.num_sets(), b.num_sets());
+  ASSERT_EQ(a.total_size(), b.total_size());
+  EXPECT_EQ(a.total_edges_examined(), b.total_edges_examined());
+  for (RRId id = 0; id < a.num_sets(); ++id) {
+    EXPECT_EQ(a.DecodeSet(id), b.DecodeSet(id)) << "set " << id;
+  }
+}
+
+class TwoPoolEngineBatchTest
+    : public ::testing::TestWithParam<DiffusionModel> {};
+
+TEST_P(TwoPoolEngineBatchTest, ProducesRequestedCount) {
+  const Graph g = GenerateBarabasiAlbert(200, 4);
+  TwoPoolEngine engine(g, GetParam(), {}, /*num_threads=*/4);
+  FillR1(&engine, 1000, /*seed=*/1);
+  EXPECT_EQ(engine.r1().num_sets(), 1000u);
+  EXPECT_GT(engine.r1().total_size(), 1000u);  // roots alone give >= 1
+  EXPECT_GT(engine.r1().total_edges_examined(), 0u);
+  EXPECT_EQ(engine.r2().num_sets(), 0u);
+}
+
+TEST_P(TwoPoolEngineBatchTest, DeterministicForFixedSeedAndThreads) {
+  const Graph g = GenerateBarabasiAlbert(200, 4);
+  TwoPoolEngine a(g, GetParam(), {}, 3), b(g, GetParam(), {}, 3);
+  FillR1(&a, 500, 7);
+  FillR1(&b, 500, 7);
+  ExpectSameSets(a.r1(), b.r1());
+}
+
+TEST_P(TwoPoolEngineBatchTest, StatisticallyEquivalentAcrossThreads) {
+  // Different thread counts give different streams but the same
+  // distribution: spread estimates of a fixed seed set must agree.
+  const Graph g = GenerateErdosRenyi(150, 900);
+  TwoPoolEngine serial(g, GetParam(), {}, 1), parallel4(g, GetParam(), {}, 4);
+  FillR1(&serial, 40000, 11);
+  FillR1(&parallel4, 40000, 11);
+  const std::vector<NodeId> seeds = {0, 10, 20};
+  const double a = serial.r1().EstimateSpread(seeds);
+  const double b = parallel4.r1().EstimateSpread(seeds);
+  EXPECT_NEAR(a, b, 0.15 * std::max(a, 1.0));
+}
+
+TEST_P(TwoPoolEngineBatchTest, ZeroCountIsNoop) {
+  const Graph g = GenerateBarabasiAlbert(50, 3);
+  TwoPoolEngine engine(g, GetParam(), {}, 4);
+  engine.Stage(0, 1, 0, 2, nullptr, /*speculative=*/false);
+  EXPECT_EQ(engine.Merge(nullptr), 0u);
+  EXPECT_EQ(engine.r1().num_sets(), 0u);
+  EXPECT_EQ(engine.r2().num_sets(), 0u);
+}
+
+TEST_P(TwoPoolEngineBatchTest, MoreThreadsThanSamples) {
+  const Graph g = GenerateBarabasiAlbert(50, 3);
+  TwoPoolEngine engine(g, GetParam(), {}, 16);
+  FillR1(&engine, 3, 1);
+  EXPECT_EQ(engine.r1().num_sets(), 3u);
+}
+
+TEST_P(TwoPoolEngineBatchTest, PoolIsReusedAcrossBatches) {
+  // Every batch runs its shards on the engine's one pool (4 sampling
+  // tasks per batch), whose task count, reported after each merge, grows
+  // across batches instead of dying with a per-batch pool.
+  const Graph g = GenerateBarabasiAlbert(100, 3);
+  auto tasks_run = [] {
+    const MetricsSnapshot s = MetricsRegistry::Default().Snapshot();
+    const CounterSample* c = s.FindCounter("opim.pool.tasks_run");
+    return c != nullptr ? c->value : 0;
+  };
+  TwoPoolEngine engine(g, GetParam(), {}, 4);
+  const uint64_t tasks_before = tasks_run();
+  for (uint64_t seed : {1, 2, 3}) FillR1(&engine, 200, seed);
+  EXPECT_EQ(engine.r1().num_sets(), 600u);
+  if (OPIM_TELEMETRY_ENABLED) {
+    EXPECT_GE(tasks_run(), tasks_before + 12);
+  }
+}
+
+TEST_P(TwoPoolEngineBatchTest, IncrementalBatchesMatchOneShot) {
+  // Growing a pool across batches (the doubling pattern RunOpimC uses)
+  // appends each batch after the last: the grown pool holds exactly the
+  // sets each batch samples on its own, in batch order.
+  const Graph g = GenerateBarabasiAlbert(150, 4);
+  TwoPoolEngine grown(g, GetParam(), {}, 2);
+  FillR1(&grown, 300, 5);
+  FillR1(&grown, 300, 6);
+  TwoPoolEngine first(g, GetParam(), {}, 2), second(g, GetParam(), {}, 2);
+  FillR1(&first, 300, 5);
+  FillR1(&second, 300, 6);
+  const RRCollection& pool = grown.r1();
+  ASSERT_EQ(pool.num_sets(), 600u);
+  EXPECT_EQ(pool.total_size(),
+            first.r1().total_size() + second.r1().total_size());
+  EXPECT_EQ(pool.total_edges_examined(), first.r1().total_edges_examined() +
+                                             second.r1().total_edges_examined());
+  for (RRId id = 0; id < 300; ++id) {
+    EXPECT_EQ(pool.DecodeSet(id), first.r1().DecodeSet(id)) << "set " << id;
+    EXPECT_EQ(pool.DecodeSet(300 + id), second.r1().DecodeSet(id))
+        << "set " << 300 + id;
+  }
+  for (NodeId v = 0; v < pool.num_nodes(); ++v) {
+    std::vector<RRId> want = first.r1().DecodeCovering(v);
+    for (RRId id : second.r1().DecodeCovering(v)) want.push_back(300 + id);
+    EXPECT_EQ(pool.DecodeCovering(v), want) << "node " << v;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothModels, TwoPoolEngineBatchTest,
+                         ::testing::Values(DiffusionModel::kIndependentCascade,
+                                           DiffusionModel::kLinearThreshold),
+                         [](const auto& info) {
+                           return DiffusionModelName(info.param);
+                         });
+
 TEST(TwoPoolEngineTest, DiscardedSpeculationNeverReachesThePools) {
   const Graph g = GenerateBarabasiAlbert(400, 4);
   TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {}, 4);
@@ -190,8 +341,8 @@ TEST(TwoPoolEngineTest, FloorFillsEmptyPoolsOnlyAfterATrip) {
   // Each floored set is the pool's one-set batch with its own seed.
   for (int pool : {0, 1}) {
     RRCollection want(g.num_nodes());
-    ParallelGenerate(g, DiffusionModel::kIndependentCascade, &want, 1,
-                     seed_for(pool), 1);
+    SerialOracle(g, DiffusionModel::kIndependentCascade, {}, 1, 1,
+                 seed_for(pool), &want);
     ExpectSamePool(pool == 0 ? engine.r1() : engine.r2(), want);
   }
   engine.FloorEmptyPools(&cancelled, seed_for);  // pools no longer empty

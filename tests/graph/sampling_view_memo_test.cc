@@ -1,7 +1,6 @@
 // The per-graph SamplingView memo (SamplingView::For): one view per part
-// and Graph object, shared by every engine, sampler and ParallelGenerate
-// call on it, rebuilt for copies and moves, and built once under
-// concurrent first calls. A freshly constructed SamplingView is the
+// and Graph object, shared by every engine and sampler on it, rebuilt for
+// copies and moves, and built once under concurrent first calls. A freshly constructed SamplingView is the
 // oracle every memoized view must match byte for byte.
 
 #include "graph/sampling_view.h"

@@ -37,58 +37,5 @@ TEST(ScopedTimerTest, NullHistogramMeasuresOnly) {
   EXPECT_GE(timer.ElapsedMicros(), 0u);
 }
 
-TEST(PhaseTimerTest, AccumulatesNamedPhases) {
-  PhaseTimer timer;
-  timer.Start("generate");
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  timer.Start("greedy");
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  timer.Stop();
-
-  EXPECT_GE(timer.Seconds("generate"), 0.002);
-  EXPECT_GE(timer.Seconds("greedy"), 0.001);
-  EXPECT_EQ(timer.Seconds("unknown"), 0.0);
-  ASSERT_EQ(timer.phases().size(), 2u);
-  EXPECT_EQ(timer.phases()[0].first, "generate");
-  EXPECT_EQ(timer.phases()[1].first, "greedy");
-  EXPECT_GE(timer.TotalSeconds(),
-            timer.Seconds("generate") + timer.Seconds("greedy") - 1e-9);
-}
-
-TEST(PhaseTimerTest, ReenteringResumesTotal) {
-  PhaseTimer timer;
-  timer.Start("a");
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  timer.Start("b");
-  timer.Start("a");  // resume
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  timer.Stop();
-  EXPECT_GE(timer.Seconds("a"), 0.002);
-  ASSERT_EQ(timer.phases().size(), 2u);  // no duplicate entry for "a"
-}
-
-TEST(PhaseTimerTest, SecondsIncludesInFlightSegment) {
-  PhaseTimer timer;
-  timer.Start("open");
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_GE(timer.Seconds("open"), 0.001);  // still running
-  timer.Stop();
-}
-
-TEST(PhaseTimerTest, PublishToRegistry) {
-  PhaseTimer timer;
-  timer.Start("generate");
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  timer.Stop();
-
-  MetricsRegistry registry;
-  timer.PublishTo(registry, "test.phase.");
-  MetricsSnapshot snap = registry.Snapshot();
-  const HistogramSample* sample = snap.FindHistogram("test.phase.generate_us");
-  ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->count, 1u);
-  EXPECT_GE(sample->sum, 1000u);
-}
-
 }  // namespace
 }  // namespace opim

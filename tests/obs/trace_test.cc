@@ -197,12 +197,13 @@ TEST_F(TraceTest, ThreadPoolHookEmitsTaskSpans) {
   rec.StartSession();  // installs ThreadPool::SetTaskSpanHook
   {
     ThreadPool pool(2);
+    TaskGroup group(&pool);
     for (int i = 0; i < 8; ++i) {
-      pool.Submit([] {
+      group.Submit([] {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       });
     }
-    pool.Wait();
+    group.Wait();
   }
   rec.StopSession();
   TraceSnapshot snap = rec.Snapshot();

@@ -6,6 +6,7 @@
 #include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace opim {
@@ -13,43 +14,83 @@ namespace {
 
 TEST(ThreadPoolTest, ExecutesAllTasks) {
   ThreadPool pool(4);
+  TaskGroup group(&pool);
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    group.Submit([&counter] { counter.fetch_add(1); });
   }
-  pool.Wait();
+  group.Wait();
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
   ThreadPool pool(2);
-  pool.Wait();  // no tasks; must not hang
+  TaskGroup group(&pool);
+  group.Wait();  // no tasks; must not hang
   SUCCEED();
 }
 
 TEST(ThreadPoolTest, MultipleWaitCycles) {
   ThreadPool pool(3);
+  TaskGroup group(&pool);
   std::atomic<int> counter{0};
   for (int cycle = 0; cycle < 5; ++cycle) {
     for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      group.Submit([&counter] { counter.fetch_add(1); });
     }
-    pool.Wait();
+    group.Wait();
     EXPECT_EQ(counter.load(), (cycle + 1) * 20);
   }
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolWorks) {
   ThreadPool pool(1);
+  TaskGroup group(&pool);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    pool.Submit([&order, i] { order.push_back(i); });
+    group.Submit([&order, i] { order.push_back(i); });
   }
-  pool.Wait();
-  // One worker executes in submission order.
+  group.Wait();
+  // The joining caller executes in submission order.
   std::vector<int> expected(10);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
+}
+
+TEST(ThreadPoolTest, SingleThreadGroupRunsEverythingOnTheCallerAtWait) {
+  // ThreadPool(1) starts no worker: nothing runs before Wait, which runs
+  // every task on the caller in submit order and rethrows the first
+  // failure only after running the rest.
+  ThreadPool pool(1);
+  TaskGroup group(&pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  bool all_on_caller = true;
+  auto task = [&](int i) {
+    order.push_back(i);
+    all_on_caller &= std::this_thread::get_id() == caller;
+  };
+  group.Submit([&] { task(0); });
+  group.Submit([&] {
+    task(1);
+    throw std::runtime_error("first");
+  });
+  group.Submit([&] { task(2); });
+  group.Submit([&] {
+    task(3);
+    throw std::logic_error("second");
+  });
+  group.Submit([&] { task(4); });
+  EXPECT_TRUE(order.empty());
+  try {
+    group.Wait();
+    FAIL() << "Wait() must rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(all_on_caller);
+  EXPECT_EQ(pool.Stats().tasks_run, 5u);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRange) {
@@ -73,10 +114,11 @@ TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
   std::atomic<int> counter{0};
   {
     ThreadPool pool(2);
+    TaskGroup group(&pool);
     for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      group.Submit([&counter] { counter.fetch_add(1); });
     }
-    // No Wait(): destructor must still let tasks finish.
+    // No Wait(): destruction must still let every task finish.
   }
   EXPECT_EQ(counter.load(), 50);
 }
@@ -96,39 +138,23 @@ TEST(ThreadPoolTest, ResolveThreadCount) {
 
 TEST(ThreadPoolTest, WaitRethrowsTaskException) {
   ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, FirstExceptionWinsAndBatchIsDrained) {
-  ThreadPool pool(1);  // one worker: deterministic execution order
-  std::atomic<int> ran{0};
-  pool.Submit([] { throw std::runtime_error("first"); });
-  // Queued behind the failure on the same worker: must be drained without
-  // running once the batch is poisoned.
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&ran] { ran.fetch_add(1); });
-  }
-  try {
-    pool.Wait();
-    FAIL() << "Wait() must rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "first");
-  }
-  EXPECT_EQ(ran.load(), 0);
+  TaskGroup group(&pool);
+  group.Submit([] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(group.Wait(), std::runtime_error);
 }
 
 TEST(ThreadPoolTest, PoolIsReusableAfterFailure) {
   ThreadPool pool(3);
+  TaskGroup group(&pool);
   for (int cycle = 0; cycle < 3; ++cycle) {
-    pool.Submit([] { throw std::logic_error("cycle failure"); });
-    EXPECT_THROW(pool.Wait(), std::logic_error);
+    group.Submit([] { throw std::logic_error("cycle failure"); });
+    EXPECT_THROW(group.Wait(), std::logic_error);
     // The failure must be consumed: the next batch runs normally.
     std::atomic<int> counter{0};
     for (int i = 0; i < 30; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      group.Submit([&counter] { counter.fetch_add(1); });
     }
-    pool.Wait();
+    group.Wait();
     EXPECT_EQ(counter.load(), 30);
   }
 }
@@ -148,47 +174,52 @@ TEST(ThreadPoolTest, ParallelForPropagatesException) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ThreadPoolTest, DestructorSwallowsUnconsumedFailure) {
-  // A pool destroyed without Wait() after a throwing task must not
-  // terminate the process.
-  ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("never observed"); });
-}
-
 TEST(ThreadPoolTest, StatsCountTasksRun) {
   ThreadPool pool(2);
+  TaskGroup group(&pool);
   EXPECT_EQ(pool.Stats().tasks_run, 0u);
   std::atomic<int> counter{0};
   for (int i = 0; i < 37; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    group.Submit([&counter] { counter.fetch_add(1); });
   }
-  pool.Wait();
+  group.Wait();
   EXPECT_EQ(pool.Stats().tasks_run, 37u);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
+  group.Submit([&counter] { counter.fetch_add(1); });
+  group.Wait();
   EXPECT_EQ(pool.Stats().tasks_run, 38u);
 }
 
 /// Occupies every worker of `pool` with a task that blocks until
-/// Release(), and returns once all of them are running.
+/// Release(), and returns once all of them are running. The blocking
+/// tasks are their own group, joined by Release().
 class BlockedWorkers {
  public:
   explicit BlockedWorkers(ThreadPool* pool)
-      : workers_(pool->num_threads() - 1), started_(workers_) {
+      : workers_(pool->num_threads() - 1), started_(workers_), group_(pool) {
     for (unsigned i = 0; i < workers_; ++i) {
-      pool->Submit([this] {
+      group_.Submit([this] {
         started_.count_down();
         release_.wait();
       });
     }
     started_.wait();
   }
-  void Release() { release_.count_down(); }
+  ~BlockedWorkers() { Release(); }
+
+  /// Unblocks the workers and joins their tasks; idempotent.
+  void Release() {
+    if (released_) return;
+    released_ = true;
+    release_.count_down();
+    group_.Wait();
+  }
 
  private:
   unsigned workers_;
   std::latch started_;
   std::latch release_{1};
+  bool released_ = false;
+  TaskGroup group_;
 };
 
 TEST(ThreadPoolJoinTest, ParallelForInsideAPoolTaskCompletes) {
@@ -197,14 +228,15 @@ TEST(ThreadPoolJoinTest, ParallelForInsideAPoolTaskCompletes) {
   // inside a ParallelFor whose helpers can only run on a busy pool.
   constexpr uint64_t kItems = 200;
   std::vector<std::atomic<int>> hits(4 * kItems);
+  TaskGroup group(&pool);
   for (uint64_t t = 0; t < 4; ++t) {
-    pool.Submit([&, t] {
+    group.Submit([&, t] {
       pool.ParallelFor(kItems, [&](uint64_t i) {
         hits[t * kItems + i].fetch_add(1);
       });
     });
   }
-  pool.Wait();
+  group.Wait();
   for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -229,7 +261,6 @@ TEST(ThreadPoolJoinTest, JoinsCompleteOnTheCallerWhileWorkersAreBlocked) {
                                 }),
                std::logic_error);
   blocked.Release();
-  pool.Wait();
 }
 
 TEST(ThreadPoolJoinTest, TaskGroupDestroyedWithQueuedTasksIsSafe) {
@@ -244,19 +275,19 @@ TEST(ThreadPoolJoinTest, TaskGroupDestroyedWithQueuedTasksIsSafe) {
   }
   EXPECT_EQ(ran.load(), 6);
   blocked.Release();
-  pool.Wait();
   // The pool is unaffected: later work runs normally.
-  pool.Submit([&] { ran.fetch_add(1); });
-  pool.Wait();
+  TaskGroup later(&pool);
+  later.Submit([&] { ran.fetch_add(1); });
+  later.Wait();
   EXPECT_EQ(ran.load(), 7);
 }
 
 TEST(ThreadPoolJoinTest, StatsCountTasksTheCallerRan) {
   ThreadPool serial(1);  // no workers: the caller runs everything
   std::atomic<int> counter{0};
-  for (int i = 0; i < 5; ++i) serial.Submit([&] { counter.fetch_add(1); });
-  serial.Wait();
   TaskGroup group(&serial);
+  for (int i = 0; i < 5; ++i) group.Submit([&] { counter.fetch_add(1); });
+  group.Wait();
   for (int i = 0; i < 3; ++i) group.Submit([&] { counter.fetch_add(1); });
   group.Wait();
   EXPECT_EQ(counter.load(), 8);
@@ -271,7 +302,6 @@ TEST(ThreadPoolJoinTest, StatsCountTasksTheCallerRan) {
   blocked_group.Wait();  // all four ran here
   EXPECT_EQ(pool.Stats().tasks_run, 5u);  // plus the blocking task
   blocked.Release();
-  pool.Wait();
   EXPECT_EQ(pool.Stats().tasks_run, 5u);
 }
 

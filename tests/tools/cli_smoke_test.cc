@@ -445,6 +445,69 @@ TEST(CliSmokeTest, LtCommandsRefuseInWeightsPastOne) {
   std::remove(txt.c_str());
 }
 
+/// Runs `args` (a run or online command with its flags) on a four-node
+/// text graph and expects a clean refusal: exit 1 and an error line that
+/// names the flag and its value, `flag`.
+void ExpectFlagRefused(const std::string& args, const std::string& flag) {
+  // One file per test: ctest runs the cases in parallel processes.
+  const std::string name =
+      std::string(
+          ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+      ".txt";
+  const std::string txt =
+      WriteTextGraph(name.c_str(), "10 20 0.9\n30 20 0.9\n20 40 0.5\n");
+  auto [rc, out] = RunCommand(Cli() + " " + args + " --graph=" + txt);
+  EXPECT_EQ(ExitCode(rc), 1) << args << "\n" << out;
+  EXPECT_NE(out.find("error: "), std::string::npos) << args << "\n" << out;
+  EXPECT_NE(out.find(flag + ": "), std::string::npos) << args << "\n" << out;
+  std::remove(txt.c_str());
+}
+
+TEST(CliSmokeTest, RunRefusesKAboveNodeCount) {
+  ExpectFlagRefused("run --k=9 --mc=0", "--k=9");
+}
+
+TEST(CliSmokeTest, RunRefusesZeroK) {
+  ExpectFlagRefused("run --k=0 --mc=0", "--k=0");
+}
+
+TEST(CliSmokeTest, RunRefusesMalformedK) {
+  ExpectFlagRefused("run --k=abc --mc=0", "--k=abc");
+}
+
+TEST(CliSmokeTest, RunRefusesEpsAboveOne) {
+  ExpectFlagRefused("run --k=1 --eps=1.5 --mc=0", "--eps=1.5");
+}
+
+TEST(CliSmokeTest, RunRefusesMalformedEps) {
+  ExpectFlagRefused("run --k=1 --eps=abc --mc=0", "--eps=abc");
+}
+
+TEST(CliSmokeTest, RunRefusesDeltaAboveOne) {
+  ExpectFlagRefused("run --k=1 --delta=2 --mc=0", "--delta=2");
+}
+
+TEST(CliSmokeTest, ImmRefusesKAboveNodeCount) {
+  ExpectFlagRefused("run --algo=imm --k=9 --mc=0", "--k=9");
+}
+
+TEST(CliSmokeTest, OnlineRefusesKAboveNodeCount) {
+  ExpectFlagRefused("online --k=9 --rounds=1", "--k=9");
+}
+
+TEST(CliSmokeTest, OnlineRefusesZeroDelta) {
+  ExpectFlagRefused("online --k=1 --delta=0 --rounds=1", "--delta=0");
+}
+
+TEST(CliSmokeTest, OnlineRefusesOneSetBatches) {
+  // One set per round leaves R2 empty after round 1.
+  ExpectFlagRefused("online --k=1 --batch=1 --rounds=1", "--batch=1");
+}
+
+TEST(CliSmokeTest, OnlineRefusesEmptyBatches) {
+  ExpectFlagRefused("online --k=1 --batch=0 --rounds=1", "--batch=0");
+}
+
 TEST(CliSmokeTest, BadLogLevelIsCleanError) {
   auto [rc, out] = RunCommand(Cli() + " run --log-level=shout");
   EXPECT_NE(rc, 0);

@@ -23,6 +23,13 @@
 // --model=LT (run, evaluate, online) refuses, with exit 1, a graph where
 // some node's in-weights sum past 1: LT defines no spread there.
 //
+// run and online refuse, with exit 1, a --k that is not an integer in
+// [1, n], an --eps or --delta that is not a number strictly between 0
+// and 1 (where the algorithm uses them: the opim-c variants, imm, tim,
+// ssa-fix, dssa-fix, and online's --delta; the 1/n default of --delta
+// is 1, and refused, on a one-node graph), and an online --batch below 2
+// (each round must give both pools a set).
+//
 // Graph paths ending in .opimg load/save the memory-mapped binary format
 // (graph/graph_mmap.h; build with tools/graph_pack or
 // `convert --out=x.opimg`); anything else is a text edge list. On a text
@@ -237,6 +244,55 @@ Status ParseQueryKs(const std::string& spec, uint32_t k,
   return Status::OK();
 }
 
+/// Reads --`name` strictly (ParseDecimalU64) into `*value`, which keeps
+/// its default when the flag is absent, and requires lo <= value <= hi.
+/// The error names the flag and the value.
+Status ReadCountFlag(const Flags& flags, const std::string& name,
+                     uint64_t lo, uint64_t hi, const std::string& range,
+                     uint64_t* value) {
+  std::string text = std::to_string(*value);
+  if (flags.Has(name)) {
+    text = flags.GetString(name, "");
+    if (!ParseDecimalU64(text, value)) {
+      return Status::InvalidArgument("--" + name + "=" + text +
+                                     ": not an unsigned integer");
+    }
+  }
+  if (*value < lo || *value > hi) {
+    return Status::InvalidArgument("--" + name + "=" + text + ": must be " +
+                                   range);
+  }
+  return Status::OK();
+}
+
+/// Reads --`name` strictly (ParseProbability) into `*value`, which keeps
+/// its default when the flag is absent, and requires 0 < value < 1.
+Status ReadOpenUnitFlag(const Flags& flags, const std::string& name,
+                        double* value) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%g", *value);
+  std::string given = text;
+  if (flags.Has(name)) given = flags.GetString(name, "");
+  if ((flags.Has(name) && !ParseProbability(given, value)) ||
+      !(*value > 0.0 && *value < 1.0)) {
+    return Status::InvalidArgument("--" + name + "=" + given +
+                                   ": must be a number strictly between 0 "
+                                   "and 1");
+  }
+  return Status::OK();
+}
+
+/// --k for a graph of `n` nodes: an integer in [1, n].
+Status ReadSeedCount(const Flags& flags, uint32_t n, uint32_t* k) {
+  uint64_t value = 50;
+  Status st = ReadCountFlag(flags, "k", 1, n,
+                            "between 1 and the graph's " + std::to_string(n) +
+                                " nodes",
+                            &value);
+  *k = static_cast<uint32_t>(value);
+  return st;
+}
+
 /// Arms `control` from the guardrail flags and binds the signal guard's
 /// cancel flag, so SIGINT/SIGTERM degrade the run gracefully.
 void ArmRunControl(const Flags& flags, const SignalGuard& guard,
@@ -395,9 +451,9 @@ int CmdRun(const Flags& flags) {
   if (!graph_or.ok()) return Fail(graph_or.status());
   const Graph& g = graph_or.ValueOrDie();
   DiffusionModel model = ModelFromFlags(flags);
-  uint32_t k = static_cast<uint32_t>(flags.GetUint("k", 50));
-  double eps = flags.GetDouble("eps", 0.1);
-  double delta = flags.GetDouble("delta", 1.0 / g.num_nodes());
+  uint32_t k = 0;
+  double eps = 0.1;
+  double delta = 1.0 / g.num_nodes();
   uint64_t seed = flags.GetUint("seed", 1);
   std::string algo = flags.GetString("algo", "opim-c+");
   unsigned threads = static_cast<unsigned>(flags.GetUint("threads", 1));
@@ -448,10 +504,19 @@ int CmdRun(const Flags& flags) {
                                            : "opim-c+";
   }
 
-  // --query-ks is validated after the resume block so entries are checked
-  // against the authoritative k (a snapshot's k overrides the flag).
+  // --k, --eps and --delta, and --query-ks below, are read after the
+  // resume block: a snapshot's k, ε and δ override the flags.
   const bool is_opimc =
       algo == "opim-c+" || algo == "opim-c0" || algo == "opim-c'";
+  if (resume == nullptr) {
+    Status st = ReadSeedCount(flags, g.num_nodes(), &k);
+    if (st.ok() && (is_opimc || algo == "imm" || algo == "tim" ||
+                    algo == "ssa-fix" || algo == "dssa-fix")) {
+      st = ReadOpenUnitFlag(flags, "eps", &eps);
+      if (st.ok()) st = ReadOpenUnitFlag(flags, "delta", &delta);
+    }
+    if (!st.ok()) return Fail(st);
+  }
   std::vector<uint32_t> query_ks;
   if (flags.Has("query-ks")) {
     if (!is_opimc) {
@@ -706,9 +771,15 @@ int CmdOnline(const Flags& flags) {
   const DiffusionModel model = ModelFromFlags(flags);
   Status weights_st = CheckModelWeights(g, model, file_ids);
   if (!weights_st.ok()) return Fail(weights_st);
-  const uint32_t k = static_cast<uint32_t>(flags.GetUint("k", 50));
-  const double delta = flags.GetDouble("delta", 1.0 / g.num_nodes());
-  const uint64_t batch = flags.GetUint("batch", 10000);
+  uint32_t k = 0;
+  double delta = 1.0 / g.num_nodes();
+  uint64_t batch = 10000;
+  Status st = ReadSeedCount(flags, g.num_nodes(), &k);
+  if (st.ok()) st = ReadOpenUnitFlag(flags, "delta", &delta);
+  if (st.ok()) {
+    st = ReadCountFlag(flags, "batch", 2, UINT64_MAX, "at least 2", &batch);
+  }
+  if (!st.ok()) return Fail(st);
   const uint32_t rounds = static_cast<uint32_t>(flags.GetUint("rounds", 20));
   const double target = flags.GetDouble("target", 0.9);
   const bool sequential = flags.GetBool("sequential", false);
