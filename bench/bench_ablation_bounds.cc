@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
                             "leskovec_Eq15"});
   for (uint64_t theta : {1000ULL, 4000ULL, 16000ULL, 64000ULL, 256000ULL}) {
     sampler->Generate(&r1, theta - r1.num_sets(), rng);
-    opim::GreedyResult greedy = opim::SelectGreedy(r1, k, true);
+    opim::GreedyResult greedy = opim::SelectGreedy(r1, k, {k});
     const double base = static_cast<double>(greedy.coverage);
     table.AddRow(
         {opim::TablePrinter::Cell(theta),

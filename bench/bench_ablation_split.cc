@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
       sampler->Generate(&r1, theta1, rng);
       sampler->Generate(&r2, budget - theta1, rng);
 
-      opim::GreedyResult greedy = opim::SelectGreedy(r1, k, true);
+      opim::GreedyResult greedy = opim::SelectGreedy(r1, k, {k});
       uint64_t lambda2 = r2.CoverageOf(greedy.seeds);
       double lower = opim::SigmaLower(lambda2, r2.num_sets(), n, delta / 2);
       sum0 += opim::ApproxRatio(

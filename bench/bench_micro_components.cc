@@ -81,7 +81,7 @@ void BM_GreedyDestructiveWithTrace(benchmark::State& state) {
   RRCollection rr = MakeBenchCollection(
       static_cast<uint32_t>(state.range(0)));
   for (auto _ : state) {
-    GreedyResult r = SelectGreedy(rr, 50, /*with_trace=*/true);
+    GreedyResult r = SelectGreedy(rr, 50, {50});
     benchmark::DoNotOptimize(r.coverage);
   }
 }

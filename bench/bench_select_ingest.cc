@@ -244,7 +244,7 @@ int Run(const Config& cfg) {
     select_sink += SelectGreedy(rr, cfg.k).coverage;
   });
   const double greedy_trace_us = TimeMedianUs(cfg.reps, [&] {
-    select_sink += SelectGreedy(rr, cfg.k, /*with_trace=*/true).coverage;
+    select_sink += SelectGreedy(rr, cfg.k, {cfg.k}).coverage;
   });
   const double celf_us = TimeMedianUs(cfg.reps, [&] {
     select_sink += SelectGreedyCelf(rr, cfg.k).coverage;
@@ -252,7 +252,7 @@ int Run(const Config& cfg) {
   // The gated selection timing: more reps than the others, since it is
   // the one number the regression gate reads from this block.
   const double celf_trace_us = TimeMedianUs(cfg.reps * 2 + 1, [&] {
-    select_sink += SelectGreedyCelf(rr, cfg.k, /*with_trace=*/true).coverage;
+    select_sink += SelectGreedyCelf(rr, cfg.k, {cfg.k}).coverage;
   });
 
   // The engines run a Λ2 coverage query every iteration; run one so the
@@ -261,7 +261,7 @@ int Run(const Config& cfg) {
   select_sink += rr.CoverageOf(celf_seeds);
 
   // --- Bounds: trace-bound assembly from a cached greedy trace.
-  GreedyResult traced = SelectGreedy(rr, cfg.k, /*with_trace=*/true);
+  GreedyResult traced = SelectGreedy(rr, cfg.k, {cfg.k});
   double bounds_sink = 0.0;
   const double bounds_us = TimeMedianUs(cfg.reps, [&] {
     for (int it = 0; it < 100; ++it) {
@@ -314,7 +314,7 @@ int Run(const Config& cfg) {
       IngestSlice(&c, pool, sets, set_offsets, done, target);
       done = target;
       Stopwatch watch;
-      GreedyResult result = SelectGreedyCelf(c, cfg.k, /*with_trace=*/true);
+      GreedyResult result = SelectGreedyCelf(c, cfg.k, {cfg.k});
       select_seconds += watch.ElapsedSeconds();
       doubling_sink += result.coverage;
       final_seeds = std::move(result.seeds);

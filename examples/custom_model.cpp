@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     r2.AddSet(scratch, cost);
   }
 
-  opim::GreedyResult greedy = opim::SelectGreedy(r1, k, /*with_trace=*/true);
+  opim::GreedyResult greedy = opim::SelectGreedy(r1, k, {k});
   const double lower =
       opim::SigmaLower(r2.CoverageOf(greedy.seeds), r2.num_sets(), n,
                        delta / 2);

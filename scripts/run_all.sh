@@ -42,8 +42,9 @@ ctest --test-dir build-fi --output-on-failure \
 
 # Sanitized build (ASan + UBSan) over the memory-heavy engine subset:
 # sampling kernels, RR-set storage (the judge scan and restored pools
-# included), parallel generation, and selection (CELF from maintained
-# member counts against the postings oracle, across doublings).
+# included), parallel generation, selection (CELF from maintained
+# member counts against the postings oracle, across doublings), and the
+# trace columns the certificates read (prefix queries, λᵘ and σ_u).
 # These are the paths with raw index arithmetic (quantized thresholds,
 # geometric skips, flattened alias arena, CSR rebuilds), so UB or
 # out-of-bounds access must fail loudly here even when the plain build
@@ -56,7 +57,7 @@ cmake -B build-asan -G Ninja -DOPIM_SANITIZE=ON -DOPIM_FAULT_INJECT=ON \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine|JudgeScan|SelectionState' 2>&1 \
+  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine|JudgeScan|SelectionState|TraceQuery|QueryKs|LambdaUpper|SigmaUpper' 2>&1 \
   | tee "$OUT/test_output_sanitized.txt"
 
 # TSan build over the concurrency-heavy subset: the thread pool and the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -53,39 +54,54 @@ double SigmaUpperBasic(uint64_t lambda1, uint64_t theta1, double scale,
       static_cast<double>(lambda1) / kOneMinusInvE, theta1, scale, delta1);
 }
 
-uint64_t LambdaUpperFromTrace(const GreedyResult& greedy) {
-  OPIM_CHECK_MSG(!greedy.coverage_at.empty(),
-                 "LambdaUpperFromTrace needs a GreedyResult with trace");
-  OPIM_CHECK_EQ(greedy.coverage_at.size(), greedy.topk_marginal_at.size());
+namespace {
+
+/// The size k' names (0: the selection's k).
+uint32_t SizeOrK(const GreedyResult& greedy, uint32_t k_prime) {
+  return k_prime == 0 ? static_cast<uint32_t>(greedy.seeds.size()) : k_prime;
+}
+
+}  // namespace
+
+uint64_t LambdaUpperFromTrace(const GreedyResult& greedy, uint32_t k_prime) {
+  const uint32_t j = SizeOrK(greedy, k_prime);
+  // Prefixes 0..j of size j's column: by prefix-consistency exactly the
+  // trace a fresh j-selection would hold.
+  const std::span<const uint64_t> top = greedy.TopMarginals(j);
   uint64_t best = UINT64_MAX;
-  for (size_t i = 0; i < greedy.coverage_at.size(); ++i) {
-    best = std::min(best, greedy.coverage_at[i] + greedy.topk_marginal_at[i]);
+  for (uint32_t i = 0; i <= j; ++i) {
+    best = std::min(best, greedy.coverage_at[i] + top[i]);
   }
   return best;
 }
 
-uint64_t LambdaUpperLeskovec(const GreedyResult& greedy) {
-  OPIM_CHECK_MSG(!greedy.coverage_at.empty(),
-                 "LambdaUpperLeskovec needs a GreedyResult with trace");
-  return greedy.coverage_at.back() + greedy.topk_marginal_at.back();
+uint64_t LambdaUpperLeskovec(const GreedyResult& greedy, uint32_t k_prime) {
+  const uint32_t j = SizeOrK(greedy, k_prime);
+  return greedy.coverage_at[j] + greedy.TopMarginals(j)[j];
 }
 
 double SigmaUpper(BoundKind kind, const GreedyResult& greedy, uint64_t theta1,
-                  double scale, double delta1) {
+                  double scale, double delta1, uint32_t k_prime) {
   OPIM_TR_SPAN1("sigma_upper", "bounds", "theta1", theta1);
+  const uint32_t j = SizeOrK(greedy, k_prime);
   switch (kind) {
     case BoundKind::kBasic:
       OPIM_TM_COUNTER_ADD("opim.bounds.eval_basic", 1);
-      return SigmaUpperBasic(greedy.coverage, theta1, scale, delta1);
+      // Λ1(S_j*): the selection's own coverage at k, else the trace's.
+      if (j == greedy.seeds.size()) {
+        return SigmaUpperBasic(greedy.coverage, theta1, scale, delta1);
+      }
+      OPIM_CHECK_LT(j, greedy.coverage_at.size());
+      return SigmaUpperBasic(greedy.coverage_at[j], theta1, scale, delta1);
     case BoundKind::kImproved:
       OPIM_TM_COUNTER_ADD("opim.bounds.eval_improved", 1);
       return SigmaUpperFromLambda(
-          static_cast<double>(LambdaUpperFromTrace(greedy)), theta1, scale,
-          delta1);
+          static_cast<double>(LambdaUpperFromTrace(greedy, j)), theta1,
+          scale, delta1);
     case BoundKind::kLeskovec:
       OPIM_TM_COUNTER_ADD("opim.bounds.eval_leskovec", 1);
       return SigmaUpperFromLambda(
-          static_cast<double>(LambdaUpperLeskovec(greedy)), theta1, scale,
+          static_cast<double>(LambdaUpperLeskovec(greedy, j)), theta1, scale,
           delta1);
   }
   return 0.0;
@@ -94,55 +110,6 @@ double SigmaUpper(BoundKind kind, const GreedyResult& greedy, uint64_t theta1,
 double ApproxRatio(double sigma_lower, double sigma_upper) {
   if (sigma_upper <= 0.0) return 0.0;
   return std::clamp(sigma_lower / sigma_upper, 0.0, 1.0);
-}
-
-uint64_t LambdaUpperAt(const SeedTrace& trace, BoundKind kind,
-                       uint32_t k_prime) {
-  OPIM_CHECK_LE(k_prime, trace.k());
-  switch (kind) {
-    case BoundKind::kBasic:
-      OPIM_CHECK_MSG(false, "kBasic has no integer lambda-upper; use BoundsAt");
-      return 0;
-    case BoundKind::kImproved: {
-      // Eq. (10) over the k'-prefix: row i's top-k' column is exactly the
-      // summand the fresh k'-selection's topk_marginal_at[i] would hold.
-      uint64_t best = UINT64_MAX;
-      for (uint32_t i = 0; i <= k_prime; ++i) {
-        best = std::min(best, trace.CoverageAt(i) +
-                                  trace.TopMarginalAt(i, k_prime));
-      }
-      return best;
-    }
-    case BoundKind::kLeskovec:
-      return trace.CoverageAt(k_prime) + trace.TopMarginalAt(k_prime, k_prime);
-  }
-  return 0;
-}
-
-TraceQueryBounds BoundsAt(const SeedTrace& trace, BoundKind kind,
-                          uint32_t k_prime) {
-  OPIM_TR_SPAN2("bounds_at", "bounds", "k_prime", k_prime, "theta1",
-                trace.theta1());
-  OPIM_TM_COUNTER_ADD("opim.bounds.eval_trace_query", 1);
-  OPIM_CHECK_LE(k_prime, trace.k());
-  TraceQueryBounds out;
-  out.sigma_lower = SigmaLower(trace.Lambda2At(k_prime), trace.theta2(),
-                               trace.scale(), trace.delta2());
-  switch (kind) {
-    case BoundKind::kBasic:
-      out.sigma_upper = SigmaUpperBasic(trace.CoverageAt(k_prime),
-                                        trace.theta1(), trace.scale(),
-                                        trace.delta1());
-      break;
-    case BoundKind::kImproved:
-    case BoundKind::kLeskovec:
-      out.sigma_upper = SigmaUpperFromLambda(
-          static_cast<double>(LambdaUpperAt(trace, kind, k_prime)),
-          trace.theta1(), trace.scale(), trace.delta1());
-      break;
-  }
-  out.alpha = ApproxRatio(out.sigma_lower, out.sigma_upper);
-  return out;
 }
 
 double BorgsApproxGuarantee(uint64_t gamma, uint32_t n, uint64_t m) {

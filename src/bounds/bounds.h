@@ -15,12 +15,13 @@
 // which upper bound they use (BoundKind).
 //
 // The Λ coverage counts these bounds consume come from the RR pools:
-// Λ2(S*) is RRCollection::CoverageOf (on an indexed judge pool, seed
-// postings marked into a 64-bit-word scratch bitset and popcounted whole
-// words at a time; on the engine's unindexed one, a single scan of its
-// compressed sets), and the Λ1 trace values arrive in GreedyResult from
-// the CELF selection over the bitset representation (select/greedy.cc).
-// The functions here are pure arithmetic on those counts.
+// Λ2 of every prefix of S* is one scan of the engine's unindexed judge
+// pool (RRCollection::CoverageByPrefix), and the Λ1 trace values arrive
+// in GreedyResult from the CELF selection (select/greedy.cc), for every
+// seed-set size the selection traced. The functions here are pure
+// arithmetic on those counts; each upper bound can be evaluated at any
+// traced size k', which by greedy prefix-consistency equals the bound a
+// fresh k'-selection over the same pool would give.
 //
 // Also here: Borgs et al.'s purely input-size-based guarantee (§3.2) for
 // the baseline, and the Lemma 4.4 f/g machinery behind Figure 1.
@@ -30,7 +31,6 @@
 #include <cstdint>
 
 #include "select/greedy.h"
-#include "select/seed_trace.h"
 
 namespace opim {
 
@@ -64,48 +64,25 @@ double SigmaUpperFromLambda(double lambda_upper, uint64_t theta1, double scale,
 double SigmaUpperBasic(uint64_t lambda1, uint64_t theta1, double scale,
                        double delta1);
 
-/// Λ1ᵘ(S°) of Eq. (10): min over greedy prefixes i = 0..k of
-/// Λ1(S_i*) + Σ_{v ∈ maxMC(S_i*, k)} Λ1(v | S_i*). Requires a GreedyResult
-/// produced with with_trace = true.
-uint64_t LambdaUpperFromTrace(const GreedyResult& greedy);
+/// Λ1ᵘ(S°) of Eq. (10) for seed-set size k' (0: the selection's k): min
+/// over greedy prefixes i = 0..k' of Λ1(S_i*) + Σ_{v ∈ maxMC(S_i*, k')}
+/// Λ1(v | S_i*). Requires a GreedyResult that traced k'.
+uint64_t LambdaUpperFromTrace(const GreedyResult& greedy,
+                              uint32_t k_prime = 0);
 
-/// Λ1⋄(S°) of §5 ("Comparison with Previous Work"): the Eq. (10) summand
-/// evaluated at the final prefix i = k only.
-uint64_t LambdaUpperLeskovec(const GreedyResult& greedy);
+/// Λ1⋄(S°) of §5 ("Comparison with Previous Work") for size k' (0: the
+/// selection's k): the Eq. (10) summand evaluated at prefix i = k' only.
+uint64_t LambdaUpperLeskovec(const GreedyResult& greedy,
+                             uint32_t k_prime = 0);
 
-/// σ upper bound per `kind`, assembled from a traced GreedyResult.
+/// σ upper bound per `kind` for the first k' seeds (0: the selection's
+/// k). kBasic needs no trace at k itself; every other case reads the
+/// trace at k'.
 double SigmaUpper(BoundKind kind, const GreedyResult& greedy, uint64_t theta1,
-                  double scale, double delta1);
+                  double scale, double delta1, uint32_t k_prime = 0);
 
 /// α = σ_l / σ_upper clamped to [0, 1] (0 when the upper bound is 0).
 double ApproxRatio(double sigma_lower, double sigma_upper);
-
-/// The σ_l / σ_upper / α triple answered for one k' <= k query from a
-/// prefix-complete SeedTrace (select/seed_trace.h) — pure arithmetic,
-/// zero pool scans.
-struct TraceQueryBounds {
-  double sigma_lower = 0.0;
-  double sigma_upper = 0.0;
-  double alpha = 0.0;
-};
-
-/// λᵘ at query size k' for the trace-shaped bounds: kImproved is
-/// Eq. (10) restricted to the k'-prefix — min over i = 0..k' of
-/// Λ1(S_i*) + (top-k' marginal sum at prefix i) — and kLeskovec is that
-/// summand at i = k' only. Greedy prefix-consistency makes both equal
-/// what LambdaUpperFromTrace / LambdaUpperLeskovec would return for a
-/// fresh k'-selection over the same pool. kBasic has no integer λᵘ
-/// (its λᵘ = Λ1/(1 - 1/e) is fractional) and is rejected with a check.
-uint64_t LambdaUpperAt(const SeedTrace& trace, BoundKind kind,
-                       uint32_t k_prime);
-
-/// σ_l(S_{k'}*), σ_upper per `kind`, and α for query size k' <= trace.k(),
-/// using the θ1/θ2/scale/δ1/δ2 parameters recorded in the trace. Equals
-/// the bound triple a from-scratch selection + bound evaluation at k'
-/// over the same pools would produce (tests/select pins this). Requires
-/// AttributeJudgeCoverage to have run.
-TraceQueryBounds BoundsAt(const SeedTrace& trace, BoundKind kind,
-                          uint32_t k_prime);
 
 /// Borgs et al.'s guarantee (§3.2): min{1/4, γ / (1492992 (n+m) ln n)}
 /// where γ is the number of edges examined during RR-set construction.

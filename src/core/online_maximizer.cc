@@ -73,9 +73,11 @@ OnlineSnapshot OnlineMaximizer::QueryWithDelta(BoundKind kind,
                  "Query before any RR sets were generated; call Advance()");
   // CELF starts from R1's member counts, which each Advance's appends
   // keep current, so a query never recounts the pool.
-  GreedyResult greedy = engine_.Select(k_, kind != BoundKind::kBasic);
+  GreedyResult greedy = engine_.Select(
+      k_, kind == BoundKind::kBasic ? std::vector<uint32_t>{}
+                                    : std::vector<uint32_t>{k_});
   const TwoPoolEngine::Certificate cert =
-      engine_.Certify(greedy, kind, delta_each, delta_each);
+      engine_.Certify(greedy, kind, delta_each, delta_each).back();
 
   OnlineSnapshot snap;
   snap.theta1 = engine_.r1().num_sets();
@@ -117,9 +119,10 @@ OnlineSnapshotAll OnlineMaximizer::QueryAll() const {
   OPIM_CHECK_MSG(engine_.r1().num_sets() > 0 && engine_.r2().num_sets() > 0,
                  "QueryAll before any RR sets were generated; call Advance()");
   const double delta_each = delta_ / 2.0;
-  GreedyResult greedy = engine_.Select(k_, /*with_trace=*/true);
+  GreedyResult greedy = engine_.Select(k_, {k_});
   const TwoPoolEngine::Certificate basic =
-      engine_.Certify(greedy, BoundKind::kBasic, delta_each, delta_each);
+      engine_.Certify(greedy, BoundKind::kBasic, delta_each, delta_each)
+          .back();
 
   OnlineSnapshotAll snap;
   snap.theta_total = num_rr_sets();

@@ -8,7 +8,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "rrset/snapshot.h"
-#include "select/seed_trace.h"
 #include "support/math_util.h"
 #include "support/random.h"
 #include "support/stopwatch.h"
@@ -156,20 +155,16 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
   result.i_max = i_max;
   result.num_threads = num_threads;
   result.resumed_from_iteration = resumed_from;
-  const bool query_mode = !options.query_ks.empty();
   for (uint32_t k_prime : options.query_ks) {
     OPIM_CHECK_MSG(k_prime >= 1 && k_prime <= k,
                    "query_ks entries must satisfy 1 <= k' <= k");
   }
-  // The Eq. (10) trace is needed for the improved/Leskovec bounds, and —
-  // prefix-complete — for any query answering. Every doubling's CELF
+  // The Eq. (10) trace is needed for the improved/Leskovec bounds at k,
+  // and at every query size for its certificate. Every doubling's CELF
   // starts from R1's maintained member counts (a resumed run's from the
-  // counts Restore rebuilt with R1's index). The SeedTrace is re-armed
-  // per traced selection, so the one the exiting iteration recorded is
-  // the one queries are answered from.
-  SeedTrace seed_trace;
-  const bool with_trace = options.bound != BoundKind::kBasic || query_mode;
-  SeedTrace* const select_trace = query_mode ? &seed_trace : nullptr;
+  // counts Restore rebuilt with R1's index).
+  std::vector<uint32_t> trace_ks = options.query_ks;
+  if (options.bound != BoundKind::kBasic) trace_ks.push_back(k);
 
   // Periodic checkpointing: `write_checkpoint(next, clean)` captures
   // the pools plus the exact loop position needed to re-enter iteration
@@ -255,15 +250,15 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
                    engine.r2().num_sets(), batch_seed(batch_counter + 2),
                    control, /*speculative=*/true);
     }
-    GreedyResult greedy = engine.Select(k, with_trace, select_trace);
+    GreedyResult greedy = engine.Select(k, trace_ks);
     const double greedy_seconds = phase_watch.ElapsedSeconds();
 
     phase_watch.Restart();
-    // In query mode the same judge pass prepares the trace to answer every
-    // k' at these pools, should this iteration be the last.
-    const TwoPoolEngine::Certificate cert =
-        engine.Certify(greedy, options.bound, delta_iter, delta_iter,
-                       query_mode ? &seed_trace : nullptr);
+    // In query mode the same judge scan certifies every k' at these
+    // pools, should this iteration be the last; k's certificate is last.
+    const std::vector<TwoPoolEngine::Certificate> certs =
+        engine.Certify(greedy, options.bound, delta_iter, delta_iter);
+    const TwoPoolEngine::Certificate& cert = certs.back();
 
     OpimCIteration iter;
     iter.theta1 = engine.r1().num_sets();
@@ -341,28 +336,19 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
           write_checkpoint(i, /*clean=*/!stopped_pre_boundary);
         }
       }
-      if (query_mode) {
-        // Answer every requested k' from the exiting iteration's
-        // prefix-complete trace, which this iteration's Certify already
-        // judged: pure bound arithmetic per query — no re-selection, no
-        // further pool scans. Evaluated at the final pools with the same
-        // δ_iter the run's own certificate used, so the k' = k answer
-        // reproduces iter.alpha exactly.
-        OPIM_TR_SPAN1("query_answers", "opimc", "count",
-                      options.query_ks.size());
-        result.queries.reserve(options.query_ks.size());
-        for (uint32_t k_prime : options.query_ks) {
-          const TraceQueryBounds qb =
-              BoundsAt(seed_trace, options.bound, k_prime);
-          OpimCQueryAnswer answer;
-          answer.k = k_prime;
-          answer.alpha = qb.alpha;
-          answer.sigma_lower = qb.sigma_lower;
-          answer.sigma_upper = qb.sigma_upper;
-          const std::span<const NodeId> prefix = seed_trace.SeedsAt(k_prime);
-          answer.seeds.assign(prefix.begin(), prefix.end());
-          result.queries.push_back(std::move(answer));
-        }
+      // Each k' answer is its certificate from the exiting iteration, at
+      // the final pools with the δ_iter the run's own certificate used,
+      // so the k' = k answer reproduces iter.alpha exactly.
+      for (uint32_t k_prime : options.query_ks) {
+        const auto at = std::ranges::find(certs, k_prime,
+                                          &TwoPoolEngine::Certificate::k);
+        OpimCQueryAnswer& answer = result.queries.emplace_back();
+        answer.k = k_prime;
+        answer.alpha = at->alpha;
+        answer.sigma_lower = at->sigma_lower;
+        answer.sigma_upper = at->sigma_upper;
+        answer.seeds.assign(greedy.seeds.begin(),
+                            greedy.seeds.begin() + k_prime);
       }
       result.seeds = std::move(greedy.seeds);
       result.alpha = iter.alpha;

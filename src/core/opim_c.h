@@ -89,11 +89,14 @@ struct OpimCOptions {
   RRPoolSnapshot* resume = nullptr;
   /// Prefix query sizes: for each k' here (1 <= k' <= k, validated),
   /// the run also answers the k'-seed query — seeds, σ_l, σ_upper, α —
-  /// from the final iteration's prefix-complete SeedTrace, with zero
-  /// extra selection or pool scans (OpimCResult::queries). Greedy
-  /// prefix-consistency makes each answer identical to what a fresh
-  /// selection + bound evaluation at k' over the same final pools would
-  /// produce. Empty = no queries (no trace matrix is recorded).
+  /// from the final iteration's selection, which traces every k', and
+  /// its one judge scan: no extra selection or pool scan
+  /// (OpimCResult::queries). Greedy prefix-consistency makes each answer
+  /// identical to what a fresh selection + bound evaluation at k' over
+  /// the same final pools would produce. Each answer holds with
+  /// probability >= 1 - δ on its own; they share one pair of pools and
+  /// one failure budget, so they do not all hold jointly at that
+  /// probability. Empty = no queries.
   std::vector<uint32_t> query_ks;
 };
 

@@ -8,7 +8,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "rrset/snapshot.h"
-#include "select/seed_trace.h"
 
 namespace opim {
 
@@ -182,28 +181,31 @@ void TwoPoolEngine::FloorEmptyPools(
   Merge(nullptr);
 }
 
-GreedyResult TwoPoolEngine::Select(uint32_t k, bool with_trace,
-                                   SeedTrace* seed_trace) const {
-  return SelectGreedyCelf(r1_, k, with_trace, seed_trace);
+GreedyResult TwoPoolEngine::Select(
+    uint32_t k, const std::vector<uint32_t>& trace_ks) const {
+  return SelectGreedyCelf(r1_, k, trace_ks);
 }
 
-TwoPoolEngine::Certificate TwoPoolEngine::Certify(
-    const GreedyResult& greedy, BoundKind kind, double delta1, double delta2,
-    SeedTrace* trace) const {
-  Certificate c;
-  if (trace != nullptr) {
-    OPIM_CHECK(std::ranges::equal(trace->seeds(), greedy.seeds));
-    trace->SetBoundParams(r1_.num_sets(), r2_.num_sets(), scale_, delta1,
-                          delta2);
-    trace->AttributeJudgeCoverage(r2_);
-    c.lambda2 = trace->Lambda2At(trace->k());
-  } else {
-    c.lambda2 = r2_.CoverageOf(greedy.seeds);
+std::vector<TwoPoolEngine::Certificate> TwoPoolEngine::Certify(
+    const GreedyResult& greedy, BoundKind kind, double delta1,
+    double delta2) const {
+  const std::vector<uint64_t> lambda2_at = r2_.CoverageByPrefix(greedy.seeds);
+  std::vector<uint32_t> sizes = greedy.trace_ks;
+  if (sizes.empty()) {
+    sizes.push_back(static_cast<uint32_t>(greedy.seeds.size()));
   }
-  c.sigma_lower = SigmaLower(c.lambda2, r2_.num_sets(), scale_, delta2);
-  c.sigma_upper = UpperBound(greedy, kind, delta1);
-  c.alpha = ApproxRatio(c.sigma_lower, c.sigma_upper);
-  return c;
+  std::vector<Certificate> certs;
+  certs.reserve(sizes.size());
+  for (uint32_t j : sizes) {
+    Certificate& c = certs.emplace_back();
+    c.k = j;
+    c.lambda2 = lambda2_at[j];
+    c.sigma_lower = SigmaLower(c.lambda2, r2_.num_sets(), scale_, delta2);
+    c.sigma_upper =
+        SigmaUpper(kind, greedy, r1_.num_sets(), scale_, delta1, j);
+    c.alpha = ApproxRatio(c.sigma_lower, c.sigma_upper);
+  }
+  return certs;
 }
 
 double TwoPoolEngine::UpperBound(const GreedyResult& greedy, BoundKind kind,

@@ -38,7 +38,6 @@
 
 namespace opim {
 
-class SeedTrace;
 struct RRPoolSnapshot;
 struct SnapshotRunState;
 
@@ -130,28 +129,30 @@ class TwoPoolEngine {
 
   // --- Selection and certification ---------------------------------------
 
-  /// CELF greedy on R1, starting from R1's maintained member counts. With
-  /// `with_trace`, records the greedy trace the kImproved / kLeskovec
-  /// bounds need, and with `seed_trace` too, the prefix-complete trace for
-  /// k' <= k queries. Reads R1 only, so it may run while batches are
-  /// staged (Merge is what writes the pools).
-  GreedyResult Select(uint32_t k, bool with_trace,
-                      SeedTrace* seed_trace = nullptr) const;
+  /// CELF greedy on R1, starting from R1's maintained member counts. A
+  /// non-empty `trace_ks` records the greedy trace for k and every listed
+  /// size (SelectGreedyCelf), which the kImproved / kLeskovec bounds and
+  /// the certificates of smaller sizes read. Reads R1 only, so it may run
+  /// while batches are staged (Merge is what writes the pools).
+  GreedyResult Select(uint32_t k,
+                      const std::vector<uint32_t>& trace_ks = {}) const;
 
-  /// A selection's certificate at the current pools.
+  /// The certificate of the first `k` seeds of a selection at the
+  /// current pools.
   struct Certificate {
-    uint64_t lambda2 = 0;      // Λ2(S*): coverage of the seeds in R2
+    uint32_t k = 0;            // seed-set size
+    uint64_t lambda2 = 0;      // Λ2(S_k*): coverage of those seeds in R2
     double sigma_lower = 0.0;  // Eq. (5) at δ2
     double sigma_upper = 0.0;  // σ_upper(S°) for the bound kind at δ1
     double alpha = 0.0;        // σ_lower / σ_upper
   };
-  /// With `trace` — recorded by the Select that produced `greedy` — the
-  /// same R2 pass also attributes Λ2 to every prefix of the selection and
-  /// attaches the bound parameters, so the trace answers k' <= k queries
-  /// at the current pools with failure budgets δ1/δ2.
-  Certificate Certify(const GreedyResult& greedy, BoundKind kind,
-                      double delta1, double delta2,
-                      SeedTrace* trace = nullptr) const;
+  /// Certifies `greedy`, which Select produced at the current pools, at
+  /// every size it traced, ascending (at its k alone when untraced), so
+  /// the selection's own certificate is the last. One judge scan of R2
+  /// gives Λ2 of every prefix, at the cost of the Λ2(S*) it always needs.
+  std::vector<Certificate> Certify(const GreedyResult& greedy,
+                                   BoundKind kind, double delta1,
+                                   double delta2) const;
 
   /// σ_upper(S°) alone, for judging one selection under several kinds.
   double UpperBound(const GreedyResult& greedy, BoundKind kind,

@@ -133,31 +133,7 @@ SpreadEstimator::~SpreadEstimator() = default;
 
 double SpreadEstimator::Estimate(std::span<const NodeId> seeds,
                                  uint64_t num_samples, uint64_t seed) const {
-  if (num_samples == 0 || graph_.num_nodes() == 0) return 0.0;
-
-  // Shard simulations over threads; each shard owns a simulator and an RNG
-  // stream derived from (seed, shard), so results are deterministic for a
-  // fixed thread count.
-  const unsigned shards = static_cast<unsigned>(
-      std::min<uint64_t>(num_samples, num_threads_));
-  std::vector<uint64_t> partial(shards, 0);
-  auto run_shard = [&](uint64_t s) {
-    CascadeSimulator sim(graph_);
-    Rng rng(seed, 0x73696d00ULL + s);  // "sim"+shard
-    uint64_t lo = num_samples * s / shards;
-    uint64_t hi = num_samples * (s + 1) / shards;
-    uint64_t total = 0;
-    for (uint64_t i = lo; i < hi; ++i) {
-      total += sim.Run(model_, seeds, rng);
-    }
-    partial[s] = total;
-  };
-
-  ThreadPool(shards).ParallelFor(shards, run_shard);
-
-  uint64_t total = 0;
-  for (uint64_t p : partial) total += p;
-  return static_cast<double>(total) / static_cast<double>(num_samples);
+  return EstimateWithError(seeds, num_samples, seed).mean;
 }
 
 SpreadEstimator::EstimateResult SpreadEstimator::EstimateWithError(
@@ -167,30 +143,39 @@ SpreadEstimator::EstimateResult SpreadEstimator::EstimateWithError(
   result.num_samples = num_samples;
   if (num_samples == 0 || graph_.num_nodes() == 0) return result;
 
+  // Shard simulations over threads; each shard owns a simulator and an RNG
+  // stream derived from (seed, shard), so results are deterministic for a
+  // fixed thread count. Cascade sizes are summed as integers, so the mean
+  // is exact whatever the order of the additions.
   const unsigned shards = static_cast<unsigned>(
       std::min<uint64_t>(num_samples, num_threads_));
-  std::vector<double> sum(shards, 0.0), sumsq(shards, 0.0);
+  std::vector<uint64_t> sum(shards, 0);
+  std::vector<double> sumsq(shards, 0.0);
   auto run_shard = [&](uint64_t s) {
     CascadeSimulator sim(graph_);
-    // Same stream derivation as Estimate(): identical seeds give the
-    // identical mean.
-    Rng rng(seed, 0x73696d00ULL + s);
-    uint64_t lo = num_samples * s / shards;
-    uint64_t hi = num_samples * (s + 1) / shards;
+    Rng rng(seed, 0x73696d00ULL + s);  // "sim"+shard
+    const uint64_t lo = num_samples * s / shards;
+    const uint64_t hi = num_samples * (s + 1) / shards;
+    uint64_t total = 0;
+    double total_sq = 0.0;
     for (uint64_t i = lo; i < hi; ++i) {
-      double x = static_cast<double>(sim.Run(model_, seeds, rng));
-      sum[s] += x;
-      sumsq[s] += x * x;
+      const uint64_t x = sim.Run(model_, seeds, rng);
+      total += x;
+      total_sq += static_cast<double>(x) * static_cast<double>(x);
     }
+    sum[s] = total;
+    sumsq[s] = total_sq;
   };
   ThreadPool(shards).ParallelFor(shards, run_shard);
 
-  double total = 0.0, total_sq = 0.0;
+  uint64_t total = 0;
+  double total_sq = 0.0;
   for (unsigned s = 0; s < shards; ++s) {
     total += sum[s];
     total_sq += sumsq[s];
   }
-  const double mean = total / static_cast<double>(num_samples);
+  const double mean =
+      static_cast<double>(total) / static_cast<double>(num_samples);
   result.mean = mean;
   if (num_samples > 1) {
     double var = (total_sq - num_samples * mean * mean) /

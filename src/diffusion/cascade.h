@@ -76,7 +76,8 @@ class SpreadEstimator {
 
   OPIM_DISALLOW_COPY(SpreadEstimator);
 
-  /// Averages `num_samples` cascade sizes from `seeds`.
+  /// Averages `num_samples` cascade sizes from `seeds`: the mean of
+  /// EstimateWithError.
   double Estimate(std::span<const NodeId> seeds, uint64_t num_samples,
                   uint64_t seed = 1) const;
 

@@ -619,11 +619,6 @@ std::vector<NodeId> RRCollection::DecodeSet(RRId id) const {
   return out;
 }
 
-std::vector<RRId> RRCollection::DecodeCovering(NodeId v) const {
-  const std::span<const RRId> ids = Covering(v);
-  return {ids.begin(), ids.end()};
-}
-
 uint64_t RRCollection::CoverageOf(std::span<const NodeId> seeds) const {
   if (indexed_) return MarkCovered(seeds, nullptr);
   return CoverageByPrefix(seeds).back();

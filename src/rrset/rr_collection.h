@@ -326,15 +326,6 @@ class RRCollection {
     return {parts_[v >> kPartShift].ids.data() + e.begin, e.size};
   }
 
-  /// Calls `fn(RRId)` for each RR set containing `v`, ascending.
-  template <typename Fn>
-  void ForEachCovering(NodeId v, Fn&& fn) const {
-    for (RRId id : Covering(v)) fn(id);
-  }
-
-  /// Ids of the RR sets containing `v`, copied into a fresh vector.
-  std::vector<RRId> DecodeCovering(NodeId v) const;
-
   /// Member-count bands: counts stay below 2^32 (θ < 2^32), so 32
   /// powers of two cover them.
   static constexpr uint32_t kMemberBands = 32;

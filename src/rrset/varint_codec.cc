@@ -20,15 +20,6 @@ void AppendVarint32(uint32_t v, std::vector<uint8_t>* out) {
   out->push_back(static_cast<uint8_t>(v));
 }
 
-size_t Varint32Size(uint32_t v) {
-  size_t bytes = 1;
-  while (v >= 0x80u) {
-    v >>= 7;
-    ++bytes;
-  }
-  return bytes;
-}
-
 /// The i-th stored value: the first id raw, then gap-minus-one deltas.
 inline uint32_t StoredValue(std::span<const NodeId> sorted, size_t i) {
   return i == 0 ? sorted[0] : sorted[i] - sorted[i - 1] - 1;
@@ -59,19 +50,6 @@ size_t EncodeRRMembers(std::span<const NodeId> sorted,
     i += group;
   }
   return out->size() - start;
-}
-
-size_t EncodedRRMembersSize(std::span<const NodeId> sorted) {
-  const size_t n = sorted.size();
-  size_t bytes = Varint32Size(static_cast<uint32_t>(n));
-  for (size_t i = 0; i < n; i += 4) {
-    ++bytes;  // control byte
-    const size_t group = n - i < 4 ? n - i : 4;
-    for (size_t j = 0; j < group; ++j) {
-      bytes += PayloadLen(StoredValue(sorted, i + j));
-    }
-  }
-  return bytes;
 }
 
 Status DecodeRRMembersChecked(std::span<const uint8_t> bytes,

@@ -36,9 +36,6 @@ inline constexpr size_t kVarintDecodeSlackBytes = 3;
 size_t EncodeRRMembers(std::span<const NodeId> sorted,
                        std::vector<uint8_t>* out);
 
-/// Exact encoded size of `sorted` without materializing it.
-size_t EncodedRRMembersSize(std::span<const NodeId> sorted);
-
 namespace varint_internal {
 
 inline uint32_t LoadLE32(const uint8_t* p) {

@@ -10,7 +10,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "rrset/cover_bitset.h"
-#include "select/seed_trace.h"
+#include "support/macros.h"
 
 namespace opim {
 
@@ -22,8 +22,8 @@ constexpr uint64_t kCandidatesPerSeed = 4;
 
 // SelectGreedy (the differential oracle) and SelectGreedyCelf must agree
 // on every output bit — seeds, tie-breaks, trace arrays — so both use the
-// pieces below: the candidate ordering, the top-k marginal sum of the
-// Eq. (10) trace, the saturation fill and the covered-bitset marking walk.
+// pieces below: the candidate ordering, the traced sizes, the saturation
+// fill and the covered-bitset marking walk.
 
 /// The one candidate-ordering rule both selectors share: a candidate
 /// (gain, node) beats the incumbent (best_gain, best_node) iff its gain
@@ -48,24 +48,53 @@ struct CelfEntry {
   }
 };
 
-/// Sum of the k largest values in `counts`: copies only the nonzero
-/// entries into `scratch` and partial-sorts those.
-uint64_t TopKSum(const std::vector<uint64_t>& counts, uint32_t k,
-                 std::vector<uint64_t>* scratch) {
-  if (k == 0) return 0;
+/// The Eq. (10) summands of one prefix: for each size sizes[c]
+/// (ascending), the sum of that many largest values in `counts`, written
+/// to out[c * stride]. Copies only the nonzero entries into `scratch`,
+/// moves the largest max(sizes) of them to the front, and sorts that
+/// front only when several sizes read its order.
+void TopSums(const std::vector<uint64_t>& counts,
+             const std::vector<uint32_t>& sizes,
+             std::vector<uint64_t>* scratch, uint64_t* out, size_t stride) {
   scratch->clear();
   for (uint64_t c : counts) {
     if (c > 0) scratch->push_back(c);
   }
-  uint64_t total = 0;
-  if (k >= scratch->size()) {
-    for (uint64_t c : *scratch) total += c;
-    return total;
+  const size_t top = std::min<size_t>(sizes.back(), scratch->size());
+  const auto front = scratch->begin() + top;
+  if (top > 0 && top < scratch->size()) {
+    std::nth_element(scratch->begin(), front - 1, scratch->end(),
+                     std::greater<uint64_t>());
   }
-  std::nth_element(scratch->begin(), scratch->begin() + (k - 1),
-                   scratch->end(), std::greater<uint64_t>());
-  for (uint32_t i = 0; i < k; ++i) total += (*scratch)[i];
-  return total;
+  if (sizes.size() > 1) {
+    std::sort(scratch->begin(), front, std::greater<uint64_t>());
+  }
+  uint64_t sum = 0;
+  size_t taken = 0;
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    for (; taken < std::min<size_t>(sizes[c], top); ++taken) {
+      sum += (*scratch)[taken];
+    }
+    out[c * stride] = sum;
+  }
+}
+
+/// The sizes a trace records: each of `trace_ks` (checked <= the
+/// requested k, then clamped to n like k) and the selection's k itself,
+/// ascending and distinct. Empty when `trace_ks` is: no trace.
+std::vector<uint32_t> TraceSizes(const std::vector<uint32_t>& trace_ks,
+                                 uint32_t k, uint32_t n) {
+  if (trace_ks.empty()) return {};
+  std::vector<uint32_t> sizes;
+  sizes.reserve(trace_ks.size() + 1);
+  for (uint32_t j : trace_ks) {
+    OPIM_CHECK_LE(j, k);
+    sizes.push_back(std::min(j, n));
+  }
+  sizes.push_back(std::min(k, n));
+  std::ranges::sort(sizes);
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+  return sizes;
 }
 
 /// Appends the smallest-id nodes not yet selected until `seeds` has k
@@ -88,16 +117,24 @@ void MarkCoveredBy(const RRCollection& collection, NodeId v,
 
 }  // namespace
 
+std::span<const uint64_t> GreedyResult::TopMarginals(uint32_t j) const {
+  const auto it = std::ranges::find(trace_ks, j);
+  OPIM_CHECK_MSG(it != trace_ks.end(), "seed-set size was not traced");
+  const size_t stride = coverage_at.size();
+  return std::span<const uint64_t>(topk_marginal_at)
+      .subspan((it - trace_ks.begin()) * stride, stride);
+}
+
 GreedyResult SelectGreedy(const RRCollection& collection, uint32_t k,
-                          bool with_trace) {
+                          const std::vector<uint32_t>& trace_ks) {
   OPIM_TR_SPAN2("greedy", "select", "theta", collection.num_sets(), "k", k);
   OPIM_TM_SCOPED_TIMER("opim.select.greedy_us");
   OPIM_TM_COUNTER_ADD("opim.select.greedy_runs", 1);
   const uint32_t n = collection.num_nodes();
   const uint32_t theta = collection.num_sets();
-  k = std::min(k, n);
-
   GreedyResult result;
+  result.trace_ks = TraceSizes(trace_ks, k, n);
+  k = std::min(k, n);
   result.seeds.reserve(k);
 
   // Λ(v | S_i*) for the current prefix, starting from each node's
@@ -110,18 +147,23 @@ GreedyResult SelectGreedy(const RRCollection& collection, uint32_t k,
   std::vector<char> selected(n, 0);
   std::vector<uint64_t> scratch;
 
-  if (with_trace) {
-    result.coverage_at.reserve(k + 1);
-    result.topk_marginal_at.reserve(k + 1);
-  }
-
+  // Column c of the trace holds size trace_ks[c]; entries past the last
+  // real pick stay 0 (coverage saturated: every marginal is zero).
+  const bool traced = !result.trace_ks.empty();
+  const size_t stride = size_t{k} + 1;
+  result.topk_marginal_at.assign(result.trace_ks.size() * stride, 0);
+  if (traced) result.coverage_at.reserve(stride);
   uint64_t coverage = 0;
+  auto record_prefix = [&] {
+    uint64_t* const column =
+        result.topk_marginal_at.data() + result.coverage_at.size();
+    result.coverage_at.push_back(coverage);
+    TopSums(counts, result.trace_ks, &scratch, column, stride);
+  };
+
   uint64_t cover_updates = 0;  // decrements applied to `counts`
   for (uint32_t i = 0; i < k; ++i) {
-    if (with_trace) {
-      result.coverage_at.push_back(coverage);
-      result.topk_marginal_at.push_back(TopKSum(counts, k, &scratch));
-    }
+    if (traced) record_prefix();
 
     // Argmax of marginal coverage under the shared ordering rule; the
     // counts[v] > 0 guard keeps zero-gain nodes out (they are appended
@@ -150,16 +192,11 @@ GreedyResult SelectGreedy(const RRCollection& collection, uint32_t k,
     OPIM_DCHECK_EQ(counts[best], 0u);
   }
 
-  if (with_trace) {
+  if (traced) {
     // Record the state after the final pick too (prefix i = |seeds|); pad
-    // to k + 1 entries if selection stopped early (coverage saturated:
-    // marginals are all zero from here on).
-    result.coverage_at.push_back(coverage);
-    result.topk_marginal_at.push_back(TopKSum(counts, k, &scratch));
-    while (result.coverage_at.size() < static_cast<size_t>(k) + 1) {
-      result.coverage_at.push_back(coverage);
-      result.topk_marginal_at.push_back(0);
-    }
+    // to k + 1 prefixes if selection stopped early.
+    record_prefix();
+    result.coverage_at.resize(stride, coverage);
   }
 
   OPIM_TM_COUNTER_ADD("opim.select.cover_updates", cover_updates);
@@ -169,15 +206,15 @@ GreedyResult SelectGreedy(const RRCollection& collection, uint32_t k,
 }
 
 GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
-                              bool with_trace, SeedTrace* seed_trace) {
+                              const std::vector<uint32_t>& trace_ks) {
   OPIM_TR_SPAN2("celf", "select", "theta", collection.num_sets(), "k", k);
   OPIM_TM_SCOPED_TIMER("opim.select.celf_us");
   OPIM_TM_COUNTER_ADD("opim.select.celf_runs", 1);
   const uint32_t n = collection.num_nodes();
   const uint32_t theta = collection.num_sets();
-  k = std::min(k, n);
-
   GreedyResult result;
+  result.trace_ks = TraceSizes(trace_ks, k, n);
+  k = std::min(k, n);
   result.seeds.reserve(k);
   CoverBitset covered;
   covered.Reset(theta);
@@ -286,7 +323,7 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
     result.coverage = coverage;
   };
 
-  if (!with_trace) {
+  if (result.trace_ks.empty()) {
     // Classic CELF: no marginal bookkeeping at all — a stale entry's gain
     // is recomputed on demand from its postings, and an admitted node
     // enters with its initial gain as a stale upper bound (exact while
@@ -316,11 +353,8 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
   // or nth_element happens at all. The walk is exact once the k-th
   // largest tracked marginal is at least T − 1, the most an untracked
   // node can hold; until then it admits the next band and walks again.
-  // When a SeedTrace is attached, the same walk also writes the prefix's
-  // full top-j sums (j = 1..k) into its matrix row — the per-prefix
-  // Eq. (10) summands any later k' <= k query needs — at O(k) extra per
-  // prefix.
-  if (seed_trace != nullptr) seed_trace->Begin(k);
+  // A smaller traced size j needs nothing more: the j-th largest marginal
+  // is at least the k-th, and the same walk passes its top-j sum.
   // Read and written for tracked nodes only, so left uninitialized (and
   // 32-bit, as counts stay below 2^32: half the pages to fault in).
   const auto marginal = std::make_unique_for_overwrite<uint32_t[]>(n);
@@ -345,12 +379,16 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
     });
   };
 
+  // Column c of the trace holds size sizes[c]; k's is the last. Entries
+  // past the last real pick stay 0 (coverage saturated).
+  const std::vector<uint32_t>& sizes = result.trace_ks;
+  const size_t stride = size_t{k} + 1;
+  result.topk_marginal_at.assign(sizes.size() * stride, 0);
+  result.coverage_at.reserve(stride);
   auto record_prefix = [&] {
-    const uint32_t prefix = static_cast<uint32_t>(result.coverage_at.size());
+    uint64_t* const column =
+        result.topk_marginal_at.data() + result.coverage_at.size();
     result.coverage_at.push_back(coverage);
-    if (seed_trace != nullptr) seed_trace->RecordCoverage(prefix, coverage);
-    uint64_t* row =
-        seed_trace != nullptr ? seed_trace->PrefixRow(prefix) : nullptr;
     for (;;) {
       // The maximum only decreases between admissions (all updates are
       // decrements), so the cursor moves monotonically.
@@ -358,11 +396,14 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
       uint64_t sum = 0;
       uint64_t taken = 0;
       uint64_t kth = 0;  // the k-th largest tracked marginal, once taken
+      size_t c = 0;      // the next size below k to fill
       for (uint64_t value = max_count; value > 0 && taken < k; --value) {
         const uint64_t take = std::min<uint64_t>(hist[value], k - taken);
         if (take == 0) continue;
-        if (row != nullptr) {
-          for (uint64_t t = 1; t <= take; ++t) row[taken + t] = sum + value * t;
+        // This bucket completes the top-j sums for j in (taken, taken +
+        // take].
+        for (; c + 1 < sizes.size() && sizes[c] <= taken + take; ++c) {
+          column[c * stride] = sum + value * (sizes[c] - taken);
         }
         sum += value * take;
         taken += take;
@@ -372,17 +413,12 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
         admit_band();
         continue;
       }
-      if (row != nullptr) {
-        // Fewer than j nonzero marginals means the top-j sum is the total.
-        for (uint64_t j = taken + 1; j <= k; ++j) row[j] = sum;
-      }
-      result.topk_marginal_at.push_back(sum);
+      // Fewer than j nonzero marginals means the top-j sum is the total.
+      for (; c < sizes.size(); ++c) column[c * stride] = sum;
       return;
     }
   };
 
-  result.coverage_at.reserve(k + 1);
-  result.topk_marginal_at.reserve(k + 1);
   auto tracked_marginal = [&](NodeId v) { return marginal[v]; };
   for (uint32_t i = 0; i < k; ++i) {
     record_prefix();
@@ -406,17 +442,9 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
     ++round;
   }
   record_prefix();
-  while (result.coverage_at.size() < static_cast<size_t>(k) + 1) {
-    if (seed_trace != nullptr) {
-      seed_trace->RecordCoverage(
-          static_cast<uint32_t>(result.coverage_at.size()), coverage);
-    }
-    result.coverage_at.push_back(coverage);
-    result.topk_marginal_at.push_back(0);
-  }
+  result.coverage_at.resize(stride, coverage);
 
   finish();
-  if (seed_trace != nullptr) seed_trace->RecordSeeds(result.seeds);
   return result;
 }
 

@@ -4,11 +4,12 @@
 //  * SelectGreedy — the classic destructive cover-count greedy. Maintains
 //    the marginal coverage Λ(v | S_i*) of every node while it selects, so
 //    it can also capture the *greedy trace* that the improved bound of §5
-//    consumes: Λ1(S_i*) and Σ_{v ∈ maxMC(S_i*, k)} Λ1(v | S_i*) for every
-//    prefix i = 0..k (Eq. 10), in O(kn + Σ|R|) total. Kept as the
-//    reference oracle for differential tests. It starts from the same
-//    Λ({v}) as CELF, each node's posting-list length, which the index
-//    tests check against the decoded sets.
+//    consumes: Λ1(S_i*) and Σ_{v ∈ maxMC(S_i*, j)} Λ1(v | S_i*) for every
+//    prefix i = 0..k (Eq. 10) and every traced seed-set size j, in
+//    O(kn + Σ|R|) total. Kept as the reference oracle for
+//    differential tests. It starts from the same Λ({v}) as CELF, each
+//    node's posting-list length, which the index tests check against the
+//    decoded sets.
 //  * SelectGreedyCelf — CELF lazy-forward greedy (Leskovec et al. 2007),
 //    the selection path of the two-pool engine and of every baseline.
 //    Identical output to SelectGreedy (including tie-breaking and the
@@ -22,8 +23,14 @@
 //    n. In trace mode it maintains exact marginals for the tracked nodes
 //    like SelectGreedy but replaces the O(n) argmax scan with the lazy
 //    queue and tracks a bucket histogram of those marginals, so each
-//    prefix's top-k marginal sum is a walk down the histogram from the
-//    current maximum — no n-sized copy or sort per pick.
+//    prefix's top-j marginal sums are one walk down the histogram from
+//    the current maximum — no n-sized copy or sort per pick.
+//
+// The trace is prefix-complete: greedy selection is prefix-consistent
+// (the first j picks of a k-run ARE the j-run, tie-breaks included), so
+// tracing the top-j marginal sums for a size j <= k makes one k-run
+// answer Eq. (10) at j exactly as a fresh j-selection over the same pool
+// would. The caller names those sizes before the selection.
 //
 // Both return seed sets of exactly min(k, n) nodes; once every RR set is
 // covered, remaining slots are filled with the smallest-id unused nodes
@@ -32,16 +39,17 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rrset/rr_collection.h"
 
 namespace opim {
 
-class SeedTrace;
-
 /// Output of greedy selection, including the per-prefix trace used by the
-/// Λ1ᵘ(S°) bound of Eq. (10).
+/// Λ1ᵘ(S°) bound of Eq. (10). The trace fields are empty unless the
+/// selector was given trace sizes; k below is the selection's size,
+/// seeds.size().
 struct GreedyResult {
   /// Selected seeds in selection order; size min(k, n).
   std::vector<NodeId> seeds;
@@ -49,30 +57,35 @@ struct GreedyResult {
   /// Final coverage Λ(S*) of the seed set in the collection.
   uint64_t coverage = 0;
 
+  /// The traced seed-set sizes, ascending and distinct; k is the last.
+  std::vector<uint32_t> trace_ks;
+
   /// coverage_at[i] = Λ(S_i*) for i = 0..k (coverage_at[0] == 0).
-  /// Empty unless the trace was requested.
   std::vector<uint64_t> coverage_at;
 
-  /// topk_marginal_at[i] = Σ_{v ∈ maxMC(S_i*, k)} Λ(v | S_i*) for i = 0..k.
-  /// Empty unless the trace was requested.
+  /// One column of k + 1 entries per traced size, in trace_ks order:
+  /// entry i of size j's column is Σ_{v ∈ maxMC(S_i*, j)} Λ(v | S_i*),
+  /// the sum of the j largest marginal gains after i picks. When k is the
+  /// only traced size this is the Eq. (10) summand of every prefix.
   std::vector<uint64_t> topk_marginal_at;
+
+  /// Size j's column (k + 1 entries); j must be traced.
+  std::span<const uint64_t> TopMarginals(uint32_t j) const;
 };
 
-/// Destructive cover-count greedy. If `with_trace`, also fills coverage_at
-/// and topk_marginal_at (adds O(kn) work, per the paper's §5 analysis).
+/// Destructive cover-count greedy. A non-empty `trace_ks` also fills the
+/// trace for k and every listed size (each at most k; sizes above n are
+/// clamped like k), adding O(kn) work per the paper's §5 analysis.
 GreedyResult SelectGreedy(const RRCollection& collection, uint32_t k,
-                          bool with_trace = false);
+                          const std::vector<uint32_t>& trace_ks = {});
 
 /// CELF lazy-forward greedy; identical output to SelectGreedy (seeds,
-/// coverage, and — with `with_trace` — the trace arrays), usually much
+/// coverage and, for the same `trace_ks`, the trace), usually much
 /// faster. This is the engine selection path. Starts from the
 /// collection's CoveringCount() and MemberAtLeast() bands, so the
-/// collection must be indexed.
-/// `seed_trace`, when set together with `with_trace`, additionally
-/// records the prefix-complete trace (select/seed_trace.h) that answers
-/// k' <= k queries without re-selection.
+/// collection must be indexed. An empty `trace_ks` runs classic CELF on
+/// stale gain bounds, which is what the baselines use.
 GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
-                              bool with_trace = false,
-                              SeedTrace* seed_trace = nullptr);
+                              const std::vector<uint32_t>& trace_ks = {});
 
 }  // namespace opim

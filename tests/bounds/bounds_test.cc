@@ -92,7 +92,7 @@ TEST(LambdaUpperTest, TraceBoundNeverWorseThanBasic) {
   // Lemma 5.2: Λ1ᵘ(S°) <= Λ1(S*)/(1 - 1/e), on many random instances.
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     RRCollection rr = MakeRandomCollection(25, 150, seed);
-    GreedyResult g = SelectGreedy(rr, 5, true);
+    GreedyResult g = SelectGreedy(rr, 5, {5});
     uint64_t lu = LambdaUpperFromTrace(g);
     EXPECT_LE(static_cast<double>(lu),
               static_cast<double>(g.coverage) / kOneMinusInvE + 1e-9)
@@ -108,7 +108,7 @@ TEST(LambdaUpperTest, TraceBoundDominatesBruteForceOptimum) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     RRCollection rr = MakeRandomCollection(12, 80, seed * 3);
     const uint32_t k = 3;
-    GreedyResult g = SelectGreedy(rr, k, true);
+    GreedyResult g = SelectGreedy(rr, k, {k});
     uint64_t lu = LambdaUpperFromTrace(g);
 
     uint64_t opt = 0;
@@ -129,7 +129,7 @@ TEST(LambdaUpperTest, LeskovecBoundDominatesOptimumToo) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     RRCollection rr = MakeRandomCollection(12, 80, seed * 7);
     const uint32_t k = 3;
-    GreedyResult g = SelectGreedy(rr, k, true);
+    GreedyResult g = SelectGreedy(rr, k, {k});
     uint64_t lv = LambdaUpperLeskovec(g);
     uint64_t lu = LambdaUpperFromTrace(g);
     // Λ1⋄ evaluates Eq. (10)'s summand at one prefix; the min over all
@@ -141,7 +141,7 @@ TEST(LambdaUpperTest, LeskovecBoundDominatesOptimumToo) {
 TEST(SigmaUpperTest, ImprovedNeverWorseThanBasic) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     RRCollection rr = MakeRandomCollection(30, 200, seed);
-    GreedyResult g = SelectGreedy(rr, 6, true);
+    GreedyResult g = SelectGreedy(rr, 6, {6});
     double basic = SigmaUpper(BoundKind::kBasic, g, rr.num_sets(), 30, 0.01);
     double improved =
         SigmaUpper(BoundKind::kImproved, g, rr.num_sets(), 30, 0.01);
@@ -159,7 +159,7 @@ TEST(LambdaUpperTest, TwinHubsReproduceTheKEqualsOneAnomaly) {
   RRCollection rr(10);
   for (int i = 0; i < 40; ++i) rr.AddSet(std::vector<NodeId>{0}, 1);
   for (int i = 0; i < 40; ++i) rr.AddSet(std::vector<NodeId>{1}, 1);
-  GreedyResult g = SelectGreedy(rr, /*k=*/1, /*with_trace=*/true);
+  GreedyResult g = SelectGreedy(rr, /*k=*/1, {1});
   ASSERT_EQ(g.coverage, 40u);
 
   const uint64_t leskovec = LambdaUpperLeskovec(g);   // 40 + 40 = 80
@@ -262,7 +262,7 @@ TEST(BoundsIntegrationTest, LowerAndUpperSandwichTruth) {
   // We approximate with the collection-level machinery instead of closed
   // form: generate many sets, check σ_l <= Λ·n/θ and σ_u >= estimate.
   RRCollection rr = MakeRandomCollection(50, 5000, 99);
-  GreedyResult g = SelectGreedy(rr, 5, true);
+  GreedyResult g = SelectGreedy(rr, 5, {5});
   double est = static_cast<double>(g.coverage) * 50 / rr.num_sets();
   double lower = SigmaLower(g.coverage, rr.num_sets(), 50, 0.01);
   double upper = SigmaUpper(BoundKind::kImproved, g, rr.num_sets(), 50, 0.01);

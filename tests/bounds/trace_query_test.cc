@@ -1,31 +1,36 @@
-// Property test for prefix-complete trace queries: for every query size
-// k' <= k, the seeds, λᵘ, and σ_l/σ_u/α that BoundsAt answers from one
-// k-run's SeedTrace must equal what an independent from-scratch
-// evaluation at k' produces — a fresh SelectGreedy(k') over the same
-// nominator pool, its Eq. (10)/(15) bound arithmetic, and a direct
-// judge-pool coverage of its seed set. Greedy prefix-consistency is the
-// claim under test; the comparisons are bitwise, not approximate.
+// Property test for prefix-complete traces: one traced k-run that names
+// smaller seed-set sizes k' must answer each of them — seeds, λᵘ,
+// σ_l/σ_u/α and the judge coverage Λ2 of every prefix — exactly as an
+// independent from-scratch evaluation at k' does: a fresh SelectGreedy(k')
+// over the same nominator pool, its Eq. (10)/(15) bound arithmetic, and a
+// judge-pool scan of its seed set. Greedy prefix-consistency is the claim
+// under test; the comparisons are bitwise, not approximate. The traced
+// side evaluates what TwoPoolEngine::Certify evaluates at each size.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
 #include "bounds/bounds.h"
 #include "rrset/rr_collection.h"
 #include "select/greedy.h"
-#include "select/seed_trace.h"
 #include "support/random.h"
 
 namespace opim {
 namespace {
 
+/// The engine's judge pool keeps no index; R1 does.
+constexpr RRStoreOptions kJudgeStore{.index = false};
+
 RRCollection MakeRandomCollection(uint32_t n, uint32_t num_sets,
-                                  uint32_t max_len, uint64_t seed) {
+                                  uint32_t max_len, uint64_t seed,
+                                  RRStoreOptions options = {}) {
   Rng rng(seed);
-  RRCollection rr(n);
+  RRCollection rr(n, options);
   std::vector<NodeId> s;
   for (uint32_t i = 0; i < num_sets; ++i) {
     s.clear();
@@ -57,16 +62,15 @@ const QueryCase kCases[] = {
     {6, 30, 25, 2, 6, 5},     {200, 1500, 1400, 4, 15, 6},
 };
 
-/// Arms a trace by running the production path: traced CELF over r1 with
-/// a SeedTrace attached, judge attribution over r2, bound params set the
-/// way the engine sets them.
-SeedTrace MakeTrace(const RRCollection& r1, const RRCollection& r2,
-                    uint32_t k, double scale, double delta) {
-  SeedTrace trace;
-  SelectGreedyCelf(r1, k, /*with_trace=*/true, &trace);
-  trace.AttributeJudgeCoverage(r2);
-  trace.SetBoundParams(r1.num_sets(), r2.num_sets(), scale, delta, delta);
-  return trace;
+struct Pools {
+  RRCollection r1;
+  RRCollection r2;
+};
+
+Pools MakePools(const QueryCase& c) {
+  return {MakeRandomCollection(c.n, c.theta1, c.max_len, c.seed),
+          MakeRandomCollection(c.n, c.theta2, c.max_len, c.seed + 1000,
+                               kJudgeStore)};
 }
 
 std::vector<uint32_t> QuerySizes(uint32_t k) {
@@ -75,111 +79,116 @@ std::vector<uint32_t> QuerySizes(uint32_t k) {
   return ks;
 }
 
-TEST(TraceQueryBoundsTest, SeedsAtMatchesFreshSelection) {
+/// The first `j` seeds of a selection.
+std::vector<NodeId> Prefix(const GreedyResult& greedy, uint32_t j) {
+  return {greedy.seeds.begin(), greedy.seeds.begin() + j};
+}
+
+TEST(TraceQueryTest, SeedsMatchFreshSelection) {
   for (const QueryCase& c : kCases) {
-    const RRCollection r1 = MakeRandomCollection(c.n, c.theta1, c.max_len,
-                                                 c.seed);
-    const RRCollection r2 = MakeRandomCollection(c.n, c.theta2, c.max_len,
-                                                 c.seed + 1000);
+    const Pools p = MakePools(c);
     const uint32_t k = std::min(c.k, c.n);
-    const SeedTrace trace = MakeTrace(r1, r2, k, c.n, 0.01);
+    const GreedyResult traced = SelectGreedyCelf(p.r1, k, QuerySizes(k));
+    EXPECT_EQ(traced.trace_ks, QuerySizes(k)) << "seed=" << c.seed;
     for (const uint32_t kp : QuerySizes(k)) {
-      const GreedyResult fresh = SelectGreedy(r1, kp, /*with_trace=*/true);
-      const std::span<const NodeId> answered = trace.SeedsAt(kp);
-      EXPECT_EQ(fresh.seeds,
-                std::vector<NodeId>(answered.begin(), answered.end()))
+      const GreedyResult fresh = SelectGreedy(p.r1, kp, {kp});
+      EXPECT_EQ(fresh.seeds, Prefix(traced, kp))
           << "k'=" << kp << " seed=" << c.seed;
     }
   }
 }
 
-TEST(TraceQueryBoundsTest, LambdaUpperAtMatchesFreshTraceBounds) {
+TEST(TraceQueryTest, LambdaUpperMatchesFreshTraceBounds) {
   for (const QueryCase& c : kCases) {
-    const RRCollection r1 = MakeRandomCollection(c.n, c.theta1, c.max_len,
-                                                 c.seed);
-    const RRCollection r2 = MakeRandomCollection(c.n, c.theta2, c.max_len,
-                                                 c.seed + 1000);
+    const Pools p = MakePools(c);
     const uint32_t k = std::min(c.k, c.n);
-    const SeedTrace trace = MakeTrace(r1, r2, k, c.n, 0.01);
+    const GreedyResult traced = SelectGreedyCelf(p.r1, k, QuerySizes(k));
     for (const uint32_t kp : QuerySizes(k)) {
-      const GreedyResult fresh = SelectGreedy(r1, kp, /*with_trace=*/true);
-      EXPECT_EQ(LambdaUpperFromTrace(fresh),
-                LambdaUpperAt(trace, BoundKind::kImproved, kp))
+      const GreedyResult fresh = SelectGreedy(p.r1, kp, {kp});
+      EXPECT_EQ(LambdaUpperFromTrace(fresh), LambdaUpperFromTrace(traced, kp))
           << "k'=" << kp << " seed=" << c.seed;
-      EXPECT_EQ(LambdaUpperLeskovec(fresh),
-                LambdaUpperAt(trace, BoundKind::kLeskovec, kp))
+      EXPECT_EQ(LambdaUpperLeskovec(fresh), LambdaUpperLeskovec(traced, kp))
           << "k'=" << kp << " seed=" << c.seed;
     }
   }
 }
 
-TEST(TraceQueryBoundsTest, BoundsAtMatchesIndependentEvaluation) {
+TEST(TraceQueryTest, CertificatesMatchIndependentEvaluation) {
   const double kDelta = 0.005;
   for (const QueryCase& c : kCases) {
-    const RRCollection r1 = MakeRandomCollection(c.n, c.theta1, c.max_len,
-                                                 c.seed);
-    const RRCollection r2 = MakeRandomCollection(c.n, c.theta2, c.max_len,
-                                                 c.seed + 1000);
+    const Pools p = MakePools(c);
     const uint32_t k = std::min(c.k, c.n);
     const double scale = c.n;
-    const SeedTrace trace = MakeTrace(r1, r2, k, scale, kDelta);
+    const GreedyResult traced = SelectGreedyCelf(p.r1, k, QuerySizes(k));
+    // The one judge scan a certificate reads Λ2 of every prefix from.
+    const std::vector<uint64_t> lambda2_at =
+        p.r2.CoverageByPrefix(traced.seeds);
     for (const uint32_t kp : QuerySizes(k)) {
-      const GreedyResult fresh = SelectGreedy(r1, kp, /*with_trace=*/true);
-      const uint64_t lambda2 = r2.CoverageOf(fresh.seeds);
-      EXPECT_EQ(lambda2, trace.Lambda2At(kp)) << "k'=" << kp;
+      const GreedyResult fresh = SelectGreedy(p.r1, kp, {kp});
+      // Λ2 of every prefix of the fresh selection is the traced scan's.
+      const std::vector<uint64_t> fresh_at = p.r2.CoverageByPrefix(fresh.seeds);
+      EXPECT_TRUE(std::equal(fresh_at.begin(), fresh_at.end(),
+                             lambda2_at.begin()))
+          << "k'=" << kp;
+      const uint64_t lambda2 = p.r2.CoverageOf(fresh.seeds);
+      EXPECT_EQ(lambda2, lambda2_at[kp]) << "k'=" << kp;
       const double sigma_lower =
-          SigmaLower(lambda2, r2.num_sets(), scale, kDelta);
+          SigmaLower(lambda2, p.r2.num_sets(), scale, kDelta);
+      EXPECT_EQ(sigma_lower, SigmaLower(lambda2_at[kp], p.r2.num_sets(),
+                                        scale, kDelta));
       for (const BoundKind kind :
-           {BoundKind::kImproved, BoundKind::kLeskovec}) {
+           {BoundKind::kBasic, BoundKind::kImproved, BoundKind::kLeskovec}) {
         const double sigma_upper =
-            SigmaUpper(kind, fresh, r1.num_sets(), scale, kDelta);
-        const TraceQueryBounds q = BoundsAt(trace, kind, kp);
-        EXPECT_EQ(sigma_lower, q.sigma_lower) << "k'=" << kp;
-        EXPECT_EQ(sigma_upper, q.sigma_upper) << "k'=" << kp;
-        EXPECT_EQ(ApproxRatio(sigma_lower, sigma_upper), q.alpha)
-            << "k'=" << kp;
-        EXPECT_GE(q.alpha, 0.0);
-        EXPECT_LE(q.alpha, 1.0);
+            SigmaUpper(kind, fresh, p.r1.num_sets(), scale, kDelta);
+        const double traced_upper =
+            SigmaUpper(kind, traced, p.r1.num_sets(), scale, kDelta, kp);
+        EXPECT_EQ(sigma_upper, traced_upper)
+            << "k'=" << kp << " " << BoundKindName(kind);
+        const double alpha = ApproxRatio(sigma_lower, traced_upper);
+        EXPECT_EQ(ApproxRatio(sigma_lower, sigma_upper), alpha);
+        EXPECT_GE(alpha, 0.0);
+        EXPECT_LE(alpha, 1.0);
       }
     }
   }
 }
 
-TEST(TraceQueryBoundsTest, Lambda2PrefixesMatchDirectCoverage) {
-  // Every prefix 0..k, not just the queried sizes: the incremental
-  // judge-pool walk must equal CoverageOf on the literal prefix.
+TEST(TraceQueryTest, Lambda2PrefixesMatchDirectCoverage) {
+  // Every prefix 0..k, not just the traced sizes: the judge scan's prefix
+  // counts must equal CoverageOf on the literal prefix.
   const RRCollection r1 = MakeRandomCollection(60, 500, 4, 21);
-  const RRCollection r2 = MakeRandomCollection(60, 450, 4, 22);
+  const RRCollection r2 = MakeRandomCollection(60, 450, 4, 22, kJudgeStore);
   const uint32_t k = 10;
-  const SeedTrace trace = MakeTrace(r1, r2, k, 60.0, 0.01);
-  const std::span<const NodeId> seeds = trace.seeds();
+  const GreedyResult traced = SelectGreedyCelf(r1, k, {k});
+  const std::vector<uint64_t> lambda2_at = r2.CoverageByPrefix(traced.seeds);
+  ASSERT_EQ(lambda2_at.size(), k + 1u);
   for (uint32_t i = 0; i <= k; ++i) {
-    const std::vector<NodeId> prefix(
-        seeds.begin(), seeds.begin() + std::min<size_t>(i, seeds.size()));
-    EXPECT_EQ(r2.CoverageOf(prefix), trace.Lambda2At(i)) << "prefix " << i;
+    EXPECT_EQ(r2.CoverageOf(Prefix(traced, i)), lambda2_at[i])
+        << "prefix " << i;
   }
 }
 
-TEST(TraceQueryBoundsTest, SaturatedTraceStillAnswersAllSizes) {
-  // Coverage saturates long before k: queries past the last real pick
-  // must answer with the padded (flat-coverage, zero-marginal) rows and
+TEST(TraceQueryTest, SaturatedTraceStillAnswersAllSizes) {
+  // Coverage saturates long before k: sizes past the last real pick must
+  // answer from the padded (flat-coverage, zero-marginal) prefixes and
   // still match fresh evaluations.
   RRCollection r1(12);
   r1.AddSet(std::vector<NodeId>{1, 2}, 2);
   r1.AddSet(std::vector<NodeId>{2, 3}, 2);
-  RRCollection r2(12);
+  RRCollection r2(12, kJudgeStore);
   r2.AddSet(std::vector<NodeId>{2}, 1);
   r2.AddSet(std::vector<NodeId>{5}, 1);
   const uint32_t k = 8;
-  const SeedTrace trace = MakeTrace(r1, r2, k, 12.0, 0.01);
+  std::vector<uint32_t> all_sizes(k);
+  std::iota(all_sizes.begin(), all_sizes.end(), 1u);
+  const GreedyResult traced = SelectGreedyCelf(r1, k, all_sizes);
+  const std::vector<uint64_t> lambda2_at = r2.CoverageByPrefix(traced.seeds);
   for (uint32_t kp = 1; kp <= k; ++kp) {
-    const GreedyResult fresh = SelectGreedy(r1, kp, /*with_trace=*/true);
-    const std::span<const NodeId> answered = trace.SeedsAt(kp);
-    EXPECT_EQ(fresh.seeds,
-              std::vector<NodeId>(answered.begin(), answered.end()));
-    EXPECT_EQ(LambdaUpperFromTrace(fresh),
-              LambdaUpperAt(trace, BoundKind::kImproved, kp));
-    EXPECT_EQ(r2.CoverageOf(fresh.seeds), trace.Lambda2At(kp));
+    const GreedyResult fresh = SelectGreedy(r1, kp, {kp});
+    EXPECT_EQ(fresh.seeds, Prefix(traced, kp));
+    EXPECT_EQ(LambdaUpperFromTrace(fresh), LambdaUpperFromTrace(traced, kp));
+    EXPECT_EQ(LambdaUpperLeskovec(fresh), LambdaUpperLeskovec(traced, kp));
+    EXPECT_EQ(r2.CoverageOf(fresh.seeds), lambda2_at[kp]);
   }
 }
 

@@ -93,7 +93,7 @@ TEST_P(BoundsValidityTest, SigmaUpperCoversStrongReferenceSeedSet) {
   for (int t = 0; t < trials; ++t) {
     RRCollection r1(g.num_nodes());
     sampler->Generate(&r1, 400, rng);
-    GreedyResult greedy = SelectGreedy(r1, k, /*with_trace=*/true);
+    GreedyResult greedy = SelectGreedy(r1, k, {k});
     double upper = SigmaUpper(BoundKind::kImproved, greedy, r1.num_sets(),
                               g.num_nodes(), delta1);
     if (upper < ref_spread * 0.98) ++failures;
@@ -125,7 +125,7 @@ TEST(BoundsValidityTest2, EndToEndAlphaContractOnKnownOptimum) {
     RRCollection r1(n), r2(n);
     sampler->Generate(&r1, 200, rng);
     sampler->Generate(&r2, 200, rng);
-    GreedyResult greedy = SelectGreedy(r1, 1, true);
+    GreedyResult greedy = SelectGreedy(r1, 1, {1});
     double lower = SigmaLower(r2.CoverageOf(greedy.seeds), r2.num_sets(), n,
                               0.05);
     double upper =

@@ -1,10 +1,11 @@
 // Engine-level coverage for prefix queries (OpimCOptions::query_ks). One
 // RunOpimC call with query_ks = {1, k/2, k} must answer every requested
-// size from its final iteration's SeedTrace — seed prefixes of the
-// returned set, α(k) bitwise equal to the run's own certificate — on
-// both diffusion models, and the whole result (queries included) must be
-// bit-identical across eager and pipelined schedules: speculation and
-// the trace recording are execution accelerators, never behavior.
+// size from its final iteration's traced selection and certificates —
+// seed prefixes of the returned set, α(k) bitwise equal to the run's own
+// certificate — on both diffusion models, and the whole result (queries
+// included) must be bit-identical across eager and pipelined schedules:
+// speculation and the trace recording are execution accelerators, never
+// behavior.
 
 #include <gtest/gtest.h>
 
@@ -79,9 +80,9 @@ TEST(QueryKsTest, AnswersEveryRequestedSizeOnBothModels) {
 }
 
 TEST(QueryKsTest, QueriesAgreeAcrossBoundKinds) {
-  // kImproved and kLeskovec both produce prefix-complete traces; their
-  // query answers differ only through σ_upper. kBasic asks for no trace
-  // and must answer queries through the basic bound instead.
+  // The query sizes are traced under every bound kind; the answers
+  // differ only through σ_upper, and kBasic's come from the basic bound
+  // at each size.
   Graph g = TestGraph();
   for (const BoundKind bound :
        {BoundKind::kImproved, BoundKind::kLeskovec, BoundKind::kBasic}) {

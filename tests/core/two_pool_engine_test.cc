@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -156,7 +157,7 @@ TEST_P(TwoPoolEngineStreamTest, EagerAndSpeculativeBatchesMatchToo) {
   EXPECT_EQ(engine.Merge(nullptr), c2);
   const auto& [d1, t1, d2, t2] = kBatches[1];
   engine.Stage(d1, t1, d2, t2, nullptr, /*speculative=*/true);
-  engine.Select(5, /*with_trace=*/false);
+  engine.Select(5);
   EXPECT_EQ(engine.Merge(nullptr), d1 + d2);
   ExpectSamePool(engine.r1(), want1);
   ExpectSamePool(engine.r2(), want2);
@@ -286,9 +287,10 @@ TEST_P(TwoPoolEngineBatchTest, IncrementalBatchesMatchOneShot) {
         << "set " << 300 + id;
   }
   for (NodeId v = 0; v < pool.num_nodes(); ++v) {
-    std::vector<RRId> want = first.r1().DecodeCovering(v);
-    for (RRId id : second.r1().DecodeCovering(v)) want.push_back(300 + id);
-    EXPECT_EQ(pool.DecodeCovering(v), want) << "node " << v;
+    const std::span<const RRId> head = first.r1().Covering(v);
+    std::vector<RRId> want(head.begin(), head.end());
+    for (RRId id : second.r1().Covering(v)) want.push_back(300 + id);
+    EXPECT_TRUE(std::ranges::equal(pool.Covering(v), want)) << "node " << v;
   }
 }
 
@@ -350,24 +352,45 @@ TEST(TwoPoolEngineTest, FloorFillsEmptyPoolsOnlyAfterATrip) {
 }
 
 TEST(TwoPoolEngineTest, CertificateMatchesTheBoundsModule) {
+  // One certificate per traced size, ascending, each equal to a direct
+  // evaluation of the bounds at that size, and k's last.
   const Graph g = GenerateBarabasiAlbert(300, 4);
   TwoPoolEngine engine(g, DiffusionModel::kIndependentCascade, {}, 1);
   engine.Stage(3000, 1, 3000, 2, nullptr, /*speculative=*/false);
   engine.Merge(nullptr);
-  const GreedyResult greedy = engine.Select(5, /*with_trace=*/true);
+  const GreedyResult greedy = engine.Select(5, {2, 1});
+  const uint32_t sizes[] = {1, 2, 5};
   const double d1 = 0.01, d2 = 0.02;
-  const TwoPoolEngine::Certificate cert =
-      engine.Certify(greedy, BoundKind::kImproved, d1, d2);
-  const uint64_t lambda2 = engine.r2().CoverageOf(greedy.seeds);
-  EXPECT_EQ(cert.lambda2, lambda2);
-  EXPECT_EQ(cert.sigma_lower,
-            SigmaLower(lambda2, engine.r2().num_sets(), engine.scale(), d2));
-  EXPECT_EQ(cert.sigma_upper,
-            SigmaUpper(BoundKind::kImproved, greedy, engine.r1().num_sets(),
-                       engine.scale(), d1));
-  EXPECT_EQ(cert.alpha, ApproxRatio(cert.sigma_lower, cert.sigma_upper));
-  EXPECT_EQ(engine.UpperBound(greedy, BoundKind::kBasic, d1),
-            SigmaUpper(BoundKind::kBasic, greedy, engine.r1().num_sets(),
+  for (const BoundKind kind :
+       {BoundKind::kBasic, BoundKind::kImproved, BoundKind::kLeskovec}) {
+    const std::vector<TwoPoolEngine::Certificate> certs =
+        engine.Certify(greedy, kind, d1, d2);
+    ASSERT_EQ(certs.size(), 3u);
+    for (size_t c = 0; c < certs.size(); ++c) {
+      const TwoPoolEngine::Certificate& cert = certs[c];
+      const uint32_t j = sizes[c];
+      EXPECT_EQ(cert.k, j);
+      const uint64_t lambda2 = engine.r2().CoverageOf(
+          std::span<const NodeId>(greedy.seeds).first(j));
+      EXPECT_EQ(cert.lambda2, lambda2);
+      EXPECT_EQ(cert.sigma_lower, SigmaLower(lambda2, engine.r2().num_sets(),
+                                             engine.scale(), d2));
+      EXPECT_EQ(cert.sigma_upper,
+                SigmaUpper(kind, greedy, engine.r1().num_sets(),
+                           engine.scale(), d1, j));
+      EXPECT_EQ(cert.alpha, ApproxRatio(cert.sigma_lower, cert.sigma_upper));
+    }
+    EXPECT_EQ(certs.back().sigma_upper, engine.UpperBound(greedy, kind, d1));
+  }
+  // Untraced, the one certificate is k's under the basic bound.
+  const GreedyResult plain = engine.Select(5);
+  const std::vector<TwoPoolEngine::Certificate> certs =
+      engine.Certify(plain, BoundKind::kBasic, d1, d2);
+  ASSERT_EQ(certs.size(), 1u);
+  EXPECT_EQ(certs[0].k, 5u);
+  EXPECT_EQ(certs[0].lambda2, engine.r2().CoverageOf(plain.seeds));
+  EXPECT_EQ(certs[0].sigma_upper,
+            SigmaUpper(BoundKind::kBasic, plain, engine.r1().num_sets(),
                        engine.scale(), d1));
 }
 

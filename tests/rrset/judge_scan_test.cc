@@ -3,8 +3,9 @@
 // by one pass over its compressed sets, and must agree with the indexed
 // path (the postings walk) over the same sets, whether the sets arrived
 // through AddSet or as ShardEncoder shards, and with chunks spilled.
-// SeedTrace's per-prefix Λ2 is pinned the same way, and the unindexed
-// pool must hold no index and refuse index reads.
+// The per-prefix Λ2 of a CELF selection, which certifies every traced
+// seed-set size, is pinned the same way, and the unindexed pool must
+// hold no index and refuse index reads.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 
 #include "rrset/rr_collection.h"
 #include "select/greedy.h"
-#include "select/seed_trace.h"
 #include "support/random.h"
 
 namespace opim {
@@ -171,16 +171,14 @@ TEST_P(JudgeScanTest, Lambda2AtMatchesIndexedJudgeAtEveryPrefix) {
   const RRCollection indexed = FromShards(c.n, judge, kIndexed);
   const RRCollection scanned = FromShards(c.n, judge, kUnindexed);
   for (uint32_t k : {1u, 8u, 40u}) {
-    SeedTrace trace;
-    SelectGreedyCelf(r1, k, /*with_trace=*/true, &trace);
-    trace.AttributeJudgeCoverage(indexed);
-    std::vector<uint64_t> want(k + 1);
-    for (uint32_t i = 0; i <= k; ++i) want[i] = trace.Lambda2At(i);
-    trace.AttributeJudgeCoverage(scanned);
-    for (uint32_t i = 0; i <= k; ++i) {
-      EXPECT_EQ(trace.Lambda2At(i), want[i]) << "k=" << k << " prefix " << i;
+    const GreedyResult greedy = SelectGreedyCelf(r1, k);
+    const std::vector<uint64_t> want = indexed.CoverageByPrefix(greedy.seeds);
+    ASSERT_EQ(want.size(), greedy.seeds.size() + 1);
+    const std::vector<uint64_t> got = scanned.CoverageByPrefix(greedy.seeds);
+    for (uint32_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "k=" << k << " prefix " << i;
     }
-    EXPECT_EQ(trace.Lambda2At(k), scanned.CoverageOf(trace.seeds()));
+    EXPECT_EQ(got.back(), scanned.CoverageOf(greedy.seeds));
   }
 }
 

@@ -72,7 +72,7 @@ TEST(RRCollectionTest, InvertedIndexTracksMembership) {
   EXPECT_EQ(rr.CoveringCount(1), 3u);
   EXPECT_EQ(rr.CoveringCount(2), 1u);
   EXPECT_EQ(rr.CoveringCount(3), 0u);
-  EXPECT_EQ(rr.DecodeCovering(1), (std::vector<RRId>{0, 1, 2}));
+  EXPECT_TRUE(std::ranges::equal(rr.Covering(1), std::vector<RRId>{0, 1, 2}));
 }
 
 TEST(RRCollectionTest, CoverageCountsEachSetOnce) {
@@ -137,9 +137,9 @@ TEST(RRCollectionTest, EmptySetAllowed) {
 }
 
 TEST(RRCollectionTest, ForEachAccessorsMatchDecode) {
-  // ForEachMember / ForEachCovering are the zero-allocation hot-path
-  // views; they must agree with the materializing helpers, node 0 (in
-  // every set) included.
+  // ForEachMember and Covering are the zero-allocation hot-path views;
+  // they must agree with the materialized sets, node 0 (in every set)
+  // included.
   const uint32_t n = 40;
   RRCollection rr(n);
   for (uint32_t i = 0; i < 600; ++i) {
@@ -149,18 +149,17 @@ TEST(RRCollectionTest, ForEachAccessorsMatchDecode) {
     s.erase(std::unique(s.begin(), s.end()), s.end());
     rr.AddSet(s, 1);
   }
+  std::vector<std::vector<RRId>> covering(n);
   for (RRId id = 0; id < rr.num_sets(); ++id) {
     std::vector<NodeId> walked;
     rr.ForEachMember(id, [&](NodeId v) { walked.push_back(v); });
     EXPECT_EQ(walked, rr.DecodeSet(id)) << "set " << id;
+    for (NodeId v : walked) covering[v].push_back(id);
   }
   for (NodeId v = 0; v < n; ++v) {
-    std::vector<RRId> walked;
-    rr.ForEachCovering(v, [&](RRId id) { walked.push_back(id); });
-    const std::vector<RRId> decoded = rr.DecodeCovering(v);
-    EXPECT_EQ(walked, decoded) << "node " << v;
-    EXPECT_EQ(rr.CoveringCount(v), decoded.size()) << "node " << v;
-    EXPECT_TRUE(std::is_sorted(decoded.begin(), decoded.end()));
+    EXPECT_TRUE(std::ranges::equal(rr.Covering(v), covering[v]))
+        << "node " << v;
+    EXPECT_EQ(rr.CoveringCount(v), covering[v].size()) << "node " << v;
   }
 }
 
@@ -180,7 +179,8 @@ void ExpectEquivalent(const RRCollection& a, const RRCollection& b) {
     EXPECT_EQ(a.DecodeSet(id), b.DecodeSet(id)) << "set " << id;
   }
   for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    EXPECT_EQ(a.DecodeCovering(v), b.DecodeCovering(v)) << "node " << v;
+    EXPECT_TRUE(std::ranges::equal(a.Covering(v), b.Covering(v)))
+        << "node " << v;
   }
 }
 
@@ -324,7 +324,7 @@ TEST(RRCollectionBatchTest, AddSetAfterBatchKeepsIndexFresh) {
   EXPECT_EQ(rr.CoveringCount(1), 1u);
   rr.AddSet(std::vector<NodeId>{1, 2}, 1);
   EXPECT_EQ(rr.CoveringCount(1), 2u);
-  EXPECT_EQ(rr.DecodeCovering(1), (std::vector<RRId>{0, 1}));
+  EXPECT_TRUE(std::ranges::equal(rr.Covering(1), std::vector<RRId>{0, 1}));
   EXPECT_EQ(rr.CoveringCount(2), 1u);
 }
 
@@ -362,7 +362,8 @@ void ExpectIndexMatchesBruteForce(const RRCollection& rr,
                                   std::span<const NodeId> seeds) {
   const std::vector<std::vector<RRId>> index = BruteForceIndex(rr);
   for (NodeId v = 0; v < rr.num_nodes(); ++v) {
-    ASSERT_EQ(rr.DecodeCovering(v), index[v]) << "node " << v;
+    ASSERT_TRUE(std::ranges::equal(rr.Covering(v), index[v]))
+        << "node " << v;
     EXPECT_EQ(rr.CoveringCount(v), index[v].size()) << "node " << v;
   }
   ExpectBandsMatchCounts(rr);
@@ -661,7 +662,7 @@ TEST(RRCollectionHubTest, HubInEverySetMovesAndCompacts) {
     RRCollection restored = RestoredCopy(rr);
     restored.BuildIndex(round % 2 == 0 ? &pool : nullptr);
     for (NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(restored.DecodeCovering(v), rr.DecodeCovering(v))
+      ASSERT_TRUE(std::ranges::equal(restored.Covering(v), rr.Covering(v)))
           << "round " << round << " node " << v;
     }
     ExpectBandsMatchCounts(restored);

@@ -2,11 +2,11 @@
 // SelectGreedy: identical seeds, coverage, and (in trace mode) identical
 // coverage_at / topk_marginal_at arrays across randomized collections
 // that vary n, θ, k, saturation, and tie density. Also cross-checks the
-// partial-copy TopKSum inside SelectGreedy's trace against a brute-force
+// partial-copy TopSums inside SelectGreedy's trace against a brute-force
 // full sort, so the nonzero-only copy provably changes no trace value.
 // The banded cases use pools large against 4k, where CELF starts from a
-// high member-count band and admits lower ones, and check the SeedTrace
-// rows too.
+// high member-count band and admits lower ones, and trace every seed-set
+// size 1..k against brute-force top-j sums.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "obs/telemetry.h"
 #include "rrset/rr_collection.h"
 #include "select/greedy.h"
-#include "select/seed_trace.h"
 #include "support/random.h"
 
 namespace opim {
@@ -83,11 +82,11 @@ void ExpectTraceMatchesBruteForce(const RRCollection& rr, uint32_t k,
         << "prefix " << i;
     const NodeId s = r.seeds[i];
     coverage += counts[s];
-    rr.ForEachCovering(s, [&](RRId id) {
-      if (covered[id]) return;
+    for (RRId id : rr.Covering(s)) {
+      if (covered[id]) continue;
       covered[id] = 1;
       rr.ForEachMember(id, [&](NodeId w) { --counts[w]; });
-    });
+    }
   }
   EXPECT_EQ(r.coverage_at[k], coverage);
   EXPECT_EQ(r.coverage_at[k], r.coverage);
@@ -119,8 +118,8 @@ TEST(GreedyCelfDiffTest, NoTraceMatchesOracle) {
 TEST(GreedyCelfDiffTest, TraceMatchesOracleExactly) {
   for (const DiffCase& c : kCases) {
     RRCollection rr = MakeRandomCollection(c);
-    GreedyResult ref = SelectGreedy(rr, c.k, /*with_trace=*/true);
-    GreedyResult celf = SelectGreedyCelf(rr, c.k, /*with_trace=*/true);
+    GreedyResult ref = SelectGreedy(rr, c.k, {c.k});
+    GreedyResult celf = SelectGreedyCelf(rr, c.k, {c.k});
     EXPECT_EQ(ref.seeds, celf.seeds) << "seed " << c.seed;
     EXPECT_EQ(ref.coverage, celf.coverage) << "seed " << c.seed;
     EXPECT_EQ(ref.coverage_at, celf.coverage_at) << "seed " << c.seed;
@@ -133,19 +132,19 @@ TEST(GreedyCelfDiffTest, TraceMatchesBruteForceRecomputation) {
   for (const DiffCase& c : kCases) {
     RRCollection rr = MakeRandomCollection(c);
     const uint32_t k = std::min(c.k, c.n);
-    GreedyResult ref = SelectGreedy(rr, k, /*with_trace=*/true);
+    GreedyResult ref = SelectGreedy(rr, k, {k});
     ExpectTraceMatchesBruteForce(rr, k, ref);
-    GreedyResult celf = SelectGreedyCelf(rr, k, /*with_trace=*/true);
+    GreedyResult celf = SelectGreedyCelf(rr, k, {k});
     ExpectTraceMatchesBruteForce(rr, k, celf);
   }
 }
 
 TEST(GreedyCelfDiffTest, TraceModeDoesNotPerturbSeeds) {
-  // with_trace must be observe-only: same seeds/coverage as without.
+  // The trace must be observe-only: same seeds/coverage as without.
   for (const DiffCase& c : kCases) {
     RRCollection rr = MakeRandomCollection(c);
     GreedyResult plain = SelectGreedyCelf(rr, c.k);
-    GreedyResult traced = SelectGreedyCelf(rr, c.k, /*with_trace=*/true);
+    GreedyResult traced = SelectGreedyCelf(rr, c.k, {c.k});
     EXPECT_EQ(plain.seeds, traced.seeds) << "seed " << c.seed;
     EXPECT_EQ(plain.coverage, traced.coverage) << "seed " << c.seed;
   }
@@ -156,8 +155,8 @@ TEST(GreedyCelfDiffTest, AllTiedGainsPickAscendingIds) {
   const uint32_t n = 10;
   RRCollection rr(n);
   for (NodeId v = 0; v < n; ++v) rr.AddSet(std::vector<NodeId>{v}, 1);
-  GreedyResult ref = SelectGreedy(rr, 6, /*with_trace=*/true);
-  GreedyResult celf = SelectGreedyCelf(rr, 6, /*with_trace=*/true);
+  GreedyResult ref = SelectGreedy(rr, 6, {6});
+  GreedyResult celf = SelectGreedyCelf(rr, 6, {6});
   EXPECT_EQ(ref.seeds, celf.seeds);
   EXPECT_EQ((std::vector<NodeId>{0, 1, 2, 3, 4, 5}), celf.seeds);
   EXPECT_EQ(ref.topk_marginal_at, celf.topk_marginal_at);
@@ -168,8 +167,8 @@ TEST(GreedyCelfDiffTest, SaturationPadsTraceIdentically) {
   rr.AddSet(std::vector<NodeId>{2}, 1);
   rr.AddSet(std::vector<NodeId>{2, 3}, 1);
   const uint32_t k = 5;
-  GreedyResult ref = SelectGreedy(rr, k, /*with_trace=*/true);
-  GreedyResult celf = SelectGreedyCelf(rr, k, /*with_trace=*/true);
+  GreedyResult ref = SelectGreedy(rr, k, {k});
+  GreedyResult celf = SelectGreedyCelf(rr, k, {k});
   EXPECT_EQ(ref.seeds, celf.seeds);
   EXPECT_EQ(ref.coverage_at, celf.coverage_at);
   EXPECT_EQ(ref.topk_marginal_at, celf.topk_marginal_at);
@@ -229,43 +228,44 @@ std::vector<uint64_t> TopJSums(std::vector<uint64_t> values, uint32_t k) {
   return sums;
 }
 
-/// CELF in both modes against the oracle; in trace mode the attached
-/// SeedTrace must also hold the oracle's seeds and prefix coverages, and
-/// every row the brute-force top-j marginal sums of the oracle's prefix.
+/// CELF against the oracle untraced, traced at k (what the engine runs)
+/// and traced at every size 1..k; each traced column must also hold the
+/// brute-force top-j marginal sums of the oracle's prefixes.
 void ExpectBandedCelfMatchesOracle(const RRCollection& rr, uint32_t k,
                                    const std::string& label) {
-  for (const bool with_trace : {false, true}) {
-    SCOPED_TRACE(label + (with_trace ? " trace" : " no-trace"));
-    const GreedyResult ref = SelectGreedy(rr, k, with_trace);
-    SeedTrace trace;
-    const GreedyResult celf =
-        SelectGreedyCelf(rr, k, with_trace, with_trace ? &trace : nullptr);
+  const uint32_t n = rr.num_nodes();
+  const uint32_t kk = std::min(k, n);
+  std::vector<uint32_t> all_sizes(kk);
+  std::iota(all_sizes.begin(), all_sizes.end(), 1u);
+  for (const std::vector<uint32_t>& trace_ks :
+       {std::vector<uint32_t>{}, std::vector<uint32_t>{kk}, all_sizes}) {
+    SCOPED_TRACE(label + " tracing " + std::to_string(trace_ks.size()) +
+                 " sizes");
+    const GreedyResult ref = SelectGreedy(rr, k, trace_ks);
+    const GreedyResult celf = SelectGreedyCelf(rr, k, trace_ks);
     EXPECT_EQ(ref.seeds, celf.seeds);
     EXPECT_EQ(ref.coverage, celf.coverage);
+    EXPECT_EQ(ref.trace_ks, celf.trace_ks);
     EXPECT_EQ(ref.coverage_at, celf.coverage_at);
     EXPECT_EQ(ref.topk_marginal_at, celf.topk_marginal_at);
-    if (!with_trace) continue;
+    if (trace_ks.empty()) continue;
 
-    const uint32_t n = rr.num_nodes();
-    const uint32_t kk = std::min(k, n);
-    ASSERT_EQ(trace.k(), kk);
-    ASSERT_TRUE(std::ranges::equal(trace.seeds(), ref.seeds));
+    ASSERT_EQ(celf.trace_ks, trace_ks);
     std::vector<uint64_t> marginals(n);
     for (NodeId v = 0; v < n; ++v) marginals[v] = rr.CoveringCount(v);
     std::vector<char> covered(rr.num_sets(), 0);
     for (uint32_t i = 0; i <= kk; ++i) {
-      ASSERT_EQ(trace.CoverageAt(i), ref.coverage_at[i]) << "prefix " << i;
       const std::vector<uint64_t> sums = TopJSums(marginals, kk);
-      for (uint32_t j = 0; j <= kk; ++j) {
-        ASSERT_EQ(trace.TopMarginalAt(i, j), sums[j])
+      for (uint32_t j : trace_ks) {
+        ASSERT_EQ(celf.TopMarginals(j)[i], sums[j])
             << "prefix " << i << " top-" << j;
       }
       if (i == kk) break;
-      rr.ForEachCovering(ref.seeds[i], [&](RRId id) {
-        if (covered[id]) return;
+      for (RRId id : rr.Covering(ref.seeds[i])) {
+        if (covered[id]) continue;
         covered[id] = 1;
         rr.ForEachMember(id, [&](NodeId w) { --marginals[w]; });
-      });
+      }
     }
   }
 }
@@ -347,7 +347,7 @@ TEST(GreedyCelfDiffTest, BandedSaturationBeforeK) {
   for (NodeId v = 100; v < 103; ++v) rr.AddSet(std::vector<NodeId>{v}, 1);
   ASSERT_EQ(rr.MemberAtLeast(4).size(), 24u);
   ExpectBandedCelfMatchesOracle(rr, 6, "saturation");
-  const GreedyResult celf = SelectGreedyCelf(rr, 6, /*with_trace=*/true);
+  const GreedyResult celf = SelectGreedyCelf(rr, 6, {6});
   EXPECT_EQ(celf.seeds, (std::vector<NodeId>{10, 100, 101, 102, 0, 1}));
   EXPECT_EQ(celf.coverage, 16u + 3u);
   EXPECT_EQ(celf.topk_marginal_at.back(), 0u);
@@ -370,13 +370,13 @@ TEST(GreedyCelfDiffTest, BandedAdmissionIsForced) {
   ASSERT_EQ(rr.MemberAtLeast(3).size(), 8u);
   const uint64_t admissions_before = CelfAdmissions();
   ExpectBandedCelfMatchesOracle(rr, 2, "forced");
-  const GreedyResult celf = SelectGreedyCelf(rr, 2, /*with_trace=*/true);
+  const GreedyResult celf = SelectGreedyCelf(rr, 2, {2});
   EXPECT_EQ(celf.seeds, (std::vector<NodeId>{0, 100}));
   EXPECT_EQ(celf.topk_marginal_at,
             (std::vector<uint64_t>{8 + 8, 5 + 5, 5 + 5}));
 #if OPIM_TELEMETRY_ENABLED
-  // Both modes admit band 2 in each of the three runs.
-  EXPECT_GE(CelfAdmissions(), admissions_before + 3);
+  // Every run admits band 2: the oracle check's three and this one.
+  EXPECT_GE(CelfAdmissions(), admissions_before + 4);
 #else
   (void)admissions_before;
 #endif
@@ -413,7 +413,7 @@ TEST(GreedyCelfDiffTest, BandedBoundaryTiesAdmitBeforeDeciding) {
   ASSERT_TRUE(tie.MemberAtLeast(4).empty());
   ExpectBandedCelfMatchesOracle(tie, 2, "tie at T - 1");
   EXPECT_EQ(SelectGreedyCelf(tie, 2).seeds, (std::vector<NodeId>{100, 5}));
-  EXPECT_EQ(SelectGreedyCelf(tie, 2, /*with_trace=*/true).seeds,
+  EXPECT_EQ(SelectGreedyCelf(tie, 2, {2}).seeds,
             (std::vector<NodeId>{100, 5}));
 
   // Here 101 and 103 fall to T - 2 = 6: their top-2 sum (12) is not the
@@ -421,7 +421,7 @@ TEST(GreedyCelfDiffTest, BandedBoundaryTiesAdmitBeforeDeciding) {
   const RRCollection below = MakeBoundaryPool(/*shared=*/2);
   ASSERT_EQ(below.MemberAtLeast(3).size(), 8u);
   ExpectBandedCelfMatchesOracle(below, 2, "k-th at T - 2");
-  const GreedyResult traced = SelectGreedyCelf(below, 2, /*with_trace=*/true);
+  const GreedyResult traced = SelectGreedyCelf(below, 2, {2});
   ASSERT_EQ(traced.topk_marginal_at.size(), 3u);
   EXPECT_EQ(traced.topk_marginal_at[1], 7u + 6u);
 }

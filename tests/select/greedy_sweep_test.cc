@@ -50,7 +50,7 @@ TEST_P(GreedySweepTest, CelfMatchesDestructive) {
 TEST_P(GreedySweepTest, TraceInvariantsHold) {
   auto [n, sets, k] = GetParam();
   RRCollection rr = MakeRandom(n, sets, 5, 7);
-  GreedyResult r = SelectGreedy(rr, k, /*with_trace=*/true);
+  GreedyResult r = SelectGreedy(rr, k, {k});
   const uint32_t keff = std::min(k, n);
   ASSERT_EQ(r.coverage_at.size(), keff + 1);
   ASSERT_EQ(r.topk_marginal_at.size(), keff + 1);

@@ -95,7 +95,7 @@ TEST(GreedyTest, EmptyCollection) {
 TEST(GreedyTest, TraceShapesAndBoundaries) {
   RRCollection rr = MakeCollection(4, {{0}, {0, 1}, {2}, {3}});
   const uint32_t k = 3;
-  GreedyResult r = SelectGreedy(rr, k, /*with_trace=*/true);
+  GreedyResult r = SelectGreedy(rr, k, {k});
   ASSERT_EQ(r.coverage_at.size(), k + 1);
   ASSERT_EQ(r.topk_marginal_at.size(), k + 1);
   EXPECT_EQ(r.coverage_at[0], 0u);
@@ -118,7 +118,7 @@ TEST(GreedyTest, TraceCoverageIsMonotoneAndConcave) {
     sets.push_back(std::move(s));
   }
   RRCollection rr = MakeCollection(n, sets);
-  GreedyResult r = SelectGreedy(rr, 8, true);
+  GreedyResult r = SelectGreedy(rr, 8, {8});
   for (size_t i = 1; i < r.coverage_at.size(); ++i) {
     EXPECT_GE(r.coverage_at[i], r.coverage_at[i - 1]) << "monotone";
   }

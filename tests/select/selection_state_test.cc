@@ -75,11 +75,12 @@ void ExpectSameSelection(const GreedyResult& a, const GreedyResult& b) {
   EXPECT_EQ(a.topk_marginal_at, b.topk_marginal_at);
 }
 
-/// CELF against the oracle on `c`, in both trace modes.
+/// CELF against the oracle on `c`, untraced and traced at k.
 void ExpectCelfMatchesOracle(const RRCollection& c, uint32_t k) {
-  for (const bool with_trace : {false, true}) {
-    ExpectSameSelection(SelectGreedy(c, k, with_trace),
-                        SelectGreedyCelf(c, k, with_trace));
+  for (const std::vector<uint32_t>& trace_ks :
+       {std::vector<uint32_t>{}, std::vector<uint32_t>{k}}) {
+    ExpectSameSelection(SelectGreedy(c, k, trace_ks),
+                        SelectGreedyCelf(c, k, trace_ks));
   }
 }
 

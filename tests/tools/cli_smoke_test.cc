@@ -10,6 +10,9 @@
 #include <cstdio>
 #include <string>
 
+#include "graph/graph.h"
+#include "graph/graph_mmap.h"
+
 namespace opim {
 namespace {
 
@@ -489,6 +492,53 @@ TEST(CliSmokeTest, RunRefusesDeltaAboveOne) {
 
 TEST(CliSmokeTest, ImmRefusesKAboveNodeCount) {
   ExpectFlagRefused("run --algo=imm --k=9 --mc=0", "--k=9");
+}
+
+/// Runs the RIS baseline `algo` on the one-node text graph `5 5 0.5`,
+/// with valid --k, --eps and --delta, and expects a clean refusal: exit
+/// 1 and an error line that names the algorithm and the node count.
+void ExpectOneNodeGraphRefused(const std::string& algo) {
+  const std::string name =
+      std::string(
+          ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+      ".txt";
+  const std::string txt = WriteTextGraph(name.c_str(), "5 5 0.5\n");
+  auto [rc, out] = RunCommand(Cli() + " run --algo=" + algo +
+                              " --k=1 --eps=0.5 --delta=0.5 --mc=0 --graph=" +
+                              txt);
+  EXPECT_EQ(ExitCode(rc), 1) << out;
+  EXPECT_NE(out.find("error: "), std::string::npos) << out;
+  EXPECT_NE(out.find("--algo=" + algo +
+                     " needs a graph of at least 2 nodes; this one has 1"),
+            std::string::npos)
+      << out;
+  std::remove(txt.c_str());
+}
+
+TEST(CliSmokeTest, ImmRefusesOneNodeGraph) { ExpectOneNodeGraphRefused("imm"); }
+
+TEST(CliSmokeTest, TimRefusesOneNodeGraph) { ExpectOneNodeGraphRefused("tim"); }
+
+TEST(CliSmokeTest, SsaFixRefusesOneNodeGraph) {
+  ExpectOneNodeGraphRefused("ssa-fix");
+}
+
+TEST(CliSmokeTest, DssaFixRefusesOneNodeGraph) {
+  ExpectOneNodeGraphRefused("dssa-fix");
+}
+
+TEST(CliSmokeTest, TimRefusesEdgelessGraph) {
+  // No text edge list has nodes without edges; an .opimg file can.
+  const std::string bin = TmpFile("edgeless.opimg");
+  ASSERT_TRUE(SaveOpimg(GraphBuilder(2).Build(), bin).ok());
+  auto [rc, out] = RunCommand(Cli() + " run --algo=tim --graph=" + bin +
+                              " --k=1 --eps=0.5 --delta=0.5 --mc=0");
+  EXPECT_EQ(ExitCode(rc), 1) << out;
+  EXPECT_NE(out.find("error: "), std::string::npos) << out;
+  EXPECT_NE(out.find("--algo=tim needs a graph with at least one edge"),
+            std::string::npos)
+      << out;
+  std::remove(bin.c_str());
 }
 
 TEST(CliSmokeTest, OnlineRefusesKAboveNodeCount) {

@@ -28,7 +28,9 @@
 // and 1 (where the algorithm uses them: the opim-c variants, imm, tim,
 // ssa-fix, dssa-fix, and online's --delta; the 1/n default of --delta
 // is 1, and refused, on a one-node graph), and an online --batch below 2
-// (each round must give both pools a set).
+// (each round must give both pools a set). run also refuses imm, tim,
+// ssa-fix and dssa-fix on a graph of fewer than 2 nodes, and tim on a
+// graph without edges.
 //
 // Graph paths ending in .opimg load/save the memory-mapped binary format
 // (graph/graph_mmap.h; build with tools/graph_pack or
@@ -56,10 +58,13 @@
 //                        sizes from one run: a comma-separated list of
 //                        k' <= k (e.g. --query-ks=5,10,50). Each k' gets
 //                        its own (seeds, σ_l, σ_upper, α) — read off the
-//                        final iteration's prefix-complete selection
-//                        trace, no re-run — printed as `query k=...`
-//                        lines and recorded in the report's "queries"
-//                        section. Entries must be positive integers
+//                        final iteration's selection trace, no re-run —
+//                        printed as `query k=...` lines and recorded in
+//                        the report's "queries" section. Each answer holds
+//                        with probability >= 1 - δ on its own; the answers
+//                        share one pair of pools and one failure budget,
+//                        so they do not all hold jointly at that
+//                        probability. Entries must be positive integers
 //                        <= --k with no duplicates.
 //   --resume=<snapshot>  resume an opim-c* run from a .opimss checkpoint;
 //                        the snapshot's (k, eps, delta, seed, threads,
@@ -508,14 +513,28 @@ int CmdRun(const Flags& flags) {
   // resume block: a snapshot's k, ε and δ override the flags.
   const bool is_opimc =
       algo == "opim-c+" || algo == "opim-c0" || algo == "opim-c'";
+  const bool is_ris_baseline = algo == "imm" || algo == "tim" ||
+                               algo == "ssa-fix" || algo == "dssa-fix";
   if (resume == nullptr) {
     Status st = ReadSeedCount(flags, g.num_nodes(), &k);
-    if (st.ok() && (is_opimc || algo == "imm" || algo == "tim" ||
-                    algo == "ssa-fix" || algo == "dssa-fix")) {
+    if (st.ok() && (is_opimc || is_ris_baseline)) {
       st = ReadOpenUnitFlag(flags, "eps", &eps);
       if (st.ok()) st = ReadOpenUnitFlag(flags, "delta", &delta);
     }
     if (!st.ok()) return Fail(st);
+  }
+  // The RIS baselines set δ = n^-ℓ, so their sample sizes divide by ln n,
+  // and TIM's width estimate samples an edge.
+  if (is_ris_baseline && g.num_nodes() < 2) {
+    return Fail(Status::InvalidArgument(
+        "--algo=" + algo +
+        " needs a graph of at least 2 nodes; this one has " +
+        std::to_string(g.num_nodes())));
+  }
+  if (algo == "tim" && g.num_edges() == 0) {
+    return Fail(Status::InvalidArgument(
+        "--algo=tim needs a graph with at least one edge; this one has " +
+        std::to_string(g.num_nodes()) + " nodes and none"));
   }
   std::vector<uint32_t> query_ks;
   if (flags.Has("query-ks")) {
@@ -582,7 +601,7 @@ int CmdRun(const Flags& flags) {
     stop_reason = r.guardrails.stop_reason;
     std::printf("alpha=%.4f iterations=%u\n", r.alpha, r.iterations);
     // One line and one report row per --query-ks size, answered from the
-    // final iteration's prefix-complete selection trace.
+    // final iteration's certificates.
     for (const OpimCQueryAnswer& q : r.queries) {
       std::printf("query k=%u alpha=%.4f sigma_lower=%.2f sigma_upper=%.2f"
                   " seeds:",
