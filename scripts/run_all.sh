@@ -41,9 +41,10 @@ ctest --test-dir build-fi --output-on-failure \
   | tee "$OUT/test_output_faultinject.txt"
 
 # Sanitized build (ASan + UBSan) over the memory-heavy engine subset:
-# sampling kernels, RR-set storage (the judge scan and restored pools
-# included), parallel generation, selection (CELF from maintained
-# member counts against the postings oracle, across doublings), and the
+# sampling kernels, RR-set storage (the judge scan, restored pools and
+# the in-place merges of online advances in OnlineThreads included),
+# parallel generation, selection (CELF from maintained member counts
+# against the postings oracle, across doublings), and the
 # trace columns the certificates read (prefix queries, λᵘ and σ_u).
 # These are the paths with raw index arithmetic (quantized thresholds,
 # geometric skips, flattened alias arena, CSR rebuilds), so UB or
@@ -57,16 +58,17 @@ cmake -B build-asan -G Ninja -DOPIM_SANITIZE=ON -DOPIM_FAULT_INJECT=ON \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine|JudgeScan|SelectionState|TraceQuery|QueryKs|LambdaUpper|SigmaUpper' 2>&1 \
+  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|OnlineThreads|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume|TwoPoolEngine|JudgeScan|SelectionState|TraceQuery|QueryKs|LambdaUpper|SigmaUpper' 2>&1 \
   | tee "$OUT/test_output_sanitized.txt"
 
 # TSan build over the concurrency-heavy subset: the thread pool and the
 # joins that run queued work on the calling thread (TaskGroup and
 # ParallelFor, the spread estimator's shards among them), the two-pool
 # engine's staged and speculative batches
-# (TwoPoolEngine, AdvanceParallel, OpimCPipeline, and 4-thread RunOpimC
-# through the judge scan in OpimCDeterminism and QueryKs), batch index
-# appends (RRCollection: one task per index partition, all writing the
+# (TwoPoolEngine, multi-thread online sessions in OnlineThreads,
+# OpimCPipeline, and 4-thread RunOpimC through the judge scan in
+# OpimCDeterminism and QueryKs), batch index appends (RRCollection: one
+# task per index partition, rewritten or merged in place, all writing the
 # shared per-node vectors), the SamplingView build on pool workers, the
 # lock-free trace recorder, and the progress heartbeat all publish across
 # threads with hand-placed acquire/release pairs, so a missing fence must
@@ -76,7 +78,7 @@ cmake -B build-tsan -G Ninja -DOPIM_SANITIZE=thread \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-tsan
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ThreadPool|AdvanceParallel|OpimCPipeline|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState|TwoPoolEngine|SamplingView|RRCollection|SpreadEstimator|EstimateWithError|QueryKs|OpimCDeterminism' 2>&1 \
+  -R 'ThreadPool|OnlineThreads|OpimCPipeline|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState|TwoPoolEngine|SamplingView|RRCollection|SpreadEstimator|EstimateWithError|QueryKs|OpimCDeterminism' 2>&1 \
   | tee "$OUT/test_output_tsan.txt"
 
 # Live signal handling: SIGINT a real CLI run, expect a clean degraded

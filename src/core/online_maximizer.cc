@@ -9,46 +9,39 @@
 namespace opim {
 
 OnlineMaximizer::OnlineMaximizer(const Graph& g, DiffusionModel model,
-                                 uint32_t k, double delta, uint64_t seed)
-    : OnlineMaximizer(g, model, k, delta, {}, seed) {}
+                                 uint32_t k, double delta, uint64_t seed,
+                                 unsigned num_threads)
+    : OnlineMaximizer(g, model, k, delta, {}, seed, num_threads) {}
 
 OnlineMaximizer::OnlineMaximizer(const Graph& g, DiffusionModel model,
                                  uint32_t k, double delta,
                                  std::span<const double> node_weights,
-                                 uint64_t seed)
+                                 uint64_t seed, unsigned num_threads)
     : k_(k),
       delta_(delta),
-      engine_(g, model, node_weights, /*num_threads=*/1),
+      engine_(g, model, node_weights, num_threads),
       rng_(seed, 0x6f70696dULL) {  // "opim"
   OPIM_CHECK_GE(k, 1u);
   OPIM_CHECK_LE(k, g.num_nodes());
   OPIM_CHECK(delta > 0.0 && delta < 1.0);
 }
 
-void OnlineMaximizer::AdvanceParallel(uint64_t count,
-                                      unsigned num_threads) {
+void OnlineMaximizer::Advance(uint64_t count) {
   OPIM_TR_SPAN1("advance", "online", "count", count);
   OPIM_TM_SCOPED_TIMER("opim.online.advance_us");
   const uint64_t to_r1 = (count + next_to_r1_) / 2;
   const uint64_t seed1 = rng_.NextU64();
   const uint64_t seed2 = rng_.NextU64();
   // Both batches share one stage: their shards interleave on the engine's
-  // workers (a straggler shard of one batch no longer idles threads the
-  // other could use). Each batch keeps its own seed and shard count, so
+  // workers, so a straggler shard of one batch does not idle threads the
+  // other could use. Each batch keeps its own seed and shard count, so
   // its RR stream does not depend on the other's.
-  engine_.SetThreads(num_threads);
   engine_.Stage(to_r1, seed1, count - to_r1, seed2, control_,
                 /*speculative=*/false);
   engine_.Merge(control_);
   if (count % 2 == 1) next_to_r1_ = !next_to_r1_;
   engine_.FloorEmptyPools(control_,
                           [&](int pool) { return pool == 0 ? seed1 : seed2; });
-}
-
-void OnlineMaximizer::Advance(uint64_t count) {
-  OPIM_TR_SPAN1("advance", "online", "count", count);
-  OPIM_TM_SCOPED_TIMER("opim.online.advance_us");
-  engine_.SampleSerial(count, rng_, &next_to_r1_, control_);
 }
 
 OnlineSnapshot OnlineMaximizer::Query(BoundKind kind) const {

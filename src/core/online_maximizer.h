@@ -14,7 +14,9 @@
 //
 // The usage pattern mirrors online query processing: interleave Advance()
 // (give the algorithm more time) with Query() (pause and inspect), and stop
-// whenever the reported α satisfies you.
+// whenever the reported α satisfies you. The pools grow as one RR stream:
+// each Advance is one engine stage at the session's thread count, so the
+// stream is a function of (seed, thread count, Advance sizes).
 
 #pragma once
 
@@ -65,9 +67,11 @@ struct OnlineSnapshotAll {
 class OnlineMaximizer {
  public:
   /// `delta` is the per-query failure probability (paper default 1/n).
-  /// `seed` makes the RR-set stream reproducible.
+  /// `seed` makes the RR-set stream reproducible. `num_threads` (0 =
+  /// hardware default) sizes the engine's pool and fixes each Advance's
+  /// shard count, so it is part of the stream's identity.
   OnlineMaximizer(const Graph& g, DiffusionModel model, uint32_t k,
-                  double delta, uint64_t seed = 1);
+                  double delta, uint64_t seed = 1, unsigned num_threads = 1);
 
   /// Weighted variant: maximizes the weighted spread
   /// σ_w(S) = Σ_v w_v·Pr[S activates v] via importance-weighted RR roots.
@@ -75,30 +79,25 @@ class OnlineMaximizer {
   /// zero); every reported σ/α refers to the weighted objective.
   OnlineMaximizer(const Graph& g, DiffusionModel model, uint32_t k,
                   double delta, std::span<const double> node_weights,
-                  uint64_t seed);
+                  uint64_t seed, unsigned num_threads = 1);
 
   OPIM_DISALLOW_COPY(OnlineMaximizer);
 
   /// Attaches run guardrails (non-owning, may be nullptr to detach; must
-  /// outlive the maximizer while attached). Advance/AdvanceParallel poll
-  /// the control every kControlPollStride samples and stop early once it
-  /// trips; RunUntilTarget then returns the current snapshot instead of
-  /// continuing — the natural anytime pause point of §4. Query() stays
-  /// valid on whatever RR sets exist (it requires one set per pool, which
-  /// the first Advance provides even when pre-tripped).
+  /// outlive the maximizer while attached). Each shard of an Advance
+  /// polls the control every kControlPollStride samples and stops early
+  /// once it trips; RunUntilTarget then returns the current snapshot
+  /// instead of continuing — the natural anytime pause point of §4.
+  /// Query() stays valid on whatever RR sets exist (it requires one set
+  /// per pool, which the first Advance provides even when pre-tripped).
   void set_run_control(RunControl* control) { control_ = control; }
   RunControl* run_control() const { return control_; }
 
-  /// Generates `count` additional RR sets, alternating between R1 and R2
-  /// so the pools stay evenly sized (§4.1).
+  /// Generates `count` additional RR sets, half into R1 and half into R2
+  /// (the odd one alternating between them), so the pools stay evenly
+  /// sized (§4.1). Both halves are one engine stage on the session's
+  /// threads, each with its own batch seed drawn from the session's RNG.
   void Advance(uint64_t count);
-
-  /// Multithreaded Advance: generates ceil(count/2) sets into R1 and the
-  /// rest into R2 using `num_threads` workers (0 = hardware default).
-  /// Deterministic in (constructor seed, call sequence, num_threads) but
-  /// produces a *different* stream than serial Advance — don't mix
-  /// expectations across the two within one experiment.
-  void AdvanceParallel(uint64_t count, unsigned num_threads = 0);
 
   /// Pauses and derives (S*, α) under the given bound variant.
   /// Requires at least one RR set in each pool.
@@ -147,16 +146,15 @@ class OnlineMaximizer {
  private:
   uint32_t k_;
   double delta_;
-  /// Pools, sampling, selection and bounds (core/two_pool_engine.h), fed
-  /// by both the serial and the parallel RR stream.
+  /// Pools, sampling, selection and bounds (core/two_pool_engine.h).
   TwoPoolEngine engine_;
-  Rng rng_;
+  Rng rng_;  // draws each Advance's two batch seeds
   /// Shared implementation of Query/QuerySequential at a given per-side
   /// failure budget.
   OnlineSnapshot QueryWithDelta(BoundKind kind, double delta_each) const;
 
   RunControl* control_ = nullptr;  // non-owning guardrails; see setter
-  bool next_to_r1_ = true;     // alternation cursor
+  bool next_to_r1_ = true;     // which pool an odd count's extra set joins
   uint32_t sequential_queries_ = 0;
 };
 

@@ -7,6 +7,7 @@
 #include "obs/log.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "rrset/rr_sampler.h"
 #include "rrset/snapshot.h"
 
 namespace opim {
@@ -37,9 +38,8 @@ TwoPoolEngine::TwoPoolEngine(const Graph& g, DiffusionModel model,
     : model_(model),
       weights_(node_weights.begin(), node_weights.end()),
       scale_(ObjectiveScale(g.num_nodes(), node_weights)),
-      workers_(std::make_unique<ThreadPool>(
-          ThreadPool::ResolveThreadCount(num_threads))),
-      view_(SamplingView::For(g, SamplingViewPartsFor(model), workers_.get())),
+      workers_(ThreadPool::ResolveThreadCount(num_threads)),
+      view_(SamplingView::For(g, SamplingViewPartsFor(model), &workers_)),
       r1_(g.num_nodes()),
       r2_(g.num_nodes(), kJudgeStore) {
   if (!weights_.empty()) root_.Build(weights_);
@@ -61,16 +61,6 @@ double TwoPoolEngine::MinSpread(uint32_t k) const {
   return top;
 }
 
-void TwoPoolEngine::SetThreads(unsigned num_threads) {
-  OPIM_CHECK(!shards_);
-  const unsigned threads = ThreadPool::ResolveThreadCount(num_threads);
-  if (threads == this->num_threads()) return;
-  ReportPoolStats();
-  workers_.reset();
-  reported_ = {};
-  workers_ = std::make_unique<ThreadPool>(threads);
-}
-
 void TwoPoolEngine::Stage(uint64_t count1, uint64_t seed1, uint64_t count2,
                           uint64_t seed2, RunControl* control,
                           bool speculative) {
@@ -81,7 +71,7 @@ void TwoPoolEngine::Stage(uint64_t count1, uint64_t seed1, uint64_t count2,
   // One group for both batches, joined by Merge or Discard alone: no other
   // fan-out on the pool waits for the shards, and a shard's exception
   // reaches only that join.
-  shards_.emplace(workers_.get());
+  shards_.emplace(&workers_);
   for (int i : {0, 1}) {
     if (count[i] == 0) continue;
     StagedGeneration& stage = staged_[i].emplace(
@@ -107,7 +97,7 @@ uint64_t TwoPoolEngine::Merge(RunControl* control) {
   }
   uint64_t sets = 0;
   for (int i : {0, 1}) {
-    if (staged_[i]) sets += staged_[i]->IngestInto(&pool(i), workers_.get());
+    if (staged_[i]) sets += staged_[i]->IngestInto(&pool(i), &workers_);
   }
   ClearStage();
   ReportPoolStats();
@@ -134,36 +124,6 @@ uint64_t TwoPoolEngine::Discard() {
 void TwoPoolEngine::ClearStage() {
   shards_.reset();
   for (auto& stage : staged_) stage.reset();
-}
-
-void TwoPoolEngine::SampleSerial(uint64_t count, Rng& rng, bool* to_r1,
-                                 RunControl* control) {
-  if (serial_sampler_ == nullptr) {
-    serial_sampler_ = MakeRRSampler(view_, model_, root());
-  }
-  const uint64_t alias_before = serial_sampler_->alias_draws();
-  uint64_t generated = 0;
-  uint64_t nodes_total = 0;
-  uint64_t edges_total = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    // The exact footprint is capacity arithmetic, so the poll is O(1).
-    if (control != nullptr && i % kControlPollStride == 0 &&
-        control->Poll(Footprint()) && r1_.num_sets() > 0 &&
-        r2_.num_sets() > 0) {
-      break;
-    }
-    const uint64_t cost = serial_sampler_->SampleInto(rng, &serial_scratch_);
-    nodes_total += serial_scratch_.size();
-    edges_total += cost;
-    (*to_r1 ? r1_ : r2_).AddSet(serial_scratch_, cost);
-    *to_r1 = !*to_r1;
-    ++generated;
-  }
-  OPIM_TM_COUNTER_ADD("opim.rrset.sets_generated", generated);
-  OPIM_TM_COUNTER_ADD("opim.rrset.nodes_total", nodes_total);
-  OPIM_TM_COUNTER_ADD("opim.rrset.edges_examined", edges_total);
-  OPIM_TM_COUNTER_ADD("opim.rrset.alias_draws",
-                      serial_sampler_->alias_draws() - alias_before);
 }
 
 void TwoPoolEngine::FloorEmptyPools(
@@ -255,14 +215,14 @@ void TwoPoolEngine::Restore(RRPoolSnapshot* snapshot) {
   r2_ = std::move(snapshot->r2);
   // Snapshots store no index; R1 gets its own now, on the workers, so the
   // first CELF pass starts from the counts a live run would have.
-  r1_.BuildIndex(workers_.get());
+  r1_.BuildIndex(&workers_);
 }
 
 void TwoPoolEngine::ReportPoolStats() {
   OPIM_TM_STMT({
     // tasks_run growing across batches under one pool is the observable
     // signature of worker reuse (no per-call pool churn).
-    const ThreadPoolStats stats = workers_->Stats();
+    const ThreadPoolStats stats = workers_.Stats();
     OPIM_TM_COUNTER_ADD("opim.pool.tasks_run",
                         stats.tasks_run - reported_.tasks_run);
     OPIM_TM_COUNTER_ADD("opim.pool.queue_wait_us",

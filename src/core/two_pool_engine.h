@@ -9,14 +9,14 @@
 // calls, the bounds and the spill/snapshot hooks; it borrows the graph's
 // memoized SamplingView (built on its workers when it is the graph's
 // first user). Its staged batches are the library's one parallel RR
-// generator. Callers pass every batch seed, so each keeps its own RR
-// stream.
+// generator and the engine's one ingest path: every OPIM-C fill and
+// doubling and every online Advance is a stage. Callers pass every batch
+// seed, so each keeps its own RR stream.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -27,11 +27,9 @@
 #include "graph/graph.h"
 #include "graph/sampling_view.h"
 #include "rrset/rr_collection.h"
-#include "rrset/rr_sampler.h"
 #include "rrset/staged_generation.h"
 #include "select/greedy.h"
 #include "support/alias_sampler.h"
-#include "support/random.h"
 #include "support/run_control.h"
 #include "support/status.h"
 #include "support/thread_pool.h"
@@ -62,14 +60,10 @@ class TwoPoolEngine {
   /// least activates itself): k, or the top-k weight sum (checked > 0).
   double MinSpread(uint32_t k) const;
 
-  unsigned num_threads() const { return workers_->num_threads(); }
+  unsigned num_threads() const { return workers_.num_threads(); }
   /// Whether the pool has worker threads, so a staged batch can run
   /// while the caller does other work.
   bool has_workers() const { return num_threads() > 1; }
-
-  /// Sets the thread count of later batches, rebuilding the pool only
-  /// when its size changes. Requires no staged batches.
-  void SetThreads(unsigned num_threads);
 
   /// Both pools' heap footprint; plus the view, what a RunControl memory
   /// budget is checked against. The view is the graph's and outlives the
@@ -85,7 +79,7 @@ class TwoPoolEngine {
   /// Stages one batch per pool (a count may be 0) and returns at once:
   /// both batches' shards are one TaskGroup on the engine's pool, which
   /// its workers start on. Merge ingests the batches, Discard drops them.
-  /// This is the engine's only batch path: an eager batch is a Stage
+  /// This is the engine's only sampling path: an eager batch is a Stage
   /// followed at once by Merge, so both pools' shards share one fan-out,
   /// one join and one ingest. Each pool's batch has
   /// GenerateShardCount(count, num_threads()) shards (StagedGeneration
@@ -110,15 +104,6 @@ class TwoPoolEngine {
   /// Aborts, joins and drops the staged batches, swallowing any exception
   /// (the eager schedule never sampled them). Returns the sets discarded.
   uint64_t Discard();
-
-  /// Samples `count` sets on the calling thread from `rng`, each into R1
-  /// when `*to_r1` (else R2), flipping the cursor; AddSet appends each
-  /// R1 set's postings in place, so R1's index stays current for the next
-  /// query. Polls `control` with Footprint() every kControlPollStride
-  /// sets and stops once it trips, but never before both pools hold a
-  /// set.
-  void SampleSerial(uint64_t count, Rng& rng, bool* to_r1,
-                    RunControl* control);
 
   /// Anytime floor: once `control` has tripped, each empty pool gets one
   /// uncontrolled set with batch seed `seed_for(index)` (asked for R1
@@ -190,14 +175,12 @@ class TwoPoolEngine {
   DiffusionModel model_;
   std::vector<double> weights_;  // empty = unit weights
   double scale_;
-  std::unique_ptr<ThreadPool> workers_;  // rebuilt by SetThreads
+  ThreadPool workers_;
   ThreadPoolStats reported_;
   const SamplingView& view_;  // the graph's memoized view
   AliasSampler root_;  // weighted roots; empty = uniform
   RRCollection r1_;
   RRCollection r2_;
-  std::unique_ptr<RRSampler> serial_sampler_;  // built by SampleSerial
-  std::vector<NodeId> serial_scratch_;
   // Batches in flight. The group joins their shards on destruction, so it
   // is declared after the stages it samples into.
   std::optional<StagedGeneration> staged_[2];

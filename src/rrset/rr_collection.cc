@@ -24,6 +24,12 @@ namespace {
 /// overhead.
 constexpr uint64_t kParallelIndexMinPostings = 1u << 16;
 
+/// A partition takes a batch's postings in place when it already holds
+/// at least this many times as many; otherwise it is rewritten. Small
+/// online advances onto a grown pool append; θ0 fills, doublings and
+/// BuildIndex, whose batches are as large as the pool, rewrite.
+constexpr uint64_t kInPlaceMergeFactor = 4;
+
 /// Counting-sorts members into `shard`'s postings by index partition:
 /// `for_each_member(fn)` calls fn(local set index, node) in ascending set
 /// order, so each partition's postings come out in ascending local set
@@ -202,13 +208,17 @@ RRId RRCollection::AddSet(std::span<const NodeId> nodes,
   addset_scratch_.assign(nodes.begin(), nodes.end());
   AppendEncodedSet(&addset_scratch_);
   if (indexed_) {
-    for (NodeId v : addset_scratch_) AppendPosting(v, id);
+    for (NodeId v : addset_scratch_) {
+      if (const uint32_t b = AppendPosting(v, id); b < kMemberBands) {
+        bands_[b].push_back(v);
+      }
+    }
   }
   total_edges_examined_ += edges_examined;
   return id;
 }
 
-void RRCollection::AppendPosting(NodeId v, RRId id) {
+uint32_t RRCollection::AppendPosting(NodeId v, RRId id) {
   Extent& e = extents_[v];
   IndexPart& part = parts_[v >> kPartShift];
   const uint64_t end = uint64_t{e.begin} + e.size;
@@ -219,9 +229,9 @@ void RRCollection::AppendPosting(NodeId v, RRId id) {
   } else {
     GrowExtent(v, id);
   }
-  if (std::has_single_bit(e.size)) {
-    bands_[std::bit_width(e.size) - 1].push_back(v);
-  }
+  return std::has_single_bit(e.size)
+             ? static_cast<uint32_t>(std::bit_width(e.size)) - 1
+             : kMemberBands;
 }
 
 void RRCollection::GrowExtent(NodeId v, RRId id) {
@@ -322,10 +332,27 @@ void RRCollection::AppendShardPostings(
   // bands in partition order below.
   std::vector<std::vector<BandEvent>> events(num_parts);
   auto append = [&](uint32_t p) {
+    uint64_t added = 0;
     for (const CompressedRRShard& shard : shards) {
-      if (shard.part_offsets[p + 1] != shard.part_offsets[p]) {
-        RewritePartition(p, shards, shard_bases, &events[p]);
-        return;
+      added += shard.part_offsets[p + 1] - shard.part_offsets[p];
+    }
+    if (added == 0) return;
+    if (parts_[p].live < kInPlaceMergeFactor * added) {
+      RewritePartition(p, shards, shard_bases, &events[p]);
+      return;
+    }
+    // In shard order, and each shard lists the partition's postings in
+    // ascending local id, so every node's new ids arrive ascending.
+    OPIM_TM_COUNTER_ADD("opim.rrset.index_parts_in_place", 1);
+    const NodeId lo = p << kPartShift;
+    for (size_t s = 0; s < shards.size(); ++s) {
+      const CompressedRRShard& shard = shards[s];
+      for (uint32_t i = shard.part_offsets[p]; i < shard.part_offsets[p + 1];
+           ++i) {
+        const NodeId v = lo + shard.post_nodes[i];
+        const uint32_t b =
+            AppendPosting(v, shard_bases[s] + shard.post_sets[i]);
+        if (b < kMemberBands) events[p].push_back({b, v});
       }
     }
   };

@@ -33,14 +33,19 @@
 //     hold a sentinel, so capacity is implicit), and a partition arena
 //     whose dead entries outnumber its live ones is compacted. O(|set|)
 //     amortized.
-//   * AddCompressedShards rewrites each partition the shards touch
-//     tightly, in one ParallelFor over partitions; untouched partitions
-//     are not read. Shards arrive with their postings grouped by
-//     partition, so a rewrite gathers only its own partition's new
-//     postings (one counting sort over its nodes) and writes each node's
-//     old run, then its new run, as two bulk copies. Its cost is the new
-//     postings plus one copy of the partition, with nothing per shard
-//     proportional to n.
+//   * AddCompressedShards merges each partition the shards touch, in
+//     one ParallelFor over partitions; untouched partitions are not
+//     read. Shards arrive with their postings grouped by partition, so a
+//     partition reads only its own slice of each shard. A partition that
+//     already holds at least four times the batch's new postings for it
+//     takes them in place, in shard order, through AddSet's append; the
+//     cost is the new postings. Any other partition is rewritten
+//     tightly: one counting sort gathers its new postings by node, and
+//     each node's old run, then its new run, are two bulk copies; the
+//     cost is the new postings plus one copy of the partition. So small
+//     batches onto a grown pool (online advances) append, and batches as
+//     large as the pool (θ0 fills, doublings, BuildIndex) rewrite.
+//     Neither branch does work per shard proportional to n.
 // A posting list's contents never depend on ingest history; only its
 // position and slack do.
 //
@@ -266,12 +271,13 @@ class RRCollection {
   /// Appends pre-compressed shards (ShardEncoder output for this
   /// collection's num_nodes), in shard order: byte streams are appended
   /// wholesale, and on an indexed collection every index partition the
-  /// shards touch is rewritten tightly — each node's old postings, then
-  /// its new ones from the shards in shard order, each offset by its
-  /// shard's id base — in one parallel pass over partitions when `pool`
-  /// is given. Existing sets are never re-decoded. Shards whose worker
-  /// threw before Finish are finalized here first. Deterministic for any
-  /// worker count.
+  /// shards touch gets each node's new postings from the shards in shard
+  /// order, each offset by its shard's id base — appended in place when
+  /// they are few against the partition, else by a tight rewrite (see
+  /// the file comment) — in one parallel pass over partitions when
+  /// `pool` is given. Existing sets are never re-decoded. Shards whose
+  /// worker threw before Finish are finalized here first. Deterministic
+  /// for any worker count.
   void AddCompressedShards(std::vector<CompressedRRShard> shards,
                            ThreadPool* pool = nullptr);
 
@@ -338,9 +344,11 @@ class RRCollection {
   /// only when a pick could depend on them; the selection output cannot
   /// depend on the order within a band (the CELF comparator is a strict
   /// total order over (gain, node)). AddSet appends nodes in the order
-  /// their counts reach 2^b; a batch appends in partition order, then
-  /// ascending id, so every band is the same for any worker count. The
-  /// span is invalidated by any mutation.
+  /// their counts reach 2^b; a batch appends in partition order, and
+  /// within a partition by ascending id when it is rewritten, or in the
+  /// order its counts reach 2^b when it is merged in place, so every band
+  /// is the same for any worker count. The span is invalidated by any
+  /// mutation.
   std::span<const NodeId> MemberAtLeast(uint32_t b) const {
     CheckIndexed();
     OPIM_DCHECK_LT(b, kMemberBands);
@@ -544,8 +552,11 @@ class RRCollection {
   void AppendEncodedSet(std::vector<NodeId>* nodes);
 
   /// Appends set `id` to node `v`'s posting list in place, or moves the
-  /// full extent to its partition's tail at twice its size.
-  void AppendPosting(NodeId v, RRId id);
+  /// full extent to its partition's tail at twice its size. Returns the
+  /// band b whose 2^b the count just reached (see MemberAtLeast), or
+  /// kMemberBands when it reached no power of two; the caller records
+  /// the node there. Touches only `v`'s partition.
+  uint32_t AppendPosting(NodeId v, RRId id);
 
   /// AppendPosting's slow path: writes the grown list at the arena tail
   /// with twice its size as capacity (extending in place when the extent
@@ -554,9 +565,10 @@ class RRCollection {
   void GrowExtent(NodeId v, RRId id);
 
   /// Appends shard s's postings (global id = shard_bases[s] + local
-  /// index) to every node, rewriting each partition they touch;
-  /// parallel over partitions when `pool` has > 1 worker. Maintains the
-  /// bands.
+  /// index) to every node: in place (AppendPosting) in a partition that
+  /// holds at least kInPlaceMergeFactor times its new postings, by
+  /// RewritePartition in any other partition they touch; parallel over
+  /// partitions when `pool` has > 1 worker. Maintains the bands.
   void AppendShardPostings(std::span<const CompressedRRShard> shards,
                            std::span<const RRId> shard_bases,
                            ThreadPool* pool);

@@ -82,17 +82,13 @@ RunControl::Clock::time_point RunControl::ObservedNow() const {
 }
 
 bool RunControl::Poll(uint64_t current_bytes) {
+  // The peak comes first: a poll after a trip still reports a footprint
+  // the run holds.
+  RecordPeakBytes(current_bytes);
   if (Stopped()) return true;
 
   if (OPIM_FAULT_POINT("runctl.mem_spike")) {
     mem_spiked_.store(true, std::memory_order_relaxed);
-  }
-  if (current_bytes > 0) {
-    uint64_t peak = peak_bytes_.load(std::memory_order_relaxed);
-    while (current_bytes > peak &&
-           !peak_bytes_.compare_exchange_weak(peak, current_bytes,
-                                              std::memory_order_relaxed)) {
-    }
   }
 
   if (cancel_flag_ != nullptr &&

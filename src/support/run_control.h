@@ -17,8 +17,8 @@
 //
 // Thread-safety: one RunControl is shared by every worker of a run. All
 // state is atomic; the fast path (already tripped, or no guardrail
-// configured) is a single relaxed load. The first trip wins — the reason
-// and trip time are recorded exactly once.
+// configured) is the peak update plus a relaxed load. The first trip
+// wins — the reason and trip time are recorded exactly once.
 //
 // The deadline check reads the steady clock, so callers amortize Poll()
 // over a chunk of work (e.g. every 32 RR samples); the chunk size bounds
@@ -116,10 +116,11 @@ class RunControl {
                          : static_cast<StopReason>(r);
   }
 
-  /// The safe-point check: records `current_bytes` into the peak, then
-  /// tests (in order) the bound cancel flag, the memory budget, and the
-  /// deadline. Returns Stopped(). `current_bytes` = 0 means "no new
-  /// footprint information" (pure cancellation/deadline check).
+  /// The safe-point check: records `current_bytes` into the peak (also
+  /// after a trip), then tests (in order) the bound cancel flag, the
+  /// memory budget, and the deadline. Returns Stopped(). `current_bytes`
+  /// = 0 means "no new footprint information" (pure cancellation/deadline
+  /// check).
   bool Poll(uint64_t current_bytes = 0);
 
   // --- Telemetry ---------------------------------------------------------
@@ -133,10 +134,10 @@ class RunControl {
   }
 
   /// Folds `bytes` into the peak without running the guardrail checks.
-  /// Used when resuming from a snapshot: the restored run's reported
-  /// peak must cover the pre-crash iterations, but replaying the old
-  /// footprint through Poll() could spuriously trip a tighter budget
-  /// configured for the continuation.
+  /// Poll() starts with it. Resuming from a snapshot calls it alone: the
+  /// restored run's reported peak must cover the pre-crash iterations,
+  /// but replaying the old footprint through Poll() could spuriously trip
+  /// a tighter budget configured for the continuation.
   void RecordPeakBytes(uint64_t bytes) {
     uint64_t prev = peak_bytes_.load(std::memory_order_relaxed);
     while (prev < bytes && !peak_bytes_.compare_exchange_weak(

@@ -164,11 +164,11 @@ TEST(CheckpointResumeTest, MemoryBudgetTripCheckpointsAndResumes) {
   // on an iteration's boundary poll (the exact-footprint check): one byte
   // under that iteration's footprint. Generation polls a running
   // estimate instead — the pools before the doubling plus the shards'
-  // staging buffers, which hold a 16-byte record per set where the judge
-  // pool keeps a 4-byte slot and no index — so late doublings can
-  // overshoot their own boundary footprint and trip inside generation.
-  // Take the latest iteration before the last whose doubling stays under
-  // its budget. The on-trip checkpoint must let a second, unbudgeted run
+  // staging buffers, a 4-byte record per set and the encoded members in
+  // vectors that grow by doubling — so a doubling's growth slack can
+  // reach its boundary footprint and trip inside generation. Take the
+  // latest iteration before the last whose doubling stays under its
+  // budget. The on-trip checkpoint must let a second, unbudgeted run
   // finish the job with the uninterrupted run's exact answer.
   Graph g = TestGraph();
   OpimCOptions base;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/online_maximizer.h"
 #include "core/opim_c.h"
@@ -134,6 +135,38 @@ TEST(OpimCGuardrailsTest,
   EXPECT_EQ(cut.trace[0].rr_bytes, full.trace[0].rr_bytes);
 }
 
+TEST(OpimCGuardrailsTest, BudgetedParallelPeakCoversEveryIteration) {
+  // peak_rr_bytes is the largest footprint the run saw. Budgets between
+  // two iterations' footprints trip while a doubling is staged; the
+  // boundary poll after its merge still counts toward the peak.
+  Graph g = TestGraph();
+  OpimCOptions o;
+  o.seed = 7;
+  o.num_threads = 4;
+  const OpimCResult full = RunOpimC(g, DiffusionModel::kIndependentCascade,
+                                    5, 0.1, kDelta, o);
+  ASSERT_GE(full.iterations, 3u);
+  for (uint32_t i = 1; i < full.iterations; ++i) {
+    const uint64_t lo = full.trace[i - 1].rr_bytes;
+    const uint64_t hi = full.trace[i].rr_bytes;
+    for (const uint64_t budget : {(lo + hi) / 2, hi - 1}) {
+      SCOPED_TRACE("iteration " + std::to_string(i + 1) + " budget " +
+                   std::to_string(budget));
+      RunControl control;
+      control.SetMemoryBudgetBytes(budget);
+      OpimCOptions budgeted = o;
+      budgeted.control = &control;
+      const OpimCResult r = RunOpimC(
+          g, DiffusionModel::kIndependentCascade, 5, 0.1, kDelta, budgeted);
+      ExpectValidAnytimeResult(r, 5, StopReason::kMemoryBudget);
+      for (size_t row = 0; row < r.trace.size(); ++row) {
+        EXPECT_GE(r.guardrails.peak_rr_bytes, r.trace[row].rr_bytes)
+            << "row " << row + 1;
+      }
+    }
+  }
+}
+
 TEST(OpimCGuardrailsTest, ParallelRunHonorsGuardrails) {
   Graph g = TestGraph();
   RunControl control;
@@ -183,11 +216,12 @@ TEST(OnlineGuardrailsTest, SerialAdvanceStopsEarlyAfterTrip) {
 
 TEST(OnlineGuardrailsTest, ParallelAdvanceStopsEarlyAfterTrip) {
   Graph g = TestGraph();
-  OnlineMaximizer om(g, DiffusionModel::kIndependentCascade, 5, 0.01, 3);
+  OnlineMaximizer om(g, DiffusionModel::kIndependentCascade, 5, 0.01, 3,
+                     /*num_threads=*/4);
   RunControl control;
   control.RequestCancel();
   om.set_run_control(&control);
-  om.AdvanceParallel(100'000, 4);
+  om.Advance(100'000);
   EXPECT_LT(om.num_rr_sets(), 100'000u);
   EXPECT_GT(om.r1().num_sets(), 0u);
   EXPECT_GT(om.r2().num_sets(), 0u);

@@ -22,6 +22,7 @@
 #include "bounds/bounds.h"
 #include "gen/generators.h"
 #include "obs/metrics.h"
+#include "rrset/rr_sampler.h"
 #include "support/random.h"
 #include "support/run_control.h"
 

@@ -104,13 +104,13 @@ TEST(WeightedOnlineMaximizerTest, PicksWeightedOptimum) {
   EXPECT_GT(snap.alpha, 0.5);
 }
 
-TEST(WeightedOnlineMaximizerTest, AdvanceParallelPicksWeightedOptimum) {
-  // The parallel stream samples its roots through the engine's shared
-  // weighted-root table, never through the serial sampler.
+TEST(WeightedOnlineMaximizerTest, FourThreadAdvancePicksWeightedOptimum) {
+  // Every shard samples its roots through the engine's shared
+  // weighted-root table.
   TwoStars ts = MakeTwoStars();
   OnlineMaximizer om(ts.graph, DiffusionModel::kIndependentCascade, 1, 0.05,
-                     ts.weights, /*seed=*/6);
-  om.AdvanceParallel(6000, 4);
+                     ts.weights, /*seed=*/6, /*num_threads=*/4);
+  om.Advance(6000);
   EXPECT_EQ(om.num_rr_sets(), 6000u);
   OnlineSnapshot snap = om.Query(BoundKind::kImproved);
   ASSERT_EQ(snap.seeds.size(), 1u);

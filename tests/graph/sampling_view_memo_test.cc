@@ -129,8 +129,8 @@ TEST(SamplingViewMemoTest, RunsOnOneGraphShareItsViewAndMatchAFreshCopy) {
       const SamplingView& view =
           SamplingView::For(shared, SamplingViewPartsFor(model));
       const OpimCResult second = RunOpimC(shared, model, 5, 0.3, 0.01, o);
-      OnlineMaximizer online(shared, model, 5, 0.01, /*seed=*/3);
-      online.AdvanceParallel(4000, threads);
+      OnlineMaximizer online(shared, model, 5, 0.01, /*seed=*/3, threads);
+      online.Advance(4000);
       const OnlineSnapshot snap = online.Query(BoundKind::kImproved);
       // The first run built the view; the second run and the online
       // session borrowed it.
@@ -141,8 +141,9 @@ TEST(SamplingViewMemoTest, RunsOnOneGraphShareItsViewAndMatchAFreshCopy) {
       // Runs on a fresh copy build their own view and answer the same.
       const Graph fresh = g;
       const OpimCResult want = RunOpimC(fresh, model, 5, 0.3, 0.01, o);
-      OnlineMaximizer want_online(fresh, model, 5, 0.01, /*seed=*/3);
-      want_online.AdvanceParallel(4000, threads);
+      OnlineMaximizer want_online(fresh, model, 5, 0.01, /*seed=*/3,
+                                  threads);
+      want_online.Advance(4000);
       const OnlineSnapshot want_snap = want_online.Query(BoundKind::kImproved);
       for (const OpimCResult* run : {&first, &second}) {
         EXPECT_EQ(run->seeds, want.seeds);

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "support/thread_pool.h"
 
 namespace opim {
@@ -376,6 +377,15 @@ void ExpectIndexMatchesBruteForce(const RRCollection& rr,
   EXPECT_EQ(rr.CoverageOf(seeds), covered.size());
 }
 
+/// Index partitions merged in place so far in this process (0 when
+/// telemetry is compiled out). A batch merges a partition in place when
+/// its new postings are few against the partition's, else rewrites it.
+uint64_t InPlaceMerges() {
+  const MetricsSnapshot s = MetricsRegistry::Default().Snapshot();
+  const CounterSample* c = s.FindCounter("opim.rrset.index_parts_in_place");
+  return c != nullptr ? c->value : 0;
+}
+
 /// A collection reassembled from `rr`'s snapshot parts; its index is
 /// built by the next read or append.
 RRCollection RestoredCopy(const RRCollection& rr) {
@@ -545,6 +555,7 @@ TEST_P(RRCollectionIndexDiffTest, MatchesBruteForceIndex) {
   }
 
   bool partition_gap = false;  // a shard skipped a partition another filled
+  const uint64_t in_place_before = InPlaceMerges();
   const int total_weight = param.add_set + param.batch + param.restore;
   while (rr.num_sets() < kSets) {
     const int op = static_cast<int>(rng() % total_weight);
@@ -599,6 +610,11 @@ TEST_P(RRCollectionIndexDiffTest, MatchesBruteForceIndex) {
     std::vector<NodeId> seeds = {kDense, random_node(), random_node()};
     ExpectIndexMatchesBruteForce(rr, seeds);
     if (HasFatalFailure()) return;
+  }
+  // Batches small against the pool merged some partitions in place;
+  // the restores' BuildIndex and the large batches rewrote the others.
+  if (OPIM_TELEMETRY_ENABLED && param.batch > 0) {
+    EXPECT_GT(InPlaceMerges(), in_place_before);
   }
   if (!param.edges) {
     EXPECT_GT(rr.CoveringCount(kDense), 10000u);
@@ -735,11 +751,16 @@ TEST(RRCollectionBandTest, MemberAtLeastTracksEveryIngestPath) {
   for (size_t i = 0; i < 3000; ++i) added.AddSet(sets[i], 1);
   ExpectBandsMatchCounts(added);
 
-  // One batch, at 1 and at 4 workers: the same lists.
+  // One batch, at 1 and at 4 workers: the same lists. An empty pool
+  // takes it by rewriting every partition.
   RRCollection serial(n);
   RRCollection parallel(n);
+  uint64_t in_place = InPlaceMerges();
   serial.AddCompressedShards(shards_of(0, sets.size()));
   parallel.AddCompressedShards(shards_of(0, sets.size()), &pool);
+  if (OPIM_TELEMETRY_ENABLED) {
+    EXPECT_EQ(InPlaceMerges(), in_place);
+  }
   ExpectBandsMatchCounts(serial);
   ExpectSameBands(serial, parallel);
 
@@ -751,9 +772,30 @@ TEST(RRCollectionBandTest, MemberAtLeastTracksEveryIngestPath) {
   restored4.BuildIndex(&pool);
   ExpectSameBands(restored, restored4);
 
-  // Mixed: AddSet on top of a batch, then another batch.
+  // A small batch onto the large pool, at 1 and at 4 workers: every
+  // partition it touches takes its postings in place, and the lists are
+  // the same.
+  in_place = InPlaceMerges();
+  restored.AddCompressedShards(shards_of(0, 400));
+  if (OPIM_TELEMETRY_ENABLED) {
+    EXPECT_GT(InPlaceMerges(), in_place);
+  }
+  in_place = InPlaceMerges();
+  restored4.AddCompressedShards(shards_of(0, 400), &pool);
+  if (OPIM_TELEMETRY_ENABLED) {
+    EXPECT_GT(InPlaceMerges(), in_place);
+  }
+  ExpectIndexMatchesBruteForce(restored, std::vector<NodeId>{0, 1, 2});
+  ExpectSameBands(restored, restored4);
+
+  // Mixed: AddSet on top of a batch, then another batch, too large
+  // against the pool to merge in place.
   for (int i = 0; i < 5000; ++i) parallel.AddSet(draw(), 1);
+  in_place = InPlaceMerges();
   parallel.AddCompressedShards(shards_of(0, 20000), &pool);
+  if (OPIM_TELEMETRY_ENABLED) {
+    EXPECT_EQ(InPlaceMerges(), in_place);
+  }
   ExpectBandsMatchCounts(parallel);
 
   // The top band holds the hub alone; the ones above it are empty.

@@ -58,6 +58,20 @@ TEST(RunControlTest, PeakBytesTracksLargestPoll) {
   EXPECT_EQ(c.peak_bytes(), 5000u);
 }
 
+TEST(RunControlTest, PollAfterTripStillRaisesPeak) {
+  // A boundary poll after a trip during staging reports the merged
+  // pools, which can exceed every footprint polled before the trip.
+  RunControl c;
+  c.SetMemoryBudgetBytes(1000);
+  EXPECT_TRUE(c.Poll(1200));
+  EXPECT_EQ(c.peak_bytes(), 1200u);
+  EXPECT_TRUE(c.Poll(1800));
+  EXPECT_EQ(c.peak_bytes(), 1800u);
+  EXPECT_TRUE(c.Poll(900));
+  EXPECT_EQ(c.peak_bytes(), 1800u);
+  EXPECT_EQ(c.reason(), StopReason::kMemoryBudget);
+}
+
 TEST(RunControlTest, CancelFlagTripsOnPoll) {
   std::atomic<bool> flag{false};
   RunControl c;

@@ -157,11 +157,15 @@ TEST(CliSmokeTest, OnlineWritesMetricsJsonReport) {
 
   std::string json = TmpFile("cli_online_metrics.json");
   auto [rc, out] = RunCommand(Cli() + " online --graph=" + bin +
-                       " --k=3 --rounds=3 --batch=256 --metrics-json=" + json);
+                       " --k=3 --rounds=3 --batch=256 --threads=2"
+                       " --metrics-json=" + json);
   ASSERT_EQ(rc, 0) << out;
   const std::string report = ReadFile(json);
   EXPECT_NE(report.find("\"opim.run_report.v1\""), std::string::npos);
   EXPECT_NE(report.find("\"advance_seconds\""), std::string::npos);
+  // The RR stream is a function of (seed, resolved threads).
+  EXPECT_NE(report.find("\"threads_requested\":2"), std::string::npos);
+  EXPECT_NE(report.find("\"threads_resolved\":2"), std::string::npos);
 #if defined(OPIM_TELEMETRY_ENABLED) && OPIM_TELEMETRY_ENABLED
   EXPECT_NE(report.find("\"opim.online.queries\""), std::string::npos);
 #endif
@@ -490,6 +494,28 @@ TEST(CliSmokeTest, RunRefusesDeltaAboveOne) {
   ExpectFlagRefused("run --k=1 --delta=2 --mc=0", "--delta=2");
 }
 
+TEST(CliSmokeTest, RunRefusesMalformedThreads) {
+  ExpectFlagRefused("run --k=1 --threads=abc --mc=0", "--threads=abc");
+}
+
+TEST(CliSmokeTest, RunRefusesNegativeThreads) {
+  ExpectFlagRefused("run --k=1 --threads=-1 --mc=0", "--threads=-1");
+}
+
+TEST(CliSmokeTest, RunRefusesThreadsWithTrailingJunk) {
+  ExpectFlagRefused("run --k=1 --threads=4x --mc=0", "--threads=4x");
+}
+
+TEST(CliSmokeTest, RunRefusesThreadsPast32Bits) {
+  // Cast to 32 bits, 2^32 would read 0: one thread per hardware thread.
+  ExpectFlagRefused("run --k=1 --threads=4294967296 --mc=0",
+                    "--threads=4294967296");
+}
+
+TEST(CliSmokeTest, RunRefusesMalformedSeed) {
+  ExpectFlagRefused("run --k=1 --seed=abc --mc=0", "--seed=abc");
+}
+
 TEST(CliSmokeTest, ImmRefusesKAboveNodeCount) {
   ExpectFlagRefused("run --algo=imm --k=9 --mc=0", "--k=9");
 }
@@ -556,6 +582,23 @@ TEST(CliSmokeTest, OnlineRefusesOneSetBatches) {
 
 TEST(CliSmokeTest, OnlineRefusesEmptyBatches) {
   ExpectFlagRefused("online --k=1 --batch=0 --rounds=1", "--batch=0");
+}
+
+TEST(CliSmokeTest, OnlineRefusesZeroRounds) {
+  ExpectFlagRefused("online --k=1 --rounds=0", "--rounds=0");
+}
+
+TEST(CliSmokeTest, OnlineRefusesMalformedThreads) {
+  ExpectFlagRefused("online --k=1 --rounds=1 --threads=4x", "--threads=4x");
+}
+
+TEST(CliSmokeTest, OnlineRefusesThreadsPast32Bits) {
+  ExpectFlagRefused("online --k=1 --rounds=1 --threads=4294967296",
+                    "--threads=4294967296");
+}
+
+TEST(CliSmokeTest, OnlineRefusesMalformedSeed) {
+  ExpectFlagRefused("online --k=1 --rounds=1 --seed=abc", "--seed=abc");
 }
 
 TEST(CliSmokeTest, BadLogLevelIsCleanError) {

@@ -16,7 +16,7 @@
 //            of an explicit seed set, with a 95% CI
 //   online   --graph=<path> --k=<k> [--batch=10000]
 //            [--rounds=20] [--target=0.9] [--model=IC|LT]
-//            [--threads=0] [--metrics-json=<path>]             OPIM session
+//            [--threads=1] [--metrics-json=<path>]             OPIM session
 //
 // Global flags: --log-level=debug|info|warn|error|off (default warn).
 //
@@ -27,10 +27,17 @@
 // [1, n], an --eps or --delta that is not a number strictly between 0
 // and 1 (where the algorithm uses them: the opim-c variants, imm, tim,
 // ssa-fix, dssa-fix, and online's --delta; the 1/n default of --delta
-// is 1, and refused, on a one-node graph), and an online --batch below 2
-// (each round must give both pools a set). run also refuses imm, tim,
-// ssa-fix and dssa-fix on a graph of fewer than 2 nodes, and tim on a
-// graph without edges.
+// is 1, and refused, on a one-node graph), a --threads that is not an
+// integer below 2^32 (0 = one thread per hardware thread), a --seed that
+// is not an unsigned 64-bit integer, an online --batch below 2 (each
+// round must give both pools a set) and an online --rounds below 1. run
+// also refuses imm, tim, ssa-fix and dssa-fix on a graph of fewer than 2
+// nodes, and tim on a graph without edges.
+//
+// --threads means the same for run and online: it sizes the thread pool
+// and fixes each batch's shard count, so seeds and α are a function of
+// (--seed, resolved thread count). Both report threads_requested and
+// threads_resolved.
 //
 // Graph paths ending in .opimg load/save the memory-mapped binary format
 // (graph/graph_mmap.h; build with tools/graph_pack or
@@ -287,6 +294,17 @@ Status ReadOpenUnitFlag(const Flags& flags, const std::string& name,
   return Status::OK();
 }
 
+/// --threads: 0 (one per hardware thread) or a thread count, below 2^32.
+Status ReadThreadCount(const Flags& flags, unsigned* threads) {
+  uint64_t value = 1;
+  Status st = ReadCountFlag(flags, "threads", 0, UINT32_MAX,
+                            "0 (one per hardware thread) or a thread "
+                            "count below 2^32",
+                            &value);
+  *threads = static_cast<unsigned>(value);
+  return st;
+}
+
 /// --k for a graph of `n` nodes: an integer in [1, n].
 Status ReadSeedCount(const Flags& flags, uint32_t n, uint32_t* k) {
   uint64_t value = 50;
@@ -459,9 +477,9 @@ int CmdRun(const Flags& flags) {
   uint32_t k = 0;
   double eps = 0.1;
   double delta = 1.0 / g.num_nodes();
-  uint64_t seed = flags.GetUint("seed", 1);
+  uint64_t seed = 1;
   std::string algo = flags.GetString("algo", "opim-c+");
-  unsigned threads = static_cast<unsigned>(flags.GetUint("threads", 1));
+  unsigned threads = 1;
 
   // --resume: the snapshot's run identity (k, ε, δ, seed, threads,
   // bound, model) is authoritative — the continued run must be the same
@@ -509,8 +527,9 @@ int CmdRun(const Flags& flags) {
                                            : "opim-c+";
   }
 
-  // --k, --eps and --delta, and --query-ks below, are read after the
-  // resume block: a snapshot's k, ε and δ override the flags.
+  // --k, --eps, --delta, --seed and --threads, and --query-ks below, are
+  // read after the resume block: a snapshot's run identity overrides the
+  // flags.
   const bool is_opimc =
       algo == "opim-c+" || algo == "opim-c0" || algo == "opim-c'";
   const bool is_ris_baseline = algo == "imm" || algo == "tim" ||
@@ -521,6 +540,11 @@ int CmdRun(const Flags& flags) {
       st = ReadOpenUnitFlag(flags, "eps", &eps);
       if (st.ok()) st = ReadOpenUnitFlag(flags, "delta", &delta);
     }
+    if (st.ok()) {
+      st = ReadCountFlag(flags, "seed", 0, UINT64_MAX,
+                         "an unsigned 64-bit integer", &seed);
+    }
+    if (st.ok()) st = ReadThreadCount(flags, &threads);
     if (!st.ok()) return Fail(st);
   }
   // The RIS baselines set δ = n^-ℓ, so their sample sizes divide by ln n,
@@ -793,18 +817,26 @@ int CmdOnline(const Flags& flags) {
   uint32_t k = 0;
   double delta = 1.0 / g.num_nodes();
   uint64_t batch = 10000;
+  uint64_t rounds = 20;
+  uint64_t seed = 1;
+  unsigned threads = 1;
   Status st = ReadSeedCount(flags, g.num_nodes(), &k);
   if (st.ok()) st = ReadOpenUnitFlag(flags, "delta", &delta);
   if (st.ok()) {
     st = ReadCountFlag(flags, "batch", 2, UINT64_MAX, "at least 2", &batch);
   }
+  if (st.ok()) {
+    st = ReadCountFlag(flags, "rounds", 1, UINT32_MAX,
+                       "between 1 and 4294967295", &rounds);
+  }
+  if (st.ok()) {
+    st = ReadCountFlag(flags, "seed", 0, UINT64_MAX,
+                       "an unsigned 64-bit integer", &seed);
+  }
+  if (st.ok()) st = ReadThreadCount(flags, &threads);
   if (!st.ok()) return Fail(st);
-  const uint32_t rounds = static_cast<uint32_t>(flags.GetUint("rounds", 20));
   const double target = flags.GetDouble("target", 0.9);
   const bool sequential = flags.GetBool("sequential", false);
-  const unsigned threads =
-      static_cast<unsigned>(flags.GetUint("threads", 0));
-  const uint64_t seed = flags.GetUint("seed", 1);
 
   RunReport report;
   report.AddInfo("command", "online");
@@ -817,11 +849,10 @@ int CmdOnline(const Flags& flags) {
   report.AddResult("seed", static_cast<double>(seed));
   report.AddResult("batch", static_cast<double>(batch));
   report.AddResult("threads_requested", threads);
+  report.AddResult("threads_resolved",
+                   ThreadPool::ResolveThreadCount(threads));
 
-  // --threads=0 keeps the serial single-sampler stream; any other value
-  // switches to the deterministic parallel generator (a different but
-  // equally reproducible stream, keyed on the thread count).
-  OnlineMaximizer om(g, model, k, delta, seed);
+  OnlineMaximizer om(g, model, k, delta, seed, threads);
   SignalGuard sig_guard;
   RunControl control;
   ArmRunControl(flags, sig_guard, &control);
@@ -829,22 +860,15 @@ int CmdOnline(const Flags& flags) {
   TraceSessionScope trace_scope(flags.GetString("trace-json", ""));
   std::unique_ptr<ProgressHeartbeat> progress =
       MaybeStartProgress(flags, &control);
-  auto advance = [&](uint64_t count) {
-    if (threads == 0) {
-      om.Advance(count);
-    } else {
-      om.AdvanceParallel(count, threads);
-    }
-  };
   double last_alpha = 0.0;
   std::printf("%10s  %8s  %8s  %8s\n", "rr_sets", "OPIM0", "OPIM+", "OPIM'");
-  for (uint32_t r = 0; r < rounds; ++r) {
+  for (uint64_t r = 0; r < rounds; ++r) {
     Stopwatch watch;
-    advance(batch);
+    om.Advance(batch);
     const double advance_seconds = watch.ElapsedSeconds();
     watch.Restart();
     RunReport::Row& row = report.AddIteration();
-    row.Set("round", r + 1);
+    row.Set("round", static_cast<double>(r + 1));
     bool reached = false;
     if (sequential) {
       OnlineSnapshot snap = om.QuerySequential(BoundKind::kImproved);
